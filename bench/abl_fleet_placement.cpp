@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include "daemon/daemon.hpp"
-#include "daemon/fleet.hpp"
 #include "daemon/load_gen.hpp"
 
 using namespace feather;

@@ -18,15 +18,6 @@ namespace daemon {
 
 namespace {
 
-/** Dataflow families a model request enumerates — must mirror the
- *  scheduler's candidate enumeration so pre-planning warms exactly the
- *  keys Scheduler::evaluate will look up. */
-constexpr sim::DataflowKind kModelFamilies[] = {
-    sim::DataflowKind::Canonical,
-    sim::DataflowKind::ChannelParallel,
-    sim::DataflowKind::WindowParallel,
-};
-
 std::string
 reasonLine(const Request &req, const char *status, const std::string &reason)
 {
@@ -41,14 +32,22 @@ Daemon::Daemon(DaemonOptions opts) : opts_(opts)
 {
     if (opts_.num_threads < 1) opts_.num_threads = 1;
     if (opts_.clock_mhz < 1) opts_.clock_mhz = 1;
+    opts_.virt.devices.clear();
     if (opts_.fleet.enabled()) {
         // The fleet *is* the virtual serving system: one virtual server
         // per device, placement by the fleet's policy.
-        opts_.virt.devices = toVirtualDevices(opts_.fleet);
+        devices_ = opts_.fleet.devices;
+        for (const model::FleetDevice &d : devices_) {
+            opts_.virt.devices.push_back({d.name, d.capability});
+        }
         opts_.virt.place = opts_.fleet.place;
-        opts_.virt.vworkers = int(opts_.fleet.devices.size());
-        dev_stats_.resize(opts_.fleet.devices.size());
+        opts_.virt.vworkers = int(devices_.size());
+    } else {
+        // One implicit device whose virt.vworkers servers run every
+        // request at its own shape.
+        devices_ = {model::FleetDevice{"", 0, 0, 1}};
     }
+    dev_stats_.resize(devices_.size());
     pool_ = std::make_unique<serve::ThreadPool>(opts_.num_threads);
     start_ = std::chrono::steady_clock::now();
 }
@@ -68,107 +67,62 @@ Daemon::wallSinceStartUs() const
         .count();
 }
 
-Daemon::ShapeInfo
-Daemon::planShapeLocked(const Request &req, ClientStats *stats, int aw,
-                        int ah)
+int64_t
+Daemon::toVus(int64_t cycles) const
 {
-    const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
-    ShapeInfo info;
-    // One planning point: count hit/miss against the admission-time
-    // planning history (racing the pool's runtime lookups would make
-    // per-client counters timing-dependent), then actually plan.
-    const auto plan_point = [&](sim::DataflowKind kind,
-                                const LayerSpec &layer, int paw, int pah,
-                                std::string *err) {
-        const std::string key =
-            serve::PlanCache::key(mode, kind, layer, paw, pah);
-        info.keys.push_back(key);
-        if (planned_keys_.insert(key).second) {
-            ++stats->cache_misses;
-        } else {
-            ++stats->cache_hits;
-        }
-        return cache_.getOrPlan(mode, kind, layer, paw, pah, err);
-    };
-
-    if (!req.isModel()) {
-        const sim::Scenario *scenario = sim::findScenario(req.scenario);
-        FEATHER_CHECK(scenario != nullptr, "scenario validated earlier");
-        const int eff_aw = aw > 0 ? aw : scenario->default_aw;
-        const int eff_ah = ah > 0 ? ah : scenario->default_ah;
-        std::optional<sim::DataflowKind> forced;
-        if (!req.dataflow.empty()) forced = sim::parseDataflow(req.dataflow);
-        bool first = true;
-        for (const sim::ScenarioLayer &sl : scenario->layers) {
-            std::string err;
-            const std::optional<sim::LayerPlan> plan = plan_point(
-                forced ? *forced : sl.dataflow, sl.layer, eff_aw, eff_ah,
-                &err);
-            if (!plan) {
-                info.error = strCat("layer ", sl.layer.name, ": ", err);
-                return info;
-            }
-            if (first) {
-                info.in_layout = plan->in_layout;
-                info.in_extents = iactExtents(sl.layer);
-                first = false;
-            }
-        }
-        info.feasible = true;
-        return info;
-    }
-
-    const model::ModelGraph *graph = model::findModel(req.model);
-    FEATHER_CHECK(graph != nullptr, "model validated earlier");
-    const int eff_aw = aw > 0 ? aw : graph->default_aw;
-    const int eff_ah = ah > 0 ? ah : graph->default_ah;
-    bool first = true;
-    for (const model::ModelLayer &ml : graph->layers) {
-        bool feasible = false;
-        std::string err;
-        for (sim::DataflowKind kind : kModelFamilies) {
-            const std::optional<sim::LayerPlan> plan =
-                plan_point(kind, ml.spec, eff_aw, eff_ah, &err);
-            if (plan && !feasible) {
-                feasible = true;
-                if (first) {
-                    info.in_layout = plan->in_layout;
-                    info.in_extents = iactExtents(ml.spec);
-                    first = false;
-                }
-            }
-        }
-        if (!feasible) {
-            info.error = strCat("no dataflow family fits ", ml.spec.name,
-                                " on a ", eff_aw, "x", eff_ah, " array: ",
-                                err);
-            return info;
-        }
-    }
-    info.feasible = true;
-    return info;
+    const int64_t mhz = int64_t(opts_.clock_mhz);
+    return std::max<int64_t>(1, (cycles + mhz - 1) / mhz);
 }
 
 std::string
 Daemon::preplanLocked(Pending *p, ClientStats *stats)
 {
     const Request &req = p->req;
+    const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
+    const sim::Scenario *scenario = nullptr;
+    const model::ModelGraph *graph = nullptr;
     // Shape-independent validation first.
     if (!req.isModel()) {
-        if (!sim::findScenario(req.scenario)) {
+        scenario = sim::findScenario(req.scenario);
+        if (!scenario) {
             return strCat("unknown scenario \"", req.scenario, "\"");
         }
         if (!req.dataflow.empty() && !sim::parseDataflow(req.dataflow)) {
             return strCat("unknown dataflow \"", req.dataflow, "\"");
         }
     } else {
-        if (!model::findModel(req.model)) {
-            return strCat("unknown model \"", req.model, "\"");
-        }
+        graph = model::findModel(req.model);
+        if (!graph) return strCat("unknown model \"", req.model, "\"");
         std::string err;
         if (!model::parseSchedule(req.schedule, &err)) return err;
     }
 
+    // One planning point of device @p d: count hit/miss against the
+    // admission-time planning history (racing the pool's runtime lookups
+    // would make per-client counters timing-dependent), then plan.
+    const auto plan_point = [&](size_t d, const std::string &scope,
+                                sim::DataflowKind kind,
+                                const LayerSpec &layer, int aw, int ah,
+                                std::string *err) {
+        const std::string key =
+            serve::PlanCache::key(mode, kind, layer, aw, ah);
+        DevicePlan &dp = p->dev_plan[d];
+        dp.keys.push_back(key);
+        if (planned_keys_.insert(serve::PlanCache::scopedKey(key, scope))
+                .second) {
+            ++stats->cache_misses;
+        } else {
+            ++stats->cache_hits;
+        }
+        const std::optional<sim::LayerPlan> plan =
+            cache_.getOrPlan(mode, kind, layer, aw, ah, err, scope);
+        if (plan && !dp.feasible) {
+            dp.feasible = true;
+            dp.in_layout = plan->in_layout;
+            dp.in_extents = iactExtents(layer);
+        }
+        return plan.has_value();
+    };
     const auto add_variant = [&](int aw, int ah) {
         auto v = std::make_unique<ExecVariant>();
         v->aw = aw;
@@ -177,137 +131,97 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         p->variants.push_back(std::move(v));
         return int(p->variants.size()) - 1;
     };
+    const bool fleet = opts_.fleet.enabled();
+    p->dev_plan.resize(devices_.size());
 
-    if (!opts_.fleet.enabled()) {
-        const ShapeInfo info =
-            planShapeLocked(req, stats, req.aw, req.ah);
-        if (!info.feasible) return info.error;
-        add_variant(req.aw, req.ah);
+    if (graph) {
+        // Warm every (layer, family, device) point the scheduler will
+        // enumerate, in its order and through each device's cache scope.
+        // A fleet scheduler owns its devices' shapes (request shape pins
+        // are ignored, as documented in the README) and skips unusable
+        // ones; the implicit device runs at the request's shape. A fleet
+        // keeps planning past an unfit layer so every device's cache
+        // scope is warmed the same whether or not the request is
+        // rejected; the first unfit layer is reported.
+        std::string unfit;
+        for (const model::ModelLayer &ml : graph->layers) {
+            bool fits = false;
+            int aw = 0;
+            int ah = 0;
+            std::string err;
+            std::string first_err;
+            for (size_t d = 0; d < devices_.size(); ++d) {
+                const model::FleetDevice &dev = devices_[d];
+                aw = fleet ? dev.aw : req.aw > 0 ? req.aw : graph->default_aw;
+                ah = fleet ? dev.ah : req.ah > 0 ? req.ah : graph->default_ah;
+                if (fleet && (aw < 2 || !isPow2(uint64_t(aw)) || ah < 1)) {
+                    continue;
+                }
+                for (sim::DataflowKind kind : model::kFamilies) {
+                    if (plan_point(d, dev.name, kind, ml.spec, aw, ah,
+                                   &err)) {
+                        fits = true;
+                    } else if (first_err.empty()) {
+                        first_err = err;
+                    }
+                }
+            }
+            if (fits) continue;
+            if (!fleet) {
+                return strCat("no dataflow family fits ", ml.spec.name,
+                              " on a ", aw, "x", ah, " array: ", err);
+            }
+            if (unfit.empty()) {
+                unfit = strCat("no fleet device fits ", ml.spec.name, ": ",
+                               first_err.empty() ? "no usable device shape"
+                                                 : first_err);
+            }
+        }
+        if (!unfit.empty()) return unfit;
+        // One variant, runnable on every device: the whole-graph schedule
+        // (a fleet scheduler places each layer itself).
+        add_variant(fleet ? 0 : req.aw, fleet ? 0 : req.ah);
+        for (DevicePlan &dp : p->dev_plan) dp.feasible = true;
         return "";
     }
 
-    if (req.isModel()) {
-        // Whole-graph over the fleet: the scheduler places each layer
-        // itself, so planning warms its full (layer, family, device)
-        // enumeration instead of one shape per device.
-        return planModelFleetLocked(p, stats);
-    }
-
-    // Fleet: plan once per *distinct* resolved shape (a request that pins
-    // --aw/--ah resolves to the same shape everywhere), share the
-    // resulting variant between same-shaped devices, and remember per
-    // device what its execution would look like.
-    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
-    p->dev_plan.resize(devs.size());
-    std::map<std::pair<int, int>, std::pair<ShapeInfo, int>> shapes;
+    // Scenario: plan once per *distinct* resolved shape (a request that
+    // pins aw/ah resolves to the same shape everywhere) and share the
+    // resulting variant between same-shaped devices.
+    std::optional<sim::DataflowKind> forced;
+    if (!req.dataflow.empty()) forced = sim::parseDataflow(req.dataflow);
+    std::map<std::pair<int, int>, size_t> shapes; // -> first device
     std::string first_error;
-    for (size_t d = 0; d < devs.size(); ++d) {
-        const int aw = req.aw > 0 ? req.aw : devs[d].aw;
-        const int ah = req.ah > 0 ? req.ah : devs[d].ah;
-        auto it = shapes.find({aw, ah});
-        if (it == shapes.end()) {
-            ShapeInfo info = planShapeLocked(req, stats, aw, ah);
-            const int variant =
-                info.feasible ? add_variant(aw, ah) : -1;
-            if (!info.feasible && first_error.empty()) {
-                first_error = info.error;
-            }
-            it = shapes.emplace(std::make_pair(aw, ah),
-                                std::make_pair(std::move(info), variant))
-                     .first;
+    for (size_t d = 0; d < devices_.size(); ++d) {
+        const int aw = req.aw > 0 ? req.aw : devices_[d].aw;
+        const int ah = req.ah > 0 ? req.ah : devices_[d].ah;
+        const auto [it, fresh] = shapes.emplace(std::make_pair(aw, ah), d);
+        if (!fresh) {
+            p->dev_plan[d] = p->dev_plan[it->second];
+            continue;
         }
-        const ShapeInfo &info = it->second.first;
-        DevicePlan &dp = p->dev_plan[d];
-        dp.feasible = info.feasible;
-        if (info.feasible) {
-            dp.variant = it->second.second;
-            dp.in_layout = info.in_layout;
-            dp.in_extents = info.in_extents;
-            dp.keys = info.keys;
-        }
-    }
-    if (p->variants.empty()) {
-        return strCat("no fleet device can run this request: ",
-                      first_error);
-    }
-    return "";
-}
-
-std::string
-Daemon::planModelFleetLocked(Pending *p, ClientStats *stats)
-{
-    const Request &req = p->req;
-    const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
-    const model::ModelGraph *graph = model::findModel(req.model);
-    FEATHER_CHECK(graph != nullptr, "model validated earlier");
-    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
-    p->dev_plan.resize(devs.size());
-
-    // Mirror Scheduler::evaluate's fleet enumeration exactly: every
-    // (layer, family) point on every usable device, at the device's own
-    // shape, through the device's cache scope. A layer is schedulable
-    // when at least one (device, family) point plans. Shape pins
-    // (req.aw/req.ah) are ignored here — the fleet scheduler owns the
-    // shapes (documented in the README).
-    std::vector<char> layer_ok(graph->layers.size(), 0);
-    std::vector<std::string> layer_err(graph->layers.size());
-    for (size_t d = 0; d < devs.size(); ++d) {
-        DevicePlan &dp = p->dev_plan[d];
-        // Staged stages are pinned by the schedule, never placed, so
-        // every device is "feasible" for variantFor's purposes; the
-        // single variant holds the whole-graph execution.
-        dp.feasible = true;
-        dp.variant = 0;
-        if (devs[d].aw < 2 || !isPow2(uint64_t(devs[d].aw)) ||
-            devs[d].ah < 1) {
-            continue; // the scheduler skips unusable shapes too
-        }
-        bool dev_first = true;
-        for (size_t li = 0; li < graph->layers.size(); ++li) {
-            const LayerSpec &spec = graph->layers[li].spec;
-            for (sim::DataflowKind kind : kModelFamilies) {
-                const std::string key = serve::PlanCache::key(
-                    mode, kind, spec, devs[d].aw, devs[d].ah);
-                dp.keys.push_back(key);
-                if (planned_keys_
-                        .insert(serve::PlanCache::scopedKey(key,
-                                                            devs[d].name))
-                        .second) {
-                    ++stats->cache_misses;
-                } else {
-                    ++stats->cache_hits;
-                }
-                std::string err;
-                const std::optional<sim::LayerPlan> plan =
-                    cache_.getOrPlan(mode, kind, spec, devs[d].aw,
-                                     devs[d].ah, &err, devs[d].name);
-                if (!plan) {
-                    if (layer_err[li].empty()) layer_err[li] = err;
-                    continue;
-                }
-                layer_ok[li] = 1;
-                if (dev_first) {
-                    dp.in_layout = plan->in_layout;
-                    dp.in_extents = iactExtents(spec);
-                    dev_first = false;
-                }
+        std::string err;
+        for (const sim::ScenarioLayer &sl : scenario->layers) {
+            std::string why;
+            if (!plan_point(d, "", forced ? *forced : sl.dataflow, sl.layer,
+                            aw > 0 ? aw : scenario->default_aw,
+                            ah > 0 ? ah : scenario->default_ah, &why)) {
+                err = strCat("layer ", sl.layer.name, ": ", why);
+                break;
             }
         }
-    }
-    for (size_t li = 0; li < graph->layers.size(); ++li) {
-        if (!layer_ok[li]) {
-            return strCat("no fleet device fits ",
-                          graph->layers[li].spec.name, ": ",
-                          layer_err[li].empty() ? "no usable device shape"
-                                                : layer_err[li]);
+        DevicePlan &dp = p->dev_plan[d];
+        dp.feasible = err.empty();
+        if (dp.feasible) {
+            dp.variant = add_variant(aw, ah);
+        } else if (first_error.empty()) {
+            first_error = err;
         }
     }
-    // One variant: the whole-graph fleet schedule (shape comes from the
-    // schedule's per-device placement, not from the variant).
-    auto v = std::make_unique<ExecVariant>();
-    v->done_future = v->done.get_future();
-    p->variants.push_back(std::move(v));
-    return "";
+    if (!p->variants.empty()) return "";
+    return fleet ? strCat("no fleet device can run this request: ",
+                          first_error)
+                 : first_error;
 }
 
 void
@@ -345,7 +259,7 @@ Daemon::enqueue(Request req, ResponseSink sink)
     }
     // Continuous batching: the simulation starts the moment the request
     // is planned, regardless of admission (decided later, in virtual
-    // time). A rejected request's result is simply discarded. Fleet mode
+    // time). A rejected request's result is simply discarded. A request
     // runs one speculative execution per distinct device shape; the DES
     // charges the placed device's variant.
     if (runnable) {
@@ -436,6 +350,7 @@ Daemon::execute(Pending *p, ExecVariant *v)
                 }
                 r.checked = run->chain.checked;
                 r.mismatches = run->chain.mismatches;
+                r.segments.push_back({0, r.cycles, 0});
             }
         } else {
             const model::ModelGraph *graph = model::findModel(p->req.model);
@@ -453,9 +368,9 @@ Daemon::execute(Pending *p, ExecVariant *v)
             mopts.seed = seed;
             mopts.engine = mode;
             mopts.shared_cache = &cache_;
-            // Fleet mode: the scheduler splits the graph across the
-            // fleet's devices itself (whole-graph pipeline scheduling).
-            if (opts_.fleet.enabled()) mopts.fleet = opts_.fleet;
+            // A fleet scheduler splits the graph across the fleet's
+            // devices itself (whole-graph pipeline scheduling).
+            mopts.fleet = opts_.fleet;
             model::Scheduler sched(mopts);
             std::string err;
             const std::optional<model::Evaluation> eval =
@@ -473,29 +388,22 @@ Daemon::execute(Pending *p, ExecVariant *v)
                 r.macs = result->macs;
                 r.checked = result->checked;
                 r.mismatches = result->mismatches;
-                if (opts_.fleet.enabled()) {
-                    // The DES pipeline: one stage per contiguous
-                    // same-device segment, the cross-device edge priced
-                    // on the segment it feeds.
-                    for (size_t i = 0; i < result->layers.size(); ++i) {
-                        const model::LayerChoice &lc = result->layers[i];
-                        if (r.segments.empty() ||
-                            r.segments.back().device != lc.device) {
-                            if (!r.path.empty()) r.path += ">";
-                            r.path += lc.device_name;
-                            ExecSegment seg;
-                            seg.device = lc.device;
-                            seg.handoff_cycles =
-                                i > 0 ? lc.reorder_cycles : 0;
-                            r.segments.push_back(seg);
-                        }
-                        r.segments.back().cycles += lc.cycles;
+                // The DES pipeline: one stage per contiguous same-device
+                // segment, the cross-device edge priced on the segment it
+                // feeds.
+                for (size_t i = 0; i < result->layers.size(); ++i) {
+                    const model::LayerChoice &lc = result->layers[i];
+                    if (r.segments.empty() ||
+                        r.segments.back().device != lc.device) {
+                        if (!r.path.empty()) r.path += ">";
+                        r.path += lc.device_name;
+                        r.segments.push_back(
+                            {lc.device, 0, i > 0 ? lc.reorder_cycles : 0});
                     }
-                    r.first_in_layout =
-                        result->layers.front().plan.in_layout;
-                    r.first_in_extents =
-                        iactExtents(graph->layers.front().spec);
+                    r.segments.back().cycles += lc.cycles;
                 }
+                r.first_in_layout = result->layers.front().plan.in_layout;
+                r.first_in_extents = iactExtents(graph->layers.front().spec);
             }
         }
     } catch (const std::exception &e) {
@@ -512,7 +420,6 @@ Daemon::execute(Pending *p, ExecVariant *v)
 Daemon::ExecVariant *
 Daemon::variantFor(Pending *p, int device) const
 {
-    if (device < 0) return p->variants.front().get();
     FEATHER_CHECK(size_t(device) < p->dev_plan.size(),
                   "placed device out of range");
     const DevicePlan &dp = p->dev_plan[size_t(device)];
@@ -530,17 +437,7 @@ void
 Daemon::finishOne(Pending *p, int device, int64_t start_vus,
                   int64_t finish_vus)
 {
-    const ExecVariant *v = variantFor(p, device);
-    const ExecResult &r = v->exec;
-    if (device >= 0 && !p->staged) {
-        // The device served this completion in virtual time whatever the
-        // execution outcome; busy time includes the hand-off premium.
-        // (Staged requests were accounted per stage by the stage hook.)
-        DeviceStats &ds = dev_stats_[size_t(device)];
-        ++ds.requests;
-        ds.busy_vus += finish_vus - start_vus;
-        ds.queue.record(start_vus - p->arrival_vus);
-    }
+    const ExecResult &r = variantFor(p, device)->exec;
     if (!r.ok) {
         {
             std::lock_guard<std::mutex> lk(mu_);
@@ -568,13 +465,10 @@ Daemon::finishOne(Pending *p, int device, int64_t start_vus,
         if (r.mismatches != 0) ++failures_;
     }
     std::string extra;
-    if (device >= 0) {
-        // Staged requests report the whole device path ("devA>devB");
-        // single-device requests report their placed device.
+    if (opts_.fleet.enabled()) {
+        // A split graph reports its whole device path ("devA>devB").
         const std::string &dev_name =
-            p->staged && !r.path.empty()
-                ? r.path
-                : opts_.fleet.devices[size_t(device)].name;
+            r.path.empty() ? devices_[size_t(device)].name : r.path;
         extra = strCat(",\"device\":\"", jsonEscape(dev_name),
                        "\",\"handoff_vus\":", p->handoff_vus);
     }
@@ -593,60 +487,37 @@ Daemon::finishOne(Pending *p, int device, int64_t start_vus,
 DaemonReport
 Daemon::run()
 {
-    const bool fleet = opts_.fleet.enabled();
-    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
-
     // Requests the DES admitted, indexed by DES position.
     std::vector<Pending *> des;
     VirtualScheduler vs(
         opts_.virt,
-        [this, &des](size_t pos, int device) {
+        [this, &des](size_t pos, int stage, int device) {
             Pending *p = des[pos];
             // The one synchronization point between virtual time and the
-            // wall-clock pool: a request's service duration is known once
-            // its speculative execution lands.
+            // wall-clock pool: a stage's service duration is known once
+            // its speculative execution lands. A failed run serves 1 vus.
             ExecVariant *v = variantFor(p, device);
             v->done_future.wait();
-            const int64_t cycles = v->exec.ok ? v->exec.cycles : 0;
-            p->service_vus = std::max<int64_t>(
-                1, (cycles + int64_t(opts_.clock_mhz) - 1) /
-                       int64_t(opts_.clock_mhz));
-            return p->service_vus;
-        },
-        [this, &des](size_t pos, int device, int64_t start_vus,
-                     int64_t finish_vus) {
-            finishOne(des[pos], device, start_vus, finish_vus);
-        });
-    vs.setStageHooks(
-        [this, &des](size_t pos, int stage, int device) {
-            (void)device;
-            // Staged requests resolved their execution at arrival, so
-            // this never blocks; a failed schedule serves 1 vus.
-            Pending *p = des[pos];
-            const ExecResult &r = p->variants.front()->exec;
-            const int64_t cycles =
-                r.ok && size_t(stage) < r.segments.size()
-                    ? r.segments[size_t(stage)].cycles
-                    : 0;
-            const int64_t dur = std::max<int64_t>(
-                1, (cycles + int64_t(opts_.clock_mhz) - 1) /
-                       int64_t(opts_.clock_mhz));
+            const int64_t dur = toVus(
+                v->exec.ok ? v->exec.segments[size_t(stage)].cycles : 0);
             p->service_vus += dur;
             return dur;
         },
-        [this, &des](size_t pos, int stage, int device, int64_t start_vus,
-                     int64_t finish_vus) {
+        [this, &des](const StageEvent &e) {
             // Per-device virtual accounting, one entry per stage; the
-            // whole-request view stays in finishOne.
-            Pending *p = des[pos];
-            DeviceStats &ds = dev_stats_[size_t(device)];
+            // whole-request view is finishOne's.
+            Pending *p = des[e.index];
+            DeviceStats &ds = dev_stats_[size_t(e.device)];
             ++ds.requests;
-            ds.busy_vus += finish_vus - start_vus;
-            if (stage == 0) ds.queue.record(start_vus - p->arrival_vus);
-            const int64_t h = p->stage_plans[size_t(stage)].handoff_vus;
-            if (h > 0) {
+            ds.busy_vus += e.finish_vus - e.start_vus;
+            if (e.stage == 0) ds.queue.record(e.start_vus - p->arrival_vus);
+            if (e.handoff_vus > 0) {
                 ++ds.handoffs;
-                ds.handoff_vus += h;
+                ds.handoff_vus += e.handoff_vus;
+                p->handoff_vus += e.handoff_vus;
+            }
+            if (e.last) {
+                finishOne(p, e.device, e.first_start_vus, e.finish_vus);
             }
         });
 
@@ -691,161 +562,102 @@ Daemon::run()
 
         const size_t pos = des.size();
         des.push_back(p);
-        std::string reason;
-        bool accepted;
-        if (fleet && p->req.isModel()) {
-            // Whole-graph pipeline request: the fleet scheduler pins its
-            // stages, so the speculative execution must land before
-            // admission. Graph requests therefore serialize on the DES
-            // thread; scenario requests keep their full overlap.
+        Arrival a(pos, p->arrival_vus, p->req.priority);
+        const auto prev_it = client_device_.find(p->req.client);
+        const int prev =
+            prev_it == client_device_.end() ? -1 : prev_it->second;
+        const size_t ndev = devices_.size();
+        if (p->req.isModel() && ndev > 1) {
+            // A whole graph split across the fleet: the fleet scheduler
+            // pins its stages, so the speculative execution must land
+            // before admission (graph requests serialize on the DES
+            // thread; everything else keeps its full overlap).
             ExecVariant *v = p->variants.front().get();
             v->done_future.wait();
             const ExecResult &r = v->exec;
-            p->staged = true;
-            const auto prev_it = client_device_.find(p->req.client);
-            const int prev =
-                prev_it == client_device_.end() ? -1 : prev_it->second;
             if (r.ok) {
-                for (size_t s = 0; s < r.segments.size(); ++s) {
-                    StagePlan sp;
-                    sp.device = r.segments[s].device;
-                    int64_t cycles = 0;
-                    if (s == 0) {
+                a.stages.clear();
+                for (const ExecSegment &seg : r.segments) {
+                    int64_t cycles = seg.handoff_cycles;
+                    if (a.stages.empty() && prev >= 0 && prev != seg.device) {
                         // The client's stream moving off its previous
                         // device: concordant layouts, so handoffCost
                         // charges only the inter-chip link term.
-                        if (prev >= 0 && prev != sp.device) {
-                            cycles = model::handoffCost(
-                                false, r.first_in_layout, r.first_in_layout,
-                                r.first_in_extents, model::kHandoffElemBytes,
-                                opts_.fleet.link);
-                        }
-                    } else {
-                        cycles = r.segments[s].handoff_cycles;
+                        cycles = model::handoffCost(
+                            false, r.first_in_layout, r.first_in_layout,
+                            r.first_in_extents, model::kHandoffElemBytes,
+                            opts_.fleet.link);
                     }
-                    if (cycles > 0) {
-                        sp.handoff_vus = std::max<int64_t>(
-                            1, (cycles + int64_t(opts_.clock_mhz) - 1) /
-                                   int64_t(opts_.clock_mhz));
-                    }
-                    p->handoff_vus += sp.handoff_vus;
-                    p->stage_plans.push_back(sp);
+                    a.stages.push_back(
+                        {seg.device, cycles > 0 ? toVus(cycles) : 0});
                 }
             } else {
                 // Failed schedules still flow through the DES so their
                 // rejection/error accounting stays deterministic: one
                 // unit stage on the first device.
-                p->stage_plans.push_back(StagePlan{0, 0});
-            }
-            accepted = vs.arriveStaged(pos, p->arrival_vus,
-                                       p->req.priority, p->stage_plans,
-                                       &reason);
-            if (accepted) {
-                p->device = p->stage_plans.back().device;
-                client_device_[p->req.client] = p->device;
-                // Per-device cache warmth for every device the pipeline
-                // touches, in stage order.
-                std::vector<char> seen(devs.size(), 0);
-                for (const StagePlan &sp : p->stage_plans) {
-                    if (seen[size_t(sp.device)]) continue;
-                    seen[size_t(sp.device)] = 1;
-                    DeviceStats &ds = dev_stats_[size_t(sp.device)];
-                    for (const std::string &k :
-                         p->dev_plan[size_t(sp.device)].keys) {
-                        if (device_keys_
-                                .insert(serve::PlanCache::scopedKey(
-                                    k, devs[size_t(sp.device)].name))
-                                .second) {
-                            ++ds.cache_misses;
-                        } else {
-                            ++ds.cache_hits;
-                        }
-                    }
-                }
-            }
-        } else if (fleet) {
-            const size_t ndev = devs.size();
-            ArrivalHints hints;
-            hints.eligible.resize(ndev);
-            for (size_t d = 0; d < ndev; ++d) {
-                hints.eligible[d] = p->dev_plan[d].feasible ? 1 : 0;
-            }
-            if (opts_.fleet.place == PlacementPolicy::Affinity) {
-                // Affinity score: how many of this request's planning
-                // points the device has already served (device-scoped
-                // keys, maintained at placement time below).
-                hints.affinity.assign(ndev, 0);
-                for (size_t d = 0; d < ndev; ++d) {
-                    if (!p->dev_plan[d].feasible) continue;
-                    for (const std::string &k : p->dev_plan[d].keys) {
-                        if (device_keys_.count(serve::PlanCache::scopedKey(
-                                k, devs[d].name))) {
-                            ++hints.affinity[d];
-                        }
-                    }
-                }
-            }
-            // Cross-device hand-off premium: moving this client's stream
-            // off its previous device pays reorder + inter-chip transfer
-            // (model::handoffCost), converted cycles -> vus.
-            hints.handoff_vus.assign(ndev, 0);
-            const auto prev_it = client_device_.find(p->req.client);
-            const int prev =
-                prev_it == client_device_.end() ? -1 : prev_it->second;
-            if (prev >= 0) {
-                for (size_t d = 0; d < ndev; ++d) {
-                    if (int(d) == prev || !p->dev_plan[d].feasible) {
-                        continue;
-                    }
-                    const DevicePlan &dst = p->dev_plan[d];
-                    const Layout &src =
-                        p->dev_plan[size_t(prev)].feasible
-                            ? p->dev_plan[size_t(prev)].in_layout
-                            : dst.in_layout;
-                    const int64_t cycles = model::handoffCost(
-                        false, src, dst.in_layout, dst.in_extents,
-                        model::kHandoffElemBytes, opts_.fleet.link);
-                    hints.handoff_vus[d] = std::max<int64_t>(
-                        1, (cycles + int64_t(opts_.clock_mhz) - 1) /
-                               int64_t(opts_.clock_mhz));
-                }
-            }
-            int placed = -1;
-            accepted = vs.arrive(pos, p->arrival_vus, p->req.priority,
-                                 hints, &reason, &placed);
-            if (accepted) {
-                p->device = placed;
-                p->handoff_vus = hints.handoff_vus[size_t(placed)];
-                client_device_[p->req.client] = placed;
-                DeviceStats &ds = dev_stats_[size_t(placed)];
-                if (p->handoff_vus > 0) {
-                    ++ds.handoffs;
-                    ds.handoff_vus += p->handoff_vus;
-                }
-                // Virtual per-device cache warmth: a planning point is
-                // warm only on devices that placed it before.
-                for (const std::string &k :
-                     p->dev_plan[size_t(placed)].keys) {
-                    if (device_keys_
-                            .insert(serve::PlanCache::scopedKey(
-                                k, devs[size_t(placed)].name))
-                            .second) {
-                        ++ds.cache_misses;
-                    } else {
-                        ++ds.cache_hits;
-                    }
-                }
+                a.stages = {StagePlan{0, 0}};
             }
         } else {
-            accepted =
-                vs.arrive(pos, p->arrival_vus, p->req.priority, &reason);
+            const bool affinity =
+                opts_.fleet.place == PlacementPolicy::Affinity;
+            a.hints.eligible.resize(ndev);
+            a.hints.affinity.assign(affinity ? ndev : 0, 0);
+            a.hints.handoff_vus.assign(ndev, 0);
+            for (size_t d = 0; d < ndev; ++d) {
+                const DevicePlan &dst = p->dev_plan[d];
+                a.hints.eligible[d] = dst.feasible ? 1 : 0;
+                if (!dst.feasible) continue;
+                if (affinity) {
+                    // Affinity score: how many of this request's planning
+                    // points the device has already served.
+                    for (const std::string &k : dst.keys) {
+                        a.hints.affinity[d] += int64_t(device_keys_.count(
+                            serve::PlanCache::scopedKey(
+                                k, devices_[d].name)));
+                    }
+                }
+                if (prev < 0 || int(d) == prev) continue;
+                // Cross-device hand-off premium: moving this client's
+                // stream off its previous device pays reorder +
+                // inter-chip transfer (model::handoffCost).
+                const DevicePlan &src = p->dev_plan[size_t(prev)];
+                a.hints.handoff_vus[d] = toVus(model::handoffCost(
+                    false, src.feasible ? src.in_layout : dst.in_layout,
+                    dst.in_layout, dst.in_extents, model::kHandoffElemBytes,
+                    opts_.fleet.link));
+            }
         }
-        if (!accepted) {
+        std::string reason;
+        int placed = -1;
+        if (!vs.arrive(a, &reason, &placed)) {
             {
                 std::lock_guard<std::mutex> lk(mu_);
                 ++clients_[p->req.client].rejected;
             }
             respond(p, reasonLine(p->req, "rejected", reason));
+            continue;
+        }
+        a.stages.front().device = placed;
+        client_device_[p->req.client] = a.stages.back().device;
+        // Virtual per-device cache warmth: a planning point is warm only
+        // on devices that ran it before (every device the request's
+        // stages touch, in stage order).
+        std::vector<char> seen(ndev, 0);
+        for (const StagePlan &sp : a.stages) {
+            const size_t d = size_t(sp.device);
+            if (seen[d]) continue;
+            seen[d] = 1;
+            DeviceStats &ds = dev_stats_[d];
+            for (const std::string &k : p->dev_plan[d].keys) {
+                if (device_keys_
+                        .insert(serve::PlanCache::scopedKey(
+                            k, devices_[d].name))
+                        .second) {
+                    ++ds.cache_misses;
+                } else {
+                    ++ds.cache_hits;
+                }
+            }
         }
     }
     vs.drain();
@@ -917,8 +729,8 @@ Daemon::buildReport(const VirtualScheduler &vs) const
         for (size_t i = 0; i < dev_stats_.size(); ++i) {
             const DeviceStats &ds = dev_stats_[i];
             DeviceRow row;
-            row.device = opts_.fleet.devices[i].name;
-            row.capability = opts_.fleet.devices[i].capability;
+            row.device = devices_[i].name;
+            row.capability = devices_[i].capability;
             row.requests = ds.requests;
             row.busy_vus = ds.busy_vus;
             row.queue_p95_vus = ds.queue.percentile(95);

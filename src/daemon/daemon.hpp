@@ -42,15 +42,24 @@
 #include <vector>
 
 #include "common/histogram.hpp"
-#include "daemon/fleet.hpp"
 #include "daemon/report.hpp"
 #include "daemon/request.hpp"
 #include "daemon/vclock.hpp"
+#include "model/fleet.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/thread_pool.hpp"
 
 namespace feather {
 namespace daemon {
+
+/** The --fleet devices (model/fleet.hpp) plus the policy that places
+ *  each arrival on one of them. */
+struct FleetConfig : model::FleetSpec
+{
+    PlacementPolicy place = PlacementPolicy::LeastLoaded;
+};
+
+using model::parseFleetSpec;
 
 /** Daemon-wide knobs. */
 struct DaemonOptions
@@ -65,10 +74,11 @@ struct DaemonOptions
     VirtualConfig virt;
     /** Virtual clock: service_vus = ceil(cycles / clock_mhz). */
     uint64_t clock_mhz = 1000;
-    /** Heterogeneous fleet (--fleet): when enabled, each virtual server
-     *  is a distinct named device, requests are placed by fleet.place,
-     *  and cross-device hand-offs are priced into service time. Overrides
-     *  virt.vworkers/virt.devices. */
+    /** Heterogeneous fleet (--fleet): each device is one virtual server
+     *  at its own array shape, requests are placed by fleet.place, and
+     *  cross-device hand-offs are priced into service time. Overrides
+     *  virt.vworkers/virt.devices. Empty = one implicit device with
+     *  virt.vworkers servers, running every request at its own shape. */
     FleetConfig fleet;
 };
 
@@ -112,11 +122,11 @@ class Daemon
     const DaemonOptions &options() const { return opts_; }
 
   private:
-    /** One contiguous same-device segment of a whole-graph fleet
-     *  schedule (graph-over-fleet requests only). */
+    /** One contiguous same-device segment of a request's schedule: one
+     *  DES stage. Only a whole graph split across a fleet has several. */
     struct ExecSegment
     {
-        int device = -1;
+        int device = 0;
         int64_t cycles = 0; ///< measured cycles of the segment's layers
         /** Price of the cross-device edge feeding this segment (0 for
          *  the first segment). */
@@ -135,17 +145,17 @@ class Daemon
         int64_t mismatches = 0;
         int64_t queue_wall_us = 0;   ///< enqueue -> execution start
         int64_t service_wall_us = 0; ///< execution duration
-        // Graph-over-fleet requests: the pipeline the DES will stage.
-        std::vector<ExecSegment> segments;
-        std::string path;        ///< "devA>devB" device chain
-        Layout first_in_layout;  ///< first layer's chosen input layout
+        std::vector<ExecSegment> segments; ///< >= 1 when ok
+        // Model requests: the device chain "devA>devB" and the first
+        // layer's chosen input layout.
+        std::string path;
+        Layout first_in_layout;
         Extents first_in_extents;
     };
 
-    /** One speculative execution at one resolved array shape. Fleet mode
-     *  runs a request once per *distinct* device shape; the DES then
-     *  charges the placed device's variant. Homogeneous runs have exactly
-     *  one variant. */
+    /** One speculative execution at one resolved array shape. A request
+     *  runs once per *distinct* device shape; the DES then charges the
+     *  placed device's variant. */
     struct ExecVariant
     {
         int aw = 0; ///< shape override passed to execution (0 = default)
@@ -155,8 +165,8 @@ class Daemon
         ExecResult exec; ///< written by the pool task before done
     };
 
-    /** What one fleet device would do with one request (filled at
-     *  admission time, on the intake path, under mu_). */
+    /** What one device would do with one request (filled at admission
+     *  time, on the intake path, under mu_). */
     struct DevicePlan
     {
         bool feasible = false;
@@ -176,15 +186,9 @@ class Daemon
         int64_t enqueue_wall_us = 0;
         std::string early_error; ///< parse/validation error; skips the DES
         std::vector<std::unique_ptr<ExecVariant>> variants;
-        std::vector<DevicePlan> dev_plan; ///< fleet mode: one per device
+        std::vector<DevicePlan> dev_plan; ///< one per device
         int64_t service_vus = 0;
-        int device = -1;         ///< placed device (fleet mode)
-        int64_t handoff_vus = 0; ///< cross-device hand-off premium paid
-        /** Graph-over-fleet request: ran as a staged DES pipeline
-         *  (per-stage device accounting happens in the stage hook, and
-         *  the response's device field carries the whole path). */
-        bool staged = false;
-        std::vector<StagePlan> stage_plans;
+        int64_t handoff_vus = 0; ///< cross-device hand-off premiums paid
     };
 
     /** Per-client accounting, folded into ClientRows at report time. */
@@ -205,7 +209,7 @@ class Daemon
         int64_t service_wall_us = 0;
     };
 
-    /** Per-device virtual bookkeeping (fleet mode; run() thread). */
+    /** Per-device virtual bookkeeping (run() thread). */
     struct DeviceStats
     {
         uint64_t requests = 0;
@@ -217,38 +221,18 @@ class Daemon
         int64_t handoff_vus = 0;
     };
 
-    /** Outcome of planning one request at one resolved array shape. */
-    struct ShapeInfo
-    {
-        bool feasible = false;
-        std::string error;  ///< why this shape cannot run
-        Layout in_layout;   ///< first layer's planned input layout
-        Extents in_extents;
-        std::vector<std::string> keys; ///< base plan keys at this shape
-    };
-
     int64_t wallSinceStartUs() const;
 
     /**
      * Validate @p p->req and warm the plan cache with every planning
-     * point its execution will look up, attributing hits/misses to
-     * @p stats. Runs under mu_ (sequential in intake order =>
-     * deterministic attribution). Fleet mode plans once per distinct
-     * device shape, fills p->dev_plan, and creates one ExecVariant per
-     * feasible shape. Returns a non-empty reason when the request can
-     * never run (unknown workload, bad override, infeasible mapping on
-     * every device).
+     * point its execution will look up on every device, attributing
+     * hits/misses to @p stats. Runs under mu_ (sequential in intake
+     * order => deterministic attribution). Fills p->dev_plan and creates
+     * one ExecVariant per distinct feasible shape. Returns a non-empty
+     * reason when the request can never run (unknown workload, bad
+     * override, infeasible mapping on every device).
      */
     std::string preplanLocked(Pending *p, ClientStats *stats);
-
-    /** Plan every layer of @p req at one resolved shape (under mu_). */
-    ShapeInfo planShapeLocked(const Request &req, ClientStats *stats,
-                              int aw, int ah);
-
-    /** Fleet-mode model request: warm every (layer, family, device)
-     *  point the whole-graph fleet scheduler will enumerate (through
-     *  each device's cache scope), under mu_. */
-    std::string planModelFleetLocked(Pending *p, ClientStats *stats);
 
     /** The speculative execution body (pool thread). */
     void execute(Pending *p, ExecVariant *v);
@@ -257,6 +241,10 @@ class Daemon
     ExecVariant *variantFor(Pending *p, int device) const;
 
     void respond(Pending *p, const std::string &line);
+
+    /** Virtual microseconds of @p cycles: ceil(cycles / clock_mhz), at
+     *  least 1. */
+    int64_t toVus(int64_t cycles) const;
 
     /** Event-loop helpers (run() thread). */
     void finishOne(Pending *p, int device, int64_t start_vus,
@@ -282,8 +270,12 @@ class Daemon
     uint64_t failures_ = 0;
     uint64_t total_requests_ = 0;
 
-    // Fleet-mode placement state, touched only by the run() thread.
-    std::vector<DeviceStats> dev_stats_;          ///< fleet order
+    /** The fleet's devices, or one implicit device (empty name, shape
+     *  0x0 = each request's own) when no fleet is configured. */
+    std::vector<model::FleetDevice> devices_;
+
+    // Placement state, touched only by the run() thread.
+    std::vector<DeviceStats> dev_stats_;          ///< devices_ order
     std::unordered_set<std::string> device_keys_; ///< device-scoped keys
     std::map<std::string, int> client_device_;    ///< last placed device
 };

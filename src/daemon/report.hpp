@@ -79,8 +79,8 @@ struct DeviceRow
 struct DaemonReport
 {
     std::vector<ClientRow> clients; ///< sorted by client name
-    /** Fleet mode only: one row per device, in fleet order. Empty in
-     *  homogeneous --vworkers runs, which keeps the classic CSV/JSON
+    /** Explicit --fleet only: one row per device, in fleet order. Empty
+     *  in --vworkers runs, which keeps the classic CSV/JSON
      *  schemas byte-identical. */
     std::vector<DeviceRow> devices;
 
@@ -104,7 +104,7 @@ struct DaemonReport
     int vworkers = 1;
     uint64_t clock_mhz = 0;
     std::string engine; ///< default engine tier ("cycle"/"analytic")
-    /** Fleet mode only: the --fleet spec and --place policy. */
+    /** Explicit --fleet only: the --fleet spec and --place policy. */
     std::string fleet;
     std::string place;
     /** Wall duration of the whole run; zeroed by determinism checks. */

@@ -35,34 +35,41 @@ placementNames()
 }
 
 VirtualScheduler::VirtualScheduler(VirtualConfig cfg, DurationFn duration,
-                                   CompletionFn on_finish)
+                                   FinishFn on_finish)
     : cfg_(std::move(cfg)), duration_(std::move(duration)),
       on_finish_(std::move(on_finish))
 {
-    if (cfg_.vworkers < 1) cfg_.vworkers = 1;
+    // A fleet device is one server; the implicit device has vworkers.
+    const int servers =
+        cfg_.devices.empty() ? std::max(1, cfg_.vworkers) : 1;
+    if (cfg_.devices.empty()) cfg_.devices.push_back({"", 1});
     dev_.resize(cfg_.devices.size());
-    for (VirtualDevice &d : cfg_.devices) {
-        if (d.capability < 1) d.capability = 1;
+    for (size_t d = 0; d < dev_.size(); ++d) {
+        VirtualDevice &vd = cfg_.devices[d];
+        vd.capability = std::max<int64_t>(1, vd.capability);
+        dev_[d].servers = servers;
     }
 }
 
 void
-VirtualScheduler::start(size_t index, int stage, int64_t start_vus,
-                        int device)
+VirtualScheduler::startOrQueue(size_t index, int stage, int64_t t)
 {
-    const auto staged = staged_.find(index);
-    int64_t dur;
-    if (staged != staged_.end()) {
-        if (stage == 0) staged->second.first_start = start_vus;
-        dur = std::max<int64_t>(1,
-                                stage_duration_(index, stage, device));
-        dur += staged->second.stages[size_t(stage)].handoff_vus;
-    } else {
-        dur = std::max<int64_t>(1, duration_(index, device));
-        if (fleet() && index < handoff_.size()) dur += handoff_[index];
+    Flight &f = flights_.at(index);
+    const StagePlan &sp = f.stages[size_t(stage)];
+    DeviceState &ds = dev_[size_t(sp.device)];
+    if (ds.busy == ds.servers) {
+        ds.waiting[size_t(f.priority)].push_back({index, stage});
+        ++ds.waiting_total;
+        ++waiting_total_;
+        ++waiting_by_prio_[size_t(f.priority)];
+        return;
     }
-    if (fleet()) dev_[size_t(device)].busy = true;
-    running_.push({start_vus + dur, index, start_vus, device, stage});
+    if (stage == 0) f.first_start = t;
+    const int64_t dur =
+        std::max<int64_t>(1, duration_(index, stage, sp.device)) +
+        sp.handoff_vus;
+    ++ds.busy;
+    running_.push({t + dur, index, t, sp.device, stage});
 }
 
 void
@@ -71,60 +78,38 @@ VirtualScheduler::completeOne()
     const Running done = running_.top();
     running_.pop();
     last_finish_ = std::max(last_finish_, done.finish);
-    const auto staged = staged_.find(done.index);
-    const bool is_staged = staged != staged_.end();
-    if (is_staged) {
-        stage_finish_(done.index, done.stage, done.device, done.start,
-                      done.finish);
+    const auto it = flights_.find(done.index);
+    const std::vector<StagePlan> &stages = it->second.stages;
+    const bool last = size_t(done.stage) + 1 == stages.size();
+    on_finish_({done.index, done.stage, done.device, done.start, done.finish,
+                stages[size_t(done.stage)].handoff_vus, last,
+                it->second.first_start});
+    DeviceState &ds = dev_[size_t(done.device)];
+    --ds.busy;
+    // Advance the pipeline: the next stage either claims a server of its
+    // device right now (its busy state is current at done.finish — the
+    // heap materialized every earlier completion first) or joins that
+    // device's FIFO.
+    if (last) {
+        flights_.erase(it);
+    } else {
+        startOrQueue(done.index, done.stage + 1, done.finish);
     }
-    const bool final_stage =
-        !is_staged ||
-        size_t(done.stage) + 1 == staged->second.stages.size();
-    if (final_stage) {
-        on_finish_(done.index, done.device,
-                   is_staged ? staged->second.first_start : done.start,
-                   done.finish);
-    }
-    if (fleet()) dev_[size_t(done.device)].busy = false;
-    if (!final_stage) {
-        // Advance the pipeline: stage k+1 is pinned, so it either claims
-        // its device right now (its busy state is current at done.finish
-        // — the heap materialized every earlier completion first) or
-        // joins that device's FIFO. Continuations bypass admission (an
-        // in-flight request cannot be rejected) but occupy queue slots
-        // while they wait.
-        const StagePlan &next_stage =
-            staged->second.stages[size_t(done.stage) + 1];
-        DeviceState &ds = dev_[size_t(next_stage.device)];
-        if (!ds.busy) {
-            start(done.index, done.stage + 1, done.finish,
-                  next_stage.device);
-        } else {
-            const int prio = staged->second.priority;
-            ds.waiting[size_t(prio)].push_back(
-                {done.index, done.stage + 1});
-            ++ds.waiting_total;
-            ++waiting_total_;
-            ++waiting_by_prio_[size_t(prio)];
-        }
-    }
-    // Hand the freed server to the highest-priority waiter (FIFO within a
-    // priority) — unless a continuation stage just reclaimed it. Starting
-    // it at done.finish is time-correct: see the laziness invariant in
-    // the header. In fleet mode the server is the device itself, so only
-    // its own waiters are candidates — placement already happened at
-    // arrival and is never revisited.
-    if (fleet() && dev_[size_t(done.device)].busy) return;
-    auto &fifos = fleet() ? dev_[size_t(done.device)].waiting : waiting_;
+    // Hand the freed server to the device's highest-priority waiter (FIFO
+    // within a priority) — unless a continuation stage just reclaimed it.
+    // Starting it at done.finish is time-correct: see the laziness
+    // invariant in the header. Only the device's own waiters are
+    // candidates: placement happened at arrival and is never revisited.
+    if (ds.busy == ds.servers) return;
     for (int prio = 0; prio < VirtualConfig::kPriorities; ++prio) {
-        auto &fifo = fifos[size_t(prio)];
+        auto &fifo = ds.waiting[size_t(prio)];
         if (fifo.empty()) continue;
         const Waiter next = fifo.front();
         fifo.pop_front();
+        --ds.waiting_total;
         --waiting_total_;
         --waiting_by_prio_[size_t(prio)];
-        if (fleet()) --dev_[size_t(done.device)].waiting_total;
-        start(next.index, next.stage, done.finish, done.device);
+        startOrQueue(next.index, next.stage, done.finish);
         break;
     }
 }
@@ -160,7 +145,7 @@ VirtualScheduler::place(const ArrivalHints &hints) const
         return hints.eligible.empty() || hints.eligible[d] != 0;
     };
     const auto load = [&](size_t d) {
-        return int64_t(dev_[d].waiting_total) + (dev_[d].busy ? 1 : 0);
+        return int64_t(dev_[d].waiting_total) + dev_[d].busy;
     };
 
     int best = -1;
@@ -206,100 +191,37 @@ VirtualScheduler::place(const ArrivalHints &hints) const
 }
 
 bool
-VirtualScheduler::arrive(size_t index, int64_t arrival_vus, int priority,
-                         std::string *reject_reason)
+VirtualScheduler::arrive(Arrival a, std::string *reject_reason,
+                         int *placed_device)
 {
-    FEATHER_CHECK(!fleet(),
-                  "fleet mode arrivals must carry placement hints");
-    FEATHER_CHECK(arrival_vus >= last_arrival_,
+    FEATHER_CHECK(!a.stages.empty(), "arrivals need >= 1 stage");
+    FEATHER_CHECK(a.vus >= last_arrival_,
                   "arrivals must be fed in non-decreasing time order");
-    FEATHER_CHECK(priority >= 0 && priority < VirtualConfig::kPriorities,
+    FEATHER_CHECK(a.priority >= 0 && a.priority < VirtualConfig::kPriorities,
                   "priority out of range");
-    last_arrival_ = arrival_vus;
-    advanceTo(arrival_vus);
-
-    if (int(running_.size()) < cfg_.vworkers) {
-        // waiting_ is necessarily empty here: a server only stays free
-        // while nothing waits for it.
-        start(index, 0, arrival_vus, -1);
-        return true;
-    }
-    if (!admitWaiter(priority, reject_reason)) return false;
-    waiting_[size_t(priority)].push_back({index, 0});
-    ++waiting_total_;
-    ++waiting_by_prio_[size_t(priority)];
-    return true;
-}
-
-bool
-VirtualScheduler::arrive(size_t index, int64_t arrival_vus, int priority,
-                         const ArrivalHints &hints,
-                         std::string *reject_reason, int *placed_device)
-{
-    FEATHER_CHECK(fleet(), "placement hints need a fleet configuration");
-    FEATHER_CHECK(arrival_vus >= last_arrival_,
-                  "arrivals must be fed in non-decreasing time order");
-    FEATHER_CHECK(priority >= 0 && priority < VirtualConfig::kPriorities,
-                  "priority out of range");
-    last_arrival_ = arrival_vus;
-    advanceTo(arrival_vus);
-
-    const int device = place(hints);
-    if (index >= handoff_.size()) handoff_.resize(index + 1, 0);
-    handoff_[index] =
-        hints.handoff_vus.empty() ? 0 : hints.handoff_vus[size_t(device)];
-
-    DeviceState &ds = dev_[size_t(device)];
-    if (!ds.busy) {
-        start(index, 0, arrival_vus, device);
-        if (placed_device) *placed_device = device;
-        return true;
-    }
-    if (!admitWaiter(priority, reject_reason)) return false;
-    ds.waiting[size_t(priority)].push_back({index, 0});
-    ++ds.waiting_total;
-    ++waiting_total_;
-    ++waiting_by_prio_[size_t(priority)];
-    if (placed_device) *placed_device = device;
-    return true;
-}
-
-bool
-VirtualScheduler::arriveStaged(size_t index, int64_t arrival_vus,
-                               int priority, std::vector<StagePlan> stages,
-                               std::string *reject_reason)
-{
-    FEATHER_CHECK(fleet(), "staged arrivals need a fleet configuration");
-    FEATHER_CHECK(stage_duration_ && stage_finish_,
-                  "staged arrivals need setStageHooks()");
-    FEATHER_CHECK(!stages.empty(), "staged arrivals need >= 1 stage");
-    FEATHER_CHECK(arrival_vus >= last_arrival_,
-                  "arrivals must be fed in non-decreasing time order");
-    FEATHER_CHECK(priority >= 0 && priority < VirtualConfig::kPriorities,
-                  "priority out of range");
-    for (const StagePlan &s : stages) {
-        FEATHER_CHECK(s.device >= 0 && size_t(s.device) < dev_.size(),
+    for (size_t k = 0; k < a.stages.size(); ++k) {
+        const int d = a.stages[k].device;
+        FEATHER_CHECK((k == 0 && d == -1) ||
+                          (d >= 0 && size_t(d) < dev_.size()),
                       "stage pinned to an unknown device");
     }
-    last_arrival_ = arrival_vus;
-    advanceTo(arrival_vus);
+    last_arrival_ = a.vus;
+    advanceTo(a.vus);
 
-    const int device = stages.front().device;
-    StagedInfo info;
-    info.stages = std::move(stages);
-    info.priority = priority;
-    DeviceState &ds = dev_[size_t(device)];
-    if (!ds.busy) {
-        staged_[index] = std::move(info);
-        start(index, 0, arrival_vus, device);
-        return true;
+    StagePlan &first = a.stages.front();
+    if (first.device < 0) {
+        first.device = place(a.hints);
+        if (!a.hints.handoff_vus.empty()) {
+            first.handoff_vus += a.hints.handoff_vus[size_t(first.device)];
+        }
     }
-    if (!admitWaiter(priority, reject_reason)) return false;
-    staged_[index] = std::move(info);
-    ds.waiting[size_t(priority)].push_back({index, 0});
-    ++ds.waiting_total;
-    ++waiting_total_;
-    ++waiting_by_prio_[size_t(priority)];
+    const DeviceState &ds = dev_[size_t(first.device)];
+    if (ds.busy == ds.servers && !admitWaiter(a.priority, reject_reason)) {
+        return false;
+    }
+    if (placed_device) *placed_device = first.device;
+    flights_[a.index] = {std::move(a.stages), a.priority, 0};
+    startOrQueue(a.index, 0, a.vus);
     return true;
 }
 
@@ -307,7 +229,7 @@ void
 VirtualScheduler::drain()
 {
     while (!running_.empty()) completeOne();
-    FEATHER_CHECK(waiting_total_ == 0,
+    FEATHER_CHECK(waiting_total_ == 0 && flights_.empty(),
                   "waiters cannot outlive the running set");
 }
 

@@ -14,16 +14,16 @@
  * (deterministic) service duration. The result: reports are bit-identical
  * at any `--jobs N`, while execution still fans out.
  *
- * Two serving topologies:
- *   - homogeneous (cfg.devices empty): `vworkers` identical servers
- *     draining shared per-priority FIFOs — the classic --vworkers N.
- *   - fleet (cfg.devices non-empty): one virtual server per named device,
- *     each with its own per-priority FIFOs. Every arrival is *placed* on
- *     one device by the configured PlacementPolicy, using only virtual
- *     state (queue depths, device capabilities, caller-supplied affinity
- *     scores) — so placement, too, is deterministic at any pool size.
- *     Cross-device hand-off premiums (priced by the caller via
- *     model::handoffCost) are added to the placed request's service time.
+ * One serving model: a fleet of virtual devices, each with its servers
+ * draining its own per-priority FIFOs. A device of an explicit fleet is
+ * one server; a run without an explicit fleet is one implicit device
+ * with `vworkers` servers (the classic --vworkers N). Every arrival is a list of pipeline stages.
+ * Stage 0 is either pinned to a device or *placed* on one by the
+ * configured PlacementPolicy, using only virtual state (queue depths,
+ * device capabilities, caller-supplied affinity scores), so placement is
+ * deterministic at any pool size. Cross-device hand-off premiums (priced
+ * by the caller via model::handoffCost) are added to a stage's service
+ * time.
  *
  * Event processing is *lazy*: arrivals are fed in non-decreasing virtual
  * time order, and a completion is only materialized when a later arrival
@@ -33,20 +33,17 @@
  * before f (had it arrived after, its own arrival processing would have
  * materialized the f-completion first).
  *
- * Staged requests (fleet mode): a whole-graph request pipelined across
- * devices arrives via arriveStaged() with one pinned StagePlan per
- * contiguous same-device segment of its schedule. Stage k+1 starts when
- * stage k finishes — immediately if its device is free at that instant
- * (current by the heap's event order), else it joins that device's FIFO
- * at the request's priority. Continuation stages bypass admission (an
- * in-flight request cannot be rejected) but occupy queue slots while they
- * wait, so the depth bounds see them; stages of independent requests
- * interleave in virtual time. The completion callback fires once, after
- * the last stage, spanning first start to last finish.
+ * Stage k+1 of a request starts when stage k finishes: immediately if
+ * its device has a free server at that instant (current by the heap's
+ * event order), else it joins that device's FIFO at the request's
+ * priority. Continuation stages bypass admission (an in-flight request
+ * cannot be rejected) but occupy queue slots while they wait, so the
+ * depth bounds see them; stages of independent requests interleave in
+ * virtual time.
  *
  * The DurationFn may block (it waits on the speculative execution's
- * result); it is called exactly once per started request (per started
- * stage for staged requests), on the single DES thread.
+ * result); it is called exactly once per started stage, on the single
+ * DES thread.
  */
 
 #include <array>
@@ -57,6 +54,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace feather {
@@ -73,7 +71,7 @@ std::optional<PlacementPolicy> parsePlacement(const std::string &name);
 std::string toString(PlacementPolicy p);
 std::vector<std::string> placementNames();
 
-/** One virtual server of a heterogeneous fleet. */
+/** One virtual device of an explicit fleet: a single server. */
 struct VirtualDevice
 {
     std::string name;
@@ -86,32 +84,31 @@ struct VirtualConfig
 {
     static constexpr int kPriorities = 3;
 
-    /** Virtual servers: requests in service concurrently (not --jobs).
-     *  Ignored in fleet mode (each device is one server). */
+    /** Servers of the implicit single device used when `devices` is
+     *  empty (--vworkers N; not --jobs). */
     int vworkers = 1;
     /** Max requests waiting (not in service), fleet-wide; < 0 =
      *  unbounded. */
     int max_queue = 64;
     /** Per-priority bound on waiting requests; -1 = unbounded. */
     std::array<int64_t, kPriorities> quota = {-1, -1, -1};
-    /** Non-empty = fleet mode: one server per device, per-device FIFOs,
-     *  arrivals placed by `place`. */
+    /** The fleet; empty = one implicit device with `vworkers` servers. */
     std::vector<VirtualDevice> devices;
     PlacementPolicy place = PlacementPolicy::LeastLoaded;
 };
 
-/** One pipeline stage of a staged request: a pinned device plus the
- *  hand-off premium charged when the stage starts (the inter-device edge
- *  feeding it, in virtual microseconds). */
+/** One pipeline stage: the device it runs on plus the hand-off premium
+ *  charged when it starts (the inter-device edge feeding it, in virtual
+ *  microseconds). Stage 0 may leave the device at -1 to be placed. */
 struct StagePlan
 {
     int device = -1;
     int64_t handoff_vus = 0;
 };
 
-/** Per-arrival placement inputs, computed by the caller on the DES
- *  thread (fleet mode only). Vectors are indexed by device; empty means
- *  "no constraint / all zero". */
+/** Placement inputs of an arrival whose stage 0 is unpinned, computed by
+ *  the caller on the DES thread. Vectors are indexed by device; empty
+ *  means "no constraint / all zero". */
 struct ArrivalHints
 {
     /** Devices this request can run on (feasible mapping at the device's
@@ -119,79 +116,73 @@ struct ArrivalHints
     std::vector<uint8_t> eligible;
     /** Plan-affinity score per device (Affinity policy input). */
     std::vector<int64_t> affinity;
-    /** Hand-off premium in virtual microseconds, added to the service
-     *  time when placed on that device (0 on the previous device). */
+    /** Hand-off premium in virtual microseconds, added to stage 0's
+     *  service time when placed on that device. */
     std::vector<int64_t> handoff_vus;
+};
+
+/** One request arriving at the DES. */
+struct Arrival
+{
+    /** By default one stage, placed by @p hints. */
+    Arrival(size_t index, int64_t vus, int priority,
+            std::vector<StagePlan> stages = {StagePlan{}},
+            ArrivalHints hints = {})
+        : index(index), vus(vus), priority(priority),
+          stages(std::move(stages)), hints(std::move(hints))
+    {
+    }
+
+    size_t index;
+    int64_t vus; ///< arrival time, >= every earlier arrival
+    int priority;
+    std::vector<StagePlan> stages; ///< run in order
+    ArrivalHints hints;
+};
+
+/** One finished stage, reported in deterministic event order. */
+struct StageEvent
+{
+    size_t index = 0;
+    int stage = 0;
+    int device = 0;
+    int64_t start_vus = 0;
+    int64_t finish_vus = 0; ///< includes the hand-off premium
+    int64_t handoff_vus = 0;
+    /** The request's last stage: it is complete, having started its
+     *  first stage at first_start_vus. */
+    bool last = false;
+    int64_t first_start_vus = 0;
 };
 
 /** Deterministic DES over arrivals, admission, placement and service. */
 class VirtualScheduler
 {
   public:
-    /** Virtual service duration of request @p index on @p device (-1 in
-     *  homogeneous mode), in microseconds; called once per started
-     *  request, may block. */
-    using DurationFn = std::function<int64_t(size_t index, int device)>;
-
-    /** Completion callback: request @p index ran on @p device (-1 in
-     *  homogeneous mode), started at @p start_vus and finished at
-     *  @p finish_vus. Called in deterministic event order. For staged
-     *  requests it fires once, after the last stage, with that stage's
-     *  device and the first stage's start. */
-    using CompletionFn = std::function<void(
-        size_t index, int device, int64_t start_vus, int64_t finish_vus)>;
-
-    /** Virtual service duration of stage @p stage of staged request
-     *  @p index on @p device; same contract as DurationFn. */
-    using StageDurationFn =
+    /** Virtual service duration of stage @p stage of request @p index on
+     *  @p device, in microseconds; called once per started stage, may
+     *  block. */
+    using DurationFn =
         std::function<int64_t(size_t index, int stage, int device)>;
 
-    /** Per-stage completion callback for staged requests: fires for
-     *  every stage (including the last, before CompletionFn) so the
-     *  caller can account busy time and hand-offs per device. */
-    using StageFinishFn =
-        std::function<void(size_t index, int stage, int device,
-                           int64_t start_vus, int64_t finish_vus)>;
+    /** Called once per finished stage. */
+    using FinishFn = std::function<void(const StageEvent &)>;
 
     VirtualScheduler(VirtualConfig cfg, DurationFn duration,
-                     CompletionFn on_finish);
-
-    /** Required before the first arriveStaged() call. */
-    void
-    setStageHooks(StageDurationFn duration, StageFinishFn on_stage)
-    {
-        stage_duration_ = std::move(duration);
-        stage_finish_ = std::move(on_stage);
-    }
+                     FinishFn on_finish);
 
     /**
-     * Process the arrival of request @p index at @p arrival_vus (must be
-     * >= every earlier arrival). Materializes any completions up to that
-     * time first, then decides admission: true = accepted (in service or
-     * waiting), false = rejected with @p reject_reason set. A request is
-     * only queued — and thus only subject to the depth/quota bounds —
-     * when every server it may use is busy.
-     *
-     * Fleet mode must use the overload taking ArrivalHints; it reports
-     * the chosen device in @p placed_device (untouched on rejection).
-     * Placement happens before the admission bounds are checked, so a
-     * rejected request still never occupies its would-be device.
+     * Process arrival @p a. Materializes any completions up to its time
+     * first, places an unpinned stage 0, then decides admission: true =
+     * accepted (in service or waiting), false = rejected with
+     * @p reject_reason set. A request is only queued — and thus only
+     * subject to the depth/quota bounds — when its stage-0 device has no
+     * free server. Placement happens before the bounds are checked, so a
+     * rejected request never occupies its would-be device. On acceptance
+     * @p placed_device receives stage 0's device.
      */
-    bool arrive(size_t index, int64_t arrival_vus, int priority,
-                std::string *reject_reason);
-    bool arrive(size_t index, int64_t arrival_vus, int priority,
-                const ArrivalHints &hints, std::string *reject_reason,
+    bool arrive(Arrival a, std::string *reject_reason,
                 int *placed_device = nullptr);
-
-    /**
-     * Staged arrival (fleet mode only): run @p stages in order, each
-     * pinned to its device. Admission bounds apply to the first stage
-     * exactly as for arrive(); later stages cannot be rejected. Requires
-     * setStageHooks().
-     */
-    bool arriveStaged(size_t index, int64_t arrival_vus, int priority,
-                      std::vector<StagePlan> stages,
-                      std::string *reject_reason);
 
     /** Run every accepted request to completion. */
     void drain();
@@ -199,17 +190,14 @@ class VirtualScheduler
     /** Finish time of the latest completed request. */
     int64_t lastFinish() const { return last_finish_; }
 
-    bool fleet() const { return !cfg_.devices.empty(); }
-    size_t numDevices() const { return cfg_.devices.size(); }
-
   private:
     struct Running
     {
         int64_t finish = 0;
         size_t index = 0;
         int64_t start = 0;
-        int device = -1;
-        int stage = 0; ///< staged requests; 0 otherwise
+        int device = 0;
+        int stage = 0;
 
         /** Min-heap order: earliest finish first, ties by index (a
          *  request has at most one stage in flight, so this is total). */
@@ -227,16 +215,17 @@ class VirtualScheduler
         int stage = 0;
     };
 
-    /** One device's private server + FIFOs (fleet mode). */
+    /** One device's servers and FIFOs. */
     struct DeviceState
     {
-        bool busy = false;
+        int servers = 1;
+        int busy = 0;
         std::array<std::deque<Waiter>, VirtualConfig::kPriorities> waiting;
         size_t waiting_total = 0;
     };
 
-    /** A staged request's pinned pipeline, kept until it completes. */
-    struct StagedInfo
+    /** An accepted request's pipeline, kept until its last stage ends. */
+    struct Flight
     {
         std::vector<StagePlan> stages;
         int priority = 0;
@@ -246,11 +235,13 @@ class VirtualScheduler
     /** Materialize every completion with finish <= @p t. */
     void advanceTo(int64_t t);
 
-    /** Pop the earliest completion; advance its pipeline (staged
-     *  requests), then hand its server to a waiter. */
+    /** Pop the earliest completion; advance its pipeline, then hand its
+     *  server to a waiter. */
     void completeOne();
 
-    void start(size_t index, int stage, int64_t start_vus, int device);
+    /** Start @p stage of @p index at @p t on a free server, or queue it
+     *  on its device's FIFO. */
+    void startOrQueue(size_t index, int stage, int64_t t);
 
     /** The placement decision: pick among eligible devices by policy. */
     int place(const ArrivalHints &hints) const;
@@ -260,20 +251,11 @@ class VirtualScheduler
 
     VirtualConfig cfg_;
     DurationFn duration_;
-    CompletionFn on_finish_;
-    StageDurationFn stage_duration_;
-    StageFinishFn stage_finish_;
+    FinishFn on_finish_;
     std::priority_queue<Running, std::vector<Running>, std::greater<Running>>
         running_;
-    /** Homogeneous mode: shared FIFOs across the vworkers. */
-    std::array<std::deque<Waiter>, VirtualConfig::kPriorities> waiting_;
-    /** Staged requests by index (fleet mode). */
-    std::unordered_map<size_t, StagedInfo> staged_;
-    /** Fleet mode: per-device servers and FIFOs. */
+    std::unordered_map<size_t, Flight> flights_; ///< by request index
     std::vector<DeviceState> dev_;
-    /** Hand-off premium charged to each placed request (fleet mode),
-     *  indexed by request index. */
-    std::vector<int64_t> handoff_;
     size_t waiting_total_ = 0;
     std::array<int64_t, VirtualConfig::kPriorities> waiting_by_prio_ = {
         0, 0, 0};

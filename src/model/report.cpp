@@ -23,7 +23,7 @@ status(const ScheduleResult &r)
     return r.bitExact() ? "ok" : "MISMATCH";
 }
 
-/** The device column exists only in fleet mode, so the classic
+/** The device column exists only with an explicit fleet, so the classic
  *  single-device CSV/JSON schemas stay byte-identical. */
 std::vector<std::string>
 columns(bool fleet)

@@ -17,15 +17,6 @@ namespace model {
 
 namespace {
 
-/** The dataflow families the scheduler enumerates, in display-priority
- *  order (a candidate shared by several families is named after the
- *  first). */
-constexpr sim::DataflowKind kFamilies[] = {
-    sim::DataflowKind::Canonical,
-    sim::DataflowKind::ChannelParallel,
-    sim::DataflowKind::WindowParallel,
-};
-
 /** Dedup key of a planning point: same mapping + layouts = same candidate. */
 std::string
 planKey(const sim::LayerPlan &plan)
@@ -179,6 +170,37 @@ Scheduler::resolvedAh(const ModelGraph &graph) const
     return opts_.ah > 0 ? opts_.ah : graph.default_ah;
 }
 
+std::vector<FleetDevice>
+Scheduler::devices(const ModelGraph &graph, std::string *error) const
+{
+    if (opts_.fleet.enabled()) return opts_.fleet.devices;
+    const int aw = resolvedAw(graph);
+    const int ah = resolvedAh(graph);
+    if (aw < 2 || !isPow2(uint64_t(aw))) {
+        if (error) {
+            *error = strCat("array width (--aw) must be a power of two"
+                            " >= 2, got ", aw);
+        }
+        return {};
+    }
+    if (ah < 1) {
+        if (error) *error = "array height (--ah) must be >= 1";
+        return {};
+    }
+    return {FleetDevice{"", aw, ah, int64_t(aw) * ah}};
+}
+
+std::string
+Scheduler::noFitError(const ModelGraph &graph, const LayerSpec &layer,
+                      const std::string &why) const
+{
+    if (opts_.fleet.enabled()) {
+        return strCat("no fleet device fits ", layer.name, ": ", why);
+    }
+    return strCat("no dataflow family fits ", layer.name, " on a ",
+                  resolvedAw(graph), "x", resolvedAh(graph), " array: ", why);
+}
+
 std::optional<Evaluation>
 Scheduler::evaluate(const ModelGraph &graph, std::string *error)
 {
@@ -187,50 +209,31 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
         if (error) *error = why;
         return std::nullopt;
     }
-    const bool fleet = opts_.fleet.enabled();
-    const int aw = resolvedAw(graph);
-    const int ah = resolvedAh(graph);
-    if (!fleet) {
-        if (aw < 2 || !isPow2(uint64_t(aw))) {
-            if (error) {
-                *error = strCat("array width (--aw) must be a power of two"
-                                " >= 2, got ", aw);
-            }
-            return std::nullopt;
-        }
-        if (ah < 1) {
-            if (error) *error = "array height (--ah) must be >= 1";
-            return std::nullopt;
-        }
-    }
+    const std::vector<FleetDevice> devs = devices(graph, error);
+    if (devs.empty()) return std::nullopt;
 
-    // Step 1: plan every (layer, family) point through the shared cache
-    // and collapse families that induce identical planning artifacts. In
-    // fleet mode the per-device candidate lists (each enumerated at that
-    // device's shape, through its cache scope) are flattened in fleet
-    // order into one device-tagged list per layer; deduplication stays
-    // within a device, since the same (mapping, layouts) point on two
-    // devices prices edges differently.
+    // Step 1: plan every (layer, family) point on every device (at its
+    // shape, through its cache scope), collapse families that induce
+    // identical planning artifacts, and flatten the per-device candidate
+    // lists in fleet order into one device-tagged list per layer.
+    // Deduplication stays within a device, since the same (mapping,
+    // layouts) point on two devices prices edges differently.
     Evaluation eval;
     for (const ModelLayer &ml : graph.layers) {
         std::vector<Candidate> candidates;
         std::string plan_error;
-        const size_t ndev = fleet ? opts_.fleet.devices.size() : 1;
-        for (size_t d = 0; d < ndev; ++d) {
-            const int daw = fleet ? opts_.fleet.devices[d].aw : aw;
-            const int dah = fleet ? opts_.fleet.devices[d].ah : ah;
-            const std::string scope =
-                fleet ? opts_.fleet.devices[d].name : std::string();
-            if (daw < 2 || !isPow2(uint64_t(daw)) || dah < 1) {
-                plan_error = strCat(scope, " has an unusable ", daw, "x",
-                                    dah, " array");
+        for (size_t d = 0; d < devs.size(); ++d) {
+            const FleetDevice &dev = devs[d];
+            if (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1) {
+                plan_error = strCat(dev.name, " has an unusable ", dev.aw,
+                                    "x", dev.ah, " array");
                 continue;
             }
             const size_t first = candidates.size();
             for (sim::DataflowKind kind : kFamilies) {
                 const std::optional<sim::LayerPlan> plan =
-                    cache().getOrPlan(opts_.engine, kind, ml.spec, daw, dah,
-                                      &plan_error, scope);
+                    cache().getOrPlan(opts_.engine, kind, ml.spec, dev.aw,
+                                      dev.ah, &plan_error, dev.name);
                 if (!plan) continue;
                 bool merged = false;
                 for (size_t c = first; c < candidates.size(); ++c) {
@@ -244,19 +247,12 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                 Candidate c;
                 c.kinds = {kind};
                 c.plan = *plan;
-                c.device = fleet ? int(d) : -1;
+                c.device = int(d);
                 candidates.push_back(std::move(c));
             }
         }
         if (candidates.empty()) {
-            if (error) {
-                *error = fleet
-                             ? strCat("no fleet device fits ", ml.spec.name,
-                                      ": ", plan_error)
-                             : strCat("no dataflow family fits ",
-                                      ml.spec.name, " on a ", aw, "x", ah,
-                                      " array: ", plan_error);
-            }
+            if (error) *error = noFitError(graph, ml.spec, plan_error);
             return std::nullopt;
         }
         eval.layers.push_back(std::move(candidates));
@@ -283,16 +279,12 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
     {
         serve::ThreadPool pool(opts_.num_threads);
         for (EvalSlot &slot : slots) {
-            pool.submit([this, &graph, &eval, &slot] {
+            pool.submit([this, &graph, &eval, &devs, &slot] {
                 const ModelLayer &ml = graph.layers[slot.layer];
                 Candidate &cand = eval.layers[slot.layer][slot.cand];
                 sim::RunOptions ropts;
-                ropts.aw = cand.device >= 0
-                               ? opts_.fleet.devices[size_t(cand.device)].aw
-                               : resolvedAw(graph);
-                ropts.ah = cand.device >= 0
-                               ? opts_.fleet.devices[size_t(cand.device)].ah
-                               : resolvedAh(graph);
+                ropts.aw = devs[size_t(cand.device)].aw;
+                ropts.ah = devs[size_t(cand.device)].ah;
                 ropts.engine = opts_.engine;
                 ropts.seed = slot.seed;
                 ropts.mapping = cand.plan.mapping;
@@ -324,9 +316,9 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
     }
 
     // Step 3: price every layer-to-layer hand-off once. The intermediate
-    // tensor of edge i is layer i's input. Same-device edges (everything
-    // outside fleet mode) cost the BIRRD reorder; cross-device edges add
-    // the inter-chip link transfer term via handoffCost.
+    // tensor of edge i is layer i's input. Same-device edges cost the
+    // BIRRD reorder; cross-device edges add the inter-chip link transfer
+    // term via handoffCost.
     eval.edges.resize(eval.layers.size());
     for (size_t i = 1; i < eval.layers.size(); ++i) {
         const Extents extents = iactExtents(graph.layers[i].spec);
@@ -431,8 +423,8 @@ Scheduler::pickCandidates(const ModelGraph &graph, const Evaluation &eval,
             }
         }
     } else { // PerLayer/Pinned: DP shortest path over (layer, candidate)
-             // states — in fleet mode the candidates carry device tags, so
-             // the same relaxation searches (layer, device, candidate).
+             // states — the candidates carry device tags, so the same
+             // relaxation searches (layer, device, candidate).
         constexpr int64_t kInf = std::numeric_limits<int64_t>::max();
         std::vector<std::vector<int64_t>> dp(n);
         std::vector<std::vector<size_t>> parent(n);
@@ -493,7 +485,8 @@ Scheduler::assemble(const ModelGraph &graph, const Evaluation &eval,
     result.ah = resolvedAh(graph);
     result.seed = opts_.seed;
     result.engine = opts_.engine;
-    result.fleet = opts_.fleet.enabled() ? opts_.fleet.spec : "";
+    result.fleet = opts_.fleet.spec;
+    const std::vector<FleetDevice> devs = devices(graph);
     for (size_t i = 0; i < graph.layers.size(); ++i) {
         const Candidate &cand = eval.layers[i][picks[i]];
         LayerChoice choice;
@@ -507,16 +500,12 @@ Scheduler::assemble(const ModelGraph &graph, const Evaluation &eval,
         choice.reorder_cycles =
             i > 0 ? eval.edges[i][picks[i - 1]][picks[i]] : 0;
         choice.device = cand.device;
-        if (cand.device >= 0) {
-            choice.device_name =
-                opts_.fleet.devices[size_t(cand.device)].name;
-            if (i > 0 &&
-                eval.layers[i - 1][picks[i - 1]].device != cand.device) {
-                // Cross-device edge: its price (reorder + link transfer)
-                // already sits in reorder_cycles; count it separately too.
-                ++result.handoffs;
-                result.handoff_cycles += choice.reorder_cycles;
-            }
+        choice.device_name = devs[size_t(cand.device)].name;
+        if (i > 0 && eval.layers[i - 1][picks[i - 1]].device != cand.device) {
+            // Cross-device edge: its price (reorder + link transfer)
+            // already sits in reorder_cycles; count it separately too.
+            ++result.handoffs;
+            result.handoff_cycles += choice.reorder_cycles;
         }
         result.est_total += choice.est_cycles + choice.reorder_cycles;
         result.layers.push_back(std::move(choice));
@@ -530,20 +519,18 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
 {
     // Step 5: execute the chosen schedule as measured, bit-exact chains
     // through the StaB ping-pong (layer i writes directly in layer i+1's
-    // input layout). Outside fleet mode this is one chain; in fleet mode
-    // each contiguous same-device segment runs as one chain on its
-    // device's shape (through that device's cache scope), and the
+    // input layout): each contiguous same-device segment runs as one chain
+    // on its device's shape (through that device's cache scope). The
     // cross-device hand-off between segments is priced by the edge model,
     // not replayed — each segment verifies bit-exactly against the
-    // reference operators from freshly seeded inputs. A 1-device fleet
-    // has exactly one segment and reproduces the non-fleet measurement.
+    // reference operators from freshly seeded inputs. A one-device
+    // schedule is a single chain.
+    const std::vector<FleetDevice> devs = devices(graph);
     struct Segment
     {
         size_t first; ///< layer range [first, last]
         size_t last;
-        int aw;
-        int ah;
-        std::string scope;
+        const FleetDevice *dev;
     };
     std::vector<Segment> segments;
     for (size_t i = 0; i < graph.layers.size(); ++i) {
@@ -553,38 +540,31 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
             segments.back().last = i;
             continue;
         }
-        Segment seg;
-        seg.first = seg.last = i;
-        seg.aw = dev >= 0 ? opts_.fleet.devices[size_t(dev)].aw
-                          : result->aw;
-        seg.ah = dev >= 0 ? opts_.fleet.devices[size_t(dev)].ah
-                          : result->ah;
-        seg.scope = dev >= 0 ? opts_.fleet.devices[size_t(dev)].name
-                             : std::string();
-        segments.push_back(seg);
+        segments.push_back({i, i, &devs[size_t(dev)]});
     }
 
     const auto start = std::chrono::steady_clock::now();
     for (const Segment &seg : segments) {
         sim::Scenario scenario;
         scenario.name = graph.name;
-        scenario.default_aw = seg.aw;
-        scenario.default_ah = seg.ah;
+        scenario.default_aw = seg.dev->aw;
+        scenario.default_ah = seg.dev->ah;
         for (size_t i = seg.first; i <= seg.last; ++i) {
             scenario.layers.push_back({graph.layers[i].spec,
                                        result->layers[i].dataflow,
                                        graph.layers[i].multiplier});
         }
         sim::ScenarioOptions sopts;
-        sopts.aw = seg.aw;
-        sopts.ah = seg.ah;
+        sopts.aw = seg.dev->aw;
+        sopts.ah = seg.dev->ah;
         sopts.seed = opts_.seed;
         // Measured cycles are the ground truth the report ranks schedules
         // by: the chain always replays cycle-accurately, whatever tier
         // evaluated the candidates.
         sopts.engine = sim::EngineMode::Cycle;
         const std::optional<sim::ScenarioRun> run =
-            sim::runScenario(scenario, sopts, error, cache().planFn(seg.scope));
+            sim::runScenario(scenario, sopts, error,
+                             cache().planFn(seg.dev->name));
         if (!run) return false;
         for (size_t i = seg.first; i <= seg.last; ++i) {
             const sim::RunResult &r = run->chain.layers[i - seg.first];
@@ -645,9 +625,9 @@ Scheduler::compare(const ModelGraph &graph, const SchedulePolicy &primary,
         p.fixed = kind;
         if (toString(p) != toString(primary)) policies.push_back(p);
     }
-    // Fleet mode: every single-device placement is a baseline the primary
-    // schedule is ranked against (the DP should beat the best of them
-    // whenever splitting the graph pays for its hand-offs).
+    // Every device of an explicit fleet is a single-device baseline the
+    // primary schedule is ranked against (the DP should beat the best of
+    // them whenever splitting the graph pays for its hand-offs).
     for (const FleetDevice &dev : opts_.fleet.devices) {
         SchedulePolicy p;
         p.kind = ScheduleKind::Pinned;

@@ -31,20 +31,23 @@
  *      layout) and verified bit-exactly end-to-end; measured cycles are
  *      the ground truth the report ranks schedules by.
  *
- * Fleet mode (SchedulerOptions::fleet non-empty) generalizes the DP state
- * to (layer, device, candidate): every layer's candidates are enumerated
- * once per fleet device at that device's array shape (through the
- * device-scoped PlanCache partition), intra-device switches keep their
- * reorderCost pricing, and inter-device edges are priced by handoffCost
- * (BIRRD reorder + inter-chip link transfer). The chosen schedule splits
- * into contiguous same-device segments (pipeline parallelism); each
- * segment is measured as one cycle-accurate chain on its device and
- * verified bit-exactly against the reference operators — the hand-off
- * itself is priced, not replayed. Two extra baselines exist only here:
- * pinned:<device> restricts the whole graph to one device (the
- * single-device placements the DP must beat), and compare() ranks the
- * primary schedule against every pinned placement. A 1-device fleet
- * reproduces the single-device path bit-exactly.
+ * Every schedule runs on a device fleet, so the DP state is (layer,
+ * device, candidate): every layer's candidates are enumerated once per
+ * device at that device's array shape (through the device-scoped
+ * PlanCache partition), intra-device switches keep their reorderCost
+ * pricing, and inter-device edges are priced by handoffCost (BIRRD
+ * reorder + inter-chip link transfer). The chosen schedule splits into
+ * contiguous same-device segments (pipeline parallelism); each segment is
+ * measured as one cycle-accurate chain on its device and verified
+ * bit-exactly against the reference operators — the hand-off itself is
+ * priced, not replayed. Without SchedulerOptions::fleet the fleet is one
+ * implicit device: the resolved aw x ah array in the shared "" cache
+ * scope, so it plans, prices and measures exactly like a single array.
+ * An explicit fleet adds two things: pinned:<device> restricts the whole
+ * graph to one device (the single-device placements the DP must beat),
+ * and compare() ranks the primary schedule against every pinned
+ * placement. A 1-device fleet reproduces the implicit device's schedule
+ * bit-exactly.
  */
 
 #include <optional>
@@ -58,6 +61,15 @@
 
 namespace feather {
 namespace model {
+
+/** The dataflow families the scheduler enumerates for every layer, in
+ *  display-priority order (a candidate shared by several families is
+ *  named after the first). */
+constexpr sim::DataflowKind kFamilies[] = {
+    sim::DataflowKind::Canonical,
+    sim::DataflowKind::ChannelParallel,
+    sim::DataflowKind::WindowParallel,
+};
 
 // ---------------------------------------------------------------------------
 // Switching-cost model
@@ -92,8 +104,7 @@ int64_t handoffCost(bool same_device, const Layout &src, const Layout &dst,
 // Schedules
 // ---------------------------------------------------------------------------
 
-/** How to pick each layer's dataflow family (and, in fleet mode, its
- *  device). */
+/** How to pick each layer's dataflow family and device. */
 enum class ScheduleKind : uint8_t {
     PerLayer, ///< DP shortest path over candidates + switching costs
     Greedy,   ///< pick each layer's best given only the previous choice
@@ -111,7 +122,7 @@ struct SchedulePolicy
 };
 
 /** Parse "per-layer", "greedy", "fixed:<dataflow>" (ws|cp|wp or long
- *  names), or "pinned:<device>" (fleet mode only). */
+ *  names), or "pinned:<device>" (explicit fleets only). */
 std::optional<SchedulePolicy> parseSchedule(const std::string &name,
                                             std::string *error = nullptr);
 
@@ -129,11 +140,11 @@ struct Candidate
     /** Verified against the reference operator. Always false under the
      *  analytic engine, which estimates without producing outputs. */
     bool bit_exact = false;
-    /** Fleet device index this candidate runs on; -1 outside fleet mode.
-     *  Fleet evaluations flatten per-device candidate lists into one
+    /** Index of the device this candidate runs on (0 on the implicit
+     *  device). Evaluations flatten per-device candidate lists into one
      *  tagged list per layer, so the DP/greedy/fixed policies search
      *  (device, candidate) pairs without special-casing. */
-    int device = -1;
+    int device = 0;
 };
 
 /** The evaluated candidate table of one graph (scheduler steps 1-3). */
@@ -156,8 +167,8 @@ struct LayerChoice
     sim::LayerPlan plan;
     int64_t est_cycles = 0;     ///< candidate's standalone estimate
     int64_t reorder_cycles = 0; ///< edge price from the previous layer
-    /** Fleet placement; -1/"" outside fleet mode. */
-    int device = -1;
+    /** Device placement; 0/"" on the implicit device. */
+    int device = 0;
     std::string device_name;
     // Measured from the final chain run.
     int64_t cycles = 0;
@@ -190,7 +201,6 @@ struct ScheduleResult
     int64_t sim_wall_us = 0;
     /** Peak per-layer arena scratch over the measured chain. */
     int64_t arena_peak_bytes = 0;
-    // Fleet-mode extras (defaults outside fleet mode).
     std::string fleet;          ///< normalized fleet spec, "" when none
     int64_t search_nodes = 0;   ///< (layer, device, candidate) states
                                 ///< relaxed/scanned by the pick
@@ -242,10 +252,8 @@ struct SchedulerOptions
      *  requests reuse (and contribute) plans across the whole run. The
      *  cache must outlive the Scheduler; nullptr keeps the private one. */
     serve::PlanCache *shared_cache = nullptr;
-    /** Non-empty switches on fleet mode: candidates are enumerated per
-     *  device at that device's array shape (aw/ah above are ignored),
-     *  inter-device edges are priced by handoffCost, and the schedule is
-     *  measured as contiguous same-device segments. */
+    /** The devices to schedule over, each at its own array shape (aw/ah
+     *  above are then ignored); empty = the implicit aw x ah device. */
     FleetSpec fleet;
 };
 
@@ -286,6 +294,16 @@ class Scheduler
   private:
     int resolvedAw(const ModelGraph &graph) const;
     int resolvedAh(const ModelGraph &graph) const;
+
+    /** The fleet's devices, or without one the implicit device: the
+     *  resolved aw x ah array in the shared "" cache scope. Empty with
+     *  @p error set when that shape is unusable. */
+    std::vector<FleetDevice> devices(const ModelGraph &graph,
+                                     std::string *error = nullptr) const;
+
+    /** Why no device can run @p layer (@p why: the last planning error). */
+    std::string noFitError(const ModelGraph &graph, const LayerSpec &layer,
+                           const std::string &why) const;
 
     /** Steps 3+4: one candidate index per layer under @p policy.
      *  @p search_nodes counts the states scanned/relaxed by the pick. */

@@ -181,9 +181,9 @@ struct DesHarness
     std::vector<std::string> rejected; ///< "" = accepted
 
     explicit DesHarness(VirtualConfig cfg)
-        : vs(cfg, [this](size_t i, int) { return durations[i]; },
-             [this](size_t i, int, int64_t s, int64_t f) {
-                 completions.push_back({i, s, f});
+        : vs(cfg, [this](size_t i, int, int) { return durations[i]; },
+             [this](const StageEvent &e) {
+                 completions.push_back({e.index, e.start_vus, e.finish_vus});
              })
     {
     }
@@ -194,7 +194,7 @@ struct DesHarness
         durations.push_back(duration);
         std::string reason;
         const bool ok =
-            vs.arrive(durations.size() - 1, at, priority, &reason);
+            vs.arrive({durations.size() - 1, at, priority}, &reason);
         rejected.push_back(ok ? "" : reason);
         return ok;
     }

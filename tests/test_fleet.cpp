@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "common/io.hpp"
 #include "common/log.hpp"
 #include "daemon/daemon.hpp"
-#include "daemon/fleet.hpp"
 #include "daemon/request.hpp"
 #include "daemon/serve_cli.hpp"
 #include "daemon/vclock.hpp"
@@ -275,9 +276,9 @@ struct PlacedHarness
     std::vector<std::pair<size_t, int>> completions;
 
     explicit PlacedHarness(VirtualConfig cfg)
-        : vs(cfg, [this](size_t i, int) { return durations[i]; },
-             [this](size_t i, int device, int64_t, int64_t) {
-                 completions.push_back({i, device});
+        : vs(cfg, [this](size_t i, int, int) { return durations[i]; },
+             [this](const StageEvent &e) {
+                 completions.push_back({e.index, e.device});
              })
     {
     }
@@ -290,8 +291,9 @@ struct PlacedHarness
         if (hints.handoff_vus.empty()) hints.handoff_vus = {0, 0, 0};
         std::string reason;
         int device = -1;
-        EXPECT_TRUE(vs.arrive(durations.size() - 1, at, 1, hints, &reason,
-                              &device))
+        EXPECT_TRUE(vs.arrive({durations.size() - 1, at, 1, {StagePlan{}},
+                               hints},
+                              &reason, &device))
             << reason;
         return device;
     }
@@ -353,9 +355,9 @@ TEST(Placement, HandoffPremiumExtendsTheServiceWindow)
     cfg.place = PlacementPolicy::LeastLoaded;
     std::vector<std::pair<int64_t, int64_t>> windows;
     VirtualScheduler vs(
-        cfg, [](size_t, int) { return int64_t(10); },
-        [&windows](size_t, int, int64_t s, int64_t f) {
-            windows.push_back({s, f});
+        cfg, [](size_t, int, int) { return int64_t(10); },
+        [&windows](const StageEvent &e) {
+            windows.push_back({e.start_vus, e.finish_vus});
         });
     ArrivalHints free_hints;
     free_hints.eligible = {1, 1};
@@ -365,8 +367,10 @@ TEST(Placement, HandoffPremiumExtendsTheServiceWindow)
     paid.handoff_vus = {7, 7};
     std::string reason;
     int device = -1;
-    ASSERT_TRUE(vs.arrive(0, 0, 1, free_hints, &reason, &device));
-    ASSERT_TRUE(vs.arrive(1, 0, 1, paid, &reason, &device));
+    ASSERT_TRUE(vs.arrive({0, 0, 1, {StagePlan{}}, free_hints}, &reason,
+                          &device));
+    ASSERT_TRUE(
+        vs.arrive({1, 0, 1, {StagePlan{}}, paid}, &reason, &device));
     vs.drain();
     ASSERT_EQ(windows.size(), 2u);
     EXPECT_EQ(windows[0].second - windows[0].first, 10);
@@ -579,6 +583,35 @@ TEST(FleetDaemon, SharedValidationErrorsStillNameTheCause)
         << run.responses[0];
 }
 
+TEST(FleetDaemon, GraphNoDeviceFitsIsAnErrorWithoutPlanning)
+{
+    // xilinx-dpu-like has a 12-wide array, which BIRRD cannot route, so
+    // no device of this fleet can take any layer of a graph: the request
+    // is an ERROR naming the first layer, and no planning point is
+    // counted against the client.
+    Request req;
+    req.id = "g0";
+    req.client = "c0";
+    req.model = "bert_mlp";
+    req.arrival_us = 0;
+    const DaemonRun run = runDaemon(
+        {req}, fleetOptions("xilinx-dpu-like", PlacementPolicy::LeastLoaded));
+    EXPECT_EQ(run.report.errors, 1u);
+    EXPECT_EQ(run.report.accepted, 0u);
+    ASSERT_EQ(run.responses.size(), 1u);
+    EXPECT_NE(run.responses[0].find("\"status\":\"ERROR\""),
+              std::string::npos)
+        << run.responses[0];
+    EXPECT_NE(run.responses[0].find(
+                  "no fleet device fits fc_expand: no usable device shape"),
+              std::string::npos)
+        << run.responses[0];
+    ASSERT_EQ(run.report.clients.size(), 1u);
+    EXPECT_EQ(run.report.clients[0].errors, 1u);
+    EXPECT_EQ(run.report.clients[0].cache_hits, 0u);
+    EXPECT_EQ(run.report.clients[0].cache_misses, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Fleet CLI surface
 // ---------------------------------------------------------------------------
@@ -695,18 +728,19 @@ struct StagedHarness
     std::vector<Window> completions; ///< stage = last stage index
 
     explicit StagedHarness(VirtualConfig cfg)
-        : vs(cfg, [](size_t, int) { return int64_t(50); },
-             [this](size_t i, int device, int64_t s, int64_t f) {
-                 completions.push_back({i, -1, device, s, f});
+        : vs(cfg,
+             [this](size_t i, int stage, int) {
+                 return stage_durations[i][size_t(stage)];
+             },
+             [this](const StageEvent &e) {
+                 windows.push_back({e.index, e.stage, e.device, e.start_vus,
+                                    e.finish_vus});
+                 if (e.last) {
+                     completions.push_back({e.index, -1, e.device,
+                                            e.first_start_vus, e.finish_vus});
+                 }
              })
     {
-        vs.setStageHooks(
-            [this](size_t i, int stage, int) {
-                return stage_durations[i][size_t(stage)];
-            },
-            [this](size_t i, int stage, int device, int64_t s, int64_t f) {
-                windows.push_back({i, stage, device, s, f});
-            });
     }
 
     void
@@ -716,8 +750,7 @@ struct StagedHarness
         ASSERT_EQ(index, stage_durations.size());
         stage_durations.push_back(std::move(durations));
         std::string reason;
-        ASSERT_TRUE(vs.arriveStaged(index, at, 1, std::move(stages),
-                                    &reason))
+        ASSERT_TRUE(vs.arrive({index, at, 1, std::move(stages)}, &reason))
             << reason;
     }
 
@@ -799,6 +832,185 @@ TEST(StagedScheduler, ContinuationReclaimsItsOwnDeviceBeforeWaiters)
     EXPECT_EQ(h.windows[2].index, 1u);
     EXPECT_EQ(h.windows[2].start, 20) << "waiter runs after the pipeline";
     EXPECT_EQ(h.vs.lastFinish(), 30);
+}
+
+// ---------------------------------------------------------------------------
+// DES invariants over seeded random arrival streams
+// ---------------------------------------------------------------------------
+
+/** One seeded random stream through a VirtualScheduler, with every stage
+ *  window recorded; check() asserts the DES invariants. */
+struct DesProperty
+{
+    struct Req
+    {
+        int64_t arrival = 0;
+        int priority = 0;
+        bool accepted = false;
+        int completions = 0;
+        std::vector<int64_t> durations; ///< per stage, from the hook
+        std::vector<StageEvent> stages; ///< finished stage windows
+    };
+
+    VirtualConfig cfg;
+    std::vector<Req> reqs;
+    int64_t makespan = 0;
+
+    /** Feed @p n arrivals; @p staged_share of them (in percent) are
+     *  pinned 1..3-stage pipelines, the rest are placed. */
+    void
+    run(std::mt19937 *rng, size_t n, int staged_share)
+    {
+        const size_t ndev = std::max<size_t>(1, cfg.devices.size());
+        std::uniform_int_distribution<int64_t> gap(0, 12);
+        std::uniform_int_distribution<int64_t> dur(0, 30);
+        std::uniform_int_distribution<int> pct(0, 99);
+        VirtualScheduler vs(
+            cfg,
+            [&](size_t i, int stage, int) {
+                EXPECT_EQ(reqs[i].durations.size(), size_t(stage))
+                    << "one duration call per started stage, in order";
+                reqs[i].durations.push_back(dur(*rng));
+                return reqs[i].durations.back();
+            },
+            [&](const StageEvent &e) {
+                Req &r = reqs[e.index];
+                r.stages.push_back(e);
+                if (e.last) ++r.completions;
+            });
+        int64_t t = 0;
+        for (size_t i = 0; i < n; ++i) {
+            t += gap(*rng);
+            Req r;
+            r.arrival = t;
+            r.priority = int((*rng)() % VirtualConfig::kPriorities);
+            reqs.push_back(r);
+            Arrival a(i, t, r.priority);
+            if (pct(*rng) < staged_share) {
+                a.stages.clear();
+                const size_t k = 1 + (*rng)() % 3;
+                for (size_t s = 0; s < k; ++s) {
+                    a.stages.push_back({int((*rng)() % ndev),
+                                        int64_t((*rng)() % 4)});
+                }
+            } else {
+                a.hints.eligible.assign(ndev, 0);
+                a.hints.eligible[(*rng)() % ndev] = 1;
+                for (uint8_t &e : a.hints.eligible) e |= (*rng)() % 2;
+                a.hints.affinity.resize(ndev);
+                a.hints.handoff_vus.resize(ndev);
+                for (size_t d = 0; d < ndev; ++d) {
+                    a.hints.affinity[d] = int64_t((*rng)() % 3);
+                    a.hints.handoff_vus[d] = int64_t((*rng)() % 3);
+                }
+            }
+            std::string reason;
+            reqs.back().accepted = vs.arrive(a, &reason);
+            EXPECT_EQ(reqs.back().accepted, reason.empty()) << reason;
+        }
+        vs.drain();
+        makespan = vs.lastFinish();
+    }
+
+    /** Asserts the invariants; counts rejections and queued starts so
+     *  callers can tell the streams actually load the system. */
+    void
+    check(size_t *rejected_total, size_t *waited_total) const
+    {
+        const size_t ndev = std::max<size_t>(1, cfg.devices.size());
+        std::vector<int64_t> busy(ndev, 0);
+        size_t rejected = 0;
+        size_t waited = 0;
+        size_t accepted = 0;
+        size_t completed = 0;
+        // (device, priority) -> stage-0 starts in arrival order.
+        std::map<std::pair<int, int>, std::vector<int64_t>> fifo;
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            SCOPED_TRACE(i);
+            const Req &r = reqs[i];
+            accepted += r.accepted ? 1 : 0;
+            completed += size_t(r.completions);
+            if (!r.accepted) {
+                EXPECT_TRUE(r.stages.empty()) << "a rejected request ran";
+                ++rejected;
+                continue;
+            }
+            ASSERT_EQ(r.completions, 1);
+            ASSERT_EQ(r.stages.size(), r.durations.size());
+            ASSERT_TRUE(r.stages.back().last);
+            EXPECT_GE(r.stages.front().start_vus, r.arrival)
+                << "no start before arrival";
+            for (size_t k = 0; k < r.stages.size(); ++k) {
+                const StageEvent &e = r.stages[k];
+                EXPECT_EQ(e.stage, int(k));
+                EXPECT_EQ(e.finish_vus - e.start_vus,
+                          std::max<int64_t>(1, r.durations[k]) +
+                              e.handoff_vus);
+                EXPECT_EQ(e.first_start_vus, r.stages.front().start_vus);
+                if (k > 0) {
+                    EXPECT_GE(e.start_vus, r.stages[k - 1].finish_vus)
+                        << "stage k+1 starts after stage k finishes";
+                }
+                busy[size_t(e.device)] += e.finish_vus - e.start_vus;
+            }
+            fifo[{r.stages.front().device, r.priority}].push_back(
+                r.stages.front().start_vus);
+            if (r.stages.front().start_vus > r.arrival) ++waited;
+        }
+        EXPECT_EQ(accepted, completed) << "accepted = completed";
+        for (size_t d = 0; d < ndev; ++d) {
+            // A fleet device is one server; the implicit one, vworkers.
+            const int servers = cfg.devices.empty() ? cfg.vworkers : 1;
+            EXPECT_LE(busy[d], makespan * servers) << "device " << d;
+        }
+        for (const auto &[key, starts] : fifo) {
+            EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()))
+                << "FIFO within device " << key.first << " priority "
+                << key.second;
+        }
+        *rejected_total += rejected;
+        *waited_total += waited;
+    }
+};
+
+TEST(DesProperty, OneDeviceWithManyServers)
+{
+    size_t rejected = 0;
+    size_t waited = 0;
+    for (uint32_t seed = 0; seed < 40; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937 rng(seed);
+        DesProperty h;
+        h.cfg.vworkers = 1 + int(rng() % 4);
+        h.cfg.max_queue = int(rng() % 12) - 1;
+        h.cfg.quota[2] = int64_t(rng() % 4) - 1;
+        h.run(&rng, 80, 0);
+        h.check(&rejected, &waited);
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(waited, 0u);
+}
+
+TEST(DesProperty, ThreeDeviceFleetWithPlacedAndStagedArrivals)
+{
+    const PlacementPolicy policies[] = {PlacementPolicy::LeastLoaded,
+                                        PlacementPolicy::Capability,
+                                        PlacementPolicy::Affinity};
+    size_t rejected = 0;
+    size_t waited = 0;
+    for (uint32_t seed = 0; seed < 60; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937 rng(seed);
+        DesProperty h;
+        h.cfg.devices = {{"a", 64}, {"b", 1024}, {"c", 256}};
+        h.cfg.place = policies[seed % 3];
+        h.cfg.max_queue = int(rng() % 16) - 1;
+        h.cfg.quota[1] = int64_t(rng() % 6) - 1;
+        h.run(&rng, 80, 40);
+        h.check(&rejected, &waited);
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(waited, 0u);
 }
 
 // ---------------------------------------------------------------------------
