@@ -8,12 +8,11 @@
  * Report schemas mark wall-clock measurements — the only legitimately
  * non-deterministic report fields — with the `_wall_us` name suffix
  * (sim_wall_us, queue_wall_us, service_wall_us, run_wall_us, ...). The
- * golden-file test suites (tests/golden_util.hpp) and the CI determinism
- * checks (via the `feather_report_norm` binary; see
- * .github/workflows/sanitize.yml and ci.yml) all normalize through these
- * two functions, so adding a wall field to any schema needs no new
- * zeroing code anywhere: follow the suffix convention and every consumer
- * zeroes it.
+ * unit-test suites call these functions directly and the end-to-end
+ * golden runs (tests/golden_run.cmake) go through the
+ * `feather_report_norm` binary, so adding a wall field to any schema
+ * needs no new zeroing code anywhere: follow the suffix convention and
+ * every consumer zeroes it.
  */
 
 #include <string>

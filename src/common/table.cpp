@@ -127,4 +127,36 @@ csvSafe(std::string s)
     return s;
 }
 
+std::string
+jsonObject(const std::vector<FieldValue> &values)
+{
+    std::string out = "{";
+    for (const FieldValue &f : values) {
+        if (out.size() > 1) out += ',';
+        out += strCat('"', f.name, "\":");
+        out += f.kind == FieldKind::Text
+                   ? strCat('"', jsonEscape(f.value), '"')
+                   : f.value;
+    }
+    return out + "}";
+}
+
+std::vector<std::string>
+csvNames(const std::vector<FieldValue> &values)
+{
+    std::vector<std::string> out;
+    for (const FieldValue &f : values) out.push_back(f.name);
+    return out;
+}
+
+std::vector<std::string>
+csvCells(const std::vector<FieldValue> &values)
+{
+    std::vector<std::string> out;
+    for (const FieldValue &f : values) {
+        out.push_back(f.kind == FieldKind::Text ? csvSafe(f.value) : f.value);
+    }
+    return out;
+}
+
 } // namespace feather

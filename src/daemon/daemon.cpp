@@ -21,9 +21,10 @@ namespace {
 std::string
 reasonLine(const Request &req, const char *status, const std::string &reason)
 {
-    return strCat("{\"id\":\"", jsonEscape(req.id), "\",\"client\":\"",
-                  jsonEscape(req.client), "\",\"status\":\"", status,
-                  "\",\"reason\":\"", jsonEscape(reason), "\"}");
+    return jsonObject({textField("id", req.id),
+                       textField("client", req.client),
+                       textField("status", status),
+                       textField("reason", reason)});
 }
 
 } // namespace
@@ -464,24 +465,24 @@ Daemon::finishOne(Pending *p, int device, int64_t start_vus,
         cs.service_wall_us += r.service_wall_us;
         if (r.mismatches != 0) ++failures_;
     }
-    std::string extra;
+    std::vector<FieldValue> line = {
+        textField("id", p->req.id), textField("client", p->req.client),
+        textField("status", status), numberField("cycles", r.cycles),
+        numberField("macs", r.macs), numberField("checked", r.checked),
+        numberField("mismatches", r.mismatches),
+        numberField("queue_vus", queue_vus),
+        numberField("service_vus", p->service_vus)};
     if (opts_.fleet.enabled()) {
         // A split graph reports its whole device path ("devA>devB").
-        const std::string &dev_name =
-            r.path.empty() ? devices_[size_t(device)].name : r.path;
-        extra = strCat(",\"device\":\"", jsonEscape(dev_name),
-                       "\",\"handoff_vus\":", p->handoff_vus);
+        line.push_back(textField("device", r.path.empty()
+                                               ? devices_[size_t(device)].name
+                                               : r.path));
+        line.push_back(numberField("handoff_vus", p->handoff_vus));
     }
-    respond(p, strCat("{\"id\":\"", jsonEscape(p->req.id),
-                      "\",\"client\":\"", jsonEscape(p->req.client),
-                      "\",\"status\":\"", status, "\",\"cycles\":", r.cycles,
-                      ",\"macs\":", r.macs, ",\"checked\":", r.checked,
-                      ",\"mismatches\":", r.mismatches,
-                      ",\"queue_vus\":", queue_vus,
-                      ",\"service_vus\":", p->service_vus, extra,
-                      ",\"latency_vus\":", latency_vus,
-                      ",\"finish_vus\":", finish_vus,
-                      ",\"service_wall_us\":", r.service_wall_us, "}"));
+    line.push_back(numberField("latency_vus", latency_vus));
+    line.push_back(numberField("finish_vus", finish_vus));
+    line.push_back(numberField("service_wall_us", r.service_wall_us));
+    respond(p, jsonObject(line));
 }
 
 DaemonReport

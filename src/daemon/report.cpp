@@ -8,60 +8,37 @@ namespace daemon {
 
 namespace {
 
-const std::vector<std::string> &
-columns()
+std::vector<FieldValue>
+clientFields(const ClientRow &c)
 {
-    static const std::vector<std::string> cols = {
-        "client",       "requests",     "accepted",
-        "rejected",     "errors",       "cache_hits",
-        "cache_misses", "total_cycles", "p50_vus",
-        "p95_vus",      "p99_vus",      "mean_queue_vus",
-        "mean_service_vus", "queue_wall_us", "service_wall_us"};
-    return cols;
+    return {textField("client", c.client), numberField("requests", c.requests),
+            numberField("accepted", c.accepted),
+            numberField("rejected", c.rejected),
+            numberField("errors", c.errors),
+            numberField("cache_hits", c.cache_hits),
+            numberField("cache_misses", c.cache_misses),
+            numberField("total_cycles", c.total_cycles),
+            numberField("p50_vus", c.p50_vus),
+            numberField("p95_vus", c.p95_vus),
+            numberField("p99_vus", c.p99_vus),
+            numberField("mean_queue_vus", fmtDouble(c.mean_queue_vus, 2)),
+            numberField("mean_service_vus", fmtDouble(c.mean_service_vus, 2)),
+            numberField("queue_wall_us", c.queue_wall_us),
+            numberField("service_wall_us", c.service_wall_us)};
 }
 
-std::vector<std::string>
-row(const ClientRow &c)
+std::vector<FieldValue>
+deviceFields(const DeviceRow &d)
 {
-    return {csvSafe(c.client),
-            std::to_string(c.requests),
-            std::to_string(c.accepted),
-            std::to_string(c.rejected),
-            std::to_string(c.errors),
-            std::to_string(c.cache_hits),
-            std::to_string(c.cache_misses),
-            std::to_string(c.total_cycles),
-            std::to_string(c.p50_vus),
-            std::to_string(c.p95_vus),
-            std::to_string(c.p99_vus),
-            fmtDouble(c.mean_queue_vus, 2),
-            fmtDouble(c.mean_service_vus, 2),
-            std::to_string(c.queue_wall_us),
-            std::to_string(c.service_wall_us)};
-}
-
-const std::vector<std::string> &
-deviceColumns()
-{
-    static const std::vector<std::string> cols = {
-        "device",     "capability",   "requests",
-        "busy_vus",   "queue_p95_vus", "cache_hits",
-        "cache_misses", "handoffs",   "handoff_vus"};
-    return cols;
-}
-
-std::vector<std::string>
-deviceRow(const DeviceRow &d)
-{
-    return {csvSafe(d.device),
-            std::to_string(d.capability),
-            std::to_string(d.requests),
-            std::to_string(d.busy_vus),
-            std::to_string(d.queue_p95_vus),
-            std::to_string(d.cache_hits),
-            std::to_string(d.cache_misses),
-            std::to_string(d.handoffs),
-            std::to_string(d.handoff_vus)};
+    return {textField("device", d.device),
+            numberField("capability", d.capability),
+            numberField("requests", d.requests),
+            numberField("busy_vus", d.busy_vus),
+            numberField("queue_p95_vus", d.queue_p95_vus),
+            numberField("cache_hits", d.cache_hits),
+            numberField("cache_misses", d.cache_misses),
+            numberField("handoffs", d.handoffs),
+            numberField("handoff_vus", d.handoff_vus)};
 }
 
 } // namespace
@@ -69,75 +46,43 @@ deviceRow(const DeviceRow &d)
 std::string
 DaemonReport::toCsv() const
 {
-    Table t(columns());
-    for (const ClientRow &c : clients) t.addRow(row(c));
-    std::string out = t.toCsv();
-    if (!devices.empty()) {
-        Table dt(deviceColumns());
-        for (const DeviceRow &d : devices) dt.addRow(deviceRow(d));
-        out += "\n" + dt.toCsv();
-    }
+    std::string out = csvTable(clients, clientFields);
+    if (!devices.empty()) out += "\n" + csvTable(devices, deviceFields);
     return out;
 }
 
 std::string
 DaemonReport::toJson() const
 {
-    std::string out = "{\"clients\":[";
-    for (size_t i = 0; i < clients.size(); ++i) {
-        const ClientRow &c = clients[i];
-        if (i > 0) out += ",";
-        out += strCat(
-            "{\"client\":\"", jsonEscape(c.client),
-            "\",\"requests\":", c.requests, ",\"accepted\":", c.accepted,
-            ",\"rejected\":", c.rejected, ",\"errors\":", c.errors,
-            ",\"cache_hits\":", c.cache_hits,
-            ",\"cache_misses\":", c.cache_misses,
-            ",\"total_cycles\":", c.total_cycles,
-            ",\"p50_vus\":", c.p50_vus, ",\"p95_vus\":", c.p95_vus,
-            ",\"p99_vus\":", c.p99_vus,
-            ",\"mean_queue_vus\":", fmtDouble(c.mean_queue_vus, 2),
-            ",\"mean_service_vus\":", fmtDouble(c.mean_service_vus, 2),
-            ",\"queue_wall_us\":", c.queue_wall_us,
-            ",\"service_wall_us\":", c.service_wall_us, "}");
+    // fleet and place exist only with an explicit fleet, so the classic
+    // schema stays byte-identical.
+    const bool on_fleet = !devices.empty();
+    std::vector<FieldValue> summary = {
+        numberField("requests", requests), numberField("accepted", accepted),
+        numberField("rejected", rejected), numberField("errors", errors),
+        numberField("p50_vus", p50_vus), numberField("p95_vus", p95_vus),
+        numberField("p99_vus", p99_vus), numberField("max_vus", max_vus),
+        numberField("makespan_vus", makespan_vus),
+        numberField("virtual_rps", fmtDouble(virtual_rps, 2)),
+        numberField("total_cycles", total_cycles),
+        numberField("total_macs", total_macs),
+        numberField("plan_cache", cache.toJson()),
+        numberField("base_seed", base_seed), numberField("vworkers", vworkers),
+        numberField("clock_mhz", clock_mhz), textField("engine", engine)};
+    if (on_fleet) {
+        summary.push_back(textField("fleet", fleet));
+        summary.push_back(textField("place", place));
     }
-    out += "]";
-    if (!devices.empty()) {
-        out += ",\"devices\":[";
-        for (size_t i = 0; i < devices.size(); ++i) {
-            const DeviceRow &d = devices[i];
-            if (i > 0) out += ",";
-            out += strCat(
-                "{\"device\":\"", jsonEscape(d.device),
-                "\",\"capability\":", d.capability,
-                ",\"requests\":", d.requests, ",\"busy_vus\":", d.busy_vus,
-                ",\"queue_p95_vus\":", d.queue_p95_vus,
-                ",\"cache_hits\":", d.cache_hits,
-                ",\"cache_misses\":", d.cache_misses,
-                ",\"handoffs\":", d.handoffs,
-                ",\"handoff_vus\":", d.handoff_vus, "}");
-        }
-        out += "]";
+    summary.push_back(numberField("run_wall_us", run_wall_us));
+    std::vector<FieldValue> doc = {numberField(
+        "clients", jsonArray(clients.begin(), clients.end(), clientFields))};
+    if (on_fleet) {
+        doc.push_back(numberField(
+            "devices",
+            jsonArray(devices.begin(), devices.end(), deviceFields)));
     }
-    out += strCat(
-        ",\"summary\":{\"requests\":", requests,
-        ",\"accepted\":", accepted, ",\"rejected\":", rejected,
-        ",\"errors\":", errors, ",\"p50_vus\":", p50_vus,
-        ",\"p95_vus\":", p95_vus, ",\"p99_vus\":", p99_vus,
-        ",\"max_vus\":", max_vus, ",\"makespan_vus\":", makespan_vus,
-        ",\"virtual_rps\":", fmtDouble(virtual_rps, 2),
-        ",\"total_cycles\":", total_cycles, ",\"total_macs\":", total_macs,
-        ",\"plan_cache\":{\"hits\":", cache.hits,
-        ",\"misses\":", cache.misses, ",\"entries\":", cache.entries,
-        "},\"base_seed\":", base_seed, ",\"vworkers\":", vworkers,
-        ",\"clock_mhz\":", clock_mhz, ",\"engine\":\"", jsonEscape(engine),
-        "\"");
-    if (!devices.empty()) {
-        out += strCat(",\"fleet\":\"", jsonEscape(fleet), "\",\"place\":\"",
-                      jsonEscape(place), "\"");
-    }
-    out += strCat(",\"run_wall_us\":", run_wall_us, "}}");
-    return out;
+    doc.push_back(numberField("summary", jsonObject(summary)));
+    return jsonObject(doc);
 }
 
 std::string
@@ -171,9 +116,8 @@ DaemonReport::summaryTable() const
                   rejected, " rejected, ", errors, " error(s); latency p50/"
                   "p95/p99 ", p50_vus, "/", p95_vus, "/", p99_vus,
                   " vus; makespan ", makespan_vus, " vus (",
-                  fmtDouble(virtual_rps, 2), " rps); plan cache: ",
-                  cache.hits, " hit(s), ", cache.misses, " miss(es), ",
-                  cache.entries, " entr(y/ies)\n");
+                  fmtDouble(virtual_rps, 2), " rps); ", cache.toString(),
+                  "\n");
     return out;
 }
 

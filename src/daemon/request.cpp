@@ -139,33 +139,25 @@ Request::parse(const std::string &line, Request *out, std::string *error)
 std::string
 Request::toJsonLine() const
 {
-    std::string out = "{";
-    const auto field = [&out](const std::string &key,
-                              const std::string &value, bool quoted) {
-        if (out.size() > 1) out += ',';
-        out += strCat("\"", key, "\":");
-        out += quoted ? strCat("\"", jsonEscape(value), "\"") : value;
-    };
-    if (!id.empty()) field("id", id, true);
-    if (client != "anon") field("client", client, true);
-    if (priority != 1) field("priority", std::to_string(priority), false);
-    if (arrival_us >= 0) {
-        field("arrival_us", std::to_string(arrival_us), false);
-    }
-    if (!scenario.empty()) field("scenario", scenario, true);
+    std::vector<FieldValue> line;
+    const auto add = [&line](FieldValue f) { line.push_back(std::move(f)); };
+    if (!id.empty()) add(textField("id", id));
+    if (client != "anon") add(textField("client", client));
+    if (priority != 1) add(numberField("priority", priority));
+    if (arrival_us >= 0) add(numberField("arrival_us", arrival_us));
+    if (!scenario.empty()) add(textField("scenario", scenario));
     if (!model.empty()) {
-        field("model", model, true);
-        if (schedule != "per-layer") field("schedule", schedule, true);
+        add(textField("model", model));
+        if (schedule != "per-layer") add(textField("schedule", schedule));
     }
-    if (aw > 0) field("aw", std::to_string(aw), false);
-    if (ah > 0) field("ah", std::to_string(ah), false);
-    if (!dataflow.empty()) field("dataflow", dataflow, true);
-    if (layout != "concordant") field("layout", layout, true);
-    if (out_layout != "concordant") field("out_layout", out_layout, true);
-    if (seed) field("seed", std::to_string(*seed), false);
-    if (engine) field("engine", sim::toString(*engine), true);
-    out += '}';
-    return out;
+    if (aw > 0) add(numberField("aw", aw));
+    if (ah > 0) add(numberField("ah", ah));
+    if (!dataflow.empty()) add(textField("dataflow", dataflow));
+    if (layout != "concordant") add(textField("layout", layout));
+    if (out_layout != "concordant") add(textField("out_layout", out_layout));
+    if (seed) add(numberField("seed", *seed));
+    if (engine) add(textField("engine", sim::toString(*engine)));
+    return jsonObject(line);
 }
 
 } // namespace daemon

@@ -468,16 +468,9 @@ serveMain(const ServeCliConfig &config)
     std::fflush(stdout);
 
     std::fprintf(stderr, "%s", report.summaryTable().c_str());
-    if (!config.report_csv.empty() &&
-        !writeFile(config.report_csv, report.toCsv())) {
-        std::fprintf(stderr, "feather_serve: cannot write '%s'\n",
-                     config.report_csv.c_str());
-        return 1;
-    }
-    if (!config.report_json.empty() &&
-        !writeFile(config.report_json, report.toJson() + "\n")) {
-        std::fprintf(stderr, "feather_serve: cannot write '%s'\n",
-                     config.report_json.c_str());
+    if (!writeReport(config.report_csv, report.toCsv(), "feather_serve") ||
+        !writeReport(config.report_json, report.toJson() + "\n",
+                     "feather_serve")) {
         return 1;
     }
     return daemon.failures() > 0 ? 1 : 0;

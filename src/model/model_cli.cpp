@@ -159,16 +159,8 @@ cliMain(int argc, const char *const *argv)
                 report.comparisonTable().c_str());
     std::printf("%s", report.summaryLine().c_str());
 
-    if (!o.report_csv.empty() &&
-        !writeFile(o.report_csv, report.toCsv())) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     o.report_csv.c_str());
-        return 2;
-    }
-    if (!o.report_json.empty() &&
-        !writeFile(o.report_json, report.toJson())) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     o.report_json.c_str());
+    if (!writeReport(o.report_csv, report.toCsv()) ||
+        !writeReport(o.report_json, report.toJson())) {
         return 2;
     }
     return report.comparison.primary().bitExact() ? 0 : 1;

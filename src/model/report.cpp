@@ -1,7 +1,5 @@
 #include "model/report.hpp"
 
-#include <cstdio>
-
 #include "common/log.hpp"
 #include "common/table.hpp"
 
@@ -10,52 +8,92 @@ namespace model {
 
 namespace {
 
-/** Fixed-precision double: deterministic and locale-independent. */
-std::string
-fmtFixed(double v)
-{
-    return fmtDouble(v, 4);
-}
-
 std::string
 status(const ScheduleResult &r)
 {
     return r.bitExact() ? "ok" : "MISMATCH";
 }
 
-/** The device column exists only with an explicit fleet, so the classic
- *  single-device CSV/JSON schemas stay byte-identical. */
-std::vector<std::string>
-columns(bool fleet)
+/** One layer: the schedule CSV row's middle block and a JSON layers[]
+ *  entry. The device exists only with an explicit fleet, so the classic
+ *  single-device schemas stay byte-identical. */
+std::vector<FieldValue>
+layerFields(const LayerChoice &l, bool fleet)
 {
-    std::vector<std::string> cols = {
-        "model",      "schedule",   "selected",       "aw",
-        "ah",         "seed",       "layer",          "op",
-        "dataflow",   "mapping",    "in_layout",      "out_layout",
-        "est_cycles", "reorder_cycles", "cycles",     "macs",
-        "rd_stalls",  "wr_stalls",  "engine_mode",    "sim_wall_us",
-        "arena_peak_bytes", "status"};
-    if (fleet) cols.insert(cols.begin() + 8, "device");
-    return cols;
+    std::vector<FieldValue> f = {textField("layer", l.layer),
+                                 textField("op", l.op)};
+    if (fleet) f.push_back(textField("device", l.device_name));
+    f.insert(f.end(),
+             {textField("dataflow", toString(l.dataflow)),
+              textField("mapping", l.plan.mapping.toString()),
+              textField("in_layout", l.plan.in_layout.toString()),
+              textField("out_layout", l.plan.out_layout.toString()),
+              numberField("est_cycles", l.est_cycles),
+              numberField("reorder_cycles", l.reorder_cycles),
+              numberField("cycles", l.cycles), numberField("macs", l.macs),
+              numberField("rd_stalls", l.read_stalls),
+              numberField("wr_stalls", l.write_stalls)});
+    return f;
 }
 
-std::string
-layerJson(const LayerChoice &l, bool fleet)
+/** One schedule CSV row: schedule @p r (@p selected when primary), then
+ *  its layer @p l, then how @p r ran. */
+std::vector<FieldValue>
+rowFields(const ScheduleResult &r, bool selected, const LayerChoice &l,
+          bool fleet)
 {
-    const std::string device =
-        fleet ? strCat("\"device\":\"", jsonEscape(l.device_name), "\",")
-              : std::string();
-    return strCat(
-        "{\"layer\":\"", jsonEscape(l.layer), "\",\"op\":\"",
-        jsonEscape(l.op), "\",", device, "\"dataflow\":\"",
-        sim::toString(l.dataflow),
-        "\",\"mapping\":\"", jsonEscape(l.plan.mapping.toString()),
-        "\",\"in_layout\":\"", l.plan.in_layout.toString(),
-        "\",\"out_layout\":\"", l.plan.out_layout.toString(),
-        "\",\"est_cycles\":", l.est_cycles,
-        ",\"reorder_cycles\":", l.reorder_cycles, ",\"cycles\":", l.cycles,
-        ",\"macs\":", l.macs, ",\"rd_stalls\":", l.read_stalls,
-        ",\"wr_stalls\":", l.write_stalls, "}");
+    std::vector<FieldValue> f = {
+        textField("model", r.model), textField("schedule", r.schedule),
+        numberField("selected", selected), numberField("aw", r.aw),
+        numberField("ah", r.ah), numberField("seed", r.seed)};
+    const std::vector<FieldValue> layer = layerFields(l, fleet);
+    f.insert(f.end(), layer.begin(), layer.end());
+    f.insert(f.end(), {textField("engine_mode", toString(r.engine)),
+                       numberField("sim_wall_us", r.sim_wall_us),
+                       numberField("arena_peak_bytes", r.arena_peak_bytes),
+                       textField("status", status(r))});
+    return f;
+}
+
+/** One JSON alternatives[] entry. */
+std::vector<FieldValue>
+alternativeFields(const ScheduleResult &r)
+{
+    return {textField("schedule", r.schedule),
+            numberField("est_cycles", r.est_total),
+            numberField("cycles", r.cycles), textField("status", status(r))};
+}
+
+/** The JSON summary: the primary schedule against the best fixed one. */
+std::vector<FieldValue>
+summaryFields(const ScheduleComparison &c, bool fleet)
+{
+    const ScheduleResult &p = c.primary();
+    const int best = c.bestFixed();
+    const ScheduleResult *b = best >= 0 ? &c.schedules[size_t(best)] : nullptr;
+    std::vector<FieldValue> f = {
+        numberField("est_cycles", p.est_total),
+        numberField("cycles", p.cycles), numberField("macs", p.macs),
+        numberField("utilization", fmtDouble(p.utilization(), 4)),
+        numberField("rd_stalls", p.read_stalls),
+        numberField("wr_stalls", p.write_stalls),
+        numberField("checked", p.checked),
+        numberField("mismatches", p.mismatches),
+        textField("engine_mode", toString(p.engine)),
+        numberField("sim_wall_us", p.sim_wall_us),
+        numberField("arena_peak_bytes", p.arena_peak_bytes),
+        textField("status", status(p)),
+        textField("best_fixed", b ? b->schedule : ""),
+        numberField("best_fixed_cycles", b ? b->cycles : 0),
+        numberField("speedup_vs_best_fixed",
+                    fmtDouble(c.speedupVsBestFixed(), 4))};
+    if (fleet) {
+        f.insert(f.end(), {numberField("search_nodes", p.search_nodes),
+                           numberField("handoffs", p.handoffs),
+                           numberField("handoff_cycles", p.handoff_cycles)});
+    }
+    f.push_back(numberField("plan_cache", c.cache.toJson()));
+    return f;
 }
 
 } // namespace
@@ -64,30 +102,11 @@ std::string
 ScheduleReport::toCsv() const
 {
     const bool fleet = !comparison.primary().fleet.empty();
-    Table t(columns(fleet));
+    Table t(csvNames(rowFields({}, false, {}, fleet)));
     for (size_t s = 0; s < comparison.schedules.size(); ++s) {
         const ScheduleResult &r = comparison.schedules[s];
         for (const LayerChoice &l : r.layers) {
-            std::vector<std::string> row = {
-                csvSafe(r.model), csvSafe(r.schedule),
-                s == 0 ? "1" : "0", std::to_string(r.aw),
-                std::to_string(r.ah), std::to_string(r.seed),
-                csvSafe(l.layer), l.op, sim::toString(l.dataflow),
-                csvSafe(l.plan.mapping.toString()),
-                l.plan.in_layout.toString(),
-                l.plan.out_layout.toString(),
-                std::to_string(l.est_cycles),
-                std::to_string(l.reorder_cycles),
-                std::to_string(l.cycles), std::to_string(l.macs),
-                std::to_string(l.read_stalls),
-                std::to_string(l.write_stalls),
-                sim::toString(r.engine),
-                std::to_string(r.sim_wall_us),
-                std::to_string(r.arena_peak_bytes), status(r)};
-            if (fleet) {
-                row.insert(row.begin() + 8, csvSafe(l.device_name));
-            }
-            t.addRow(row);
+            t.addRow(csvCells(rowFields(r, s == 0, l, fleet)));
         }
     }
     return t.toCsv();
@@ -97,55 +116,25 @@ std::string
 ScheduleReport::toJson() const
 {
     const ScheduleResult &p = comparison.primary();
+    const std::vector<ScheduleResult> &all = comparison.schedules;
     const bool fleet = !p.fleet.empty();
-    std::string out = strCat(
-        "{\"model\":\"", jsonEscape(p.model), "\",\"schedule\":\"",
-        jsonEscape(p.schedule), "\",\"aw\":", p.aw, ",\"ah\":", p.ah,
-        ",\"seed\":", p.seed,
-        fleet ? strCat(",\"fleet\":\"", jsonEscape(p.fleet), "\"")
-              : std::string(),
-        ",\"layers\":[");
-    for (size_t i = 0; i < p.layers.size(); ++i) {
-        if (i > 0) out += ",";
-        out += layerJson(p.layers[i], fleet);
-    }
-    out += "],\"alternatives\":[";
-    bool first = true;
-    for (size_t s = 1; s < comparison.schedules.size(); ++s) {
-        const ScheduleResult &r = comparison.schedules[s];
-        if (!first) out += ",";
-        first = false;
-        out += strCat("{\"schedule\":\"", jsonEscape(r.schedule),
-                      "\",\"est_cycles\":", r.est_total,
-                      ",\"cycles\":", r.cycles, ",\"status\":\"", status(r),
-                      "\"}");
-    }
-    const int best = comparison.bestFixed();
-    const std::string best_name =
-        best >= 0 ? comparison.schedules[size_t(best)].schedule : "";
-    const int64_t best_cycles =
-        best >= 0 ? comparison.schedules[size_t(best)].cycles : 0;
-    out += strCat(
-        "],\"summary\":{\"est_cycles\":", p.est_total,
-        ",\"cycles\":", p.cycles, ",\"macs\":", p.macs,
-        ",\"utilization\":", fmtFixed(p.utilization()),
-        ",\"rd_stalls\":", p.read_stalls, ",\"wr_stalls\":", p.write_stalls,
-        ",\"checked\":", p.checked, ",\"mismatches\":", p.mismatches,
-        ",\"engine_mode\":\"", sim::toString(p.engine),
-        "\",\"sim_wall_us\":", p.sim_wall_us,
-        ",\"arena_peak_bytes\":", p.arena_peak_bytes,
-        ",\"status\":\"", status(p), "\",\"best_fixed\":\"",
-        jsonEscape(best_name), "\",\"best_fixed_cycles\":", best_cycles,
-        ",\"speedup_vs_best_fixed\":",
-        fmtFixed(comparison.speedupVsBestFixed()),
-        fleet ? strCat(",\"search_nodes\":", p.search_nodes,
-                       ",\"handoffs\":", p.handoffs,
-                       ",\"handoff_cycles\":", p.handoff_cycles)
-              : std::string(),
-        ",\"plan_cache\":{\"hits\":", comparison.cache.hits,
-        ",\"misses\":", comparison.cache.misses,
-        ",\"entries\":", comparison.cache.entries, "}}}");
-    return out;
+    const auto layer = [fleet](const LayerChoice &l) {
+        return layerFields(l, fleet);
+    };
+    std::vector<FieldValue> doc = {
+        textField("model", p.model), textField("schedule", p.schedule),
+        numberField("aw", p.aw), numberField("ah", p.ah),
+        numberField("seed", p.seed)};
+    if (fleet) doc.push_back(textField("fleet", p.fleet));
+    doc.insert(
+        doc.end(),
+        {numberField("layers",
+                     jsonArray(p.layers.begin(), p.layers.end(), layer)),
+         numberField("alternatives",
+                     jsonArray(all.begin() + 1, all.end(), alternativeFields)),
+         numberField("summary",
+                     jsonObject(summaryFields(comparison, fleet)))});
+    return jsonObject(doc);
 }
 
 std::string
@@ -159,12 +148,9 @@ ScheduleReport::layerTable() const
         "rd stalls", "wr stalls"};
     if (fleet) headers.insert(headers.begin() + 2, "device");
     Table t(headers);
-    const int num_pes = p.aw * p.ah;
     for (const LayerChoice &l : p.layers) {
         const double util =
-            l.cycles > 0
-                ? double(l.macs) / (double(l.cycles) * num_pes)
-                : 0.0;
+            l.pe_cycles > 0 ? double(l.macs) / double(l.pe_cycles) : 0.0;
         std::vector<std::string> row = {
             l.layer, l.op, sim::toString(l.dataflow),
             l.plan.mapping.toString(), l.plan.in_layout.toString(),

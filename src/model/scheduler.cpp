@@ -572,6 +572,8 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
             result->layers[i].macs = r.stats.macs;
             result->layers[i].read_stalls = r.stats.read_stall_cycles;
             result->layers[i].write_stalls = r.stats.write_stall_cycles;
+            result->layers[i].pe_cycles =
+                r.stats.cycles * seg.dev->aw * seg.dev->ah;
             result->cycles += r.stats.cycles;
             result->macs += r.stats.macs;
             result->read_stalls += r.stats.read_stall_cycles;
@@ -719,6 +721,7 @@ Scheduler::compare(const ModelGraph &graph, const SchedulePolicy &primary,
                 dst.macs = src.macs;
                 dst.read_stalls = src.read_stalls;
                 dst.write_stalls = src.write_stalls;
+                dst.pe_cycles = src.pe_cycles;
             }
             slot.result.cycles = measured.result.cycles;
             slot.result.macs = measured.result.macs;

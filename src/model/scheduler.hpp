@@ -175,6 +175,7 @@ struct LayerChoice
     int64_t macs = 0;
     int64_t read_stalls = 0;
     int64_t write_stalls = 0;
+    int64_t pe_cycles = 0; ///< cycles x the PE count of its device
 };
 
 /** One scheduled + measured run of a graph. */
@@ -208,11 +209,13 @@ struct ScheduleResult
     int64_t handoff_cycles = 0; ///< summed handoffCost of those edges
 
     bool bitExact() const { return checked > 0 && mismatches == 0; }
+    /** MACs over the PE-cycles of the devices the layers ran on. */
     double
     utilization() const
     {
-        const double pes = double(aw) * double(ah);
-        return cycles > 0 ? double(macs) / (double(cycles) * pes) : 0.0;
+        int64_t pe_cycles = 0;
+        for (const LayerChoice &l : layers) pe_cycles += l.pe_cycles;
+        return pe_cycles > 0 ? double(macs) / double(pe_cycles) : 0.0;
     }
 };
 

@@ -126,16 +126,8 @@ batchMain(const BatchCliOptions &opts)
                 (unsigned long long)report.base_seed);
     std::printf("%s", report.summaryTable().c_str());
 
-    if (!opts.report_csv.empty() &&
-        !writeFile(opts.report_csv, report.toCsv())) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     opts.report_csv.c_str());
-        return 2;
-    }
-    if (!opts.report_json.empty() &&
-        !writeFile(opts.report_json, report.toJson())) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     opts.report_json.c_str());
+    if (!writeReport(opts.report_csv, report.toCsv()) ||
+        !writeReport(opts.report_json, report.toJson())) {
         return 2;
     }
     return report.allOk() ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "serve/plan_cache.hpp"
 
 #include "common/log.hpp"
+#include "common/table.hpp"
 
 namespace feather {
 namespace serve {
@@ -72,6 +73,21 @@ PlanCache::stats() const
     s.misses = misses_;
     s.entries = map_.size();
     return s;
+}
+
+std::string
+PlanCache::Stats::toJson() const
+{
+    return jsonObject({numberField("hits", hits),
+                       numberField("misses", misses),
+                       numberField("entries", entries)});
+}
+
+std::string
+PlanCache::Stats::toString() const
+{
+    return strCat("plan cache: ", hits, " hit(s), ", misses, " miss(es), ",
+                  entries, " entr(y/ies)");
 }
 
 void

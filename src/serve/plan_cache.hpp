@@ -37,6 +37,12 @@ class PlanCache
         size_t entries = 0;
 
         uint64_t lookups() const { return hits + misses; }
+
+        /** The `plan_cache` block every report's JSON summary carries. */
+        std::string toJson() const;
+
+        /** "plan cache: N hit(s), M miss(es), K entr(y/ies)". */
+        std::string toString() const;
     };
 
     /**

@@ -1,7 +1,5 @@
 #include "serve/report.hpp"
 
-#include <cstdio>
-
 #include "common/log.hpp"
 #include "common/table.hpp"
 
@@ -10,49 +8,24 @@ namespace serve {
 
 namespace {
 
-/** Fixed-precision utilization: deterministic and locale-independent. */
-std::string
-fmtUtil(double v)
+std::vector<FieldValue>
+jobFields(const JobResult &r)
 {
-    return fmtDouble(v, 4);
-}
-
-const std::vector<std::string> &
-columns()
-{
-    static const std::vector<std::string> cols = {
-        "job",        "scenario", "dataflow",    "layout",
-        "aw",         "ah",       "seed",        "status",
-        "layers",     "cycles",   "macs",        "utilization",
-        "rd_stalls",  "wr_stalls", "checked",    "mismatches",
-        "engine_mode", "sim_wall_us", "arena_peak_bytes",
-        "error"};
-    return cols;
-}
-
-std::vector<std::string>
-row(const JobResult &r)
-{
-    return {csvSafe(r.name),
-            csvSafe(r.scenario),
-            csvSafe(r.dataflow),
-            csvSafe(r.layout),
-            std::to_string(r.aw),
-            std::to_string(r.ah),
-            std::to_string(r.seed),
-            r.status(),
-            std::to_string(r.layers),
-            std::to_string(r.cycles),
-            std::to_string(r.macs),
-            fmtUtil(r.utilization),
-            std::to_string(r.read_stalls),
-            std::to_string(r.write_stalls),
-            std::to_string(r.checked),
-            std::to_string(r.mismatches),
-            sim::toString(r.engine),
-            std::to_string(r.sim_wall_us),
-            std::to_string(r.arena_peak_bytes),
-            csvSafe(r.error)};
+    return {textField("job", r.name), textField("scenario", r.scenario),
+            textField("dataflow", r.dataflow), textField("layout", r.layout),
+            numberField("aw", r.aw), numberField("ah", r.ah),
+            numberField("seed", r.seed), textField("status", r.status()),
+            numberField("layers", r.layers), numberField("cycles", r.cycles),
+            numberField("macs", r.macs),
+            numberField("utilization", fmtDouble(r.utilization, 4)),
+            numberField("rd_stalls", r.read_stalls),
+            numberField("wr_stalls", r.write_stalls),
+            numberField("checked", r.checked),
+            numberField("mismatches", r.mismatches),
+            textField("engine_mode", toString(r.engine)),
+            numberField("sim_wall_us", r.sim_wall_us),
+            numberField("arena_peak_bytes", r.arena_peak_bytes),
+            textField("error", r.error)};
 }
 
 } // namespace
@@ -97,41 +70,22 @@ BatchReport::totalMacs() const
 std::string
 BatchReport::toCsv() const
 {
-    Table t(columns());
-    for (const JobResult &r : jobs) t.addRow(row(r));
-    return t.toCsv();
+    return csvTable(jobs, jobFields);
 }
 
 std::string
 BatchReport::toJson() const
 {
-    std::string out = "{\"jobs\":[";
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const JobResult &r = jobs[i];
-        if (i > 0) out += ",";
-        out += strCat(
-            "{\"job\":\"", jsonEscape(r.name), "\",\"scenario\":\"",
-            jsonEscape(r.scenario), "\",\"dataflow\":\"",
-            jsonEscape(r.dataflow), "\",\"layout\":\"", jsonEscape(r.layout),
-            "\",\"aw\":", r.aw, ",\"ah\":", r.ah, ",\"seed\":", r.seed,
-            ",\"status\":\"", r.status(), "\",\"layers\":", r.layers,
-            ",\"cycles\":", r.cycles, ",\"macs\":", r.macs,
-            ",\"utilization\":", fmtUtil(r.utilization),
-            ",\"rd_stalls\":", r.read_stalls,
-            ",\"wr_stalls\":", r.write_stalls, ",\"checked\":", r.checked,
-            ",\"mismatches\":", r.mismatches, ",\"engine_mode\":\"",
-            toString(r.engine), "\",\"sim_wall_us\":", r.sim_wall_us,
-            ",\"arena_peak_bytes\":", r.arena_peak_bytes, ",\"error\":\"",
-            jsonEscape(r.error), "\"}");
-    }
-    out += strCat(
-        "],\"summary\":{\"jobs\":", jobs.size(),
-        ",\"failures\":", failures(), ",\"bit_exact\":",
-        allOk() ? "true" : "false", ",\"total_cycles\":", totalCycles(),
-        ",\"total_macs\":", totalMacs(), ",\"base_seed\":", base_seed,
-        ",\"plan_cache\":{\"hits\":", cache.hits, ",\"misses\":",
-        cache.misses, ",\"entries\":", cache.entries, "}}}");
-    return out;
+    const std::vector<FieldValue> summary = {
+        numberField("jobs", jobs.size()), numberField("failures", failures()),
+        numberField("bit_exact", allOk() ? "true" : "false"),
+        numberField("total_cycles", totalCycles()),
+        numberField("total_macs", totalMacs()),
+        numberField("base_seed", base_seed),
+        numberField("plan_cache", cache.toJson())};
+    return jsonObject(
+        {numberField("jobs", jsonArray(jobs.begin(), jobs.end(), jobFields)),
+         numberField("summary", jsonObject(summary))});
 }
 
 std::string
@@ -148,9 +102,8 @@ BatchReport::summaryTable() const
     }
     std::string out = t.toString();
     out += strCat(jobs.size(), " job(s), ", failures(),
-                  " failure(s); total cycles ", totalCycles(),
-                  "; plan cache: ", cache.hits, " hit(s), ", cache.misses,
-                  " miss(es), ", cache.entries, " entr(y/ies)\n");
+                  " failure(s); total cycles ", totalCycles(), "; ",
+                  cache.toString(), "\n");
     return out;
 }
 

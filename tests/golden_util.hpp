@@ -14,31 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "common/report_norm.hpp"
-
 namespace feather {
 namespace golden {
-
-/**
- * Zero every wall-clock column (name suffix `_wall_us`) of a CSV report:
- * wall time is the one field class that legitimately differs between
- * otherwise-identical runs, so determinism comparisons normalize it
- * first. Delegates to common/report_norm — the same code path the CI
- * workflows use via the feather_report_norm binary, so the tests and CI
- * can never disagree about what "normalized" means.
- */
-inline std::string
-zeroWallCsv(const std::string &csv)
-{
-    return feather::zeroWallCsv(csv);
-}
-
-/** Same normalization for the JSON rendering. */
-inline std::string
-zeroWallJson(std::string json)
-{
-    return feather::zeroWallJson(std::move(json));
-}
 
 /** Non-empty lines of tests/golden/<name>, in file order. */
 inline std::vector<std::string>

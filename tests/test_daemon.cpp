@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/report_norm.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/load_gen.hpp"
 #include "daemon/report.hpp"
@@ -396,10 +397,9 @@ TEST(Daemon, ResponsesAndReportAreBitIdenticalAcrossJobs)
         EXPECT_EQ(zeroWallJson(a.responses[i]), zeroWallJson(b.responses[i]))
             << "response " << i;
     }
-    EXPECT_EQ(golden::zeroWallCsv(a.report.toCsv()),
-              golden::zeroWallCsv(b.report.toCsv()));
-    EXPECT_EQ(golden::zeroWallJson(a.report.toJson()),
-              golden::zeroWallJson(b.report.toJson()));
+    EXPECT_EQ(zeroWallCsv(a.report.toCsv()), zeroWallCsv(b.report.toCsv()));
+    EXPECT_EQ(zeroWallJson(a.report.toJson()),
+              zeroWallJson(b.report.toJson()));
     EXPECT_EQ(a.failures, b.failures);
 }
 
@@ -428,8 +428,7 @@ TEST(Daemon, AdmissionControlShedsLoadDeterministically)
     opts.num_threads = 6;
     const DaemonRun b = runDaemon(reqs, opts);
     EXPECT_EQ(a.report.rejected, b.report.rejected);
-    EXPECT_EQ(golden::zeroWallCsv(a.report.toCsv()),
-              golden::zeroWallCsv(b.report.toCsv()));
+    EXPECT_EQ(zeroWallCsv(a.report.toCsv()), zeroWallCsv(b.report.toCsv()));
 
     // Rejected responses carry the reason.
     const auto rejected_line =
@@ -681,10 +680,10 @@ TEST(LoadGen, TraceReplaysIdenticallyThroughTheDaemon)
     }
     const DaemonRun direct = runDaemon(reqs, DaemonOptions());
     const DaemonRun via_trace = runDaemon(replayed, DaemonOptions());
-    EXPECT_EQ(golden::zeroWallCsv(direct.report.toCsv()),
-              golden::zeroWallCsv(via_trace.report.toCsv()));
-    EXPECT_EQ(golden::zeroWallJson(direct.report.toJson()),
-              golden::zeroWallJson(via_trace.report.toJson()));
+    EXPECT_EQ(zeroWallCsv(direct.report.toCsv()),
+              zeroWallCsv(via_trace.report.toCsv()));
+    EXPECT_EQ(zeroWallJson(direct.report.toJson()),
+              zeroWallJson(via_trace.report.toJson()));
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "baselines/arch_zoo.hpp"
 #include "common/io.hpp"
 #include "common/log.hpp"
+#include "common/report_norm.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/request.hpp"
 #include "daemon/serve_cli.hpp"
@@ -499,10 +500,9 @@ TEST(FleetDaemon, ResponsesAndReportAreBitIdenticalAcrossJobs)
         EXPECT_EQ(zeroWallJson(a.responses[i]), zeroWallJson(b.responses[i]))
             << "response " << i;
     }
-    EXPECT_EQ(golden::zeroWallCsv(a.report.toCsv()),
-              golden::zeroWallCsv(b.report.toCsv()));
-    EXPECT_EQ(golden::zeroWallJson(a.report.toJson()),
-              golden::zeroWallJson(b.report.toJson()));
+    EXPECT_EQ(zeroWallCsv(a.report.toCsv()), zeroWallCsv(b.report.toCsv()));
+    EXPECT_EQ(zeroWallJson(a.report.toJson()),
+              zeroWallJson(b.report.toJson()));
 }
 
 TEST(FleetDaemon, ResponsesCarryDeviceAndHandoffFields)
@@ -1108,12 +1108,12 @@ TEST(GraphOverFleet, MixedTraceIsBitIdenticalAcrossJobs)
                            PlacementPolicy::Affinity, 8));
     ASSERT_EQ(a.responses.size(), b.responses.size());
     for (size_t i = 0; i < a.responses.size(); ++i) {
-        EXPECT_EQ(golden::zeroWallJson(a.responses[i]),
-                  golden::zeroWallJson(b.responses[i]))
+        EXPECT_EQ(zeroWallJson(a.responses[i]),
+                  zeroWallJson(b.responses[i]))
             << "response " << i;
     }
-    EXPECT_EQ(golden::zeroWallJson(a.report.toJson()),
-              golden::zeroWallJson(b.report.toJson()));
+    EXPECT_EQ(zeroWallJson(a.report.toJson()),
+              zeroWallJson(b.report.toJson()));
 }
 
 TEST(GraphOverFleet, SameClientStreamPaysTheMigrationHandoff)

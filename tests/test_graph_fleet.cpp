@@ -414,6 +414,25 @@ TEST(GraphFleet, DpBeatsEveryPinnedPlacementOnTheCiFleet)
     EXPECT_EQ(pinned_seen, 3); // one ranking row per fleet device
 }
 
+TEST(GraphFleet, UtilizationCountsThePesEachLayerRanOn)
+{
+    // Utilization is MACs over the PE-cycles of the devices the layers
+    // ran on, so it stays a fraction for every compared schedule however
+    // a fleet of mixed array shapes splits or pins the graph.
+    for (const ModelGraph &graph : builtinModels()) {
+        std::string error;
+        Scheduler sched{
+            fleetOptions(kCiFleet, sim::EngineMode::Analytic, 2)};
+        const std::optional<ScheduleComparison> cmp =
+            sched.compare(graph, policyOf("per-layer"), &error);
+        ASSERT_TRUE(cmp.has_value()) << graph.name << ": " << error;
+        for (const ScheduleResult &r : cmp->schedules) {
+            EXPECT_GT(r.utilization(), 0.0) << graph.name << " " << r.schedule;
+            EXPECT_LE(r.utilization(), 1.0) << graph.name << " " << r.schedule;
+        }
+    }
+}
+
 TEST(GraphFleet, FleetScheduleIsBitIdenticalAcrossJobs)
 {
     const ModelGraph *graph = findModel("mobilenet_slice");

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/report_norm.hpp"
 #include "golden_util.hpp"
 #include "model/graph.hpp"
 #include "model/model_cli.hpp"
@@ -414,11 +415,11 @@ TEST(Scheduler, ReportIsBitIdenticalAcrossThreadCounts)
         ASSERT_TRUE(cmp.has_value()) << error;
         const ScheduleReport report{*cmp};
         if (threads == 1) {
-            csv1 = golden::zeroWallCsv(report.toCsv());
-            json1 = golden::zeroWallJson(report.toJson());
+            csv1 = zeroWallCsv(report.toCsv());
+            json1 = zeroWallJson(report.toJson());
         } else {
-            EXPECT_EQ(golden::zeroWallCsv(report.toCsv()), csv1);
-            EXPECT_EQ(golden::zeroWallJson(report.toJson()), json1);
+            EXPECT_EQ(zeroWallCsv(report.toCsv()), csv1);
+            EXPECT_EQ(zeroWallJson(report.toJson()), json1);
         }
     }
 }

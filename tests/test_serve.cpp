@@ -13,6 +13,7 @@
 #include <set>
 #include <thread>
 
+#include "common/report_norm.hpp"
 #include "common/rng.hpp"
 #include "golden_util.hpp"
 #include "serve/batch_cli.hpp"
@@ -302,9 +303,6 @@ TEST(BatchFile, ParsesJobsAndRejectsMalformedLines)
 // Engine: determinism, cache accounting, failure isolation
 // ---------------------------------------------------------------------------
 
-using golden::zeroWallCsv;
-using golden::zeroWallJson;
-
 BatchReport
 sweepReport(const std::string &scenario, int num_threads)
 {
@@ -447,14 +445,25 @@ TEST(Report, ErrorsAreEscapedInBothFormats)
     bad.scenario = "s";
     bad.error = "line1\nwith \"quotes\", and commas";
     report.jobs.push_back(bad);
-    const std::string csv = report.toCsv();
-    // CSV cells must stay comma/newline free (Table::toCsv contract).
-    EXPECT_NE(csv.find("bad;job"), std::string::npos);
-    EXPECT_NE(csv.find("line1;with \"quotes\"; and commas"),
-              std::string::npos);
-    const std::string json = report.toJson();
-    EXPECT_NE(json.find("\\n"), std::string::npos);
-    EXPECT_NE(json.find("\\\"quotes\\\""), std::string::npos);
+    // CSV cells must stay comma/newline free (Table::toCsv contract);
+    // JSON strings keep them, escaped. Both texts are locked byte for
+    // byte: CLI goldens cannot hold an ERROR row (the CLI exits 1).
+    EXPECT_EQ(report.toCsv(),
+              "job,scenario,dataflow,layout,aw,ah,seed,status,layers,cycles,"
+              "macs,utilization,rd_stalls,wr_stalls,checked,mismatches,"
+              "engine_mode,sim_wall_us,arena_peak_bytes,error\n"
+              "bad;job,s,,,0,0,0,ERROR,0,0,0,0.0000,0,0,0,0,cycle,0,0,"
+              "line1;with \"quotes\"; and commas\n");
+    EXPECT_EQ(report.toJson(),
+              R"({"jobs":[{"job":"bad,job","scenario":"s","dataflow":"",)"
+              R"("layout":"","aw":0,"ah":0,"seed":0,"status":"ERROR",)"
+              R"("layers":0,"cycles":0,"macs":0,"utilization":0.0000,)"
+              R"("rd_stalls":0,"wr_stalls":0,"checked":0,"mismatches":0,)"
+              R"("engine_mode":"cycle","sim_wall_us":0,"arena_peak_bytes":0,)"
+              R"("error":"line1\nwith \"quotes\", and commas"}],)"
+              R"("summary":{"jobs":1,"failures":1,"bit_exact":false,)"
+              R"("total_cycles":0,"total_macs":0,"base_seed":0,)"
+              R"("plan_cache":{"hits":0,"misses":0,"entries":0}}})");
 }
 
 // ---------------------------------------------------------------------------
