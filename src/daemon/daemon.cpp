@@ -11,6 +11,7 @@
 #include "dataflow/mapping.hpp"
 #include "model/graph.hpp"
 #include "model/scheduler.hpp"
+#include "serve/engine.hpp"
 #include "sim/scenario.hpp"
 
 namespace feather {
@@ -318,39 +319,27 @@ Daemon::execute(Pending *p, ExecVariant *v)
     const auto exec_start = std::chrono::steady_clock::now();
     ExecResult &r = v->exec;
     r.queue_wall_us = wallSinceStartUs() - p->enqueue_wall_us;
-    const uint64_t seed =
-        p->req.seed ? *p->req.seed
-                    : Rng::deriveStream(opts_.base_seed, p->index);
-    const sim::EngineMode mode =
-        p->req.engine ? *p->req.engine : opts_.engine;
     try {
         if (!p->req.isModel()) {
-            const sim::Scenario *scenario =
-                sim::findScenario(p->req.scenario);
-            FEATHER_CHECK(scenario != nullptr,
-                          "pre-planned scenario vanished");
-            sim::ScenarioOptions sopts;
-            sopts.aw = v->aw;
-            sopts.ah = v->ah;
-            sopts.dataflow = p->req.dataflow;
-            sopts.layout = p->req.layout;
-            sopts.out_layout = p->req.out_layout;
-            sopts.engine = mode;
-            sopts.seed = seed;
-            std::string err;
-            const std::optional<sim::ScenarioRun> run =
-                sim::runScenario(*scenario, sopts, &err, cache_.planFn());
-            if (!run) {
-                r.error = err;
-            } else {
-                r.ok = true;
-                r.est = mode == sim::EngineMode::Analytic;
-                for (const sim::RunResult &lr : run->chain.layers) {
-                    r.cycles += lr.stats.cycles;
-                    r.macs += lr.stats.macs;
-                }
-                r.checked = run->chain.checked;
-                r.mismatches = run->chain.mismatches;
+            serve::JobSpec spec;
+            spec.scenario = p->req.scenario;
+            spec.opts.aw = v->aw;
+            spec.opts.ah = v->ah;
+            spec.opts.dataflow = p->req.dataflow;
+            spec.opts.layout = p->req.layout;
+            spec.opts.out_layout = p->req.out_layout;
+            spec.explicit_seed = p->req.seed;
+            spec.engine = p->req.engine;
+            const serve::JobResult job = serve::runJob(
+                spec, p->index, opts_.base_seed, opts_.engine, cache_);
+            r.ok = job.ok;
+            r.error = job.error;
+            if (job.ok) {
+                r.est = job.engine == sim::EngineMode::Analytic;
+                r.cycles = job.cycles;
+                r.macs = job.macs;
+                r.checked = job.checked;
+                r.mismatches = job.mismatches;
                 r.segments.push_back({0, r.cycles, 0});
             }
         } else {
@@ -366,8 +355,10 @@ Daemon::execute(Pending *p, ExecVariant *v)
             // One request = one pool slot; parallelism comes from serving
             // many requests, not from fanning out inside one.
             mopts.num_threads = 1;
-            mopts.seed = seed;
-            mopts.engine = mode;
+            mopts.seed = p->req.seed
+                             ? *p->req.seed
+                             : Rng::deriveStream(opts_.base_seed, p->index);
+            mopts.engine = p->req.engine ? *p->req.engine : opts_.engine;
             mopts.shared_cache = &cache_;
             // A fleet scheduler splits the graph across the fleet's
             // devices itself (whole-graph pipeline scheduling).

@@ -15,6 +15,7 @@
 #include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/parse.hpp"
+#include "sim/cli.hpp"
 
 namespace feather {
 namespace daemon {
@@ -232,17 +233,8 @@ serveOptions(ServeCliConfig *out, ParseState *st)
     t.positive("--seed", "N",
                "base seed for per-request input\nstreams (default 2024)",
                &out->daemon.base_seed);
-    t.custom("--engine", "MODE", "default tier: cycle | analytic",
-             [out](const std::string &v) {
-                 const std::optional<sim::EngineMode> mode =
-                     sim::parseEngineMode(v);
-                 if (!mode) {
-                     return OptionTable::invalidValue(
-                         "--engine", v, "cycle or analytic");
-                 }
-                 out->daemon.engine = *mode;
-                 return std::string();
-             });
+    sim::addEngineFlag(t, "default tier: cycle | analytic",
+                          &out->daemon.engine);
     t.custom("--vworkers", "N", "identical virtual servers (default 1)",
              [out, st](const std::string &v) {
                  uint64_t n = 0;

@@ -3,7 +3,8 @@
 /**
  * @file
  * Analytic (closed-form) FEATHER performance model — the fast tier of the
- * two-tier simulation engine (sim/engine.hpp).
+ * two-tier simulation engine (sim/engine_mode.hpp; sim::runChain calls it
+ * in place of the cycle replay).
  *
  * The cycle simulator walks every temporal step of the mapping's loop nest
  * and replays every partial sum through NEST -> BIRRD -> OB. The analytic

@@ -52,19 +52,9 @@ parseModelCli(const std::vector<std::string> &args)
                   &o.seed);
     t.positiveInt("--jobs", "N", "candidate-evaluation worker threads",
                   &o.jobs, 256);
-    t.custom("--engine", "MODE",
-             "candidate-evaluation tier; the final chosen\n"
-             "schedule is always measured cycle-accurately",
-             [&o](const std::string &v) {
-                 const std::optional<sim::EngineMode> mode =
-                     sim::parseEngineMode(v);
-                 if (!mode) {
-                     return OptionTable::invalidValue(
-                         "--engine", v, "cycle or analytic");
-                 }
-                 o.engine = *mode;
-                 return std::string();
-             });
+    sim::addEngineFlag(t, "candidate-evaluation tier; the final chosen\n"
+                          "schedule is always measured cycle-accurately",
+                          &o.engine);
     t.str("--report-csv", "F", "write the schedule report as CSV to F",
           &o.report_csv);
     t.str("--report-json", "F",

@@ -45,17 +45,8 @@ parseBatchCli(const std::vector<std::string> &args)
     t.nonNegative("--seed", "N",
                   "base seed; job i draws inputs from stream\n(seed, i)",
                   &o.seed);
-    t.custom("--engine", "MODE", "default tier for jobs that do not pin one",
-             [&o](const std::string &v) {
-                 const std::optional<sim::EngineMode> mode =
-                     sim::parseEngineMode(v);
-                 if (!mode) {
-                     return OptionTable::invalidValue(
-                         "--engine", v, "cycle or analytic");
-                 }
-                 o.engine = *mode;
-                 return std::string();
-             });
+    sim::addEngineFlag(t, "default tier for jobs that do not pin one",
+                          &o.engine);
     t.str("--report-csv", "F", "write the per-job report as CSV to F",
           &o.report_csv);
     t.str("--report-json", "F", "write the report as single-line JSON to F",

@@ -16,7 +16,8 @@ BatchEngine::BatchEngine(BatchOptions opts) : opts_(opts)
 }
 
 JobResult
-BatchEngine::runOne(const JobSpec &spec, size_t index)
+runJob(const JobSpec &spec, size_t index, uint64_t base_seed,
+       sim::EngineMode engine, PlanCache &cache)
 {
     JobResult result;
     result.name = displayName(spec);
@@ -37,10 +38,9 @@ BatchEngine::runOne(const JobSpec &spec, size_t index)
     sim::ScenarioOptions opts = spec.opts;
     // The per-job input stream: derived from (base_seed, job_index) unless
     // the spec pins a seed, so a batch is bit-identical at any --jobs N.
-    opts.seed = spec.explicit_seed
-                    ? *spec.explicit_seed
-                    : Rng::deriveStream(opts_.base_seed, index);
-    opts.engine = spec.engine ? *spec.engine : opts_.engine;
+    opts.seed = spec.explicit_seed ? *spec.explicit_seed
+                                   : Rng::deriveStream(base_seed, index);
+    opts.engine = spec.engine ? *spec.engine : engine;
     result.seed = opts.seed;
     result.engine = opts.engine;
     result.aw = opts.aw > 0 ? opts.aw : scenario->default_aw;
@@ -49,7 +49,7 @@ BatchEngine::runOne(const JobSpec &spec, size_t index)
     std::optional<sim::ScenarioRun> run;
     const auto start = std::chrono::steady_clock::now();
     try {
-        run = sim::runScenario(*scenario, opts, &error, cache_.planFn());
+        run = sim::runScenario(*scenario, opts, &error, cache.planFn());
     } catch (const std::exception &e) {
         result.error = e.what();
         return result;
@@ -94,7 +94,8 @@ BatchEngine::run(const std::vector<JobSpec> &jobs)
         ThreadPool pool(opts_.num_threads);
         for (size_t i = 0; i < jobs.size(); ++i) {
             pool.submit([this, &jobs, &report, i] {
-                report.jobs[i] = runOne(jobs[i], i);
+                report.jobs[i] = runJob(jobs[i], i, opts_.base_seed,
+                                        opts_.engine, cache_);
             });
         }
         pool.wait();

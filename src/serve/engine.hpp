@@ -41,6 +41,17 @@ struct BatchOptions
     sim::EngineMode engine = sim::EngineMode::Cycle;
 };
 
+/**
+ * Run one scenario job: the one code path behind batch jobs and the
+ * daemon's scenario requests. The job draws its inputs from
+ * spec.explicit_seed, or else from stream @p index of @p base_seed, and
+ * runs under spec.engine, or else @p engine; planning goes through
+ * @p cache. An unknown scenario, a plan that does not fit and an exception
+ * from the simulator all become the result's error.
+ */
+JobResult runJob(const JobSpec &spec, size_t index, uint64_t base_seed,
+                 sim::EngineMode engine, PlanCache &cache);
+
 /** Multi-threaded batch runner with a shared plan cache. */
 class BatchEngine
 {
@@ -63,8 +74,6 @@ class BatchEngine
     const BatchOptions &options() const { return opts_; }
 
   private:
-    JobResult runOne(const JobSpec &spec, size_t index);
-
     BatchOptions opts_;
     PlanCache cache_;
 };

@@ -38,22 +38,13 @@ simOptions(CliOptions *o)
                 65536);
     t.nonNegative("--seed", "N", "RNG seed for inputs (default: 2024)",
                   &o->seed);
-    t.custom("--engine", "MODE",
-             "simulation engine tier (default: cycle):\n"
-             "cycle    bit-exact NoC replay, verified against\n"
-             "         the reference operators\n"
-             "analytic closed-form cycle/energy estimates\n"
-             "         from the mapping (no per-element\n"
-             "         replay, nothing to verify)",
-             [o](const std::string &v) {
-                 const std::optional<EngineMode> mode = parseEngineMode(v);
-                 if (!mode) {
-                     return OptionTable::invalidValue(
-                         "--engine", v, "cycle or analytic");
-                 }
-                 o->engine = *mode;
-                 return std::string();
-             });
+    addEngineFlag(t, "simulation engine tier (default: cycle):\n"
+                     "cycle    bit-exact NoC replay, verified against\n"
+                     "         the reference operators\n"
+                     "analytic closed-form cycle/energy estimates\n"
+                     "         from the mapping (no per-element\n"
+                     "         replay, nothing to verify)",
+                     &o->engine);
     t.custom("--trace", "N", "print the first N StaB read/write events",
              [o](const std::string &v) {
                  uint64_t n = 0;
@@ -70,6 +61,20 @@ simOptions(CliOptions *o)
 }
 
 } // namespace
+
+void
+addEngineFlag(OptionTable &table, const std::string &help, EngineMode *out)
+{
+    table.custom("--engine", "MODE", help, [out](const std::string &v) {
+        const std::optional<EngineMode> mode = parseEngineMode(v);
+        if (!mode) {
+            return OptionTable::invalidValue("--engine", v,
+                                             "cycle or analytic");
+        }
+        *out = *mode;
+        return std::string();
+    });
+}
 
 std::string
 usage()

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/options.hpp"
 #include "sim/engine_mode.hpp"
 
 namespace feather {
@@ -52,6 +53,12 @@ CliParse parseCli(const std::vector<std::string> &args);
 
 /** Usage text (one screen; printed by --help and on parse errors). */
 std::string usage();
+
+/** Declare `--engine MODE` on @p table with @p help, storing the parsed
+ *  tier into @p out; every CLI (sim, batch, model, serve) shares this one
+ *  definition and its "cycle or analytic" error text. */
+void addEngineFlag(OptionTable &table, const std::string &help,
+                   EngineMode *out);
 
 /**
  * Full CLI entry point: parse, run the scenario, print per-layer stats and

@@ -5,7 +5,6 @@
 #include "common/bits.hpp"
 #include "common/log.hpp"
 #include "feather/analytic.hpp"
-#include "sim/engine.hpp"
 #include "tensor/reference_ops.hpp"
 
 namespace feather {
@@ -301,170 +300,59 @@ planLayer(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
 // Runs
 // ---------------------------------------------------------------------------
 
-namespace {
-
-FeatherConfig
-makeConfig(const RunOptions &opts)
-{
-    FeatherConfig cfg;
-    cfg.aw = opts.aw;
-    cfg.ah = opts.ah;
-    if (opts.stab_depth > 0) cfg.stab_depth = opts.stab_depth;
-    return cfg;
-}
-
-} // namespace
-
 RunResult
 runLayer(const LayerSpec &layer, const RunOptions &opts)
 {
-    return engineFor(opts.engine).runLayer(layer, opts);
+    ChainResult chain = runChain(
+        {ChainStep{layer, opts.mapping, opts.out_layout, opts.quant}}, opts);
+    RunResult res = std::move(chain.layers.front());
+    res.checked = chain.checked;
+    res.mismatches = chain.mismatches;
+    return res;
 }
 
 ChainResult
 runChain(const std::vector<ChainStep> &steps, const RunOptions &opts)
 {
-    return engineFor(opts.engine).runChain(steps, opts);
-}
-
-namespace detail {
-
-RunResult
-runLayerCycle(const LayerSpec &layer, const RunOptions &opts)
-{
-    RunResult res;
-    res.mapping = opts.mapping
-                      ? *opts.mapping
-                      : NestMapping::canonical(layer, opts.aw, opts.ah);
-    res.in_layout = opts.in_layout
-                        ? *opts.in_layout
-                        : concordantInputLayout(layer, res.mapping, opts.aw);
-    res.out_layout = opts.out_layout
-                         ? *opts.out_layout
-                         : concordantOutputLayout(layer, res.mapping, opts.aw);
-
-    Rng rng(opts.seed);
-    const Int8Tensor iacts = randomIacts(layer, rng);
-    const Int8Tensor weights = randomWeights(layer, rng);
-
-    FeatherAccelerator acc(makeConfig(opts));
-    if (opts.trace_events > 0) acc.enableTrace(opts.trace_events);
-    acc.loadIacts(iacts, res.in_layout);
-    res.stats = acc.run(layer, weights, res.mapping, res.out_layout,
-                        opts.quant);
-    res.output = acc.readActivations();
-    res.trace = acc.trace();
-
-    if (opts.verify) {
-        const Int8Tensor ref =
-            referenceOutput(layer, iacts, weights, opts.quant);
-        res.checked = ref.numel();
-        res.mismatches = countMismatches(res.output, ref);
-    }
-    return res;
-}
-
-ChainResult
-runChainCycle(const std::vector<ChainStep> &steps, const RunOptions &opts)
-{
     FEATHER_CHECK(!steps.empty(), "runChain: no steps");
-    ChainResult res;
+    FeatherConfig cfg;
+    cfg.aw = opts.aw;
+    cfg.ah = opts.ah;
 
-    // Resolve every step's mapping/layout up front so step i can default its
-    // output to step i+1's concordant input (the paper's co-switch).
+    // Resolve every step's mapping up front so step i can default its
+    // output to step i+1's concordant input (the paper's co-switch). Both
+    // tiers evaluate exactly this plan.
     std::vector<NestMapping> mappings;
     for (const ChainStep &s : steps) {
         mappings.push_back(s.mapping ? *s.mapping
                                      : NestMapping::canonical(s.layer, opts.aw,
                                                               opts.ah));
     }
+    const Layout first_in =
+        opts.in_layout
+            ? *opts.in_layout
+            : concordantInputLayout(steps.front().layer, mappings.front(),
+                                    opts.aw);
 
-    Rng rng(opts.seed);
-    const Int8Tensor iacts = randomIacts(steps.front().layer, rng);
+    // Only the cycle tier moves data: seeded inputs on one accelerator,
+    // threaded through the StaB ping-pong and checked against the chained
+    // reference ops. The analytic tier builds no accelerator and draws no
+    // tensors (checked stays 0, output stays empty).
+    Int8Tensor iacts;
     std::vector<Int8Tensor> weights;
-    for (const ChainStep &s : steps) {
-        weights.push_back(randomWeights(s.layer, rng));
-    }
-
-    FeatherAccelerator acc(makeConfig(opts));
-    if (opts.trace_events > 0) acc.enableTrace(opts.trace_events);
-    const Layout first_in =
-        opts.in_layout
-            ? *opts.in_layout
-            : concordantInputLayout(steps.front().layer, mappings.front(),
-                                    opts.aw);
-    acc.loadIacts(iacts, first_in);
-
-    Int8Tensor ref = iacts;
-    for (size_t i = 0; i < steps.size(); ++i) {
-        const ChainStep &s = steps[i];
-        RunResult r;
-        r.mapping = mappings[i];
-        r.in_layout = i == 0 ? first_in : res.layers[i - 1].out_layout;
-        if (s.out_layout) {
-            r.out_layout = *s.out_layout;
-        } else if (i + 1 < steps.size()) {
-            r.out_layout = concordantInputLayout(steps[i + 1].layer,
-                                                 mappings[i + 1], opts.aw);
-        } else {
-            r.out_layout = concordantOutputLayout(s.layer, r.mapping, opts.aw);
+    std::optional<FeatherAccelerator> acc;
+    if (opts.engine == EngineMode::Cycle) {
+        Rng rng(opts.seed);
+        iacts = randomIacts(steps.front().layer, rng);
+        for (const ChainStep &s : steps) {
+            weights.push_back(randomWeights(s.layer, rng));
         }
-        r.stats = acc.run(s.layer, weights[i], r.mapping, r.out_layout,
-                          s.quant);
-        if (opts.verify) {
-            ref = referenceOutput(s.layer, ref, weights[i], s.quant);
-        }
-        res.layers.push_back(std::move(r));
+        acc.emplace(cfg);
+        if (opts.trace_events > 0) acc->enableTrace(opts.trace_events);
+        acc->loadIacts(iacts, first_in);
     }
 
-    res.layers.back().output = acc.readActivations();
-    res.layers.back().trace = acc.trace();
-    if (opts.verify) {
-        res.checked = ref.numel();
-        res.mismatches = countMismatches(res.layers.back().output, ref);
-    }
-    return res;
-}
-
-RunResult
-runLayerAnalytic(const LayerSpec &layer, const RunOptions &opts)
-{
-    // Resolve the exact same mapping/layout defaults as the cycle tier so
-    // both engines evaluate the same plan; then fill the stats from the
-    // closed-form model. No data, no verification (checked stays 0).
-    RunResult res;
-    res.mapping = opts.mapping
-                      ? *opts.mapping
-                      : NestMapping::canonical(layer, opts.aw, opts.ah);
-    res.in_layout = opts.in_layout
-                        ? *opts.in_layout
-                        : concordantInputLayout(layer, res.mapping, opts.aw);
-    res.out_layout = opts.out_layout
-                         ? *opts.out_layout
-                         : concordantOutputLayout(layer, res.mapping, opts.aw);
-    res.stats = analyticLayerStats(layer, res.mapping, res.in_layout,
-                                   res.out_layout, makeConfig(opts));
-    return res;
-}
-
-ChainResult
-runChainAnalytic(const std::vector<ChainStep> &steps, const RunOptions &opts)
-{
-    FEATHER_CHECK(!steps.empty(), "runChain: no steps");
     ChainResult res;
-
-    std::vector<NestMapping> mappings;
-    for (const ChainStep &s : steps) {
-        mappings.push_back(s.mapping ? *s.mapping
-                                     : NestMapping::canonical(s.layer, opts.aw,
-                                                              opts.ah));
-    }
-    const Layout first_in =
-        opts.in_layout
-            ? *opts.in_layout
-            : concordantInputLayout(steps.front().layer, mappings.front(),
-                                    opts.aw);
-    const FeatherConfig cfg = makeConfig(opts);
     for (size_t i = 0; i < steps.size(); ++i) {
         const ChainStep &s = steps[i];
         RunResult r;
@@ -478,28 +366,39 @@ runChainAnalytic(const std::vector<ChainStep> &steps, const RunOptions &opts)
         } else {
             r.out_layout = concordantOutputLayout(s.layer, r.mapping, opts.aw);
         }
-        r.stats = analyticLayerStats(s.layer, r.mapping, r.in_layout,
-                                     r.out_layout, cfg);
+        if (acc) {
+            r.stats = acc->run(s.layer, weights[i], r.mapping, r.out_layout,
+                               s.quant);
+        } else {
+            r.stats = analyticLayerStats(s.layer, r.mapping, r.in_layout,
+                                         r.out_layout, cfg);
+        }
         res.layers.push_back(std::move(r));
+    }
+
+    if (acc) {
+        RunResult &last = res.layers.back();
+        last.output = acc->readActivations();
+        last.trace = acc->trace();
+        if (opts.verify) {
+            Int8Tensor ref = referenceOutput(steps[0].layer, iacts,
+                                             weights[0], steps[0].quant);
+            for (size_t i = 1; i < steps.size(); ++i) {
+                ref = referenceOutput(steps[i].layer, ref, weights[i],
+                                      steps[i].quant);
+            }
+            res.checked = ref.numel();
+            res.mismatches = countMismatches(last.output, ref);
+        }
     }
     return res;
 }
-
-} // namespace detail
 
 int64_t
 ChainResult::totalCycles() const
 {
     int64_t total = 0;
     for (const RunResult &r : layers) total += r.stats.cycles;
-    return total;
-}
-
-int64_t
-ChainResult::totalReadStalls() const
-{
-    int64_t total = 0;
-    for (const RunResult &r : layers) total += r.stats.read_stall_cycles;
     return total;
 }
 

@@ -154,17 +154,17 @@ std::optional<LayerPlan> planLayer(DataflowKind kind, const LayerSpec &layer,
 // Single-layer runs
 // ---------------------------------------------------------------------------
 
-/** Options for runLayer; every field has a usable default. */
+/** Options for runLayer / runChain; every field has a usable default. */
 struct RunOptions
 {
     int aw = 8;
     int ah = 8;
-    /** Execution tier (sim/engine.hpp); analytic skips data + verify. */
+    /** Execution tier (sim/engine_mode.hpp); analytic skips data + verify. */
     EngineMode engine = EngineMode::Cycle;
     uint64_t seed = 2024;
-    int64_t stab_depth = 0; ///< 0 = FeatherConfig default
-    /** Unset fields derive from the mapping (concordant layouts) or the
-     *  layer (canonical mapping). */
+    /** The layer's plan (runLayer). Unset fields derive from the mapping
+     *  (concordant layouts) or the layer (canonical mapping). runChain
+     *  reads only in_layout, for the first step's load. */
     std::optional<NestMapping> mapping;
     std::optional<Layout> in_layout;
     std::optional<Layout> out_layout;
@@ -201,11 +201,11 @@ struct RunResult
 };
 
 /**
- * Run @p layer through the engine tier selected by opts.engine: cycle mode
- * builds a fresh FEATHER instance with seeded random inputs and (by
- * default) verifies the read-back bit-exactly against the reference ops;
- * analytic mode resolves the same mapping/layouts and fills stats from the
- * closed-form model (checked == 0, empty output).
+ * Run @p layer as a one-step runChain under opts.mapping / out_layout /
+ * quant: cycle mode builds a fresh FEATHER instance with seeded random
+ * inputs and (by default) verifies the read-back bit-exactly against the
+ * reference ops; analytic mode resolves the same mapping/layouts and fills
+ * stats from the closed-form model (checked == 0, empty output).
  */
 RunResult runLayer(const LayerSpec &layer, const RunOptions &opts = {});
 
@@ -230,31 +230,23 @@ struct ChainResult
 
     bool bitExact() const { return checked > 0 && mismatches == 0; }
     int64_t totalCycles() const;
-    int64_t totalReadStalls() const;
 };
 
 /**
- * Run @p steps back-to-back on one accelerator, threading activations
- * through the StaB ping-pong, then verify the *final* activations against
- * the chained reference ops. @p opts.mapping / out_layout apply when a step
- * leaves its own unset; in_layout applies to the first layer's load.
+ * The one body that executes layers, in either tier. Every step's mapping
+ * and layouts resolve here: an unset mapping is canonical, the first
+ * step's input layout is opts.in_layout or concordant, and an unset
+ * out_layout is the next step's concordant input (the co-switch) or, on
+ * the last step, the concordant output. Of RunOptions' per-layer fields
+ * only in_layout is read; mapping/out_layout/quant come from the steps.
+ *
+ * Cycle mode runs the steps back-to-back on one accelerator, threading
+ * activations through the StaB ping-pong, then verifies the *final*
+ * activations against the chained reference ops. Analytic mode fills each
+ * step's stats from the closed-form model (checked == 0, no output).
  */
 ChainResult runChain(const std::vector<ChainStep> &steps,
                      const RunOptions &opts = {});
-
-namespace detail {
-
-// Per-tier implementations behind sim::Engine (sim/engine.hpp). The public
-// runLayer/runChain dispatch on RunOptions::engine; call these only through
-// the engine singletons.
-RunResult runLayerCycle(const LayerSpec &layer, const RunOptions &opts);
-ChainResult runChainCycle(const std::vector<ChainStep> &steps,
-                          const RunOptions &opts);
-RunResult runLayerAnalytic(const LayerSpec &layer, const RunOptions &opts);
-ChainResult runChainAnalytic(const std::vector<ChainStep> &steps,
-                             const RunOptions &opts);
-
-} // namespace detail
 
 } // namespace sim
 } // namespace feather

@@ -1,4 +1,4 @@
-#include "sim/engine.hpp"
+#include "sim/engine_mode.hpp"
 
 namespace feather {
 namespace sim {
@@ -26,68 +26,6 @@ engineModeNames()
 {
     static const std::vector<std::string> names = {"cycle", "analytic"};
     return names;
-}
-
-namespace {
-
-class CycleEngine final : public Engine
-{
-  public:
-    EngineMode mode() const override { return EngineMode::Cycle; }
-
-    RunResult
-    runLayer(const LayerSpec &layer, const RunOptions &opts) const override
-    {
-        return detail::runLayerCycle(layer, opts);
-    }
-
-    ChainResult
-    runChain(const std::vector<ChainStep> &steps,
-             const RunOptions &opts) const override
-    {
-        return detail::runChainCycle(steps, opts);
-    }
-};
-
-class AnalyticEngine final : public Engine
-{
-  public:
-    EngineMode mode() const override { return EngineMode::Analytic; }
-
-    RunResult
-    runLayer(const LayerSpec &layer, const RunOptions &opts) const override
-    {
-        return detail::runLayerAnalytic(layer, opts);
-    }
-
-    ChainResult
-    runChain(const std::vector<ChainStep> &steps,
-             const RunOptions &opts) const override
-    {
-        return detail::runChainAnalytic(steps, opts);
-    }
-};
-
-} // namespace
-
-const Engine &
-cycleEngine()
-{
-    static const CycleEngine engine;
-    return engine;
-}
-
-const Engine &
-analyticEngine()
-{
-    static const AnalyticEngine engine;
-    return engine;
-}
-
-const Engine &
-engineFor(EngineMode mode)
-{
-    return mode == EngineMode::Analytic ? analyticEngine() : cycleEngine();
 }
 
 } // namespace sim

@@ -2,11 +2,20 @@
 
 /**
  * @file
- * The simulation engine tiers (see sim/engine.hpp for the interface).
+ * The two simulation engine tiers.
  *
- * Split into its own header so option structs (sim::RunOptions,
+ * Every layer/chain execution goes through one body, sim::runChain
+ * (sim/driver.hpp; sim::runLayer is a one-step chain). It resolves the same
+ * mappings and layouts in both tiers; RunOptions::engine decides only
+ * whether data moves and where each layer's stats come from (the replay,
+ * or the closed-form model of src/feather/analytic.hpp).
+ * serve::BatchEngine and model::Scheduler use analytic mode to enumerate
+ * and prune candidate spaces and fall back to cycle mode for final
+ * verified runs.
+ *
+ * Kept in its own header so option structs (sim::RunOptions,
  * sim::ScenarioOptions, serve job specs) can name a mode without pulling
- * in the engine interface or the driver.
+ * in the driver.
  */
 
 #include <cstdint>
@@ -16,6 +25,14 @@
 
 namespace feather {
 namespace sim {
+
+/** Documented accuracy bound of the analytic tier: the relative error of
+ *  its cycle estimate vs the cycle engine is at most this on the built-in
+ *  scenario grid (measured worst case 10.3%, most points exact), and the
+ *  analytic ranking of dataflow candidates at a fixed (scenario, array)
+ *  point matches the cycle-accurate ranking. Locked by
+ *  tests/test_engine_modes.cpp; tighten only with fresh measurements. */
+constexpr double kAnalyticBound = 0.15;
 
 /** Which execution tier a run uses. */
 enum class EngineMode : uint8_t {

@@ -162,18 +162,6 @@ scenarioNames()
 
 std::optional<ScenarioRun>
 runScenario(const Scenario &scenario, const ScenarioOptions &opts,
-            std::string *error)
-{
-    return runScenario(scenario, opts, error,
-                       [](EngineMode mode, DataflowKind kind,
-                          const LayerSpec &layer, int aw, int ah,
-                          std::string *err) {
-                           return planLayer(kind, layer, aw, ah, err, mode);
-                       });
-}
-
-std::optional<ScenarioRun>
-runScenario(const Scenario &scenario, const ScenarioOptions &opts,
             std::string *error, const PlanFn &plan)
 {
     if (scenario.layers.empty()) {
@@ -224,7 +212,9 @@ runScenario(const Scenario &scenario, const ScenarioOptions &opts,
         const DataflowKind kind =
             override_kind ? *override_kind : sl.dataflow;
         std::optional<LayerPlan> p =
-            plan(opts.engine, kind, sl.layer, run.aw, run.ah, error);
+            plan ? plan(opts.engine, kind, sl.layer, run.aw, run.ah, error)
+                 : planLayer(kind, sl.layer, run.aw, run.ah, error,
+                             opts.engine);
         if (!p) return std::nullopt;
         plans.push_back(std::move(*p));
     }

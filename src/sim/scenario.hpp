@@ -74,8 +74,8 @@ struct ScenarioOptions
 
 /**
  * Source of per-layer planning artifacts. runScenario consults it for every
- * (dataflow, layer, aw, ah) point; the default is a plain planLayer call,
- * and serve::PlanCache injects its memoizing lookup through the same
+ * (dataflow, layer, aw, ah) point; an empty PlanFn is a plain planLayer
+ * call, and serve::PlanCache injects its memoizing lookup through the same
  * signature (sim stays below serve in the layering).
  */
 using PlanFn = std::function<std::optional<LayerPlan>(
@@ -87,18 +87,15 @@ using PlanFn = std::function<std::optional<LayerPlan>(
  * unless opts.dataflow overrides them; opts.layout replaces the first
  * layer's input layout and opts.out_layout the last layer's output layout
  * ("concordant" derives them from the mapping).
+ * Planning goes through @p plan (e.g. a shared cache; empty = planLayer).
  * Returns nullopt with @p error set when an override does not apply
  * (unknown dataflow name, unparsable layout, or a mapping that fails
  * validation).
  */
 std::optional<ScenarioRun> runScenario(const Scenario &scenario,
                                        const ScenarioOptions &opts = {},
-                                       std::string *error = nullptr);
-
-/** As above, but planning goes through @p plan (e.g. a shared cache). */
-std::optional<ScenarioRun> runScenario(const Scenario &scenario,
-                                       const ScenarioOptions &opts,
-                                       std::string *error, const PlanFn &plan);
+                                       std::string *error = nullptr,
+                                       const PlanFn &plan = {});
 
 } // namespace sim
 } // namespace feather

@@ -13,7 +13,9 @@
  * testable: total cycles within a 15% relative-error bound of the cycle
  * engine (measured worst case: 10.3%, exact on layers whose steps are
  * uniform), candidate *ranking* identical to the cycle engine's over the
- * sweep grid, and full determinism.
+ * sweep grid, and full determinism. Its exact counters are locked too
+ * (engine_analytic_counters.golden), and so is every scenario layer run
+ * standalone through runLayer in both tiers (run_layer_counters.golden).
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +30,7 @@
 #include "golden_util.hpp"
 #include "serve/engine.hpp"
 #include "serve/plan_cache.hpp"
-#include "sim/engine.hpp"
+#include "sim/engine_mode.hpp"
 #include "sim/scenario.hpp"
 
 namespace feather {
@@ -48,7 +50,7 @@ runWith(const Scenario &s, EngineMode mode, std::string *error,
 }
 
 // ---------------------------------------------------------------------------
-// EngineMode parsing and the Engine interface
+// EngineMode parsing
 // ---------------------------------------------------------------------------
 
 TEST(EngineMode_, ParsesAndRoundTrips)
@@ -67,16 +69,8 @@ TEST(EngineMode_, ParsesAndRoundTrips)
     }
 }
 
-TEST(EngineMode_, EngineForReturnsMatchingSingleton)
-{
-    EXPECT_EQ(engineFor(EngineMode::Cycle).mode(), EngineMode::Cycle);
-    EXPECT_EQ(engineFor(EngineMode::Analytic).mode(), EngineMode::Analytic);
-    EXPECT_EQ(&engineFor(EngineMode::Cycle), &cycleEngine());
-    EXPECT_EQ(&engineFor(EngineMode::Analytic), &analyticEngine());
-}
-
 // ---------------------------------------------------------------------------
-// Cycle tier: deterministic counters locked against the pre-refactor golden
+// Deterministic counters locked against captured goldens
 // ---------------------------------------------------------------------------
 
 struct GoldenRow
@@ -84,59 +78,123 @@ struct GoldenRow
     int64_t v[17]; ///< the numeric columns, in header order
 };
 
-/** scenario name -> per-layer golden counter rows. */
+/** Golden per-layer counter rows, keyed by each row's first
+ *  @p key_columns cells (joined by ','); the next cell is the layer
+ *  index, and rows are in layer order. */
 std::map<std::string, std::vector<GoldenRow>>
-readCounterGolden()
+readCounterGolden(const std::string &file, int key_columns = 1)
 {
-    const std::vector<std::string> lines =
-        golden::readGoldenLines("engine_cycle_counters.golden");
+    const std::vector<std::string> lines = golden::readGoldenLines(file);
     std::map<std::string, std::vector<GoldenRow>> out;
     for (size_t i = 1; i < lines.size(); ++i) { // skip the header
         std::istringstream in(lines[i]);
-        std::string scenario, cell;
-        std::getline(in, scenario, ',');
+        std::string key, cell;
+        for (int k = 0; k < key_columns; ++k) {
+            std::getline(in, cell, ',');
+            key += (k > 0 ? "," : "") + cell;
+        }
         std::getline(in, cell, ','); // layer index; rows are in order
         GoldenRow row{};
         for (int64_t &value : row.v) {
             std::getline(in, cell, ',');
             value = std::strtoll(cell.c_str(), nullptr, 10);
         }
-        out[scenario].push_back(row);
+        out[key].push_back(row);
     }
     return out;
 }
 
-TEST(CycleEngine_, CountersBitIdenticalToPreRefactorGolden)
+/** Compare one layer's 17 golden columns (15 LayerStats counters, then
+ *  the run's checked/mismatches). */
+void
+expectCounters(const std::string &where, const LayerStats &st,
+               int64_t checked, int64_t mismatches, const GoldenRow &g)
 {
-    const auto golden_rows = readCounterGolden();
+    const int64_t got[17] = {
+        st.cycles,          st.compute_cycles,
+        st.weight_load_cycles, st.fill_cycles,
+        st.read_stall_cycles,  st.write_stall_cycles,
+        st.macs,            st.stab_reads,
+        st.stab_writes,     st.strb_reads,
+        st.ob_accumulates,  st.birrd_switch_hops,
+        st.dram_words,      st.peak_ob_entries,
+        st.weight_reload_events, checked,
+        mismatches};
+    for (int c = 0; c < 17; ++c) {
+        EXPECT_EQ(got[c], g.v[c])
+            << where << " counter column " << c
+            << ": counters must stay bit-identical to the captured golden";
+    }
+}
+
+/** Every scenario under @p mode against the per-layer rows of @p file. */
+void
+expectScenarioCounters(EngineMode mode, const std::string &file)
+{
+    const auto golden_rows = readCounterGolden(file);
     ASSERT_FALSE(golden_rows.empty());
     for (const Scenario &s : scenarios()) {
         const auto it = golden_rows.find(s.name);
         ASSERT_NE(it, golden_rows.end())
-            << s.name << " is not in engine_cycle_counters.golden; "
-            << "capture it when registering a scenario";
+            << s.name << " is not in " << file
+            << "; capture it when registering a scenario";
         std::string error;
-        const auto run = runWith(s, EngineMode::Cycle, &error);
+        const auto run = runWith(s, mode, &error);
         ASSERT_TRUE(run.has_value()) << s.name << ": " << error;
         ASSERT_EQ(run->chain.layers.size(), it->second.size()) << s.name;
         for (size_t i = 0; i < run->chain.layers.size(); ++i) {
-            const LayerStats &st = run->chain.layers[i].stats;
-            const GoldenRow &g = it->second[i];
-            const int64_t got[17] = {
-                st.cycles,          st.compute_cycles,
-                st.weight_load_cycles, st.fill_cycles,
-                st.read_stall_cycles,  st.write_stall_cycles,
-                st.macs,            st.stab_reads,
-                st.stab_writes,     st.strb_reads,
-                st.ob_accumulates,  st.birrd_switch_hops,
-                st.dram_words,      st.peak_ob_entries,
-                st.weight_reload_events, run->chain.checked,
-                run->chain.mismatches};
-            for (int c = 0; c < 17; ++c) {
-                EXPECT_EQ(got[c], g.v[c])
-                    << s.name << " layer " << i << " counter column " << c
-                    << ": cycle-mode counters must stay bit-identical to "
-                       "the pre-refactor simulator";
+            expectCounters(s.name + " layer " + std::to_string(i),
+                           run->chain.layers[i].stats, run->chain.checked,
+                           run->chain.mismatches, it->second[i]);
+        }
+    }
+}
+
+TEST(CycleEngine_, CountersBitIdenticalToPreRefactorGolden)
+{
+    expectScenarioCounters(EngineMode::Cycle, "engine_cycle_counters.golden");
+}
+
+TEST(AnalyticEngine_, CountersBitIdenticalToGolden)
+{
+    expectScenarioCounters(EngineMode::Analytic,
+                           "engine_analytic_counters.golden");
+}
+
+TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
+{
+    // Every scenario layer on its own, on the concordant plan of its
+    // dataflow family, in both tiers: locks runLayer per layer (scenarios
+    // reach the simulator only through runChain).
+    const auto golden_rows =
+        readCounterGolden("run_layer_counters.golden", 2);
+    ASSERT_FALSE(golden_rows.empty());
+    for (const Scenario &s : scenarios()) {
+        for (const EngineMode mode :
+             {EngineMode::Cycle, EngineMode::Analytic}) {
+            const std::string key = s.name + "," + toString(mode);
+            const auto it = golden_rows.find(key);
+            ASSERT_NE(it, golden_rows.end())
+                << key << " is not in run_layer_counters.golden";
+            ASSERT_EQ(s.layers.size(), it->second.size()) << key;
+            for (size_t i = 0; i < s.layers.size(); ++i) {
+                const ScenarioLayer &sl = s.layers[i];
+                std::string error;
+                const std::optional<LayerPlan> plan =
+                    planLayer(sl.dataflow, sl.layer, s.default_aw,
+                              s.default_ah, &error, mode);
+                ASSERT_TRUE(plan.has_value()) << key << ": " << error;
+                RunOptions opts;
+                opts.aw = s.default_aw;
+                opts.ah = s.default_ah;
+                opts.engine = mode;
+                opts.mapping = plan->mapping;
+                opts.in_layout = plan->in_layout;
+                opts.out_layout = plan->out_layout;
+                opts.quant.multiplier = sl.multiplier;
+                const RunResult r = runLayer(sl.layer, opts);
+                expectCounters(key + " layer " + std::to_string(i), r.stats,
+                               r.checked, r.mismatches, it->second[i]);
             }
         }
     }
