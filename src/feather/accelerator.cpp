@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
-#include "dataflow/access_pattern.hpp"
 #include "common/log.hpp"
 
 namespace feather {
@@ -17,45 +16,6 @@ LayerStats::toString() const
                   write_stall_cycles, ") macs=", macs,
                   " stab r/w=", stab_reads, "/", stab_writes,
                   " ob=", ob_accumulates, " dram=", dram_words);
-}
-
-namespace {
-
-/** Mixed-radix decode of a flat index over parallel dims (dims[0] outer). */
-Coord
-decodeSpatial(const std::vector<ParallelDim> &dims, int64_t flat)
-{
-    Coord idx;
-    for (size_t i = dims.size(); i-- > 0;) {
-        idx[dims[i].dim] = flat % dims[i].degree;
-        flat /= dims[i].degree;
-    }
-    return idx;
-}
-
-} // namespace
-
-bool
-isReducedDim(const LayerSpec &layer, Dim d)
-{
-    if (layer.type == OpType::Gemm) return d == Dim::K;
-    if (layer.conv.depthwise) return d == Dim::R || d == Dim::S;
-    return d == Dim::C || d == Dim::R || d == Dim::S;
-}
-
-Coord
-oactToIactSpace(const LayerSpec &layer, const Coord &o)
-{
-    Coord c;
-    if (layer.type == OpType::Gemm) {
-        c[Dim::M] = o[Dim::M];
-        c[Dim::K] = o[Dim::N];
-    } else {
-        c[Dim::C] = layer.conv.depthwise ? o[Dim::C] : o[Dim::M];
-        c[Dim::H] = o[Dim::P];
-        c[Dim::W] = o[Dim::Q];
-    }
-    return c;
 }
 
 Extents
@@ -156,123 +116,16 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                         const LayerQuant &quant)
 {
     FEATHER_CHECK(iacts_loaded_, "loadIacts() must precede run()");
-    const std::string err = mapping.validate(layer, cfg_.aw, cfg_.ah);
-    FEATHER_CHECK(err.empty(), "invalid mapping: ", err);
-    for (const auto &pd : mapping.local) {
-        FEATHER_CHECK(isReducedDim(layer, pd.dim),
-                      "local dims must be reduction dims, got ",
-                      dimName(pd.dim));
-    }
-    FEATHER_CHECK(mapping.t1() <= cfg_.max_local,
-                  "local tile exceeds PE register file");
-
-    const bool is_gemm = layer.type == OpType::Gemm;
-    if (!is_gemm) {
+    checkNestMapping(layer, mapping, cfg_);
+    if (layer.type != OpType::Gemm) {
         FEATHER_CHECK(layer.conv.n == 1,
                       "the cycle simulator executes batch-1 conv layers");
     }
-    const Extents ext = is_gemm ? gemmExtents(layer.gemm)
-                                : convExtents(layer.conv);
-    const ConvShape &cs = layer.conv;
-
-    // Iterated dims in temporal order (outer -> inner): weight-affecting
-    // dims outermost so weights stay stationary across the inner output
-    // sweep; reduction tiles between them so OB entries complete before the
-    // next weight tile arrives.
-    std::vector<Dim> dims_order;
-    if (is_gemm) {
-        dims_order = {Dim::N, Dim::K, Dim::M};
-    } else if (cs.depthwise) {
-        dims_order = {Dim::C, Dim::R, Dim::S, Dim::P, Dim::Q};
-    } else {
-        dims_order = {Dim::M, Dim::C, Dim::R, Dim::S, Dim::P, Dim::Q};
-    }
-    std::vector<Dim> weight_dims;
-    if (is_gemm) {
-        weight_dims = {Dim::N, Dim::K};
-    } else if (cs.depthwise) {
-        weight_dims = {Dim::C, Dim::R, Dim::S};
-    } else {
-        weight_dims = {Dim::M, Dim::C, Dim::R, Dim::S};
-    }
-
-    // Per-dim unroll factors and temporal step counts.
-    DimMap unroll;
-    for (int i = 0; i < kNumDims; ++i) unroll[Dim(i)] = 1;
-    for (const auto &pd : mapping.local) unroll[pd.dim] *= pd.degree;
-    for (const auto &pd : mapping.cols) unroll[pd.dim] *= pd.degree;
-    for (const auto &pd : mapping.rows) unroll[pd.dim] *= pd.degree;
-
-    std::vector<LoopLevel> levels;
-    int64_t reduction_step_combos = 1;
-    for (Dim d : dims_order) {
-        const int64_t steps = ceilDiv(std::max<int64_t>(ext[d], 1),
-                                      unroll[d]);
-        levels.push_back({d, steps});
-        if (isReducedDim(layer, d)) reduction_step_combos *= steps;
-    }
-    const LoopNest nest_loops(levels);
-
-    // Reduction dims unrolled across rows contribute once per row copy
-    // (in-situ OB temporal reduction, e.g. Fig. 10 workload D maps K over
-    // the whole 2D array).
-    int64_t reduced_row_copies = 1;
-    for (const auto &pd : mapping.rows) {
-        if (isReducedDim(layer, pd.dim)) reduced_row_copies *= pd.degree;
-    }
-    const int64_t expected_contribs =
-        reduction_step_combos * reduced_row_copies;
-
-    // Local-dim strides within the unroll: coord = step*U + l + L*col +
-    // L*C*row for each dim.
-    DimMap local_deg, col_deg, row_deg;
-    for (int i = 0; i < kNumDims; ++i) {
-        local_deg[Dim(i)] = 1;
-        col_deg[Dim(i)] = 1;
-        row_deg[Dim(i)] = 1;
-    }
-    for (const auto &pd : mapping.local) local_deg[pd.dim] = pd.degree;
-    for (const auto &pd : mapping.cols) col_deg[pd.dim] = pd.degree;
-    for (const auto &pd : mapping.rows) row_deg[pd.dim] = pd.degree;
-
-    const int64_t t1 = mapping.t1();
-    const int64_t cols_used = mapping.colsUsed();
-    const int64_t rows_used = mapping.rowsUsed();
-
-    // Column assignments and reduction-group structure: columns sharing all
-    // non-reduced col indices reduce together through BIRRD.
-    std::vector<ParallelDim> group_dims; // non-reduced col dims
-    for (const auto &pd : mapping.cols) {
-        if (!isReducedDim(layer, pd.dim)) group_dims.push_back(pd);
-    }
-    const int64_t num_groups = totalDegree(group_dims);
-    std::vector<ColAssign> col_assign(static_cast<size_t>(cols_used));
-    for (int64_t c = 0; c < cols_used; ++c) {
-        col_assign[size_t(c)].idx = decodeSpatial(mapping.cols, c);
-        int64_t g = 0;
-        for (const auto &pd : group_dims) {
-            g = g * pd.degree + col_assign[size_t(c)].idx[pd.dim];
-        }
-        col_assign[size_t(c)].group = int(g);
-    }
-    std::vector<Coord> row_assign(static_cast<size_t>(rows_used));
-    for (int64_t r = 0; r < rows_used; ++r) {
-        row_assign[size_t(r)] = decodeSpatial(mapping.rows, r);
-    }
-    std::vector<Coord> local_assign(static_cast<size_t>(t1));
-    for (int64_t l = 0; l < t1; ++l) {
-        local_assign[size_t(l)] = decodeSpatial(mapping.local, l);
-    }
-
-    // Do iacts depend on the row index? (Shared top-to-bottom stream if
-    // not; otherwise the stream must deliver distinct vectors per row.)
-    bool rows_affect_iacts = false;
-    for (const auto &pd : mapping.rows) {
-        const bool affects =
-            is_gemm ? (pd.dim == Dim::M || pd.dim == Dim::K)
-                    : (pd.dim != Dim::M);
-        if (affects && pd.degree > 1) rows_affect_iacts = true;
-    }
+    const NestGeometry geo(layer, mapping);
+    const int64_t t1 = geo.t1;
+    const int64_t cols_used = geo.cols_used;
+    const int64_t rows_used = geo.rows_used;
+    const int64_t num_groups = geo.num_groups;
 
     // Output layout bound in next-layer iAct space.
     const BoundLayout out_bound(out_layout, oactIactExtents(layer));
@@ -296,9 +149,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     LayerStats stats;
     const int64_t weight_load_cycles = int64_t(cfg_.ah) * t1;
     int64_t compute_since_load = 0;
-    bool first_load = true;
-    DimMap prev_weight_step;
-    for (int i = 0; i < kNumDims; ++i) prev_weight_step[Dim(i)] = -1;
+    // Weight dims are a prefix of the temporal order, so the weight tile
+    // changes exactly every inner_steps steps.
+    const int64_t inner_steps = geo.total_steps / geo.weight_steps;
 
     // Per-run scratch carved out of the bump arena: one reset, flat POD
     // blocks, no allocator traffic inside the step loop. The PortValue
@@ -334,54 +187,27 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     int64_t step_index = 0;
     bool more = true;
     while (more) {
-        // Base coordinate of this temporal step.
-        Coord base;
-        for (Dim d : dims_order) base[d] = step[d] * unroll[d];
+        const Coord base = geo.base(step);
 
         // ---- weight tile management (ping-pong shadow load) ----
-        bool weights_changed = false;
-        for (Dim d : weight_dims) {
-            if (step[d] != prev_weight_step[d]) weights_changed = true;
-        }
-        if (weights_changed) {
-            for (Dim d : weight_dims) prev_weight_step[d] = step[d];
+        if (step_index % inner_steps == 0) {
             for (int64_t r = 0; r < rows_used; ++r) {
                 for (int64_t c = 0; c < cols_used; ++c) {
                     for (int64_t l = 0; l < t1; ++l) {
-                        auto coord_of = [&](Dim d) {
-                            return base[d] + local_assign[size_t(l)][d] +
-                                   local_deg[d] *
-                                       (col_assign[size_t(c)].idx[d] +
-                                        col_deg[d] *
-                                            row_assign[size_t(r)][d]);
-                        };
+                        Coord wc;
                         int16_t w = 0;
-                        if (is_gemm) {
-                            const int64_t k = coord_of(Dim::K);
-                            const int64_t n = coord_of(Dim::N);
-                            if (k < ext[Dim::K] && n < ext[Dim::N]) {
-                                w = int16_t(int16_t(weights.at2(k, n)) -
-                                            quant.weight_zp);
-                                ++stats.strb_reads;
-                                ++stats.dram_words;
-                            }
-                        } else {
-                            const int64_t m = coord_of(Dim::M);
-                            const int64_t cc = coord_of(Dim::C);
-                            const int64_t rr = coord_of(Dim::R);
-                            const int64_t ss = coord_of(Dim::S);
-                            const int64_t m_ext =
-                                cs.depthwise ? 1 : ext[Dim::M];
-                            if (m < m_ext && cc < ext[Dim::C] &&
-                                rr < ext[Dim::R] && ss < ext[Dim::S]) {
-                                w = int16_t(
-                                    int16_t(cs.depthwise
-                                                ? weights.at4(cc, 0, rr, ss)
-                                                : weights.at4(m, cc, rr, ss)) -
-                                    quant.weight_zp);
-                                ++stats.strb_reads;
-                                ++stats.dram_words;
-                            }
+                        if (geo.weightAt(base, r, c, l, wc)) {
+                            const int8_t raw =
+                                geo.is_gemm
+                                    ? weights.at2(wc[Dim::K], wc[Dim::N])
+                                : geo.depthwise
+                                    ? weights.at4(wc[Dim::C], 0, wc[Dim::R],
+                                                  wc[Dim::S])
+                                    : weights.at4(wc[Dim::M], wc[Dim::C],
+                                                  wc[Dim::R], wc[Dim::S]);
+                            w = int16_t(int16_t(raw) - quant.weight_zp);
+                            ++stats.strb_reads;
+                            ++stats.dram_words;
                         }
                         nest_.loadWeight(int(r), int(c), int(l), w);
                     }
@@ -390,64 +216,20 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             nest_.swapWeightBanks();
             ++stats.weight_reload_events;
             const int64_t exposed =
-                first_load ? weight_load_cycles
-                           : std::max<int64_t>(0, weight_load_cycles -
-                                                      compute_since_load);
+                step_index == 0 ? weight_load_cycles
+                                : std::max<int64_t>(0, weight_load_cycles -
+                                                           compute_since_load);
             stats.weight_load_cycles += exposed;
             compute_since_load = 0;
-            first_load = false;
         }
 
         // ---- per-step feed / bus / compute accounting + datapath ----
         int64_t feed_cycles = 0;
         int64_t bus_cycles = 0;
-        const int64_t row_variants = rows_affect_iacts ? rows_used : 1;
 
         for (int64_t r = 0; r < rows_used; ++r) {
-            // ---- group destinations and column liveness ----
-            std::fill_n(col_active, size_t(cfg_.aw), uint8_t(0));
-            std::fill_n(group_live, size_t(num_groups), uint8_t(0));
-            for (int64_t c = 0; c < cols_used; ++c) {
-                const int g = col_assign[size_t(c)].group;
-                auto coord_of = [&](Dim d) {
-                    return base[d] + local_assign[0][d] +
-                           local_deg[d] * (col_assign[size_t(c)].idx[d] +
-                                           col_deg[d] *
-                                               row_assign[size_t(r)][d]);
-                };
-                Coord oc;
-                bool live = true;
-                if (is_gemm) {
-                    oc[Dim::M] = coord_of(Dim::M);
-                    oc[Dim::N] = coord_of(Dim::N);
-                    live = oc[Dim::M] < ext[Dim::M] &&
-                           oc[Dim::N] < ext[Dim::N];
-                } else if (cs.depthwise) {
-                    oc[Dim::C] = coord_of(Dim::C);
-                    oc[Dim::P] = coord_of(Dim::P);
-                    oc[Dim::Q] = coord_of(Dim::Q);
-                    live = oc[Dim::C] < ext[Dim::C] &&
-                           oc[Dim::P] < ext[Dim::P] &&
-                           oc[Dim::Q] < ext[Dim::Q];
-                } else {
-                    oc[Dim::M] = coord_of(Dim::M);
-                    oc[Dim::P] = coord_of(Dim::P);
-                    oc[Dim::Q] = coord_of(Dim::Q);
-                    live = oc[Dim::M] < ext[Dim::M] &&
-                           oc[Dim::P] < ext[Dim::P] &&
-                           oc[Dim::Q] < ext[Dim::Q];
-                }
-                col_active[size_t(c)] = live;
-                if (!live) continue;
-                if (!group_live[size_t(g)]) {
-                    const LineAddr a =
-                        out_bound.addrOf(oactToIactSpace(layer, oc));
-                    group_live[size_t(g)] = true;
-                    group_bank[size_t(g)] = a.slot % cfg_.aw;
-                    group_line[size_t(g)] =
-                        a.line * out_wpl + a.slot / cfg_.aw;
-                }
-            }
+            geo.rowOutputs(base, r, out_bound, cfg_.aw, col_active,
+                           group_live, group_bank, group_line);
 
             // ---- gather iacts for the active columns of this row ----
             // Columns requesting the same word in the same cycle share one
@@ -458,42 +240,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                 int64_t num_seen = 0;
                 for (int64_t c = 0; c < cols_used; ++c) {
                     if (!col_active[size_t(c)]) continue;
-                    auto coord_of = [&](Dim d) {
-                        return base[d] + local_assign[size_t(l)][d] +
-                               local_deg[d] *
-                                   (col_assign[size_t(c)].idx[d] +
-                                    col_deg[d] * row_assign[size_t(r)][d]);
-                    };
                     int16_t v = 0;
-                    bool do_read = false;
                     Coord ic;
-                    if (is_gemm) {
-                        const int64_t m = coord_of(Dim::M);
-                        const int64_t k = coord_of(Dim::K);
-                        if (m < ext[Dim::M] && k < ext[Dim::K]) {
-                            ic[Dim::M] = m;
-                            ic[Dim::K] = k;
-                            do_read = true;
-                        }
-                    } else {
-                        const int64_t cc = coord_of(Dim::C);
-                        const int64_t p = coord_of(Dim::P);
-                        const int64_t q = coord_of(Dim::Q);
-                        const int64_t rr = coord_of(Dim::R);
-                        const int64_t ss = coord_of(Dim::S);
-                        const int64_t h = p * cs.stride + rr - cs.pad;
-                        const int64_t w = q * cs.stride + ss - cs.pad;
-                        if (cc < ext[Dim::C] && p < ext[Dim::P] &&
-                            q < ext[Dim::Q] && rr < ext[Dim::R] &&
-                            ss < ext[Dim::S] && h >= 0 && h < ext[Dim::H] &&
-                            w >= 0 && w < ext[Dim::W]) {
-                            ic[Dim::C] = cc;
-                            ic[Dim::H] = h;
-                            ic[Dim::W] = w;
-                            do_read = true;
-                        }
-                    }
-                    if (do_read) {
+                    if (geo.iactAt(base, r, c, l, ic)) {
                         const LineAddr a = current_layout_.addrOf(ic);
                         const int64_t bank = a.slot % cfg_.aw;
                         const int64_t addr =
@@ -522,15 +271,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                     }
                     iact_vals[size_t(c) * size_t(t1) + size_t(l)] = v;
                 }
-                // Feed cycles for this stream slot: dual-port banks.
-                int64_t worst = 1;
-                for (int64_t b = 0; b < cfg_.aw; ++b) {
-                    worst = std::max(worst, ceilDiv<int64_t>(
-                                                bank_reads[size_t(b)], 2));
-                }
-                row_feed += worst;
+                row_feed += dualPortFeed(bank_reads, cfg_.aw);
             }
-            if (r < row_variants) feed_cycles += row_feed;
+            if (r < geo.row_variants) feed_cycles += row_feed;
 
             // ---- NEST emission ----
             nest_.computeRowEmission(int(r), iact_vals, t1, col_active,
@@ -542,48 +285,18 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             stats.macs += t1 * active_cols;
 
             // ---- wave-split groups so each StaB bank is hit once ----
-            std::fill_n(wave_of_group, size_t(num_groups), -1);
-            int num_waves = 0;
-            for (int64_t g = 0; g < num_groups; ++g) {
-                if (!group_live[size_t(g)]) continue;
-                int w = 0;
-                while (w < num_waves &&
-                       wave_bank_used[size_t(w) * size_t(cfg_.aw) +
-                                      size_t(group_bank[size_t(g)])]) {
-                    ++w;
-                }
-                if (w == num_waves) {
-                    std::fill_n(wave_bank_used + size_t(w) * size_t(cfg_.aw),
-                                size_t(cfg_.aw), uint8_t(0));
-                    ++num_waves;
-                }
-                wave_bank_used[size_t(w) * size_t(cfg_.aw) +
-                               size_t(group_bank[size_t(g)])] = 1;
-                wave_of_group[size_t(g)] = w;
-            }
+            const int num_waves = geo.splitWaves(
+                group_live, group_bank, cfg_.aw, wave_bank_used,
+                wave_of_group);
             bus_cycles += std::max(num_waves, 1);
 
             // ---- BIRRD reduction + reordering per wave ----
             for (int w = 0; w < num_waves; ++w) {
-                req.group_of_input.assign(size_t(cfg_.aw), -1);
-                req.dests_of_group.clear();
-                std::fill_n(dense_id, size_t(num_groups), -1);
-                int num_dense = 0;
-                for (int64_t c = 0; c < cols_used; ++c) {
-                    if (!col_active[size_t(c)]) continue;
-                    const int g = col_assign[size_t(c)].group;
-                    if (wave_of_group[size_t(g)] != w) continue;
-                    if (dense_id[size_t(g)] < 0) {
-                        dense_id[size_t(g)] = num_dense;
-                        dense_dest[num_dense++] = int(group_bank[size_t(g)]);
-                    }
-                    req.group_of_input[size_t(c)] = dense_id[size_t(g)];
+                if (geo.waveRequest(w, col_active, wave_of_group, group_bank,
+                                    cfg_.aw, dense_id, dense_dest,
+                                    req) == 0) {
+                    continue;
                 }
-                for (int i = 0; i < num_dense; ++i) {
-                    req.dests_of_group.push_back({dense_dest[i]});
-                }
-                if (num_dense == 0) continue;
-
                 const auto cfg_word = router_.route(req);
                 FEATHER_CHECK(cfg_word.has_value(),
                               "BIRRD routing failed for a FEATHER pattern");
@@ -610,7 +323,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                     auto [it, inserted] =
                         ob.try_emplace(ob_key(bank, addr));
                     if (inserted) {
-                        it->second.remaining = expected_contribs;
+                        it->second.remaining = geo.expected_contribs;
                         stats.peak_ob_entries = std::max(
                             stats.peak_ob_entries, int64_t(ob.size()));
                     }
@@ -640,7 +353,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         compute_since_load += step_cycles;
 
         ++step_index;
-        more = nest_loops.advance(step);
+        more = geo.loops.advance(step);
     }
 
     FEATHER_CHECK(ob.empty(), "OB has ", ob.size(),

@@ -14,6 +14,11 @@
  * layer's* layout (RIR, §IV). Numerics are validated against
  * tensor/reference_ops in the test suite.
  *
+ * run() takes every data-independent quantity — temporal steps, PE
+ * coordinates, column liveness, group destinations, wave split, BIRRD
+ * requests — from the layer's NestGeometry (feather/nest_geometry.hpp),
+ * the same geometry the analytic tier (feather/analytic.hpp) probes.
+ *
  * Timing model (per temporal step, steady state):
  *   cycles = max(feed, bus, t1)
  *     feed = iact delivery cycles including StaB bank conflicts
@@ -34,6 +39,7 @@
 #include "buffer/scratchpad.hpp"
 #include "common/arena.hpp"
 #include "feather/config.hpp"
+#include "feather/nest_geometry.hpp"
 #include "layout/layout.hpp"
 #include "nest/nest_array.hpp"
 #include "nest/nest_mapping.hpp"
@@ -51,15 +57,6 @@ namespace feather {
  * must use it too.
  */
 Extents oactIactExtents(const LayerSpec &layer);
-
-/** Dims reduced by the layer (their outputs accumulate): GEMM K; conv
- *  C,R,S; depthwise R,S. Shared by the cycle simulator and the analytic
- *  model (feather/analytic.hpp). */
-bool isReducedDim(const LayerSpec &layer, Dim d);
-
-/** Translate an oAct coordinate into next-layer iAct space for layout
- *  addressing: conv (M,P,Q) -> (C,H,W); GEMM (M,N) -> (M,K). */
-Coord oactToIactSpace(const LayerSpec &layer, const Coord &o);
 
 /** One entry of the Fig. 11-style read/write trace. */
 struct TraceEvent
@@ -119,14 +116,6 @@ class FeatherAccelerator
     const std::vector<TraceEvent> &trace() const { return trace_; }
 
   private:
-    struct ColAssign
-    {
-        /** Per-dim spatial index of this column (by Dim). */
-        Coord idx;
-        /** Reduction-group id of this column (-1 if none assigned). */
-        int group = -1;
-    };
-
     void recordTrace(TraceEvent::Kind kind, int64_t step, int64_t bank,
                      int64_t addr);
 

@@ -7,190 +7,49 @@
 #include "common/log.hpp"
 #include "dataflow/mapping.hpp"
 #include "feather/accelerator.hpp"
+#include "feather/nest_geometry.hpp"
 #include "noc/birrd.hpp"
 #include "noc/router.hpp"
 
 namespace feather {
-
-namespace {
-
-/** Mixed-radix decode of a flat index over parallel dims (dims[0] outer). */
-Coord
-decodeSpatial(const std::vector<ParallelDim> &dims, int64_t flat)
-{
-    Coord idx;
-    for (size_t i = dims.size(); i-- > 0;) {
-        idx[dims[i].dim] = flat % dims[i].degree;
-        flat /= dims[i].degree;
-    }
-    return idx;
-}
-
-} // namespace
 
 LayerStats
 analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
                    const Layout &in_layout, const Layout &out_layout,
                    const FeatherConfig &cfg)
 {
-    const std::string err = mapping.validate(layer, cfg.aw, cfg.ah);
-    FEATHER_CHECK(err.empty(), "invalid mapping: ", err);
-    FEATHER_CHECK(mapping.t1() <= cfg.max_local,
-                  "local tile exceeds PE register file");
+    checkNestMapping(layer, mapping, cfg);
+    const NestGeometry geo(layer, mapping);
+    const int64_t t1 = geo.t1;
+    const int64_t cols_used = geo.cols_used;
+    const int64_t rows_used = geo.rows_used;
 
-    const bool is_gemm = layer.type == OpType::Gemm;
-    const Extents ext = is_gemm ? gemmExtents(layer.gemm)
-                                : convExtents(layer.conv);
-    const ConvShape &cs = layer.conv;
-
-    // Temporal order and weight-affecting dims: identical to the cycle
-    // simulator (weight dims are a *prefix* of the temporal order, so the
-    // weight tile changes exactly every inner_steps steps).
-    std::vector<Dim> dims_order;
-    if (is_gemm) {
-        dims_order = {Dim::N, Dim::K, Dim::M};
-    } else if (cs.depthwise) {
-        dims_order = {Dim::C, Dim::R, Dim::S, Dim::P, Dim::Q};
-    } else {
-        dims_order = {Dim::M, Dim::C, Dim::R, Dim::S, Dim::P, Dim::Q};
-    }
-    std::vector<Dim> weight_dims;
-    if (is_gemm) {
-        weight_dims = {Dim::N, Dim::K};
-    } else if (cs.depthwise) {
-        weight_dims = {Dim::C, Dim::R, Dim::S};
-    } else {
-        weight_dims = {Dim::M, Dim::C, Dim::R, Dim::S};
-    }
-
-    DimMap unroll;
-    for (int i = 0; i < kNumDims; ++i) unroll[Dim(i)] = 1;
-    for (const auto &pd : mapping.local) unroll[pd.dim] *= pd.degree;
-    for (const auto &pd : mapping.cols) unroll[pd.dim] *= pd.degree;
-    for (const auto &pd : mapping.rows) unroll[pd.dim] *= pd.degree;
-
-    DimMap steps_of;
-    int64_t total_steps = 1;
-    int64_t weight_steps = 1;
-    int64_t reduction_step_combos = 1;
-    for (Dim d : dims_order) {
-        steps_of[d] = ceilDiv(std::max<int64_t>(ext[d], 1), unroll[d]);
-        total_steps *= steps_of[d];
-        if (isReducedDim(layer, d)) reduction_step_combos *= steps_of[d];
-    }
-    for (Dim d : weight_dims) weight_steps *= steps_of[d];
-
-    int64_t reduced_row_copies = 1;
-    for (const auto &pd : mapping.rows) {
-        if (isReducedDim(layer, pd.dim)) reduced_row_copies *= pd.degree;
-    }
-    const int64_t expected_contribs =
-        reduction_step_combos * reduced_row_copies;
-
-    DimMap local_deg, col_deg, row_deg;
-    for (int i = 0; i < kNumDims; ++i) {
-        local_deg[Dim(i)] = 1;
-        col_deg[Dim(i)] = 1;
-        row_deg[Dim(i)] = 1;
-    }
-    for (const auto &pd : mapping.local) local_deg[pd.dim] = pd.degree;
-    for (const auto &pd : mapping.cols) col_deg[pd.dim] = pd.degree;
-    for (const auto &pd : mapping.rows) row_deg[pd.dim] = pd.degree;
-
-    const int64_t t1 = mapping.t1();
-    const int64_t cols_used = mapping.colsUsed();
-    const int64_t rows_used = mapping.rowsUsed();
-
-    std::vector<ParallelDim> group_dims;
-    for (const auto &pd : mapping.cols) {
-        if (!isReducedDim(layer, pd.dim)) group_dims.push_back(pd);
-    }
-    const int64_t num_groups = totalDegree(group_dims);
-    struct ColAssign
-    {
-        Coord idx;
-        int group = -1;
-    };
-    std::vector<ColAssign> col_assign(static_cast<size_t>(cols_used));
-    for (int64_t c = 0; c < cols_used; ++c) {
-        col_assign[size_t(c)].idx = decodeSpatial(mapping.cols, c);
-        int64_t g = 0;
-        for (const auto &pd : group_dims) {
-            g = g * pd.degree + col_assign[size_t(c)].idx[pd.dim];
-        }
-        col_assign[size_t(c)].group = int(g);
-    }
-    std::vector<Coord> row_assign(static_cast<size_t>(rows_used));
-    for (int64_t r = 0; r < rows_used; ++r) {
-        row_assign[size_t(r)] = decodeSpatial(mapping.rows, r);
-    }
-    std::vector<Coord> local_assign(static_cast<size_t>(t1));
-    for (int64_t l = 0; l < t1; ++l) {
-        local_assign[size_t(l)] = decodeSpatial(mapping.local, l);
-    }
-
-    bool rows_affect_iacts = false;
-    for (const auto &pd : mapping.rows) {
-        const bool affects =
-            is_gemm ? (pd.dim == Dim::M || pd.dim == Dim::K)
-                    : (pd.dim != Dim::M);
-        if (affects && pd.degree > 1) rows_affect_iacts = true;
-    }
-    const int64_t row_variants = rows_affect_iacts ? rows_used : 1;
-
-    // Layout bindings: iActs exactly like loadIacts, oActs in next-layer
-    // iAct space exactly like the simulator's RIR write path.
-    Extents in_ext;
-    if (is_gemm) {
-        in_ext[Dim::M] = layer.gemm.m;
-        in_ext[Dim::K] = layer.gemm.k;
-    } else {
-        in_ext[Dim::C] = cs.c;
-        in_ext[Dim::H] = cs.h;
-        in_ext[Dim::W] = cs.w;
-    }
-    const BoundLayout in_bound(in_layout, in_ext);
+    const BoundLayout in_bound(in_layout, iactExtents(layer));
     const int64_t in_wpl = ceilDiv(in_bound.lineSize(), int64_t(cfg.aw));
     const BoundLayout out_bound(out_layout, oactIactExtents(layer));
-    const int64_t out_wpl = ceilDiv(out_bound.lineSize(), int64_t(cfg.aw));
 
     // ---- the probe step: the middle of every temporal loop ----
     // Step 0 is unrepresentative under padding (clipped taps); the middle
     // step sees the steady-state access pattern.
-    Coord base;
-    for (Dim d : dims_order) base[d] = ((steps_of[d] - 1) / 2) * unroll[d];
+    Coord mid;
+    for (const LoopLevel &lv : geo.loops.levels()) {
+        mid[lv.dim] = (lv.extent - 1) / 2;
+    }
+    const Coord base = geo.base(mid);
 
     // Weight tile of the probe step: in-bounds elements per reload.
     int64_t strb_per_reload = 0;
     for (int64_t r = 0; r < rows_used; ++r) {
         for (int64_t c = 0; c < cols_used; ++c) {
             for (int64_t l = 0; l < t1; ++l) {
-                const auto coord_of = [&](Dim d) {
-                    return base[d] + local_assign[size_t(l)][d] +
-                           local_deg[d] * (col_assign[size_t(c)].idx[d] +
-                                           col_deg[d] *
-                                               row_assign[size_t(r)][d]);
-                };
-                if (is_gemm) {
-                    if (coord_of(Dim::K) < ext[Dim::K] &&
-                        coord_of(Dim::N) < ext[Dim::N]) {
-                        ++strb_per_reload;
-                    }
-                } else {
-                    const int64_t m_ext = cs.depthwise ? 1 : ext[Dim::M];
-                    if (coord_of(Dim::M) < m_ext &&
-                        coord_of(Dim::C) < ext[Dim::C] &&
-                        coord_of(Dim::R) < ext[Dim::R] &&
-                        coord_of(Dim::S) < ext[Dim::S]) {
-                        ++strb_per_reload;
-                    }
-                }
+                Coord wc;
+                if (geo.weightAt(base, r, c, l, wc)) ++strb_per_reload;
             }
         }
     }
 
-    // Per-step feed / bus / access probe: the simulator's dedup, dual-port
-    // conflict and greedy wave-split logic over addresses only.
+    // Per-step feed / bus / access probe over addresses only; the waves
+    // go through the real BIRRD router for the switch-hop count.
     BirrdNetwork birrd(cfg.aw);
     BirrdRouter router(birrd.topology());
 
@@ -202,94 +61,33 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     int64_t hops_step = 0;
     std::vector<int64_t> dest_keys; // distinct OB destinations this step
 
-    std::vector<bool> col_active(size_t(cfg.aw), false);
-    std::vector<int64_t> group_line(size_t(num_groups), -1);
-    std::vector<int64_t> group_bank(size_t(num_groups), -1);
-    std::vector<bool> group_live(size_t(num_groups), false);
-    std::vector<int64_t> bank_reads(size_t(cfg.aw), 0);
+    const size_t aw = size_t(cfg.aw);
+    const size_t groups = size_t(geo.num_groups);
+    std::vector<uint8_t> col_active(aw);
+    std::vector<int64_t> group_line(groups), group_bank(groups);
+    std::vector<uint8_t> group_live(groups);
+    std::vector<int64_t> bank_reads(aw);
     std::vector<int64_t> seen_key;
+    std::vector<int> wave_of_group(groups), dense_id(groups);
+    std::vector<int> dense_dest(groups);
+    std::vector<uint8_t> wave_bank_used(groups * aw);
+    RouteRequest req;
+    std::vector<PortValue> inputs(aw);
 
     for (int64_t r = 0; r < rows_used; ++r) {
-        std::fill(col_active.begin(), col_active.end(), false);
-        std::fill(group_live.begin(), group_live.end(), false);
-        for (int64_t c = 0; c < cols_used; ++c) {
-            const int g = col_assign[size_t(c)].group;
-            const auto coord_of = [&](Dim d) {
-                return base[d] + local_assign[0][d] +
-                       local_deg[d] * (col_assign[size_t(c)].idx[d] +
-                                       col_deg[d] * row_assign[size_t(r)][d]);
-            };
-            Coord oc;
-            bool live = true;
-            if (is_gemm) {
-                oc[Dim::M] = coord_of(Dim::M);
-                oc[Dim::N] = coord_of(Dim::N);
-                live = oc[Dim::M] < ext[Dim::M] && oc[Dim::N] < ext[Dim::N];
-            } else if (cs.depthwise) {
-                oc[Dim::C] = coord_of(Dim::C);
-                oc[Dim::P] = coord_of(Dim::P);
-                oc[Dim::Q] = coord_of(Dim::Q);
-                live = oc[Dim::C] < ext[Dim::C] &&
-                       oc[Dim::P] < ext[Dim::P] && oc[Dim::Q] < ext[Dim::Q];
-            } else {
-                oc[Dim::M] = coord_of(Dim::M);
-                oc[Dim::P] = coord_of(Dim::P);
-                oc[Dim::Q] = coord_of(Dim::Q);
-                live = oc[Dim::M] < ext[Dim::M] &&
-                       oc[Dim::P] < ext[Dim::P] && oc[Dim::Q] < ext[Dim::Q];
-            }
-            col_active[size_t(c)] = live;
-            if (!live) continue;
-            if (!group_live[size_t(g)]) {
-                const LineAddr a =
-                    out_bound.addrOf(oactToIactSpace(layer, oc));
-                group_live[size_t(g)] = true;
-                group_bank[size_t(g)] = a.slot % cfg.aw;
-                group_line[size_t(g)] = a.line * out_wpl + a.slot / cfg.aw;
-            }
-        }
+        geo.rowOutputs(base, r, out_bound, cfg.aw, col_active.data(),
+                       group_live.data(), group_bank.data(),
+                       group_line.data());
 
         int64_t row_feed = 0;
         for (int64_t l = 0; l < t1; ++l) {
             std::fill(bank_reads.begin(), bank_reads.end(), 0);
             seen_key.clear();
             for (int64_t c = 0; c < cols_used; ++c) {
-                if (!col_active[size_t(c)]) continue;
-                const auto coord_of = [&](Dim d) {
-                    return base[d] + local_assign[size_t(l)][d] +
-                           local_deg[d] * (col_assign[size_t(c)].idx[d] +
-                                           col_deg[d] *
-                                               row_assign[size_t(r)][d]);
-                };
                 Coord ic;
-                bool do_read = false;
-                if (is_gemm) {
-                    const int64_t m = coord_of(Dim::M);
-                    const int64_t k = coord_of(Dim::K);
-                    if (m < ext[Dim::M] && k < ext[Dim::K]) {
-                        ic[Dim::M] = m;
-                        ic[Dim::K] = k;
-                        do_read = true;
-                    }
-                } else {
-                    const int64_t cc = coord_of(Dim::C);
-                    const int64_t p = coord_of(Dim::P);
-                    const int64_t q = coord_of(Dim::Q);
-                    const int64_t rr = coord_of(Dim::R);
-                    const int64_t ss = coord_of(Dim::S);
-                    const int64_t h = p * cs.stride + rr - cs.pad;
-                    const int64_t w = q * cs.stride + ss - cs.pad;
-                    if (cc < ext[Dim::C] && p < ext[Dim::P] &&
-                        q < ext[Dim::Q] && rr < ext[Dim::R] &&
-                        ss < ext[Dim::S] && h >= 0 && h < ext[Dim::H] &&
-                        w >= 0 && w < ext[Dim::W]) {
-                        ic[Dim::C] = cc;
-                        ic[Dim::H] = h;
-                        ic[Dim::W] = w;
-                        do_read = true;
-                    }
+                if (!col_active[size_t(c)] || !geo.iactAt(base, r, c, l, ic)) {
+                    continue;
                 }
-                if (!do_read) continue;
                 const LineAddr a = in_bound.addrOf(ic);
                 const int64_t bank = a.slot % cfg.aw;
                 const int64_t addr = a.line * in_wpl + a.slot / cfg.aw;
@@ -301,76 +99,44 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
                     ++bank_reads[size_t(bank)];
                 }
             }
-            int64_t worst = 1;
-            for (int64_t b = 0; b < cfg.aw; ++b) {
-                worst = std::max(worst,
-                                 ceilDiv<int64_t>(bank_reads[size_t(b)], 2));
-            }
-            row_feed += worst;
+            row_feed += dualPortFeed(bank_reads.data(), cfg.aw);
         }
-        if (r < row_variants) feed_cycles += row_feed;
+        if (r < geo.row_variants) feed_cycles += row_feed;
 
         macs_step += t1 * int64_t(std::count(col_active.begin(),
-                                             col_active.end(), true));
+                                             col_active.end(), uint8_t(1)));
 
-        // Greedy wave split, identical to the simulator's.
-        std::vector<int> wave_of_group(size_t(num_groups), -1);
-        int num_waves = 0;
-        {
-            std::vector<std::vector<bool>> bank_used;
-            for (int64_t g = 0; g < num_groups; ++g) {
-                if (!group_live[size_t(g)]) continue;
-                int w = 0;
-                while (w < num_waves &&
-                       bank_used[size_t(w)][size_t(group_bank[size_t(g)])]) {
-                    ++w;
-                }
-                if (w == num_waves) {
-                    bank_used.emplace_back(size_t(cfg.aw), false);
-                    ++num_waves;
-                }
-                bank_used[size_t(w)][size_t(group_bank[size_t(g)])] = true;
-                wave_of_group[size_t(g)] = w;
-                ++ob_acc_step;
-                dest_keys.push_back(group_bank[size_t(g)] * cfg.stab_depth +
-                                    group_line[size_t(g)]);
-            }
-        }
+        const int num_waves =
+            geo.splitWaves(group_live.data(), group_bank.data(), cfg.aw,
+                           wave_bank_used.data(), wave_of_group.data());
         bus_cycles += std::max(num_waves, 1);
+        for (size_t g = 0; g < groups; ++g) {
+            if (!group_live[g]) continue;
+            ++ob_acc_step;
+            dest_keys.push_back(group_bank[g] * cfg.stab_depth +
+                                group_line[g]);
+        }
 
-        // Route each wave through the real BIRRD router for the switch-hop
-        // estimate (one step only — no data flows).
         for (int w = 0; w < num_waves; ++w) {
-            RouteRequest req;
-            req.group_of_input.assign(size_t(cfg.aw), -1);
-            std::vector<int> dense_id(size_t(num_groups), -1);
-            std::vector<int> dense_dest;
-            for (int64_t c = 0; c < cols_used; ++c) {
-                if (!col_active[size_t(c)]) continue;
-                const int g = col_assign[size_t(c)].group;
-                if (wave_of_group[size_t(g)] != w) continue;
-                if (dense_id[size_t(g)] < 0) {
-                    dense_id[size_t(g)] = int(dense_dest.size());
-                    dense_dest.push_back(int(group_bank[size_t(g)]));
-                }
-                req.group_of_input[size_t(c)] = dense_id[size_t(g)];
+            if (geo.waveRequest(w, col_active.data(), wave_of_group.data(),
+                                group_bank.data(), cfg.aw, dense_id.data(),
+                                dense_dest.data(), req) == 0) {
+                continue;
             }
-            for (int d : dense_dest) req.dests_of_group.push_back({d});
-            if (dense_dest.empty()) continue;
             const auto cfg_word = router.route(req);
             FEATHER_CHECK(cfg_word.has_value(),
                           "BIRRD routing failed for a FEATHER pattern");
-            std::vector<PortValue> inputs(size_t(cfg.aw));
-            for (int64_t c = 0; c < cols_used; ++c) {
-                if (req.group_of_input[size_t(c)] >= 0) {
-                    inputs[size_t(c)] = 1;
-                }
+            for (size_t c = 0; c < aw; ++c) {
+                inputs[c] = req.group_of_input[c] >= 0 ? PortValue(1)
+                                                       : std::nullopt;
             }
             hops_step += birrd.activeSwitches(*cfg_word, inputs);
         }
     }
 
     // ---- scale the probe to the whole nest ----
+    const int64_t total_steps = geo.total_steps;
+    const int64_t weight_steps = geo.weight_steps;
     LayerStats stats;
     const int64_t step_cycles = std::max({feed_cycles, bus_cycles, t1});
     stats.compute_cycles = total_steps * step_cycles;
@@ -384,8 +150,8 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     stats.birrd_switch_hops = total_steps * hops_step;
     stats.strb_reads = weight_steps * strb_per_reload;
     stats.dram_words = stats.strb_reads;
-    stats.stab_writes = expected_contribs > 0
-                            ? stats.ob_accumulates / expected_contribs
+    stats.stab_writes = geo.expected_contribs > 0
+                            ? stats.ob_accumulates / geo.expected_contribs
                             : 0;
     std::sort(dest_keys.begin(), dest_keys.end());
     stats.peak_ob_entries = int64_t(
@@ -396,8 +162,7 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     // later one hides behind the inner_steps of compute since the previous
     // reload (the shadow ping-pong registers).
     const int64_t wl = int64_t(cfg.ah) * t1;
-    const int64_t inner_steps =
-        weight_steps > 0 ? total_steps / weight_steps : total_steps;
+    const int64_t inner_steps = total_steps / weight_steps;
     stats.weight_load_cycles_each = wl;
     stats.weight_load_cycles =
         wl + (weight_steps - 1) *

@@ -6,19 +6,20 @@
  * two-tier simulation engine (sim/engine_mode.hpp; sim::runChain calls it
  * in place of the cycle replay).
  *
- * The cycle simulator walks every temporal step of the mapping's loop nest
- * and replays every partial sum through NEST -> BIRRD -> OB. The analytic
- * model instead derives the same LayerStats fields from the loop structure
- * alone:
+ * Both tiers read the layer's loop-nest geometry from one
+ * feather::NestGeometry (feather/nest_geometry.hpp). The cycle simulator
+ * walks every temporal step of it and replays every partial sum through
+ * NEST -> BIRRD -> OB. The analytic model instead derives the same
+ * LayerStats fields from the geometry alone:
  *
- *   - the step count, weight-reload count and reload spacing come straight
- *     from the per-dim temporal trip counts (weight dims are a prefix of
- *     the temporal order, so reloads are evenly spaced);
+ *   - the step count, weight-reload count and reload spacing are the
+ *     geometry's temporal trip counts (weight dims are a prefix of the
+ *     temporal order, so reloads are evenly spaced);
  *   - feed/bus/macs per step come from ONE probe step of pure address
  *     arithmetic — the middle step of the nest, which is representative of
  *     the steady state (step 0 is not: padded convolutions clip many taps
- *     there). The probe runs the same dedup, dual-port bank-conflict and
- *     greedy wave-split logic as the simulator, and routes its waves
+ *     there). The probe uses the geometry's coordinates, output pass,
+ *     dual-port feed, wave split and wave requests, and routes its waves
  *     through the real BIRRD router, but touches no data;
  *   - totals are the per-step probe values scaled by the step count, plus
  *     the exact weight-preload exposure and pipeline-fill terms.
@@ -43,11 +44,10 @@ namespace feather {
 /**
  * Closed-form LayerStats estimate for running @p layer under @p mapping
  * with iActs stored as @p in_layout and oActs written as @p out_layout
- * (next-layer iAct space, exactly like FeatherAccelerator::run).
+ * (bound in next-layer iAct space, oactIactExtents).
  *
- * Preconditions match the cycle simulator's: the mapping must validate
- * against the layer and cfg.aw/cfg.ah, and local dims must be reduction
- * dims.
+ * Checks the mapping with checkNestMapping, as FeatherAccelerator::run
+ * does.
  */
 LayerStats analyticLayerStats(const LayerSpec &layer,
                               const NestMapping &mapping,

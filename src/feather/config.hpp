@@ -18,7 +18,6 @@ struct FeatherConfig
     int aw = 16;             ///< PE columns == BIRRD inputs == StaB banks
     int ah = 16;             ///< PE rows
     int64_t stab_depth = 262144; ///< words per StaB bank (per ping/pong half)
-    int64_t ob_depth = 65536;    ///< live accumulators per OB bank
     int max_local = 512;     ///< PE local weight register file capacity
 };
 

@@ -12,6 +12,10 @@
 
 #include "common/rng.hpp"
 #include "feather/accelerator.hpp"
+#include "feather/nest_geometry.hpp"
+#include "model/scheduler.hpp"
+#include "sim/driver.hpp"
+#include "sim/scenario.hpp"
 #include "tensor/reference_ops.hpp"
 
 namespace feather {
@@ -397,6 +401,54 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(6, "HWC_C4", "HCW_W4"),
         std::make_tuple(7, "CHW_W4", "CHW_W4"),
         std::make_tuple(8, "HWC_C4", "HWC_C2W2")));
+
+// Identities the analytic tier's scaling rests on: one reload per weight
+// tile, and every written output receives exactly expected_contribs
+// partial sums. Checked on every scenario layer under every scheduler
+// family that plans at the scenario's default array, in both tiers.
+TEST(NestGeometry_, CountersFollowTheGeometry)
+{
+    int cases = 0;
+    for (const sim::Scenario &s : sim::scenarios()) {
+        for (const sim::ScenarioLayer &sl : s.layers) {
+            for (const sim::DataflowKind kind : model::kFamilies) {
+                const auto plan = sim::planLayer(kind, sl.layer, s.default_aw,
+                                                 s.default_ah);
+                if (!plan) continue;
+                const NestGeometry geo(sl.layer, plan->mapping);
+                const Extents out = oactIactExtents(sl.layer);
+                int64_t out_elems = 1;
+                for (Dim d : {Dim::M, Dim::K, Dim::C, Dim::H, Dim::W}) {
+                    if (out[d] > 0) out_elems *= out[d];
+                }
+                for (const sim::EngineMode mode :
+                     {sim::EngineMode::Cycle, sim::EngineMode::Analytic}) {
+                    const std::string where =
+                        s.name + "/" + sl.layer.name + "/" +
+                        sim::toString(kind) + "/" + sim::toString(mode);
+                    sim::RunOptions opts;
+                    opts.aw = s.default_aw;
+                    opts.ah = s.default_ah;
+                    opts.engine = mode;
+                    opts.mapping = plan->mapping;
+                    opts.in_layout = plan->in_layout;
+                    opts.out_layout = plan->out_layout;
+                    const LayerStats st = sim::runLayer(sl.layer, opts).stats;
+                    EXPECT_EQ(st.weight_reload_events, geo.weight_steps)
+                        << where;
+                    EXPECT_EQ(st.ob_accumulates,
+                              geo.expected_contribs * st.stab_writes)
+                        << where;
+                    if (mode == sim::EngineMode::Cycle) {
+                        EXPECT_EQ(st.stab_writes, out_elems) << where;
+                    }
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 0);
+}
 
 } // namespace
 } // namespace feather
