@@ -3,10 +3,10 @@
  * Ablation / microbenchmark: BIRRD routing cost (google-benchmark).
  *
  * Measures the offline config-generation latency of the path-search router
- * for the pattern classes FEATHER emits, the cache-hit fast path (the
- * Instruction Buffer analogue), and the brute-force fallback on small
- * networks. Prints router statistics (path-search vs fallback solve
- * counts) at the end.
+ * for the pattern classes FEATHER emits, the cache-hit fast path (a
+ * lookup returning a pointer into the cache), and the brute-force
+ * fallback on small networks. Prints router statistics (path-search vs
+ * fallback solve counts) at the end.
  */
 
 #include <benchmark/benchmark.h>
@@ -39,7 +39,8 @@ BM_RouteUniformReduction(benchmark::State &state)
             dests[size_t(j)] = (j + rot) % num_groups;
         }
         rot = (rot + 1) % num_groups;
-        auto cfg = router.route(RouteRequest::reduction(groups, dests));
+        const BirrdConfigWord *cfg =
+            router.route(RouteRequest::reduction(groups, dests));
         benchmark::DoNotOptimize(cfg);
     }
 
@@ -49,7 +50,8 @@ BM_RouteUniformReduction(benchmark::State &state)
     BirrdRouter probe(topo, 42);
     std::vector<int> dests(static_cast<size_t>(num_groups));
     std::iota(dests.begin(), dests.end(), 0);
-    auto cfg = probe.route(RouteRequest::reduction(groups, dests));
+    const BirrdConfigWord *cfg =
+        probe.route(RouteRequest::reduction(groups, dests));
     benchmark::DoNotOptimize(cfg);
     state.counters["search_nodes"] = double(probe.stats().nodes_explored);
 }
@@ -65,7 +67,7 @@ BM_RouteCacheHit(benchmark::State &state)
     const auto req = RouteRequest::permutation(dest);
     (void)router.route(req); // warm the cache
     for (auto _ : state) {
-        auto cfg = router.route(req);
+        const BirrdConfigWord *cfg = router.route(req);
         benchmark::DoNotOptimize(cfg);
     }
 }
@@ -84,14 +86,16 @@ BM_RouteFallbackDfs(benchmark::State &state)
         std::vector<int> dests = {(0 + rot) % 8, (2 + rot) % 8,
                                   (4 + rot) % 8, (6 + rot) % 8};
         rot = (rot + 1) % 8;
-        auto cfg = router.route(RouteRequest::reduction(groups, dests));
+        const BirrdConfigWord *cfg =
+            router.route(RouteRequest::reduction(groups, dests));
         benchmark::DoNotOptimize(cfg);
     }
 
     // Deterministic fallback-effort counter (see BM_RouteUniformReduction).
     BirrdRouter probe(topo, 42);
     probe.setUsePathSearch(false);
-    auto cfg = probe.route(RouteRequest::reduction(groups, {0, 2, 4, 6}));
+    const BirrdConfigWord *cfg =
+        probe.route(RouteRequest::reduction(groups, {0, 2, 4, 6}));
     benchmark::DoNotOptimize(cfg);
     state.counters["search_nodes"] = double(probe.stats().nodes_explored);
 }
@@ -99,7 +103,7 @@ BM_RouteFallbackDfs(benchmark::State &state)
 void
 BM_BirrdEvaluate(benchmark::State &state)
 {
-    // Per-cycle functional evaluation cost (the simulator's hot loop).
+    // Per-cycle functional evaluation cost of the reference network path.
     const int n = int(state.range(0));
     BirrdNetwork net(n);
     const auto cfg = passThroughConfig(net.topology());

@@ -39,7 +39,7 @@ showPattern(const char *title, BirrdRouter &router, const BirrdTopology &topo,
     }
     std::printf("\n");
 
-    const auto cfg = router.route(req);
+    const BirrdConfigWord *cfg = router.route(req);
     if (!cfg) {
         std::printf("routing failed!\n");
         return;

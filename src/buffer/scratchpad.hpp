@@ -95,6 +95,11 @@ class Scratchpad
 /**
  * FEATHER StaB: @ref numBanks() banks of one word width, each @ref depth()
  * entries deep, with independent addressing per bank.
+ *
+ * Storage is demand-sized: each bank holds words only up to its highest
+ * written address, and an address never written reads as the fill value.
+ * depth() still bounds every access, so capacity errors are unchanged; a
+ * run that touches a few KB of a multi-MB StaB allocates a few KB.
  */
 template <typename T>
 class BankedScratchpad
@@ -103,8 +108,8 @@ class BankedScratchpad
     BankedScratchpad() = default;
 
     BankedScratchpad(int64_t num_banks, int64_t depth, T fill = T{})
-        : num_banks_(num_banks), depth_(depth),
-          data_(size_t(num_banks * depth), fill)
+        : num_banks_(num_banks), depth_(depth), fill_(fill),
+          banks_(size_t(num_banks))
     {
     }
 
@@ -114,9 +119,8 @@ class BankedScratchpad
     T
     read(int64_t bank, int64_t addr)
     {
-        checkAddr(bank, addr);
         ++stats_.word_reads;
-        return data_[size_t(bank * depth_ + addr)];
+        return peek(bank, addr);
     }
 
     void
@@ -124,14 +128,15 @@ class BankedScratchpad
     {
         checkAddr(bank, addr);
         ++stats_.word_writes;
-        data_[size_t(bank * depth_ + addr)] = value;
+        grownTo(bank, addr + 1)[size_t(addr)] = value;
     }
 
     T
     peek(int64_t bank, int64_t addr) const
     {
         checkAddr(bank, addr);
-        return data_[size_t(bank * depth_ + addr)];
+        const std::vector<T> &b = banks_[size_t(bank)];
+        return size_t(addr) < b.size() ? b[size_t(addr)] : fill_;
     }
 
     /**
@@ -146,7 +151,8 @@ class BankedScratchpad
         checkAddr(bank, addr);
         checkAddr(bank, addr + n - 1);
         stats_.word_writes += n;
-        std::copy(src, src + n, data_.begin() + ptrdiff_t(bank * depth_ + addr));
+        std::copy(src, src + n,
+                  grownTo(bank, addr + n).begin() + ptrdiff_t(addr));
     }
 
     /** Bulk peek of @p n contiguous words of one bank (no access stats,
@@ -157,8 +163,11 @@ class BankedScratchpad
         if (n <= 0) return;
         checkAddr(bank, addr);
         checkAddr(bank, addr + n - 1);
-        const auto at = data_.begin() + ptrdiff_t(bank * depth_ + addr);
-        std::copy(at, at + ptrdiff_t(n), dst);
+        const std::vector<T> &b = banks_[size_t(bank)];
+        const int64_t stored =
+            std::clamp<int64_t>(int64_t(b.size()) - addr, 0, n);
+        std::copy_n(b.begin() + ptrdiff_t(addr), stored, dst);
+        std::fill(dst + stored, dst + n, fill_);
     }
 
     /**
@@ -196,9 +205,19 @@ class BankedScratchpad
                       " out of range (", depth_, ")");
     }
 
+    /** Bank @p bank, grown (with fill) to hold at least @p size words. */
+    std::vector<T> &
+    grownTo(int64_t bank, int64_t size)
+    {
+        std::vector<T> &b = banks_[size_t(bank)];
+        if (size_t(size) > b.size()) b.resize(size_t(size), fill_);
+        return b;
+    }
+
     int64_t num_banks_ = 0;
     int64_t depth_ = 0;
-    std::vector<T> data_;
+    T fill_{};
+    std::vector<std::vector<T>> banks_;
     AccessStats stats_;
 };
 

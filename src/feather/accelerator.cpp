@@ -35,7 +35,6 @@ oactIactExtents(const LayerSpec &layer)
 
 FeatherAccelerator::FeatherAccelerator(FeatherConfig cfg)
     : cfg_(cfg), nest_(cfg.aw, cfg.ah, cfg.max_local), birrd_(cfg.aw),
-      router_(birrd_.topology()),
       stab_(BankedScratchpad<int8_t>(cfg.aw, cfg.stab_depth),
             BankedScratchpad<int8_t>(cfg.aw, cfg.stab_depth))
 {
@@ -154,8 +153,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     const int64_t inner_steps = geo.total_steps / geo.weight_steps;
 
     // Per-run scratch carved out of the bump arena: one reset, flat POD
-    // blocks, no allocator traffic inside the step loop. The PortValue
-    // buffers stay as (hoisted) vectors — std::optional is not trivial.
+    // blocks, no allocator traffic inside the step loop.
     arena_.reset();
     int16_t *iact_vals =
         arena_.allocArray<int16_t>(size_t(cfg_.aw) * size_t(t1));
@@ -175,13 +173,12 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     int *dense_id = arena_.allocArray<int>(size_t(num_groups));
     int *dense_dest = arena_.allocArray<int>(size_t(num_groups));
 
-    // Routing/NoC bookkeeping hoisted out of the inner loop and reused
-    // across waves and steps.
-    RouteRequest req;
+    // Hoisted heap buffers, reused across rows and steps: the NEST
+    // emission (std::optional is not trivial), the per-group sums and the
+    // compiled-wave key.
     std::vector<PortValue> emission(size_t(cfg_.aw));
-    std::vector<PortValue> inputs(size_t(cfg_.aw));
-    std::vector<PortValue> outputs;
-    std::vector<PortValue> noc_scratch;
+    std::vector<int64_t> group_sum(static_cast<size_t>(num_groups));
+    std::string wave_key;
 
     Coord step;
     int64_t step_index = 0;
@@ -275,12 +272,19 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             }
             if (r < geo.row_variants) feed_cycles += row_feed;
 
-            // ---- NEST emission ----
+            // ---- NEST emission, reduced per group ----
+            // BIRRD delivers each group's sum to the group's bank (route()
+            // verified that when the wave was compiled), so the sum is
+            // taken once here and the waves only count switch hops.
             nest_.computeRowEmission(int(r), iact_vals, t1, col_active,
                                      emission.data());
+            std::fill(group_sum.begin(), group_sum.end(), int64_t(0));
             int64_t active_cols = 0;
-            for (int64_t c = 0; c < cfg_.aw; ++c) {
-                if (col_active[size_t(c)]) ++active_cols;
+            for (int64_t c = 0; c < cols_used; ++c) {
+                if (!col_active[size_t(c)]) continue;
+                ++active_cols;
+                group_sum[size_t(geo.cols[size_t(c)].group)] +=
+                    *emission[size_t(c)];
             }
             stats.macs += t1 * active_cols;
 
@@ -292,22 +296,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
 
             // ---- BIRRD reduction + reordering per wave ----
             for (int w = 0; w < num_waves; ++w) {
-                if (geo.waveRequest(w, col_active, wave_of_group, group_bank,
-                                    cfg_.aw, dense_id, dense_dest,
-                                    req) == 0) {
-                    continue;
-                }
-                const auto cfg_word = router_.route(req);
-                FEATHER_CHECK(cfg_word.has_value(),
-                              "BIRRD routing failed for a FEATHER pattern");
-                std::fill(inputs.begin(), inputs.end(), std::nullopt);
-                for (int64_t c = 0; c < cols_used; ++c) {
-                    if (req.group_of_input[size_t(c)] >= 0) {
-                        inputs[size_t(c)] = emission[size_t(c)];
-                    }
-                }
-                birrd_.evaluateInto(*cfg_word, inputs, outputs, noc_scratch,
-                                    &stats.birrd_switch_hops);
+                stats.birrd_switch_hops +=
+                    geo.waveHops(w, col_active, wave_of_group, group_bank,
+                                 cfg_.aw, dense_id, dense_dest, wave_key);
 
                 // ---- OB accumulation and completion ----
                 for (int64_t g = 0; g < num_groups; ++g) {
@@ -317,9 +308,6 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                     }
                     const int64_t bank = group_bank[size_t(g)];
                     const int64_t addr = group_line[size_t(g)];
-                    const PortValue &val = outputs[size_t(bank)];
-                    FEATHER_CHECK(val.has_value(),
-                                  "BIRRD delivered no value to bank ", bank);
                     auto [it, inserted] =
                         ob.try_emplace(ob_key(bank, addr));
                     if (inserted) {
@@ -327,7 +315,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                         stats.peak_ob_entries = std::max(
                             stats.peak_ob_entries, int64_t(ob.size()));
                     }
-                    it->second.acc += *val;
+                    it->second.acc += group_sum[size_t(g)];
                     ++stats.ob_accumulates;
                     if (--it->second.remaining == 0) {
                         const int8_t q = requantize(int32_t(it->second.acc),

@@ -8,7 +8,7 @@
  *        -> StaB (pong, *new layout*)
  *
  * The simulator is cycle-accounting and bit-exact: every partial sum flows
- * through the NEST local reduction, the routed BIRRD network, the Output
+ * through the NEST local reduction, the BIRRD reduction, the Output
  * Buffer's in-situ temporal accumulation, and the FBGEMM-style Quantize
  * Module; results land in per-bank StaB addresses dictated by the *next
  * layer's* layout (RIR, §IV). Numerics are validated against
@@ -16,8 +16,12 @@
  *
  * run() takes every data-independent quantity — temporal steps, PE
  * coordinates, column liveness, group destinations, wave split, BIRRD
- * requests — from the layer's NestGeometry (feather/nest_geometry.hpp),
- * the same geometry the analytic tier (feather/analytic.hpp) probes.
+ * waves — from the layer's NestGeometry (feather/nest_geometry.hpp), the
+ * same geometry the analytic tier (feather/analytic.hpp) probes. Each wave
+ * replays from the compiled-wave table (noc/router.hpp), the Instruction
+ * Buffer analogue: a wave pattern is routed and verified once, and a
+ * replay adds each group's sum into the OB at its bank plus the wave's
+ * switch hops.
  *
  * Timing model (per temporal step, steady state):
  *   cycles = max(feed, bus, t1)
@@ -32,7 +36,6 @@
  */
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +46,7 @@
 #include "layout/layout.hpp"
 #include "nest/nest_array.hpp"
 #include "nest/nest_mapping.hpp"
-#include "noc/router.hpp"
+#include "noc/birrd.hpp"
 #include "tensor/tensor.hpp"
 #include "workload/shapes.hpp"
 
@@ -108,9 +111,6 @@ class FeatherAccelerator
     /** Layout currently bound to StaB ping. */
     const BoundLayout &currentLayout() const { return current_layout_; }
 
-    /** Router statistics (config generation / instruction buffer). */
-    const RouterStats &routerStats() const { return router_.stats(); }
-
     /** Enable capture of the first @p max_events StaB reads/writes. */
     void enableTrace(size_t max_events);
     const std::vector<TraceEvent> &trace() const { return trace_; }
@@ -122,7 +122,6 @@ class FeatherAccelerator
     FeatherConfig cfg_;
     NestArray nest_;
     BirrdNetwork birrd_;
-    BirrdRouter router_;
     PingPong<BankedScratchpad<int8_t>> stab_;
     BoundLayout current_layout_;
     Arena arena_; ///< per-run scratch; reset (blocks reused) each run()

@@ -1,6 +1,7 @@
 #include "feather/analytic.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -8,8 +9,7 @@
 #include "dataflow/mapping.hpp"
 #include "feather/accelerator.hpp"
 #include "feather/nest_geometry.hpp"
-#include "noc/birrd.hpp"
-#include "noc/router.hpp"
+#include "noc/topology.hpp"
 
 namespace feather {
 
@@ -49,10 +49,8 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     }
 
     // Per-step feed / bus / access probe over addresses only; the waves
-    // go through the real BIRRD router for the switch-hop count.
-    BirrdNetwork birrd(cfg.aw);
-    BirrdRouter router(birrd.topology());
-
+    // take their switch-hop counts from the compiled-wave table the cycle
+    // tier replays.
     int64_t feed_cycles = 0;
     int64_t bus_cycles = 0;
     int64_t macs_step = 0;
@@ -71,8 +69,7 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     std::vector<int> wave_of_group(groups), dense_id(groups);
     std::vector<int> dense_dest(groups);
     std::vector<uint8_t> wave_bank_used(groups * aw);
-    RouteRequest req;
-    std::vector<PortValue> inputs(aw);
+    std::string wave_key;
 
     for (int64_t r = 0; r < rows_used; ++r) {
         geo.rowOutputs(base, r, out_bound, cfg.aw, col_active.data(),
@@ -118,19 +115,10 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
         }
 
         for (int w = 0; w < num_waves; ++w) {
-            if (geo.waveRequest(w, col_active.data(), wave_of_group.data(),
-                                group_bank.data(), cfg.aw, dense_id.data(),
-                                dense_dest.data(), req) == 0) {
-                continue;
-            }
-            const auto cfg_word = router.route(req);
-            FEATHER_CHECK(cfg_word.has_value(),
-                          "BIRRD routing failed for a FEATHER pattern");
-            for (size_t c = 0; c < aw; ++c) {
-                inputs[c] = req.group_of_input[c] >= 0 ? PortValue(1)
-                                                       : std::nullopt;
-            }
-            hops_step += birrd.activeSwitches(*cfg_word, inputs);
+            hops_step += geo.waveHops(w, col_active.data(),
+                                      wave_of_group.data(), group_bank.data(),
+                                      cfg.aw, dense_id.data(),
+                                      dense_dest.data(), wave_key);
         }
     }
 
@@ -168,7 +156,7 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
         wl + (weight_steps - 1) *
                  std::max<int64_t>(0, wl - inner_steps * step_cycles);
 
-    stats.fill_cycles = cfg.ah + birrd.latency() + 2;
+    stats.fill_cycles = cfg.ah + BirrdTopology(cfg.aw).numStages() + 2;
     stats.cycles = stats.compute_cycles + stats.weight_load_cycles +
                    stats.fill_cycles;
     return stats;

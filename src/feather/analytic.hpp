@@ -19,8 +19,9 @@
  *     arithmetic — the middle step of the nest, which is representative of
  *     the steady state (step 0 is not: padded convolutions clip many taps
  *     there). The probe uses the geometry's coordinates, output pass,
- *     dual-port feed, wave split and wave requests, and routes its waves
- *     through the real BIRRD router, but touches no data;
+ *     dual-port feed and wave split, and takes each wave's switch hops
+ *     from the compiled-wave table the cycle tier replays, but touches no
+ *     data;
  *   - totals are the per-step probe values scaled by the step count, plus
  *     the exact weight-preload exposure and pipeline-fill terms.
  *

@@ -209,4 +209,24 @@ NestGeometry::waveRequest(int w, const uint8_t *col_active,
     return num_dense;
 }
 
+int64_t
+NestGeometry::waveHops(int w, const uint8_t *col_active,
+                       const int *wave_of_group, const int64_t *group_bank,
+                       int aw, int *dense_id, int *dense_dest,
+                       std::string &key) const
+{
+    key.assign(size_t(aw), '\0');
+    for (int64_t c = 0; c < cols_used; ++c) {
+        if (!col_active[c]) continue;
+        const size_t g = size_t(cols[size_t(c)].group);
+        if (wave_of_group[g] == w) key[size_t(c)] = char(group_bank[g] + 1);
+    }
+    CompiledWaves &waves = CompiledWaves::local();
+    if (const int64_t *hops = waves.find(key)) return *hops;
+    RouteRequest req;
+    waveRequest(w, col_active, wave_of_group, group_bank, aw, dense_id,
+                dense_dest, req);
+    return waves.compile(key, req);
+}
+
 } // namespace feather

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dataflow/access_pattern.hpp"
@@ -204,6 +205,18 @@ struct NestGeometry
                     const int *wave_of_group, const int64_t *group_bank,
                     int aw, int *dense_id, int *dense_dest,
                     RouteRequest &req) const;
+
+    /**
+     * BIRRD switch hops of wave @p w, replayed from the calling thread's
+     * CompiledWaves table (noc/router.hpp). @p key receives the wave's
+     * key: aw bytes, byte c the bank + 1 of column c's group when c is an
+     * active column of the wave, else 0. A miss compiles the entry from
+     * waveRequest, with @p dense_id and @p dense_dest as its scratch.
+     */
+    int64_t waveHops(int w, const uint8_t *col_active,
+                     const int *wave_of_group, const int64_t *group_bank,
+                     int aw, int *dense_id, int *dense_dest,
+                     std::string &key) const;
 };
 
 /** Feed cycles of one stream slot given per-bank distinct reads: dual-port

@@ -85,9 +85,8 @@ class BirrdNetwork
     /**
      * Fused evaluate + activeSwitches in one propagation pass, writing the
      * output ports into @p outputs (resized to numInputs()) and reusing
-     * @p scratch as the inter-stage buffer — the hot-loop variant the
-     * FEATHER controller calls once per wave instead of propagating the
-     * same vector twice and reallocating port buffers each time.
+     * @p scratch as the inter-stage buffer. It is the reference the
+     * simulator's compiled waves (noc/router.hpp) are tested against.
      *
      * @param active_switches if non-null, incremented by the number of
      *        switches that saw live data (same count as activeSwitches()).

@@ -80,7 +80,7 @@ BirrdRouter::BirrdRouter(const BirrdTopology &topo, uint64_t seed)
     }
 }
 
-std::optional<BirrdConfigWord>
+const BirrdConfigWord *
 BirrdRouter::route(const RouteRequest &req)
 {
     ++stats_.requests;
@@ -92,7 +92,7 @@ BirrdRouter::route(const RouteRequest &req)
     const std::string key = req.key();
     if (auto it = cache_.find(key); it != cache_.end()) {
         ++stats_.cache_hits;
-        return it->second;
+        return &it->second;
     }
 
     // Validate the request.
@@ -148,12 +148,36 @@ BirrdRouter::route(const RouteRequest &req)
     }
     if (!result) {
         ++stats_.failures;
-        return std::nullopt;
+        return nullptr;
     }
     FEATHER_CHECK(verify(topo_, *result, req),
                   "router produced a config that fails verification");
-    cache_.emplace(key, *result);
-    return result;
+    return &cache_.emplace(key, std::move(*result)).first->second;
+}
+
+CompiledWaves &
+CompiledWaves::local()
+{
+    thread_local CompiledWaves table;
+    return table;
+}
+
+int64_t
+CompiledWaves::compile(const std::string &key, const RouteRequest &req)
+{
+    const int n = int(req.group_of_input.size());
+    const BirrdNetwork net(n);
+    BirrdRouter router(net.topology());
+    const BirrdConfigWord *config = router.route(req);
+    FEATHER_CHECK(config != nullptr,
+                  "BIRRD routing failed for a FEATHER pattern");
+    std::vector<PortValue> live(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        if (req.group_of_input[size_t(i)] >= 0) live[size_t(i)] = 1;
+    }
+    const int64_t hops = net.activeSwitches(*config, live);
+    hops_.emplace(key, hops);
+    return hops;
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@
  * a brute-force DFS over raw switch configurations remains as the fallback
  * the paper also describes. Solved patterns are cached — FEATHER generates
  * BIRRD configurations offline into the Instruction Buffer.
+ *
+ * The simulator's Instruction Buffer is CompiledWaves: a per-thread table
+ * that routes each wave pattern once and keeps only what replaying the
+ * wave needs, so a wave costs a key lookup instead of a route and a
+ * network evaluation.
  */
 
 #include <optional>
@@ -81,12 +86,13 @@ class BirrdRouter
     explicit BirrdRouter(const BirrdTopology &topo, uint64_t seed = 1);
 
     /**
-     * Solve @p req. Returns std::nullopt when no configuration was found
+     * Solve @p req. Returns the configuration held in this router's cache
+     * (valid for the router's lifetime), or nullptr when none was found
      * within the node budget (callers treat this as "pick another
      * dataflow"; the test suite verifies it never happens for the patterns
      * FEATHER generates).
      */
-    std::optional<BirrdConfigWord> route(const RouteRequest &req);
+    const BirrdConfigWord *route(const RouteRequest &req);
 
     /** Total nodes explored, cache hits, etc. */
     const RouterStats &stats() const { return stats_; }
@@ -187,6 +193,43 @@ class BirrdRouter
     bool use_path_search_ = true;
     RouterStats stats_;
     std::unordered_map<std::string, BirrdConfigWord> cache_;
+};
+
+/**
+ * Compiled BIRRD waves, keyed by AW bytes: byte i is the destination port
+ * + 1 of input i's reduction group, or 0 when input i is idle. Every group
+ * of a wave has its own destination, so the key fully determines the
+ * wave's single-destination reduction request. Replaying a wave needs only
+ * its switch hops: each group's sum arrives at its port, which route()
+ * verified when the entry was compiled.
+ *
+ * Each entry is routed by a fresh BirrdRouter, so it depends on its
+ * request alone; the table is therefore safe to share across runs. One
+ * table per thread (local()), so no lock.
+ */
+class CompiledWaves
+{
+  public:
+    /** The calling thread's table. */
+    static CompiledWaves &local();
+
+    /** Switch hops of the wave @p key, or nullptr when not compiled. */
+    const int64_t *
+    find(const std::string &key) const
+    {
+        const auto it = hops_.find(key);
+        return it == hops_.end() ? nullptr : &it->second;
+    }
+
+    /**
+     * Route @p req (the request @p key encodes), store its switch hops
+     * — BirrdNetwork::activeSwitches over the request's live inputs —
+     * under @p key and return them. Panics when routing fails.
+     */
+    int64_t compile(const std::string &key, const RouteRequest &req);
+
+  private:
+    std::unordered_map<std::string, int64_t> hops_;
 };
 
 } // namespace feather

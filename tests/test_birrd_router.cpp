@@ -22,9 +22,27 @@ bool
 routeOk(BirrdRouter &router, const BirrdTopology &topo,
         const RouteRequest &req)
 {
-    const auto cfg = router.route(req);
-    if (!cfg) return false;
+    const BirrdConfigWord *cfg = router.route(req);
+    if (cfg == nullptr) return false;
     return BirrdRouter::verify(topo, *cfg, req);
+}
+
+TEST(Router, CacheHitReturnsTheCachedConfig)
+{
+    const BirrdTopology topo(8);
+    BirrdRouter router(topo);
+    const std::vector<int> groups = {0, 0, 1, 1, 2, 2, 3, 3};
+    const auto req = RouteRequest::reduction(groups, {3, 2, 1, 0});
+    const BirrdConfigWord *first = router.route(req);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(router.route(req), first);
+    // Solving another pattern leaves the first entry where it was.
+    ASSERT_NE(router.route(RouteRequest::reduction(groups, {0, 2, 4, 6})),
+              nullptr);
+    EXPECT_EQ(router.route(req), first);
+    EXPECT_EQ(router.stats().requests, 4);
+    EXPECT_EQ(router.stats().cache_hits, 2);
+    EXPECT_TRUE(BirrdRouter::verify(topo, *first, req));
 }
 
 TEST(Router, IdentityPermutation)

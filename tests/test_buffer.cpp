@@ -139,6 +139,52 @@ TEST(BankedScratchpad, LoadWithLayout)
     }
 }
 
+TEST(BankedScratchpad, UnwrittenAddressReadsFill)
+{
+    BankedScratchpad<int8_t> stab(4, 8, int8_t(-3));
+    EXPECT_EQ(stab.peek(1, 5), -3);
+    EXPECT_EQ(stab.read(1, 5), -3);
+    stab.write(1, 6, 9);
+    // Below the highest written address, but never written itself.
+    EXPECT_EQ(stab.peek(1, 2), -3);
+    EXPECT_EQ(stab.peek(1, 6), 9);
+    EXPECT_EQ(stab.peek(1, 7), -3);
+    EXPECT_EQ(stab.peek(0, 6), -3);
+    EXPECT_EQ(stab.stats().word_reads, 1);
+    EXPECT_EQ(stab.stats().word_writes, 1);
+}
+
+TEST(BankedScratchpad, DepthBoundsEveryAccess)
+{
+    BankedScratchpad<int8_t> stab(4, 8);
+    stab.write(3, 7, 5);
+    EXPECT_EQ(stab.peek(3, 7), 5);
+    EXPECT_DEATH(stab.write(3, 8, 1), "out of range");
+    EXPECT_DEATH(stab.read(0, 8), "out of range");
+    EXPECT_DEATH(stab.write(4, 0, 1), "out of range");
+    const int8_t two[2] = {1, 2};
+    EXPECT_DEATH(stab.writeRange(0, 7, two, 2), "out of range");
+}
+
+TEST(BankedScratchpad, RangesAcrossGrowthBoundary)
+{
+    BankedScratchpad<int8_t> stab(2, 16, int8_t(-1));
+    stab.write(0, 3, 7);
+    const int8_t src[4] = {10, 11, 12, 13};
+    // Starts inside the stored words and ends past them.
+    stab.writeRange(0, 2, src, 4);
+    int8_t got[8];
+    stab.peekRange(0, 0, got, 8);
+    const int8_t want[8] = {-1, -1, 10, 11, 12, 13, -1, -1};
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(got[i], want[i]) << i;
+    // A peek wholly past the stored words, and one on an untouched bank.
+    stab.peekRange(0, 10, got, 6);
+    for (int i = 0; i < 6; ++i) EXPECT_EQ(got[i], -1) << i;
+    stab.peekRange(1, 0, got, 4);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], -1) << i;
+    EXPECT_EQ(stab.stats().word_writes, 5);
+}
+
 TEST(PingPong, SwapRoles)
 {
     PingPong<Scratchpad<int8_t>> pp(Scratchpad<int8_t>(spec(2, 2, 2)),

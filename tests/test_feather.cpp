@@ -450,5 +450,136 @@ TEST(NestGeometry_, CountersFollowTheGeometry)
     EXPECT_GT(cases, 0);
 }
 
+// The compiled-wave replay against the reference network. Every wave of
+// every step and row, on the same scenario layer x family cases as above,
+// is routed and pushed through BirrdNetwork with random values on its live
+// columns: each group's exact sum must arrive at its bank, and the
+// network's active switches must equal the compiled table's hops.
+TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
+{
+    Rng rng(16);
+    int cases = 0;
+    int64_t waves = 0;
+    for (const sim::Scenario &s : sim::scenarios()) {
+        for (const sim::ScenarioLayer &sl : s.layers) {
+            for (const sim::DataflowKind kind : model::kFamilies) {
+                const auto plan = sim::planLayer(kind, sl.layer, s.default_aw,
+                                                 s.default_ah);
+                if (!plan) continue;
+                const std::string where =
+                    s.name + "/" + sl.layer.name + "/" + sim::toString(kind);
+                const NestGeometry geo(sl.layer, plan->mapping);
+                const BoundLayout out(plan->out_layout,
+                                      oactIactExtents(sl.layer));
+                const int aw = s.default_aw;
+                const size_t groups = size_t(geo.num_groups);
+                const BirrdNetwork net(aw);
+                BirrdRouter router(net.topology());
+
+                std::vector<uint8_t> col_active(static_cast<size_t>(aw)),
+                    live(groups);
+                std::vector<int64_t> bank(groups), line(groups);
+                std::vector<uint8_t> bank_used(groups * size_t(aw));
+                std::vector<int> wave_of_group(groups), dense_id(groups),
+                    dense_dest(groups);
+                RouteRequest req;
+                std::string key;
+                std::vector<PortValue> inputs(static_cast<size_t>(aw)), outputs,
+                    scratch;
+                std::vector<int64_t> want;
+
+                Coord step;
+                bool more = true;
+                while (more) {
+                    const Coord base = geo.base(step);
+                    for (int64_t r = 0; r < geo.rows_used; ++r) {
+                        geo.rowOutputs(base, r, out, aw, col_active.data(),
+                                       live.data(), bank.data(), line.data());
+                        const int num_waves = geo.splitWaves(
+                            live.data(), bank.data(), aw, bank_used.data(),
+                            wave_of_group.data());
+                        for (int w = 0; w < num_waves; ++w) {
+                            const int n = geo.waveRequest(
+                                w, col_active.data(), wave_of_group.data(),
+                                bank.data(), aw, dense_id.data(),
+                                dense_dest.data(), req);
+                            ASSERT_GT(n, 0) << where;
+                            const BirrdConfigWord *config = router.route(req);
+                            ASSERT_NE(config, nullptr) << where;
+                            want.assign(size_t(n), 0);
+                            for (int c = 0; c < aw; ++c) {
+                                const int g = req.group_of_input[size_t(c)];
+                                inputs[size_t(c)] = std::nullopt;
+                                if (g < 0) continue;
+                                const int64_t v =
+                                    rng.range(-(int64_t{1} << 40),
+                                              int64_t{1} << 40);
+                                inputs[size_t(c)] = v;
+                                want[size_t(g)] += v;
+                            }
+                            int64_t hops = 0;
+                            net.evaluateInto(*config, inputs, outputs,
+                                             scratch, &hops);
+                            for (int g = 0; g < n; ++g) {
+                                const PortValue &got = outputs[size_t(
+                                    req.dests_of_group[size_t(g)][0])];
+                                ASSERT_TRUE(got.has_value()) << where;
+                                ASSERT_EQ(*got, want[size_t(g)]) << where;
+                            }
+                            ASSERT_EQ(hops,
+                                      geo.waveHops(w, col_active.data(),
+                                                   wave_of_group.data(),
+                                                   bank.data(), aw,
+                                                   dense_id.data(),
+                                                   dense_dest.data(), key))
+                                << where;
+                            ++waves;
+                        }
+                    }
+                    more = geo.loops.advance(step);
+                }
+                ++cases;
+            }
+        }
+    }
+    EXPECT_GT(cases, 0);
+    EXPECT_GT(waves, 0);
+}
+
+// StaB storage is demand-sized, but its depth still bounds a layer: iActs
+// or oActs that do not fit are rejected, not silently grown into.
+TEST(Feather, LayerBeyondStabDepthFails)
+{
+    // HWC_C4 puts one word per bank on each of H*W*ceil(C/4) lines: the
+    // 4-channel iActs take 36 words per bank, the 8-channel oActs 72.
+    const LayerSpec layer = convLayer(4, 6, 8, 3, 1, 1);
+    Rng rng(21);
+    Int8Tensor iacts({1, 4, 6, 6});
+    Int8Tensor weights({8, 4, 3, 3});
+    iacts.randomize(rng, -50, 50);
+    weights.randomize(rng, -50, 50);
+    const Layout hwc = Layout::parse("HWC_C4");
+
+    FeatherConfig cfg = smallConfig(4, 4);
+    cfg.stab_depth = 35;
+    EXPECT_DEATH(FeatherAccelerator(cfg).loadIacts(iacts, hwc),
+                 "iacts exceed StaB capacity");
+
+    cfg.stab_depth = 71;
+    FeatherAccelerator acc(cfg);
+    acc.loadIacts(iacts, hwc);
+    EXPECT_DEATH(acc.run(layer, weights, NestMapping::canonical(layer, 4, 4),
+                         hwc, LayerQuant{}),
+                 "oacts exceed StaB capacity");
+
+    cfg.stab_depth = 72;
+    FeatherAccelerator fits(cfg);
+    fits.loadIacts(iacts, hwc);
+    EXPECT_GT(fits.run(layer, weights, NestMapping::canonical(layer, 4, 4),
+                       hwc, LayerQuant{})
+                  .stab_writes,
+              0);
+}
+
 } // namespace
 } // namespace feather
