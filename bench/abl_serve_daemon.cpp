@@ -5,7 +5,10 @@
  *
  * Replays the deterministic load generator's pinned-arrival stream
  * through a fresh daemon per iteration and reports wall time per run at
- * two pool sizes. The determinism contract makes the counters the
+ * two pool sizes. BM_DaemonGraphFleet replays a fixed whole-model stream
+ * on the three-device fleet instead: each iteration's fresh plan cache
+ * simulates every candidate of a graph once, on its first request, and
+ * later requests for that graph pay only for their measured chains. The determinism contract makes the counters the
  * interesting part for CI: every virtual-time figure (accepted count,
  * latency percentiles, total cycles) must be identical across the two
  * pool sizes and across runs, so the perf gate can pin them exactly
@@ -39,10 +42,32 @@ fixedLoad()
     return daemon::generateLoad(cfg);
 }
 
-void
-runDaemonBench(benchmark::State &state, daemon::DaemonOptions opts)
+/** Whole-model requests: the three built-in graphs x {per-layer,
+ *  greedy}, four times over, one every 2 ms of virtual time. */
+std::vector<daemon::Request>
+fixedGraphLoad()
 {
-    const std::vector<daemon::Request> requests = fixedLoad();
+    std::vector<daemon::Request> requests;
+    for (int copy = 0; copy < 4; ++copy) {
+        for (const char *model :
+             {"resnet_block", "mobilenet_slice", "bert_mlp"}) {
+            for (const char *schedule : {"per-layer", "greedy"}) {
+                daemon::Request req;
+                req.client = "c" + std::to_string(requests.size() % 4);
+                req.arrival_us = int64_t(requests.size()) * 2000;
+                req.model = model;
+                req.schedule = schedule;
+                requests.push_back(std::move(req));
+            }
+        }
+    }
+    return requests;
+}
+
+void
+runDaemonBench(benchmark::State &state, daemon::DaemonOptions opts,
+               const std::vector<daemon::Request> &requests = fixedLoad())
+{
     daemon::DaemonReport report;
     for (auto _ : state) {
         daemon::Daemon d(opts); // fresh plan cache every iteration
@@ -86,8 +111,26 @@ BM_DaemonAdmission(benchmark::State &state)
     runDaemonBench(state, opts);
 }
 
+/** Whole-model stream on the three-device fleet at --jobs N; counters
+ *  must not depend on N. */
+void
+BM_DaemonGraphFleet(benchmark::State &state)
+{
+    daemon::DaemonOptions opts;
+    opts.num_threads = int(state.range(0));
+    opts.clock_mhz = 10;
+    std::string error;
+    if (!daemon::parseFleetSpec("feather:16x16,feather:32x32,tpu-like",
+                                &opts.fleet, &error)) {
+        state.SkipWithError(error.c_str());
+        return;
+    }
+    runDaemonBench(state, opts, fixedGraphLoad());
+}
+
 BENCHMARK(BM_DaemonServe)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DaemonAdmission)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DaemonGraphFleet)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "tensor/quant.hpp"
 
@@ -63,6 +64,19 @@ struct LayerStats
     }
 
     std::string toString() const;
+
+    /** Every field, in declaration order (field-for-field comparison). */
+    auto
+    tie() const
+    {
+        return std::tie(cycles, compute_cycles, weight_load_cycles,
+                        fill_cycles, read_stall_cycles, write_stall_cycles,
+                        macs, stab_reads, stab_writes, strb_reads,
+                        ob_accumulates, birrd_switch_hops, dram_words,
+                        peak_ob_entries, weight_reload_events,
+                        weight_load_cycles_each, arena_peak_bytes);
+    }
+    bool operator==(const LayerStats &o) const { return tie() == o.tie(); }
 };
 
 } // namespace feather

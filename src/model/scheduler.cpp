@@ -258,9 +258,12 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
         eval.layers.push_back(std::move(candidates));
     }
 
-    // Step 2: simulate every unique candidate standalone, in parallel.
-    // Slots are pre-sized and seeds derived per flat index, so the result
-    // is bit-identical at any num_threads.
+    // Step 2: simulate every unique candidate standalone, in parallel,
+    // once per cache. Slots are pre-sized and seeds derived per flat
+    // index, so the result is bit-identical at any num_threads. The run
+    // is fixed by the candidate's planning key (its counters depend on
+    // neither the seed nor the multiplier), so its stats are memoized
+    // beside the plan; unverified — the measured chain is the check.
     struct EvalSlot
     {
         size_t layer;
@@ -282,20 +285,28 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
             pool.submit([this, &graph, &eval, &devs, &slot] {
                 const ModelLayer &ml = graph.layers[slot.layer];
                 Candidate &cand = eval.layers[slot.layer][slot.cand];
-                sim::RunOptions ropts;
-                ropts.aw = devs[size_t(cand.device)].aw;
-                ropts.ah = devs[size_t(cand.device)].ah;
-                ropts.engine = opts_.engine;
-                ropts.seed = slot.seed;
-                ropts.mapping = cand.plan.mapping;
-                ropts.in_layout = cand.plan.in_layout;
-                ropts.out_layout = cand.plan.out_layout;
-                ropts.quant.multiplier = ml.multiplier;
+                const FleetDevice &dev = devs[size_t(cand.device)];
+                const std::string key = serve::PlanCache::key(
+                    opts_.engine, cand.kinds.front(), ml.spec, dev.aw,
+                    dev.ah, dev.name);
                 try {
-                    const sim::RunResult r = sim::runLayer(ml.spec, ropts);
-                    cand.est_cycles = r.stats.cycles;
-                    cand.macs = r.stats.macs;
-                    cand.bit_exact = r.bitExact();
+                    std::optional<LayerStats> stats = cache().findStats(key);
+                    if (!stats) {
+                        sim::RunOptions ropts;
+                        ropts.aw = dev.aw;
+                        ropts.ah = dev.ah;
+                        ropts.engine = opts_.engine;
+                        ropts.seed = slot.seed;
+                        ropts.mapping = cand.plan.mapping;
+                        ropts.in_layout = cand.plan.in_layout;
+                        ropts.out_layout = cand.plan.out_layout;
+                        ropts.quant.multiplier = ml.multiplier;
+                        ropts.verify = false;
+                        stats = sim::runLayer(ml.spec, ropts).stats;
+                        cache().storeStats(key, *stats);
+                    }
+                    cand.est_cycles = stats->cycles;
+                    cand.macs = stats->macs;
                 } catch (const std::exception &e) {
                     slot.error = e.what();
                 }

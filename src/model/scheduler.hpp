@@ -15,10 +15,13 @@
  *      families that induce the same (mapping, layouts) collapse into one
  *      candidate.
  *   2. Candidate evaluation — each unique candidate is simulated
- *      standalone (concordant layouts, bit-exact verification against the
- *      reference operators) in parallel on a serve::ThreadPool. Results
- *      land in pre-sized slots with per-candidate derived RNG streams, so
- *      the outcome is bit-identical at any thread count.
+ *      standalone (concordant layouts) in parallel on a serve::ThreadPool,
+ *      without reference verification: its counters are all the search
+ *      needs, and step 5 verifies what runs. Results land in pre-sized
+ *      slots with per-candidate derived RNG streams, so the outcome is
+ *      bit-identical at any thread count. The stats are memoized in the
+ *      serve::PlanCache beside the candidate's plan, so schedulers sharing
+ *      one cache (the serving daemon's) simulate each candidate once.
  *   3. Edge pricing — switching from layer i's candidate a to layer
  *      i+1's candidate b costs reorderCost(a.out_layout, b.in_layout):
  *      the BIRRD reorder cycles needed to convert the intermediate tensor
@@ -137,9 +140,6 @@ struct Candidate
     sim::LayerPlan plan;
     int64_t est_cycles = 0; ///< standalone run under concordant layouts
     int64_t macs = 0;
-    /** Verified against the reference operator. Always false under the
-     *  analytic engine, which estimates without producing outputs. */
-    bool bit_exact = false;
     /** Index of the device this candidate runs on (0 on the implicit
      *  device). Evaluations flatten per-device candidate lists into one
      *  tagged list per layer, so the DP/greedy/fixed policies search
@@ -252,8 +252,9 @@ struct SchedulerOptions
     sim::EngineMode engine = sim::EngineMode::Cycle;
     /** Plan through this cache instead of the scheduler's own — the
      *  serving daemon injects its warm, shared cache here so model
-     *  requests reuse (and contribute) plans across the whole run. The
-     *  cache must outlive the Scheduler; nullptr keeps the private one. */
+     *  requests reuse (and contribute) plans and memoized candidate stats
+     *  across the whole run. The cache must outlive the Scheduler;
+     *  nullptr keeps the private one. */
     serve::PlanCache *shared_cache = nullptr;
     /** The devices to schedule over, each at its own array shape (aw/ah
      *  above are then ignored); empty = the implicit aw x ah device. */

@@ -64,6 +64,29 @@ PlanCache::planFn(const std::string &scope)
     };
 }
 
+std::optional<LayerStats>
+PlanCache::findStats(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it == map_.end() || !it->second.stats) return std::nullopt;
+    ++memo_hits_;
+    return it->second.stats;
+}
+
+void
+PlanCache::storeStats(const std::string &key, const LayerStats &stats)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it == map_.end()) return;
+    std::optional<LayerStats> &memo = it->second.stats;
+    FEATHER_CHECK(!memo || *memo == stats,
+                  "plan cache: two runs of ", key, " disagree (",
+                  memo->toString(), " vs ", stats.toString(), ")");
+    memo = stats;
+}
+
 PlanCache::Stats
 PlanCache::stats() const
 {
@@ -72,6 +95,7 @@ PlanCache::stats() const
     s.hits = hits_;
     s.misses = misses_;
     s.entries = map_.size();
+    s.memo_hits = memo_hits_;
     return s;
 }
 
@@ -97,6 +121,7 @@ PlanCache::clear()
     map_.clear();
     hits_ = 0;
     misses_ = 0;
+    memo_hits_ = 0;
 }
 
 } // namespace serve

@@ -13,6 +13,14 @@
  * same conv share an entry too. Failed plans (mapping does not fit) are
  * cached alongside successes so a sweep probing infeasible corners stays
  * cheap.
+ *
+ * Beside each plan the cache also memoizes the LayerStats of one
+ * standalone run under it (the scheduler's candidate evaluation). The
+ * planning key fixes that run: a candidate runs under its plan's
+ * concordant layouts, and the simulator's counters depend on neither the
+ * input data (seed) nor the quantization multiplier. So every Scheduler
+ * sharing a cache — the serving daemon's model requests — simulates each
+ * candidate once.
  */
 
 #include <cstdint>
@@ -35,6 +43,10 @@ class PlanCache
         uint64_t hits = 0;
         uint64_t misses = 0;
         size_t entries = 0;
+        /** findStats() calls answered from the stats memo. Kept out of
+         *  toJson()/toString(): racing misses make it vary with the
+         *  thread count, and those feed the byte-stable reports. */
+        uint64_t memo_hits = 0;
 
         uint64_t lookups() const { return hits + misses; }
 
@@ -73,6 +85,22 @@ class PlanCache
      *  every lookup the returned fn makes carries @p scope. */
     sim::PlanFn planFn(const std::string &scope = {});
 
+    /**
+     * The memoized stats of the standalone run under the plan at @p key (a
+     * key() string); nullopt until storeStats() attached some. Counts
+     * Stats::memo_hits only — plan hits/misses/entries never move.
+     */
+    std::optional<LayerStats> findStats(const std::string &key);
+
+    /**
+     * Attach @p stats, computed by the caller outside the lock, to the
+     * plan at @p key. When two threads race on one key the second store
+     * checks that its stats equal the stored ones: a run is a pure
+     * function of its plan. A no-op when @p key has no plan (cleared since
+     * it was planned), so entries never grow here.
+     */
+    void storeStats(const std::string &key, const LayerStats &stats);
+
     Stats stats() const;
 
     void clear();
@@ -92,12 +120,14 @@ class PlanCache
     {
         std::optional<sim::LayerPlan> plan; ///< nullopt = cached failure
         std::string error;                  ///< why planning failed
+        std::optional<LayerStats> stats;    ///< memoized run of plan
     };
 
     mutable std::mutex mu_;
     std::unordered_map<std::string, Entry> map_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
+    uint64_t memo_hits_ = 0;
 };
 
 } // namespace serve

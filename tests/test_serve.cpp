@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the serve batch engine: thread-pool execution, per-stream RNG
- * derivation, plan-cache hit/miss accounting, sweep expansion, batch-file
+ * derivation, plan-cache hit/miss accounting and its candidate-stats
+ * memo, sweep expansion, batch-file
  * parsing, report export (CSV / single-line JSON), failure isolation, and
  * the engine's central determinism contract — a batch report is
  * bit-identical no matter how many worker threads ran it.
@@ -212,6 +213,65 @@ TEST(PlanCache, ConcurrentMixedModeStressKeepsExactCounters)
     EXPECT_EQ(stats.misses, 12u) << "exactly one miss per unique key";
     EXPECT_EQ(stats.lookups(), uint64_t(kThreads) * kItersPerThread);
     EXPECT_EQ(stats.hits, uint64_t(kThreads) * kItersPerThread - 12u);
+}
+
+TEST(PlanCache, MemoizesStatsBesideThePlanUntilCleared)
+{
+    PlanCache cache;
+    const LayerSpec conv = sim::convLayer("c", 8, 8, 8, 3, 1, 1);
+    const std::string key = PlanCache::key(
+        sim::EngineMode::Cycle, sim::DataflowKind::Canonical, conv, 4, 4);
+    LayerStats st;
+    st.cycles = 42;
+    st.macs = 7;
+    cache.storeStats(key, st); // no plan to attach to: dropped
+    EXPECT_FALSE(cache.findStats(key).has_value());
+    EXPECT_EQ(cache.stats().entries, 0u);
+
+    ASSERT_TRUE(cache.getOrPlan(sim::EngineMode::Cycle,
+                                sim::DataflowKind::Canonical, conv, 4, 4)
+                    .has_value());
+    EXPECT_FALSE(cache.findStats(key).has_value());
+    cache.storeStats(key, st);
+    cache.storeStats(key, st); // a racing store with equal stats is fine
+    const std::optional<LayerStats> memo = cache.findStats(key);
+    ASSERT_TRUE(memo.has_value());
+    EXPECT_EQ(*memo, st);
+
+    // The memo never moves the golden plan-cache block.
+    const PlanCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.memo_hits, 1u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.toJson(), R"({"hits":0,"misses":1,"entries":1})");
+    EXPECT_EQ(stats.toString(),
+              "plan cache: 0 hit(s), 1 miss(es), 1 entr(y/ies)");
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().memo_hits, 0u);
+    ASSERT_TRUE(cache.getOrPlan(sim::EngineMode::Cycle,
+                                sim::DataflowKind::Canonical, conv, 4, 4)
+                    .has_value());
+    EXPECT_FALSE(cache.findStats(key).has_value())
+        << "clear() drops the memoized stats with the plans";
+}
+
+TEST(PlanCacheDeathTest, DisagreeingStatsStoreAborts)
+{
+    PlanCache cache;
+    const LayerSpec conv = sim::convLayer("c", 8, 8, 8, 3, 1, 1);
+    ASSERT_TRUE(cache.getOrPlan(sim::EngineMode::Cycle,
+                                sim::DataflowKind::Canonical, conv, 4, 4)
+                    .has_value());
+    const std::string key = PlanCache::key(
+        sim::EngineMode::Cycle, sim::DataflowKind::Canonical, conv, 4, 4);
+    LayerStats st;
+    st.cycles = 42;
+    cache.storeStats(key, st);
+    LayerStats other = st;
+    other.stab_reads = 1;
+    EXPECT_DEATH(cache.storeStats(key, other), "disagree");
 }
 
 // ---------------------------------------------------------------------------
