@@ -3,14 +3,16 @@
 #   cmake -DPROGRAM=<binary> -DARGS="a|b|c" -DNORM=<feather_report_norm>
 #         -DOUT=<output prefix>
 #         [-DCSV_GOLDEN=<file> -DJSON_GOLDEN=<file>]
-#         [-DSTDOUT_GOLDEN=<file>]
+#         [-DSTDOUT_GOLDEN=<file>] [-DTEXT_GOLDEN=<file>]
 #         -P golden_run.cmake
 #
 # ARGS separates the program's arguments with '|'. With CSV_GOLDEN and
 # JSON_GOLDEN the run also writes --report-csv/--report-json, and both
 # reports are compared after feather_report_norm zeroes their `*_wall_us`
 # fields. With STDOUT_GOLDEN the program's stdout (JSON lines) is
-# normalized and compared the same way. The program must exit 0.
+# normalized and compared the same way. With TEXT_GOLDEN the raw stdout
+# (listings, usage text) is compared byte for byte, unnormalized. The
+# program must exit 0.
 
 foreach(var PROGRAM NORM OUT)
   if(NOT DEFINED ${var})
@@ -55,4 +57,13 @@ if(DEFINED CSV_GOLDEN)
 endif()
 if(DEFINED STDOUT_GOLDEN)
   compare(json "${OUT}.stdout" "${STDOUT_GOLDEN}")
+endif()
+if(DEFINED TEXT_GOLDEN)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files "${OUT}.stdout"
+            "${TEXT_GOLDEN}"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${OUT}.stdout differs from ${TEXT_GOLDEN}")
+  endif()
 endif()
