@@ -38,7 +38,7 @@ namespace {
 serve::JobSpec
 gemmJob(const char *name, GemmShape g, const std::string &out_layout)
 {
-    sim::Scenario s;
+    sim::ModelGraph s;
     s.name = name;
     s.summary = "fig10 irregular GEMM";
     s.layers = {{sim::gemmLayer(name, g.m * 32, g.n, g.k),

@@ -109,12 +109,12 @@ main(int argc, char **argv)
 
     // Cycle-sim cross-check: sweep the dataflow families over two array
     // sizes as one multi-threaded engine batch (every job bit-exact
-    // against the reference operators).
-    sim::Scenario scenario;
+    // against the reference operators). The layer pins no dataflow: every
+    // sweep point overrides it.
+    sim::ModelGraph scenario;
     scenario.name = "sim_check";
     scenario.summary = "dataflow_search cycle-sim cross-check";
-    scenario.layers = {{simSizedLayer(layer), sim::DataflowKind::Canonical,
-                        0.02f}};
+    scenario.layers = {{simSizedLayer(layer)}};
     scenario.default_aw = 8;
     scenario.default_ah = 8;
 
@@ -136,7 +136,7 @@ main(int argc, char **argv)
     }
     std::printf("cycle-sim cross-check of %s on the serve engine "
                 "(%zu jobs, %llu plan-cache hits):\n",
-                scenario.layers.front().layer.conv.toString().c_str(),
+                scenario.layers.front().spec.conv.toString().c_str(),
                 report->jobs.size(),
                 (unsigned long long)report->cache.hits);
     for (const std::string &why : skipped) {

@@ -12,7 +12,6 @@
 #include "model/graph.hpp"
 #include "model/scheduler.hpp"
 #include "serve/engine.hpp"
-#include "sim/scenario.hpp"
 
 namespace feather {
 namespace daemon {
@@ -81,22 +80,23 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
 {
     const Request &req = p->req;
     const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
-    const sim::Scenario *scenario = nullptr;
-    const model::ModelGraph *graph = nullptr;
     // Shape-independent validation first.
-    if (!req.isModel()) {
-        scenario = sim::findScenario(req.scenario);
-        if (!scenario) {
-            return strCat("unknown scenario \"", req.scenario, "\"");
-        }
-        if (!req.dataflow.empty() && !sim::parseDataflow(req.dataflow)) {
-            return strCat("unknown dataflow \"", req.dataflow, "\"");
-        }
-    } else {
-        graph = model::findModel(req.model);
-        if (!graph) return strCat("unknown model \"", req.model, "\"");
-        std::string err;
-        if (!model::parseSchedule(req.schedule, &err)) return err;
+    p->graph = req.isModel() ? model::findModel(req.model)
+                             : sim::findScenario(req.scenario);
+    if (!p->graph) {
+        return req.isModel()
+                   ? strCat("unknown model \"", req.model, "\"")
+                   : strCat("unknown scenario \"", req.scenario, "\"");
+    }
+    const sim::ModelGraph &graph = *p->graph;
+    std::optional<sim::DataflowKind> forced;
+    if (!req.dataflow.empty()) {
+        forced = sim::parseDataflow(req.dataflow);
+        if (!forced) return strCat("unknown dataflow \"", req.dataflow, "\"");
+    }
+    std::string bad_schedule;
+    if (req.isModel() && !model::parseSchedule(req.schedule, &bad_schedule)) {
+        return bad_schedule;
     }
 
     // One planning point of device @p d: count hit/miss against the
@@ -136,62 +136,52 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
     const bool fleet = opts_.fleet.enabled();
     p->dev_plan.resize(devices_.size());
 
-    if (graph) {
-        // Warm every (layer, family, device) point the scheduler will
-        // enumerate, in its order and through each device's cache scope.
-        // A fleet scheduler owns its devices' shapes (request shape pins
-        // are ignored, as documented in the README) and skips unusable
-        // ones; the implicit device runs at the request's shape. A fleet
-        // keeps planning past an unfit layer so every device's cache
-        // scope is warmed the same whether or not the request is
-        // rejected; the first unfit layer is reported.
+    if (req.isModel() && fleet) {
+        // A fleet scheduler splits the graph over the fleet: warm every
+        // (layer, family, device) point it will enumerate, in its order,
+        // at each usable device's own shape (request shape pins are
+        // ignored, as documented in the README) and cache scope. Planning
+        // continues past an unfit layer so every scope is warmed the same
+        // whether or not the request is rejected; the first unfit layer
+        // is reported.
         std::string unfit;
-        for (const model::ModelLayer &ml : graph->layers) {
+        for (const sim::ModelLayer &ml : graph.layers) {
             bool fits = false;
-            int aw = 0;
-            int ah = 0;
             std::string err;
             std::string first_err;
             for (size_t d = 0; d < devices_.size(); ++d) {
                 const model::FleetDevice &dev = devices_[d];
-                aw = fleet ? dev.aw : req.aw > 0 ? req.aw : graph->default_aw;
-                ah = fleet ? dev.ah : req.ah > 0 ? req.ah : graph->default_ah;
-                if (fleet && (aw < 2 || !isPow2(uint64_t(aw)) || ah < 1)) {
+                if (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1) {
                     continue;
                 }
                 for (sim::DataflowKind kind : model::kFamilies) {
-                    if (plan_point(d, dev.name, kind, ml.spec, aw, ah,
-                                   &err)) {
+                    if (plan_point(d, dev.name, kind, ml.spec, dev.aw,
+                                   dev.ah, &err)) {
                         fits = true;
                     } else if (first_err.empty()) {
                         first_err = err;
                     }
                 }
             }
-            if (fits) continue;
-            if (!fleet) {
-                return strCat("no dataflow family fits ", ml.spec.name,
-                              " on a ", aw, "x", ah, " array: ", err);
-            }
-            if (unfit.empty()) {
+            if (!fits && unfit.empty()) {
                 unfit = strCat("no fleet device fits ", ml.spec.name, ": ",
                                first_err.empty() ? "no usable device shape"
                                                  : first_err);
             }
         }
         if (!unfit.empty()) return unfit;
-        // One variant, runnable on every device: the whole-graph schedule
-        // (a fleet scheduler places each layer itself).
-        add_variant(fleet ? 0 : req.aw, fleet ? 0 : req.ah);
+        // One staged variant, runnable on every device: the scheduler
+        // places each layer itself.
+        add_variant(0, 0);
         for (DevicePlan &dp : p->dev_plan) dp.feasible = true;
         return "";
     }
 
-    // Scenario: plan once per *distinct* resolved shape (a request that
-    // pins aw/ah resolves to the same shape everywhere) and share the
-    // resulting variant between same-shaped devices.
-    std::optional<sim::DataflowKind> forced;
-    if (!req.dataflow.empty()) forced = sim::parseDataflow(req.dataflow);
+    // Placed whole on one device: plan once per *distinct* resolved shape
+    // (a request that pins aw/ah resolves to the same shape everywhere)
+    // and share the resulting variant between same-shaped devices. A
+    // scenario layer plans its one family (the forced dataflow, else its
+    // pin); a model layer plans every family the scheduler enumerates.
     std::map<std::pair<int, int>, size_t> shapes; // -> first device
     std::string first_error;
     for (size_t d = 0; d < devices_.size(); ++d) {
@@ -202,15 +192,29 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
             p->dev_plan[d] = p->dev_plan[it->second];
             continue;
         }
+        const int plan_aw = aw > 0 ? aw : graph.default_aw;
+        const int plan_ah = ah > 0 ? ah : graph.default_ah;
         std::string err;
-        for (const sim::ScenarioLayer &sl : scenario->layers) {
+        for (const sim::ModelLayer &ml : graph.layers) {
             std::string why;
-            if (!plan_point(d, "", forced ? *forced : sl.dataflow, sl.layer,
-                            aw > 0 ? aw : scenario->default_aw,
-                            ah > 0 ? ah : scenario->default_ah, &why)) {
-                err = strCat("layer ", sl.layer.name, ": ", why);
-                break;
+            bool fits = false;
+            if (req.isModel()) {
+                for (sim::DataflowKind kind : model::kFamilies) {
+                    fits |= plan_point(d, "", kind, ml.spec, plan_aw,
+                                       plan_ah, &why);
+                }
+            } else {
+                FEATHER_CHECK(forced || ml.dataflow, "unpinned scenario");
+                fits = plan_point(d, "", forced ? *forced : *ml.dataflow,
+                                  ml.spec, plan_aw, plan_ah, &why);
             }
+            if (fits) continue;
+            err = req.isModel()
+                      ? strCat("no dataflow family fits ", ml.spec.name,
+                               " on a ", plan_aw, "x", plan_ah,
+                               " array: ", why)
+                      : strCat("layer ", ml.spec.name, ": ", why);
+            break;
         }
         DevicePlan &dp = p->dev_plan[d];
         dp.feasible = err.empty();
@@ -322,7 +326,7 @@ Daemon::execute(Pending *p, ExecVariant *v)
     try {
         if (!p->req.isModel()) {
             serve::JobSpec spec;
-            spec.scenario = p->req.scenario;
+            spec.inline_scenario = *p->graph; // resolved at pre-plan
             spec.opts.aw = v->aw;
             spec.opts.ah = v->ah;
             spec.opts.dataflow = p->req.dataflow;
@@ -343,8 +347,7 @@ Daemon::execute(Pending *p, ExecVariant *v)
                 r.segments.push_back({0, r.cycles, 0});
             }
         } else {
-            const model::ModelGraph *graph = model::findModel(p->req.model);
-            FEATHER_CHECK(graph != nullptr, "pre-planned model vanished");
+            const sim::ModelGraph &graph = *p->graph;
             const std::optional<model::SchedulePolicy> policy =
                 model::parseSchedule(p->req.schedule);
             FEATHER_CHECK(policy.has_value(),
@@ -366,9 +369,9 @@ Daemon::execute(Pending *p, ExecVariant *v)
             model::Scheduler sched(mopts);
             std::string err;
             const std::optional<model::Evaluation> eval =
-                sched.evaluate(*graph, &err);
+                sched.evaluate(graph, &err);
             std::optional<model::ScheduleResult> result;
-            if (eval) result = sched.schedule(*graph, *eval, *policy, &err);
+            if (eval) result = sched.schedule(graph, *eval, *policy, &err);
             if (!result) {
                 r.error = err;
             } else {
@@ -395,7 +398,7 @@ Daemon::execute(Pending *p, ExecVariant *v)
                     r.segments.back().cycles += lc.cycles;
                 }
                 r.first_in_layout = result->layers.front().plan.in_layout;
-                r.first_in_extents = iactExtents(graph->layers.front().spec);
+                r.first_in_extents = iactExtents(graph.layers.front().spec);
             }
         }
     } catch (const std::exception &e) {

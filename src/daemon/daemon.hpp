@@ -185,6 +185,7 @@ class Daemon
         int64_t arrival_vus = 0;
         int64_t enqueue_wall_us = 0;
         std::string early_error; ///< parse/validation error; skips the DES
+        const sim::ModelGraph *graph = nullptr; ///< resolved at pre-plan
         std::vector<std::unique_ptr<ExecVariant>> variants;
         std::vector<DevicePlan> dev_plan; ///< one per device
         int64_t service_vus = 0;

@@ -7,93 +7,42 @@
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "sim/driver.hpp"
 
 namespace feather {
 namespace model {
 
 namespace {
 
-ModelLayer
-layer(LayerSpec spec, float multiplier = 0.02f)
-{
-    return ModelLayer{std::move(spec), multiplier};
-}
-
 std::vector<ModelGraph>
 buildModels()
 {
     std::vector<ModelGraph> all;
 
-    all.push_back(
-        {"resnet_block",
-         "scaled ResNet bottleneck 1x1 -> 3x3 -> 1x1 (the resnet_block "
-         "scenario as a schedulable graph)",
-         {layer(sim::convLayer("reduce_1x1", 32, 14, 8, 1, 1, 0)),
-          layer(sim::convLayer("conv_3x3", 8, 14, 8, 3, 1, 1), 0.03f),
-          layer(sim::convLayer("expand_1x1", 8, 14, 32, 1, 1, 0))},
-         8, 8});
+    ModelGraph resnet = *sim::findScenario("resnet_block");
+    resnet.summary = "scaled ResNet bottleneck 1x1 -> 3x3 -> 1x1 (the "
+                     "resnet_block scenario as a schedulable graph)";
+    for (ModelLayer &ml : resnet.layers) ml.dataflow.reset();
+    all.push_back(std::move(resnet));
 
     all.push_back(
         {"mobilenet_slice",
          "two MobileNet separable stages: expand -> depthwise -> project "
          "-> depthwise -> pointwise",
-         {layer(sim::convLayer("expand_1x1", 16, 14, 32, 1, 1, 0)),
-          layer(sim::depthwiseLayer("dw1_3x3", 32, 14, 3, 1, 1), 0.05f),
-          layer(sim::convLayer("project_1x1", 32, 14, 16, 1, 1, 0)),
-          layer(sim::depthwiseLayer("dw2_3x3", 16, 14, 3, 1, 1), 0.05f),
-          layer(sim::convLayer("pw_1x1", 16, 14, 32, 1, 1, 0))},
+         {{sim::convLayer("expand_1x1", 16, 14, 32, 1, 1, 0)},
+          {sim::depthwiseLayer("dw1_3x3", 32, 14, 3, 1, 1), 0.05f},
+          {sim::convLayer("project_1x1", 32, 14, 16, 1, 1, 0)},
+          {sim::depthwiseLayer("dw2_3x3", 16, 14, 3, 1, 1), 0.05f},
+          {sim::convLayer("pw_1x1", 16, 14, 32, 1, 1, 0)}},
          8, 8});
 
     all.push_back(
         {"bert_mlp",
          "scaled BERT feed-forward pair: expand GEMM -> contract GEMM",
-         {layer(sim::gemmLayer("fc_expand", 8, 32, 16), 0.03f),
-          layer(sim::gemmLayer("fc_contract", 8, 16, 32), 0.03f)},
+         {{sim::gemmLayer("fc_expand", 8, 32, 16), 0.03f},
+          {sim::gemmLayer("fc_contract", 8, 16, 32), 0.03f}},
          4, 4});
 
     return all;
-}
-
-/** Output-channel count of a conv-like layer ([N,M,P,Q] oActs). */
-int64_t
-outChannels(const LayerSpec &l)
-{
-    return l.conv.depthwise ? l.conv.c : l.conv.m;
-}
-
-std::string
-bindingError(const LayerSpec &prev, const LayerSpec &cur)
-{
-    const bool prev_conv = prev.type != OpType::Gemm;
-    const bool cur_conv = cur.type != OpType::Gemm;
-    if (prev_conv != cur_conv) {
-        return strCat(prev.name, " -> ", cur.name,
-                      ": conv<->GEMM bindings are not supported (a GEMM "
-                      "cannot read conv activations in place)");
-    }
-    if (prev_conv) {
-        if (outChannels(prev) != cur.conv.c) {
-            return strCat(prev.name, " writes ", outChannels(prev),
-                          " channels but ", cur.name, " reads ", cur.conv.c);
-        }
-        if (prev.conv.outH() != cur.conv.h ||
-            prev.conv.outW() != cur.conv.w) {
-            return strCat(prev.name, " writes ", prev.conv.outH(), "x",
-                          prev.conv.outW(), " activations but ", cur.name,
-                          " reads ", cur.conv.h, "x", cur.conv.w);
-        }
-        return "";
-    }
-    if (prev.gemm.m != cur.gemm.m) {
-        return strCat(prev.name, " writes M=", prev.gemm.m, " rows but ",
-                      cur.name, " reads M=", cur.gemm.m);
-    }
-    if (prev.gemm.n != cur.gemm.k) {
-        return strCat(prev.name, " writes N=", prev.gemm.n, " columns but ",
-                      cur.name, " reads K=", cur.gemm.k);
-    }
-    return "";
 }
 
 /** Key=value list parsed off one model-file layer line. */
@@ -112,37 +61,6 @@ struct KeyVals
 };
 
 } // namespace
-
-std::string
-ModelGraph::validate() const
-{
-    if (layers.empty()) {
-        return strCat("model '", name, "' has no layers");
-    }
-    for (size_t i = 0; i < layers.size(); ++i) {
-        const LayerSpec &l = layers[i].spec;
-        if (!isMacOp(l.type)) {
-            return strCat("layer ", l.name, " (", toString(l.type),
-                          ") is not a MAC operator");
-        }
-        if (layers[i].multiplier <= 0.0f) {
-            return strCat("layer ", l.name,
-                          " needs a positive qm multiplier");
-        }
-        if (i == 0) continue;
-        const std::string why = bindingError(layers[i - 1].spec, l);
-        if (!why.empty()) return why;
-    }
-    return "";
-}
-
-int64_t
-ModelGraph::totalMacs() const
-{
-    int64_t total = 0;
-    for (const ModelLayer &l : layers) total += l.spec.macs();
-    return total;
-}
 
 const std::vector<ModelGraph> &
 builtinModels()

@@ -2,14 +2,14 @@
 
 /**
  * @file
- * Whole-model workload graphs for the per-layer dataflow/layout scheduler.
+ * The model catalogue of the per-layer dataflow/layout scheduler.
  *
- * A ModelGraph is a linear chain of MAC layers (conv / depthwise /
- * pointwise / GEMM) whose inter-layer tensor bindings are validated up
- * front: layer i's output tensor *is* layer i+1's input tensor, exactly as
- * the StaB ping-pong threads activations at runtime. Graphs come from the
- * built-in registry (resnet_block, mobilenet_slice, bert_mlp) or from a
- * simple text format:
+ * The graph type itself is sim::ModelGraph (sim/scenario.hpp), re-exported
+ * here: a linear chain of MAC layers whose inter-layer tensor bindings are
+ * validated up front. The scheduler searches every layer's dataflow and
+ * never reads a layer's pin. Graphs come from the built-in registry
+ * (resnet_block, mobilenet_slice, bert_mlp; resnet_block is the scenario
+ * of that name with its pins dropped) or from a simple text format:
  *
  *   # '#' starts a comment, blank lines are skipped
  *   model tiny_cnn          # optional; defaults to the file's stem
@@ -29,39 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "workload/shapes.hpp"
+#include "sim/scenario.hpp"
 
 namespace feather {
 namespace model {
 
-/** One layer of a model graph. */
-struct ModelLayer
-{
-    LayerSpec spec;
-    float multiplier = 0.02f; ///< QM rescale applied after this layer
-};
-
-/** A linear chain of MAC layers with validated tensor bindings. */
-struct ModelGraph
-{
-    std::string name;
-    std::string summary;
-    std::vector<ModelLayer> layers;
-    int default_aw = 8;
-    int default_ah = 8;
-
-    /**
-     * Check the inter-layer tensor bindings: every layer is a MAC
-     * operator, consecutive conv-like layers agree on channels and
-     * spatial extents (m_i == c_{i+1}, outH/outW == h/w), consecutive
-     * GEMMs agree on [M,N] -> [M,K], and conv<->GEMM transitions are
-     * rejected. @return empty string if valid, else a description.
-     */
-    std::string validate() const;
-
-    /** Total MAC count over all layers. */
-    int64_t totalMacs() const;
-};
+using sim::ModelGraph;
+using sim::ModelLayer;
 
 /** All built-in model graphs, in presentation order. */
 const std::vector<ModelGraph> &builtinModels();

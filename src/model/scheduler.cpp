@@ -556,14 +556,12 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
 
     const auto start = std::chrono::steady_clock::now();
     for (const Segment &seg : segments) {
-        sim::Scenario scenario;
-        scenario.name = graph.name;
-        scenario.default_aw = seg.dev->aw;
-        scenario.default_ah = seg.dev->ah;
+        ModelGraph chain; // the segment, pinned to the schedule's picks
+        chain.name = graph.name;
+        chain.layers.assign(graph.layers.begin() + seg.first,
+                            graph.layers.begin() + seg.last + 1);
         for (size_t i = seg.first; i <= seg.last; ++i) {
-            scenario.layers.push_back({graph.layers[i].spec,
-                                       result->layers[i].dataflow,
-                                       graph.layers[i].multiplier});
+            chain.layers[i - seg.first].dataflow = result->layers[i].dataflow;
         }
         sim::ScenarioOptions sopts;
         sopts.aw = seg.dev->aw;
@@ -574,7 +572,7 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
         // evaluated the candidates.
         sopts.engine = sim::EngineMode::Cycle;
         const std::optional<sim::ScenarioRun> run =
-            sim::runScenario(scenario, sopts, error,
+            sim::runScenario(chain, sopts, error,
                              cache().planFn(seg.dev->name));
         if (!run) return false;
         for (size_t i = seg.first; i <= seg.last; ++i) {

@@ -60,7 +60,6 @@
 #include "model/fleet.hpp"
 #include "model/graph.hpp"
 #include "serve/plan_cache.hpp"
-#include "sim/scenario.hpp"
 
 namespace feather {
 namespace model {

@@ -29,7 +29,7 @@ runJob(const JobSpec &spec, size_t index, uint64_t base_seed,
         spec.opts.layout.empty() ? std::string("concordant") : spec.opts.layout;
 
     std::string error;
-    const sim::Scenario *scenario = resolveScenario(spec, &error);
+    const sim::ModelGraph *scenario = resolveScenario(spec, &error);
     if (!scenario) {
         result.error = error;
         return result;

@@ -10,11 +10,11 @@
 namespace feather {
 namespace serve {
 
-const sim::Scenario *
+const sim::ModelGraph *
 resolveScenario(const JobSpec &spec, std::string *error)
 {
     if (spec.inline_scenario) return &*spec.inline_scenario;
-    const sim::Scenario *s = sim::findScenario(spec.scenario);
+    const sim::ModelGraph *s = sim::findScenario(spec.scenario);
     if (!s && error) {
         // List the registry so a typo'd sweep/batch line is actionable
         // instead of a bare "unknown scenario".
@@ -35,7 +35,7 @@ displayName(const JobSpec &spec)
     std::string name = strCat(
         scenario, "/",
         spec.opts.dataflow.empty() ? std::string("auto") : spec.opts.dataflow);
-    const sim::Scenario *s = resolveScenario(spec, nullptr);
+    const sim::ModelGraph *s = resolveScenario(spec, nullptr);
     const int aw =
         spec.opts.aw > 0 ? spec.opts.aw : (s ? s->default_aw : 0);
     const int ah =
@@ -58,14 +58,14 @@ expandSweep(const SweepSpec &sweep, PlanCache &cache,
     JobSpec probe;
     probe.scenario = sweep.scenario;
     probe.inline_scenario = sweep.inline_scenario;
-    const sim::Scenario *scenario = resolveScenario(probe, error);
+    const sim::ModelGraph *scenario = resolveScenario(probe, error);
     if (!scenario) return std::nullopt;
 
     std::vector<std::string> dataflows = sweep.dataflows;
     if (dataflows.empty()) dataflows = {"", "ws", "cp", "wp"};
     // Validate dataflow names up front: a typo must error out even when
-    // every grid point is skipped for its array shape. "" keeps the
-    // scenario's per-layer families (no parsed override).
+    // every grid point is skipped for its array shape. "" keeps each
+    // layer's pin (no parsed override).
     std::vector<std::optional<sim::DataflowKind>> overrides;
     for (const std::string &dataflow : dataflows) {
         std::optional<sim::DataflowKind> kind;
@@ -122,11 +122,13 @@ expandSweep(const SweepSpec &sweep, PlanCache &cache,
             const std::string &dataflow = dataflows[d];
             std::string why;
             bool fits = true;
-            for (const sim::ScenarioLayer &sl : scenario->layers) {
-                const sim::DataflowKind kind =
-                    overrides[d] ? *overrides[d] : sl.dataflow;
-                if (!cache.getOrPlan(sweep.engine, kind, sl.layer,
-                                     array.first, array.second, &why)) {
+            for (const sim::ModelLayer &ml : scenario->layers) {
+                // An unpinned layer without an override is its job's error.
+                const std::optional<sim::DataflowKind> kind =
+                    overrides[d] ? overrides[d] : ml.dataflow;
+                if (kind && !cache.getOrPlan(sweep.engine, *kind, ml.spec,
+                                             array.first, array.second,
+                                             &why)) {
                     fits = false;
                     break;
                 }

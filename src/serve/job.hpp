@@ -5,8 +5,8 @@
  * Batch job descriptions for the serve engine.
  *
  * A JobSpec names one scenario run: a registered scenario (or an inline,
- * programmatically-built one) plus ScenarioOptions overrides. Jobs come from
- * three sources:
+ * programmatically-built pinned graph) plus ScenarioOptions overrides. Jobs
+ * come from three sources:
  *   - a batch file (`feather_cli --batch jobs.txt`), one job per line:
  *       <scenario> [dataflow=ws|cp|wp] [layout=L] [out_layout=L]
  *                  [aw=N] [ah=N] [seed=N] [engine=cycle|analytic] [name=STR]
@@ -36,7 +36,7 @@ struct JobSpec
     /** Registered scenario name (ignored when inline_scenario is set). */
     std::string scenario;
     /** Inline scenario for programmatic jobs (bench/example sweeps). */
-    std::optional<sim::Scenario> inline_scenario;
+    std::optional<sim::ModelGraph> inline_scenario;
     /** Per-job overrides. The seed field is ignored: jobs draw from
      *  explicit_seed or the engine's (base_seed, job_index) stream. */
     sim::ScenarioOptions opts;
@@ -47,7 +47,8 @@ struct JobSpec
 };
 
 /** Scenario a job refers to; nullptr with @p error set when unknown. */
-const sim::Scenario *resolveScenario(const JobSpec &spec, std::string *error);
+const sim::ModelGraph *resolveScenario(const JobSpec &spec,
+                                       std::string *error);
 
 /** The display name of @p spec (spec.name, or derived from overrides). */
 std::string displayName(const JobSpec &spec);
@@ -56,8 +57,8 @@ std::string displayName(const JobSpec &spec);
 struct SweepSpec
 {
     std::string scenario; ///< registered name (or set inline_scenario)
-    std::optional<sim::Scenario> inline_scenario;
-    /** Dataflow overrides; "" = the scenario's per-layer families.
+    std::optional<sim::ModelGraph> inline_scenario;
+    /** Dataflow overrides; "" = each layer's pinned family.
      *  Empty vector = {"", "ws", "cp", "wp"}. */
     std::vector<std::string> dataflows;
     /** (AW, AH) grid; empty = scenario default + {4x4, 8x8, 16x16}. */

@@ -123,7 +123,7 @@ usage()
         "(see src/daemon; feather_serve --help).\n"
         "\n"
         "scenarios:\n";
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         text += "  " + s.name;
         text.append(s.name.size() < 18 ? 18 - s.name.size() : 1, ' ');
         text += s.summary + "\n";
@@ -158,7 +158,7 @@ cliMain(int argc, const char *const *argv)
     }
     if (o.list) {
         Table t({"scenario", "layers", "array", "summary"});
-        for (const Scenario &s : scenarios()) {
+        for (const ModelGraph &s : scenarios()) {
             t.addRow({s.name, std::to_string(s.layers.size()),
                       strCat(s.default_aw, "x", s.default_ah), s.summary});
         }
@@ -166,7 +166,7 @@ cliMain(int argc, const char *const *argv)
         return 0;
     }
 
-    const Scenario *scenario = findScenario(o.workload);
+    const ModelGraph *scenario = findScenario(o.workload);
     if (!scenario) {
         std::fprintf(stderr, "error: unknown workload '%s'; known:",
                      o.workload.c_str());
@@ -202,7 +202,7 @@ cliMain(int argc, const char *const *argv)
     const int num_pes = run->aw * run->ah;
     for (size_t i = 0; i < run->chain.layers.size(); ++i) {
         const RunResult &r = run->chain.layers[i];
-        t.addRow({scenario->layers[i].layer.name, r.mapping.toString(),
+        t.addRow({scenario->layers[i].spec.name, r.mapping.toString(),
                   r.in_layout.toString(), r.out_layout.toString(),
                   std::to_string(r.stats.cycles),
                   fmtPercent(r.stats.utilization(num_pes)),

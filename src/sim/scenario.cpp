@@ -10,6 +10,47 @@ namespace sim {
 
 namespace {
 
+/** Output-channel count of a conv-like layer ([N,M,P,Q] oActs). */
+int64_t
+outChannels(const LayerSpec &l)
+{
+    return l.conv.depthwise ? l.conv.c : l.conv.m;
+}
+
+std::string
+bindingError(const LayerSpec &prev, const LayerSpec &cur)
+{
+    const bool prev_conv = prev.type != OpType::Gemm;
+    const bool cur_conv = cur.type != OpType::Gemm;
+    if (prev_conv != cur_conv) {
+        return strCat(prev.name, " -> ", cur.name,
+                      ": conv<->GEMM bindings are not supported (a GEMM "
+                      "cannot read conv activations in place)");
+    }
+    if (prev_conv) {
+        if (outChannels(prev) != cur.conv.c) {
+            return strCat(prev.name, " writes ", outChannels(prev),
+                          " channels but ", cur.name, " reads ", cur.conv.c);
+        }
+        if (prev.conv.outH() != cur.conv.h ||
+            prev.conv.outW() != cur.conv.w) {
+            return strCat(prev.name, " writes ", prev.conv.outH(), "x",
+                          prev.conv.outW(), " activations but ", cur.name,
+                          " reads ", cur.conv.h, "x", cur.conv.w);
+        }
+        return "";
+    }
+    if (prev.gemm.m != cur.gemm.m) {
+        return strCat(prev.name, " writes M=", prev.gemm.m, " rows but ",
+                      cur.name, " reads M=", cur.gemm.m);
+    }
+    if (prev.gemm.n != cur.gemm.k) {
+        return strCat(prev.name, " writes N=", prev.gemm.n, " columns but ",
+                      cur.name, " reads K=", cur.gemm.k);
+    }
+    return "";
+}
+
 /** Every dim a layout names must exist in the target tensor, else binding
  *  it downstream dies on an internal CHECK instead of a clean CLI error. */
 std::string
@@ -33,102 +74,99 @@ layoutDimError(const Layout &layout, const LayerSpec &layer,
     return "";
 }
 
-ScenarioLayer
-layer(LayerSpec spec, DataflowKind kind = DataflowKind::Canonical,
-      float multiplier = 0.02f)
-{
-    return ScenarioLayer{std::move(spec), kind, multiplier};
-}
-
-std::vector<Scenario>
+std::vector<ModelGraph>
 buildScenarios()
 {
-    std::vector<Scenario> all;
+    std::vector<ModelGraph> all;
 
     all.push_back({"quickstart_conv",
                    "8-channel 8x8 conv 3x3 on a 4x4 array (the quickstart)",
-                   {layer(convLayer("quickstart_conv", 8, 8, 8, 3, 1, 1),
-                          DataflowKind::Canonical, 0.03f)},
+                   {{convLayer("quickstart_conv", 8, 8, 8, 3, 1, 1),
+                     DataflowKind::Canonical, 0.03f}},
                    4, 4});
 
     all.push_back({"conv3x3",
                    "16-channel 14x14 conv 3x3, channel-parallel columns",
-                   {layer(convLayer("conv3x3", 16, 14, 16, 3, 1, 1),
-                          DataflowKind::ChannelParallel)},
+                   {{convLayer("conv3x3", 16, 14, 16, 3, 1, 1),
+                     DataflowKind::ChannelParallel}},
                    8, 8});
 
     all.push_back({"conv1x1",
                    "32-channel 14x14 pointwise conv, canonical mapping",
-                   {layer(convLayer("conv1x1", 32, 14, 32, 1, 1, 0))},
+                   {{convLayer("conv1x1", 32, 14, 32, 1, 1, 0),
+                     DataflowKind::Canonical}},
                    8, 8});
 
     all.push_back({"conv_window",
                    "conv 3x3 with window-parallel (Q) columns",
-                   {layer(convLayer("conv_window", 8, 14, 16, 3, 1, 1),
-                          DataflowKind::WindowParallel)},
+                   {{convLayer("conv_window", 8, 14, 16, 3, 1, 1),
+                     DataflowKind::WindowParallel}},
                    8, 8});
 
     all.push_back({"depthwise",
                    "8-channel 6x6 depthwise conv 3x3",
-                   {layer(depthwiseLayer("depthwise", 8, 6, 3, 1, 1),
-                          DataflowKind::Canonical, 0.1f)},
+                   {{depthwiseLayer("depthwise", 8, 6, 3, 1, 1),
+                     DataflowKind::Canonical, 0.1f}},
                    4, 4});
 
     all.push_back({"gemm",
                    "GEMM M8 N6 K32 (the Fig. 10 steady-state shape)",
-                   {layer(gemmLayer("gemm", 8, 6, 32))},
+                   {{gemmLayer("gemm", 8, 6, 32), DataflowKind::Canonical}},
                    4, 4});
 
     all.push_back({"gemm_skewed",
                    "skewed GEMM M8 N3 K12 (Fig. 10 workload C)",
-                   {layer(gemmLayer("gemm_skewed", 8, 3, 12))},
+                   {{gemmLayer("gemm_skewed", 8, 3, 12),
+                     DataflowKind::Canonical}},
                    4, 4});
 
     all.push_back(
         {"resnet_block",
          "scaled ResNet bottleneck 1x1 -> 3x3 -> 1x1, per-layer "
          "(dataflow, layout) co-switch through the StaB ping-pong",
-         {layer(convLayer("reduce_1x1", 32, 14, 8, 1, 1, 0),
-                DataflowKind::WindowParallel),
-          layer(convLayer("conv_3x3", 8, 14, 8, 3, 1, 1),
-                DataflowKind::ChannelParallel, 0.03f),
-          layer(convLayer("expand_1x1", 8, 14, 32, 1, 1, 0),
-                DataflowKind::WindowParallel)},
+         {{convLayer("reduce_1x1", 32, 14, 8, 1, 1, 0),
+           DataflowKind::WindowParallel},
+          {convLayer("conv_3x3", 8, 14, 8, 3, 1, 1),
+           DataflowKind::ChannelParallel, 0.03f},
+          {convLayer("expand_1x1", 8, 14, 32, 1, 1, 0),
+           DataflowKind::WindowParallel}},
          8, 8});
 
     all.push_back(
         {"mobilenet_bneck",
          "scaled MobileNet-V3 bneck: expand 1x1 -> depthwise 3x3 -> "
          "project 1x1",
-         {layer(convLayer("expand_1x1", 16, 14, 32, 1, 1, 0)),
-          layer(depthwiseLayer("dw_3x3", 32, 14, 3, 1, 1), // outputs 14x14
-                DataflowKind::Canonical, 0.05f),
-          layer(convLayer("project_1x1", 32, 14, 16, 1, 1, 0))},
+         {{convLayer("expand_1x1", 16, 14, 32, 1, 1, 0),
+           DataflowKind::Canonical},
+          {depthwiseLayer("dw_3x3", 32, 14, 3, 1, 1), // outputs 14x14
+           DataflowKind::Canonical, 0.05f},
+          {convLayer("project_1x1", 32, 14, 16, 1, 1, 0),
+           DataflowKind::Canonical}},
          8, 8});
 
     all.push_back(
         {"dw_separable",
          "depthwise 3x3 -> pointwise 1x1 separable pair (MobileNet's "
          "workhorse block) with a dataflow switch between them",
-         {layer(depthwiseLayer("dw_3x3", 16, 14, 3, 1, 1),
-                DataflowKind::Canonical, 0.05f),
-          layer(convLayer("pw_1x1", 16, 14, 32, 1, 1, 0),
-                DataflowKind::ChannelParallel)},
+         {{depthwiseLayer("dw_3x3", 16, 14, 3, 1, 1),
+           DataflowKind::Canonical, 0.05f},
+          {convLayer("pw_1x1", 16, 14, 32, 1, 1, 0),
+           DataflowKind::ChannelParallel}},
          8, 8});
 
     all.push_back(
         {"gemm_chain",
          "3-layer GEMM MLP K32 -> N16 -> N8 -> N4 threaded through the "
          "StaB ping-pong (each output is the next GEMM's [M,K] input)",
-         {layer(gemmLayer("fc1", 8, 16, 32), DataflowKind::Canonical, 0.03f),
-          layer(gemmLayer("fc2", 8, 8, 16), DataflowKind::Canonical, 0.03f),
-          layer(gemmLayer("fc3", 8, 4, 8), DataflowKind::Canonical, 0.05f)},
+         {{gemmLayer("fc1", 8, 16, 32), DataflowKind::Canonical, 0.03f},
+          {gemmLayer("fc2", 8, 8, 16), DataflowKind::Canonical, 0.03f},
+          {gemmLayer("fc3", 8, 4, 8), DataflowKind::Canonical, 0.05f}},
          4, 4});
 
     all.push_back({"conv_stride2",
                    "stride-2 3x3 downsampling conv (16ch 14x14 -> 32ch 7x7)",
-                   {layer(convLayer("down_3x3", 16, 14, 32, 3, 2, 1),
-                          DataflowKind::ChannelParallel)},
+                   {{convLayer("down_3x3", 16, 14, 32, 3, 2, 1),
+                     DataflowKind::ChannelParallel}},
                    8, 8});
 
     return all;
@@ -136,17 +174,48 @@ buildScenarios()
 
 } // namespace
 
-const std::vector<Scenario> &
+std::string
+ModelGraph::validate() const
+{
+    if (layers.empty()) {
+        return strCat("model '", name, "' has no layers");
+    }
+    for (size_t i = 0; i < layers.size(); ++i) {
+        const LayerSpec &l = layers[i].spec;
+        if (!isMacOp(l.type)) {
+            return strCat("layer ", l.name, " (", toString(l.type),
+                          ") is not a MAC operator");
+        }
+        if (layers[i].multiplier <= 0.0f) {
+            return strCat("layer ", l.name,
+                          " needs a positive qm multiplier");
+        }
+        if (i == 0) continue;
+        const std::string why = bindingError(layers[i - 1].spec, l);
+        if (!why.empty()) return why;
+    }
+    return "";
+}
+
+int64_t
+ModelGraph::totalMacs() const
+{
+    int64_t total = 0;
+    for (const ModelLayer &l : layers) total += l.spec.macs();
+    return total;
+}
+
+const std::vector<ModelGraph> &
 scenarios()
 {
-    static const std::vector<Scenario> all = buildScenarios();
+    static const std::vector<ModelGraph> all = buildScenarios();
     return all;
 }
 
-const Scenario *
+const ModelGraph *
 findScenario(const std::string &name)
 {
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         if (s.name == name) return &s;
     }
     return nullptr;
@@ -156,16 +225,16 @@ std::vector<std::string>
 scenarioNames()
 {
     std::vector<std::string> names;
-    for (const Scenario &s : scenarios()) names.push_back(s.name);
+    for (const ModelGraph &s : scenarios()) names.push_back(s.name);
     return names;
 }
 
 std::optional<ScenarioRun>
-runScenario(const Scenario &scenario, const ScenarioOptions &opts,
+runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
             std::string *error, const PlanFn &plan)
 {
-    if (scenario.layers.empty()) {
-        if (error) *error = "scenario '" + scenario.name + "' has no layers";
+    if (const std::string why = scenario.validate(); !why.empty()) {
+        if (error) *error = why;
         return std::nullopt;
     }
     ScenarioRun run;
@@ -208,12 +277,17 @@ runScenario(const Scenario &scenario, const ScenarioOptions &opts,
     // chain below is pure execution: step i's oActs materialise directly in
     // step i+1's concordant input layout (the paper's co-switch).
     std::vector<LayerPlan> plans;
-    for (const ScenarioLayer &sl : scenario.layers) {
-        const DataflowKind kind =
-            override_kind ? *override_kind : sl.dataflow;
+    for (const ModelLayer &ml : scenario.layers) {
+        const std::optional<DataflowKind> kind =
+            override_kind ? override_kind : ml.dataflow;
+        if (!kind) {
+            if (error) *error = strCat("layer ", ml.spec.name, " pins no "
+                                       "dataflow and none was given");
+            return std::nullopt;
+        }
         std::optional<LayerPlan> p =
-            plan ? plan(opts.engine, kind, sl.layer, run.aw, run.ah, error)
-                 : planLayer(kind, sl.layer, run.aw, run.ah, error,
+            plan ? plan(opts.engine, *kind, ml.spec, run.aw, run.ah, error)
+                 : planLayer(*kind, ml.spec, run.aw, run.ah, error,
                              opts.engine);
         if (!p) return std::nullopt;
         plans.push_back(std::move(*p));
@@ -222,7 +296,7 @@ runScenario(const Scenario &scenario, const ScenarioOptions &opts,
     std::vector<ChainStep> steps;
     for (size_t i = 0; i < scenario.layers.size(); ++i) {
         ChainStep step;
-        step.layer = scenario.layers[i].layer;
+        step.layer = scenario.layers[i].spec;
         step.mapping = plans[i].mapping;
         step.out_layout = i + 1 < plans.size() ? plans[i + 1].in_layout
                                                : plans.back().out_layout;
@@ -234,7 +308,7 @@ runScenario(const Scenario &scenario, const ScenarioOptions &opts,
     if (!opts.layout.empty() && opts.layout != "concordant") {
         const std::optional<Layout> in = tryParseLayout(opts.layout, error);
         if (!in) return std::nullopt;
-        const LayerSpec &first = scenario.layers.front().layer;
+        const LayerSpec &first = scenario.layers.front().spec;
         const std::string why =
             layoutDimError(*in, first, iactExtents(first),
                            first.type == OpType::Gemm ? "[M,K] iActs"
@@ -250,7 +324,7 @@ runScenario(const Scenario &scenario, const ScenarioOptions &opts,
         const std::optional<Layout> out =
             tryParseLayout(opts.out_layout, error);
         if (!out) return std::nullopt;
-        const LayerSpec &last = scenario.layers.back().layer;
+        const LayerSpec &last = scenario.layers.back().spec;
         // oAct layouts are written in next-layer iAct space (RIR: the pong
         // buffer holds the next layer's inputs); validate against the same
         // binding FeatherAccelerator::run applies.

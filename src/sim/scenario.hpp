@@ -2,13 +2,12 @@
 
 /**
  * @file
- * Named simulation scenarios for the `feather_cli` driver.
- *
- * A scenario is a workload (one layer, or a chain threaded through the StaB
- * ping-pong) together with the per-layer dataflow family it is meant to
- * exercise. Adding a workload to the simulator means adding one entry to
- * scenarios() — not writing a new main(). Every scenario runs bit-exact
- * against tensor/reference_ops via sim::runLayer / sim::runChain.
+ * The one workload type, ModelGraph: a chain of MAC layers threaded
+ * through the StaB ping-pong, each of which may pin its dataflow family.
+ * A scenario is a graph whose every layer is pinned, run as written (a
+ * model, model/graph.hpp, is searched instead). Adding a workload to the
+ * simulator means adding one entry to scenarios() — not writing a new
+ * main(). Every scenario runs bit-exact against tensor/reference_ops.
  */
 
 #include <functional>
@@ -20,29 +19,53 @@
 namespace feather {
 namespace sim {
 
-/** One layer of a scenario plus the dataflow family it should run under. */
-struct ScenarioLayer
+/** One layer of a graph. */
+struct ModelLayer
 {
-    LayerSpec layer;
-    DataflowKind dataflow = DataflowKind::Canonical;
-    float multiplier = 0.02f; ///< QM rescale for this layer
+    ModelLayer() = default;
+    ModelLayer(LayerSpec spec_, float multiplier_ = 0.02f)
+        : spec(std::move(spec_)), multiplier(multiplier_)
+    {}
+    /** A layer pinned to @p pin. */
+    ModelLayer(LayerSpec spec_, DataflowKind pin, float multiplier_ = 0.02f)
+        : spec(std::move(spec_)), multiplier(multiplier_), dataflow(pin)
+    {}
+
+    LayerSpec spec;
+    float multiplier = 0.02f; ///< QM rescale applied after this layer
+    /** Dataflow family this layer is pinned to; unset = chosen by the
+     *  caller (a run's dataflow override, or the scheduler's search). */
+    std::optional<DataflowKind> dataflow;
 };
 
-/** A named, self-contained workload for the CLI and the smoke tests. */
-struct Scenario
+/** A linear chain of MAC layers with validated tensor bindings. */
+struct ModelGraph
 {
     std::string name;
     std::string summary;
-    std::vector<ScenarioLayer> layers;
+    std::vector<ModelLayer> layers;
     int default_aw = 8;
     int default_ah = 8;
+
+    /**
+     * Check the inter-layer tensor bindings: every layer is a MAC
+     * operator, consecutive conv-like layers agree on channels and
+     * spatial extents (m_i == c_{i+1}, outH/outW == h/w), consecutive
+     * GEMMs agree on [M,N] -> [M,K], and conv<->GEMM transitions are
+     * rejected. @return empty string if valid, else a description.
+     */
+    std::string validate() const;
+
+    /** Total MAC count over all layers. */
+    int64_t totalMacs() const;
 };
 
-/** All registered scenarios, in presentation order. */
-const std::vector<Scenario> &scenarios();
+/** All registered scenarios, in presentation order; every layer of every
+ *  entry is pinned. */
+const std::vector<ModelGraph> &scenarios();
 
 /** Lookup by name; nullptr when unknown. */
-const Scenario *findScenario(const std::string &name);
+const ModelGraph *findScenario(const std::string &name);
 
 /** Registered names, in presentation order. */
 std::vector<std::string> scenarioNames();
@@ -60,7 +83,7 @@ struct ScenarioOptions
 {
     int aw = 0; ///< <= 0 picks the scenario default
     int ah = 0;
-    std::string dataflow;              ///< empty = per-layer family
+    std::string dataflow;              ///< empty = each layer's pin
     std::string layout = "concordant"; ///< first layer's iAct layout
     /** Last layer's oAct layout; "concordant" derives it from the mapping.
      *  This is the Fig. 10 "re-target the reduction to different StaB
@@ -83,16 +106,16 @@ using PlanFn = std::function<std::optional<LayerPlan>(
     int ah, std::string *error)>;
 
 /**
- * Run @p scenario under @p opts, honouring per-layer dataflow families
- * unless opts.dataflow overrides them; opts.layout replaces the first
- * layer's input layout and opts.out_layout the last layer's output layout
- * ("concordant" derives them from the mapping).
+ * Run @p scenario under @p opts: every layer at opts.dataflow when set,
+ * else at its pin; opts.layout replaces the first layer's input layout
+ * and opts.out_layout the last layer's output layout ("concordant"
+ * derives them from the mapping).
  * Planning goes through @p plan (e.g. a shared cache; empty = planLayer).
- * Returns nullopt with @p error set when an override does not apply
- * (unknown dataflow name, unparsable layout, or a mapping that fails
- * validation).
+ * Returns nullopt with @p error set when the graph fails validate(), a
+ * layer has no dataflow, or an override does not apply (unknown dataflow
+ * name, unparsable layout, or a mapping that fails validation).
  */
-std::optional<ScenarioRun> runScenario(const Scenario &scenario,
+std::optional<ScenarioRun> runScenario(const ModelGraph &scenario,
                                        const ScenarioOptions &opts = {},
                                        std::string *error = nullptr,
                                        const PlanFn &plan = {});

@@ -28,7 +28,7 @@ TEST(ScenarioRegistry, LookupKnownNames)
     ASSERT_GE(scenarios().size(), 9u);
     for (const char *name : {"quickstart_conv", "conv3x3", "depthwise",
                              "gemm", "resnet_block"}) {
-        const Scenario *s = findScenario(name);
+        const ModelGraph *s = findScenario(name);
         ASSERT_NE(s, nullptr) << name;
         EXPECT_EQ(s->name, name);
         EXPECT_FALSE(s->layers.empty());
@@ -51,20 +51,25 @@ TEST(ScenarioRegistry, NamesAreUniqueAndOrdered)
 
 TEST(ScenarioRegistry, EveryLayerMappingValidates)
 {
-    for (const Scenario &s : scenarios()) {
-        for (const ScenarioLayer &sl : s.layers) {
+    // A scenario is a pinned graph: it binds like any graph, and every
+    // layer's pin maps at the scenario's default shape.
+    for (const ModelGraph &s : scenarios()) {
+        EXPECT_EQ(s.validate(), "") << s.name;
+        for (const ModelLayer &ml : s.layers) {
+            ASSERT_TRUE(ml.dataflow.has_value())
+                << s.name << "/" << ml.spec.name << " is not pinned";
             std::string error;
-            const auto m = buildMapping(sl.dataflow, sl.layer, s.default_aw,
+            const auto m = buildMapping(*ml.dataflow, ml.spec, s.default_aw,
                                         s.default_ah, &error);
             EXPECT_TRUE(m.has_value())
-                << s.name << "/" << sl.layer.name << ": " << error;
+                << s.name << "/" << ml.spec.name << ": " << error;
         }
     }
 }
 
 TEST(ScenarioRegistry, AllScenariosRunBitExact)
 {
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         std::string error;
         const std::optional<ScenarioRun> run = runScenario(s, {}, &error);
         ASSERT_TRUE(run.has_value()) << s.name << ": " << error;
@@ -76,7 +81,7 @@ TEST(ScenarioRegistry, AllScenariosRunBitExact)
 
 TEST(ScenarioRegistry, DataflowOverrideApplies)
 {
-    const Scenario *s = findScenario("conv3x3");
+    const ModelGraph *s = findScenario("conv3x3");
     ASSERT_NE(s, nullptr);
     ScenarioOptions opts;
     opts.dataflow = "wp";
@@ -89,7 +94,7 @@ TEST(ScenarioRegistry, DataflowOverrideApplies)
 
 TEST(ScenarioRegistry, BadOverridesAreRejected)
 {
-    const Scenario *s = findScenario("gemm");
+    const ModelGraph *s = findScenario("gemm");
     ASSERT_NE(s, nullptr);
 
     ScenarioOptions bad_dataflow;
@@ -119,6 +124,16 @@ TEST(ScenarioRegistry, BadOverridesAreRejected)
     error.clear();
     EXPECT_FALSE(runScenario(*s, bad_aw, &error).has_value());
     EXPECT_NE(error.find("power of two"), std::string::npos);
+
+    // An unpinned layer runs only under a dataflow override.
+    ModelGraph unpinned = *s;
+    unpinned.layers.front().dataflow.reset();
+    error.clear();
+    EXPECT_FALSE(runScenario(unpinned, {}, &error).has_value());
+    EXPECT_NE(error.find("pins no dataflow"), std::string::npos) << error;
+    ScenarioOptions forced;
+    forced.dataflow = "ws";
+    EXPECT_TRUE(runScenario(unpinned, forced, &error).has_value()) << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +320,7 @@ TEST(Driver, PlanLayerBundlesMappingAndConcordantLayouts)
 
 TEST(ScenarioRegistry, OutLayoutOverrideRetargetsLastLayer)
 {
-    const Scenario *s = findScenario("gemm");
+    const ModelGraph *s = findScenario("gemm");
     ASSERT_NE(s, nullptr);
     // Re-target the oActs to M-major banks: same reduction, different
     // banks, still bit-exact (the Fig. 10 zero-cost RIR switch).
@@ -326,7 +341,7 @@ TEST(ScenarioRegistry, OutLayoutOverrideRetargetsLastLayer)
 
 TEST(ScenarioRegistry, EmptyScenarioIsRejectedCleanly)
 {
-    Scenario empty;
+    ModelGraph empty;
     empty.name = "empty";
     empty.default_aw = 4;
     empty.default_ah = 4;

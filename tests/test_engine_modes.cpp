@@ -38,7 +38,7 @@ namespace sim {
 namespace {
 
 std::optional<ScenarioRun>
-runWith(const Scenario &s, EngineMode mode, std::string *error,
+runWith(const ModelGraph &s, EngineMode mode, std::string *error,
         const std::string &dataflow = "", int aw = 0, int ah = 0)
 {
     ScenarioOptions opts;
@@ -133,7 +133,7 @@ expectScenarioCounters(EngineMode mode, const std::string &file)
 {
     const auto golden_rows = readCounterGolden(file);
     ASSERT_FALSE(golden_rows.empty());
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         const auto it = golden_rows.find(s.name);
         ASSERT_NE(it, golden_rows.end())
             << s.name << " is not in " << file
@@ -169,7 +169,7 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
     const auto golden_rows =
         readCounterGolden("run_layer_counters.golden", 2);
     ASSERT_FALSE(golden_rows.empty());
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         for (const EngineMode mode :
              {EngineMode::Cycle, EngineMode::Analytic}) {
             const std::string key = s.name + "," + toString(mode);
@@ -178,10 +178,10 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
                 << key << " is not in run_layer_counters.golden";
             ASSERT_EQ(s.layers.size(), it->second.size()) << key;
             for (size_t i = 0; i < s.layers.size(); ++i) {
-                const ScenarioLayer &sl = s.layers[i];
+                const ModelLayer &sl = s.layers[i];
                 std::string error;
                 const std::optional<LayerPlan> plan =
-                    planLayer(sl.dataflow, sl.layer, s.default_aw,
+                    planLayer(*sl.dataflow, sl.spec, s.default_aw,
                               s.default_ah, &error, mode);
                 ASSERT_TRUE(plan.has_value()) << key << ": " << error;
                 RunOptions opts;
@@ -192,7 +192,7 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
                 opts.in_layout = plan->in_layout;
                 opts.out_layout = plan->out_layout;
                 opts.quant.multiplier = sl.multiplier;
-                const RunResult r = runLayer(sl.layer, opts);
+                const RunResult r = runLayer(sl.spec, opts);
                 expectCounters(key + " layer " + std::to_string(i), r.stats,
                                r.checked, r.mismatches, it->second[i]);
             }
@@ -206,7 +206,7 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
 
 TEST(AnalyticEngine_, WithinBoundAndPreservesRankingEverywhere)
 {
-    for (const Scenario &s : scenarios()) {
+    for (const ModelGraph &s : scenarios()) {
         // The candidate set a sweep would compare: every feasible
         // (dataflow x array) grid point.
         std::vector<std::string> keys;
@@ -262,7 +262,7 @@ TEST(AnalyticEngine_, WithinBoundAndPreservesRankingEverywhere)
 
 TEST(AnalyticEngine_, DeterministicAndReplayFree)
 {
-    const Scenario *s = findScenario("resnet_block");
+    const ModelGraph *s = findScenario("resnet_block");
     ASSERT_NE(s, nullptr);
     std::string error;
     const auto a = runWith(*s, EngineMode::Analytic, &error);
@@ -287,7 +287,7 @@ TEST(AnalyticEngine_, DeterministicAndReplayFree)
 
 TEST(CycleEngine_, ReportsArenaScratchUse)
 {
-    const Scenario *s = findScenario("quickstart_conv");
+    const ModelGraph *s = findScenario("quickstart_conv");
     ASSERT_NE(s, nullptr);
     std::string error;
     const auto run = runWith(*s, EngineMode::Cycle, &error);

@@ -409,14 +409,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(NestGeometry_, CountersFollowTheGeometry)
 {
     int cases = 0;
-    for (const sim::Scenario &s : sim::scenarios()) {
-        for (const sim::ScenarioLayer &sl : s.layers) {
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
             for (const sim::DataflowKind kind : model::kFamilies) {
-                const auto plan = sim::planLayer(kind, sl.layer, s.default_aw,
+                const auto plan = sim::planLayer(kind, sl.spec, s.default_aw,
                                                  s.default_ah);
                 if (!plan) continue;
-                const NestGeometry geo(sl.layer, plan->mapping);
-                const Extents out = oactIactExtents(sl.layer);
+                const NestGeometry geo(sl.spec, plan->mapping);
+                const Extents out = oactIactExtents(sl.spec);
                 int64_t out_elems = 1;
                 for (Dim d : {Dim::M, Dim::K, Dim::C, Dim::H, Dim::W}) {
                     if (out[d] > 0) out_elems *= out[d];
@@ -424,7 +424,7 @@ TEST(NestGeometry_, CountersFollowTheGeometry)
                 for (const sim::EngineMode mode :
                      {sim::EngineMode::Cycle, sim::EngineMode::Analytic}) {
                     const std::string where =
-                        s.name + "/" + sl.layer.name + "/" +
+                        s.name + "/" + sl.spec.name + "/" +
                         sim::toString(kind) + "/" + sim::toString(mode);
                     sim::RunOptions opts;
                     opts.aw = s.default_aw;
@@ -433,7 +433,7 @@ TEST(NestGeometry_, CountersFollowTheGeometry)
                     opts.mapping = plan->mapping;
                     opts.in_layout = plan->in_layout;
                     opts.out_layout = plan->out_layout;
-                    const LayerStats st = sim::runLayer(sl.layer, opts).stats;
+                    const LayerStats st = sim::runLayer(sl.spec, opts).stats;
                     EXPECT_EQ(st.weight_reload_events, geo.weight_steps)
                         << where;
                     EXPECT_EQ(st.ob_accumulates,
@@ -460,17 +460,17 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
     Rng rng(16);
     int cases = 0;
     int64_t waves = 0;
-    for (const sim::Scenario &s : sim::scenarios()) {
-        for (const sim::ScenarioLayer &sl : s.layers) {
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
             for (const sim::DataflowKind kind : model::kFamilies) {
-                const auto plan = sim::planLayer(kind, sl.layer, s.default_aw,
+                const auto plan = sim::planLayer(kind, sl.spec, s.default_aw,
                                                  s.default_ah);
                 if (!plan) continue;
                 const std::string where =
-                    s.name + "/" + sl.layer.name + "/" + sim::toString(kind);
-                const NestGeometry geo(sl.layer, plan->mapping);
+                    s.name + "/" + sl.spec.name + "/" + sim::toString(kind);
+                const NestGeometry geo(sl.spec, plan->mapping);
                 const BoundLayout out(plan->out_layout,
-                                      oactIactExtents(sl.layer));
+                                      oactIactExtents(sl.spec));
                 const int aw = s.default_aw;
                 const size_t groups = size_t(geo.num_groups);
                 const BirrdNetwork net(aw);

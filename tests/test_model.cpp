@@ -22,6 +22,7 @@
 #include "model/report.hpp"
 #include "model/scheduler.hpp"
 #include "sim/driver.hpp"
+#include "sim/scenario.hpp"
 
 namespace feather {
 namespace model {
@@ -425,6 +426,41 @@ TEST(Scheduler, ReportIsBitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Scheduler, IgnoresDataflowPins)
+{
+    // A scenario is a pinned graph; the scheduler searches every layer
+    // whatever it pins, so the pinned and unpinned graphs schedule alike.
+    const sim::ModelGraph *pinned = sim::findScenario("resnet_block");
+    ASSERT_NE(pinned, nullptr);
+    ModelGraph unpinned = *pinned;
+    for (ModelLayer &ml : unpinned.layers) ml.dataflow.reset();
+    const ModelGraph *catalogue = findModel("resnet_block");
+    ASSERT_NE(catalogue, nullptr);
+    ASSERT_EQ(catalogue->layers.size(), unpinned.layers.size());
+    for (size_t i = 0; i < unpinned.layers.size(); ++i) {
+        EXPECT_EQ(catalogue->layers[i].spec.name,
+                  unpinned.layers[i].spec.name);
+        EXPECT_FALSE(catalogue->layers[i].dataflow.has_value());
+    }
+
+    std::vector<std::string> reports;
+    const ModelGraph *graphs[] = {pinned, &unpinned};
+    for (const ModelGraph *g : graphs) {
+        Scheduler s;
+        std::string error;
+        const auto cmp = s.compare(
+            *g,
+            SchedulePolicy{ScheduleKind::PerLayer,
+                           sim::DataflowKind::Canonical, {}},
+            &error);
+        ASSERT_TRUE(cmp.has_value()) << error;
+        const ScheduleReport report{*cmp};
+        reports.push_back(zeroWallCsv(report.toCsv()) +
+                          zeroWallJson(report.toJson()));
+    }
+    EXPECT_EQ(reports[0], reports[1]);
+}
+
 // ---------------------------------------------------------------------------
 // Seed independence: what lets the PlanCache memoize candidate stats
 // ---------------------------------------------------------------------------
@@ -445,17 +481,17 @@ TEST(SeedIndependence, ScenarioLayerStatsIgnoreSeedAndMultiplier)
     // default shape x both tiers: 3 seeds x 2 multipliers, the first run
     // verified and every other one not, all with field-for-field equal
     // LayerStats.
-    for (const sim::Scenario &s : sim::scenarios()) {
-        for (const sim::ScenarioLayer &sl : s.layers) {
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
             for (const sim::EngineMode mode :
                  {sim::EngineMode::Cycle, sim::EngineMode::Analytic}) {
                 for (const sim::DataflowKind kind : kFamilies) {
                     const std::optional<sim::LayerPlan> plan =
-                        sim::planLayer(kind, sl.layer, s.default_aw,
+                        sim::planLayer(kind, sl.spec, s.default_aw,
                                        s.default_ah, nullptr, mode);
                     if (!plan) continue;
                     const std::string where =
-                        strCat(s.name, "/", sl.layer.name, "/",
+                        strCat(s.name, "/", sl.spec.name, "/",
                                sim::toString(kind), "/", sim::toString(mode));
                     std::optional<LayerStats> first;
                     for (const uint64_t seed : kSeeds) {
@@ -471,7 +507,7 @@ TEST(SeedIndependence, ScenarioLayerStatsIgnoreSeedAndMultiplier)
                             opts.quant.multiplier = mult;
                             opts.verify = !first.has_value();
                             const sim::RunResult r =
-                                sim::runLayer(sl.layer, opts);
+                                sim::runLayer(sl.spec, opts);
                             if (!first) {
                                 if (mode == sim::EngineMode::Cycle) {
                                     EXPECT_TRUE(r.bitExact()) << where;
