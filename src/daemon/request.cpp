@@ -133,6 +133,16 @@ Request::parse(const std::string &line, Request *out, std::string *error)
         return fail(error, "\"dataflow\" applies to scenario requests only "
                            "(model requests pick per-layer dataflows)");
     }
+    if (has_model && (out->layout != "concordant" ||
+                      out->out_layout != "concordant")) {
+        return fail(error, "\"layout\" and \"out_layout\" apply to scenario "
+                           "requests only (model requests pick per-layer "
+                           "layouts)");
+    }
+    if (has_scenario && out->schedule != "per-layer") {
+        return fail(error, "\"schedule\" applies to model requests only "
+                           "(scenario layers run at their pinned dataflows)");
+    }
     return true;
 }
 

@@ -7,7 +7,9 @@
  * A request names either a registered sim scenario or a built-in model
  * graph (whole-model scheduling), plus the per-request knobs a batch-file
  * job would carry. Parsing is strict — unknown keys, malformed values and
- * scenario/model ambiguity are rejected with a one-line reason — because
+ * scenario/model ambiguity are rejected with a one-line reason, and so
+ * is an option the request kind does not read (dataflow/layout/out_layout
+ * on a model request, schedule on a scenario request) — because
  * daemon clients are programs, and a silently-ignored typo in a field name
  * would corrupt experiments instead of failing them.
  *
@@ -48,15 +50,16 @@ struct Request
     std::string scenario;
     /** Built-in model graph name (whole-model scheduling request). */
     std::string model;
-    /** Model schedule policy: per-layer, greedy, or fixed:<dataflow>. */
+    /** Model schedule policy: per-layer, greedy, or fixed:<dataflow>
+     *  (model-only). */
     std::string schedule = "per-layer";
 
     // Scenario/model option overrides (0/"" = the workload's default).
     int aw = 0;
     int ah = 0;
     std::string dataflow; ///< scenario-only; "" = per-layer families
-    std::string layout = "concordant";
-    std::string out_layout = "concordant";
+    std::string layout = "concordant";     ///< scenario-only
+    std::string out_layout = "concordant"; ///< scenario-only
     /** Pin the input seed; unset derives Rng::deriveStream(base, index). */
     std::optional<uint64_t> seed;
     /** Pin the engine tier; unset inherits the daemon default. */
@@ -66,8 +69,9 @@ struct Request
 
     /**
      * Parse one JSON line. Returns false with @p error set on syntax
-     * errors, unknown keys, out-of-range values, or when scenario/model
-     * are both (or neither) present. @p out keeps any fields parsed
+     * errors, unknown keys, out-of-range values, when scenario/model
+     * are both (or neither) present, or when a non-default option does
+     * not apply to the request kind. @p out keeps any fields parsed
      * before the failure (so error accounting can still attribute the
      * line to its client when that field parsed).
      */

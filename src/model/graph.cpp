@@ -1,6 +1,7 @@
 #include "model/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -225,8 +226,11 @@ parseModelText(const std::string &text, const std::string &default_name,
         if (const std::string *v = kv.find("qm")) {
             char *end = nullptr;
             const float q = std::strtof(v->c_str(), &end);
-            if (end == v->c_str() || *end != '\0' || !(q > 0.0f)) {
-                return fail("qm needs a positive number, got '" + *v + "'");
+            // strtof reads "inf"/"nan" and overflows 1e39 to inf.
+            if (end == v->c_str() || *end != '\0' || !std::isfinite(q) ||
+                !(q > 0.0f)) {
+                return fail("qm needs a finite positive number, got '" + *v +
+                            "'");
             }
             ml.multiplier = q;
         }

@@ -22,7 +22,7 @@
  * Layer lines are `<type> key=value...` with types conv, depthwise,
  * pointwise and gemm. Conv keys: c, m, h/w (or hw), r/s (or rs), stride,
  * pad, qm, name. GEMM keys: m, n, k, qm, name. `qm` is the requantization
- * multiplier applied after the layer (default 0.02).
+ * multiplier applied after the layer (default 0.02; finite and positive).
  */
 
 #include <optional>

@@ -1,5 +1,7 @@
 #include "sim/scenario.hpp"
 
+#include <cmath>
+
 #include "common/bits.hpp"
 #include "common/log.hpp"
 #include "dataflow/mapping.hpp"
@@ -186,9 +188,13 @@ ModelGraph::validate() const
             return strCat("layer ", l.name, " (", toString(l.type),
                           ") is not a MAC operator");
         }
-        if (layers[i].multiplier <= 0.0f) {
+        // requantize rounds x * multiplier to an integer, which is
+        // undefined for inf/NaN; NaN also slips past a plain `<= 0`.
+        if (!std::isfinite(layers[i].multiplier) ||
+            !(layers[i].multiplier > 0.0f)) {
             return strCat("layer ", l.name,
-                          " needs a positive qm multiplier");
+                          " needs a finite positive qm multiplier, got ",
+                          layers[i].multiplier);
         }
         if (i == 0) continue;
         const std::string why = bindingError(layers[i - 1].spec, l);

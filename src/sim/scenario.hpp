@@ -48,11 +48,12 @@ struct ModelGraph
     int default_ah = 8;
 
     /**
-     * Check the inter-layer tensor bindings: every layer is a MAC
-     * operator, consecutive conv-like layers agree on channels and
-     * spatial extents (m_i == c_{i+1}, outH/outW == h/w), consecutive
-     * GEMMs agree on [M,N] -> [M,K], and conv<->GEMM transitions are
-     * rejected. @return empty string if valid, else a description.
+     * Check the graph: every layer is a MAC operator with a finite,
+     * positive qm multiplier; consecutive conv-like layers agree on
+     * channels and spatial extents (m_i == c_{i+1}, outH/outW == h/w),
+     * consecutive GEMMs agree on [M,N] -> [M,K], and conv<->GEMM
+     * transitions are rejected. @return empty string if valid, else a
+     * description.
      */
     std::string validate() const;
 

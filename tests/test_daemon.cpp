@@ -87,6 +87,16 @@ TEST(Request, ModelRequestsParse)
     EXPECT_TRUE(req.isModel());
     EXPECT_EQ(req.model, "bert_mlp");
     EXPECT_EQ(req.schedule, "greedy");
+
+    // Options of the other request kind are accepted at their defaults.
+    EXPECT_TRUE(Request::parse(
+        "{\"model\":\"bert_mlp\",\"layout\":\"concordant\"}", &req,
+        &error))
+        << error;
+    EXPECT_TRUE(Request::parse(
+        "{\"scenario\":\"gemm\",\"schedule\":\"per-layer\"}", &req,
+        &error))
+        << error;
 }
 
 TEST(Request, StrictRejections)
@@ -110,6 +120,14 @@ TEST(Request, StrictRejections)
         {"{\"id\":\"x\"}", "required"},
         {"{\"model\":\"bert_mlp\",\"dataflow\":\"cp\"}",
          "scenario requests only"},
+        {"{\"model\":\"bert_mlp\",\"layout\":\"zz_bogus\"}",
+         "scenario requests only"},
+        {"{\"model\":\"bert_mlp\",\"out_layout\":\"nope\"}",
+         "scenario requests only"},
+        {"{\"scenario\":\"gemm\",\"schedule\":\"bogus\"}",
+         "model requests only"},
+        {"{\"scenario\":\"gemm\",\"schedule\":\"greedy\"}",
+         "model requests only"},
         {"{\"scenario\":\"gemm\",\"client\":\"\"}", "client"},
         {"not json at all", ""},
         {"{\"scenario\":\"gemm\"", ""},

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -187,6 +188,35 @@ TEST(ModelFile, ErrorsNameTheLine)
                                 "conv c=99 hw=14 m=8\n",
                                 "t", &error));
     EXPECT_NE(error.find("8 channels"), std::string::npos) << error;
+}
+
+TEST(ModelFile, RejectsNonFiniteMultipliers)
+{
+    // strtof reads inf/nan and overflows 1e39 to inf; requantization
+    // would round those to an unspecified integer on both sides of the
+    // bit-exact check.
+    for (const char *qm : {"inf", "1e39", "nan", "-inf"}) {
+        std::string error;
+        EXPECT_FALSE(parseModelText(strCat("conv c=8 hw=14 m=8 qm=", qm,
+                                           "\n"),
+                                    "t", &error))
+            << qm;
+        EXPECT_NE(error.find(strCat("finite positive number, got '", qm,
+                                    "'")),
+                  std::string::npos)
+            << error;
+    }
+
+    // Programmatic graphs go through validate(), which NaN used to pass.
+    ModelGraph g;
+    g.name = "nan";
+    for (const float qm : {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(), 0.0f}) {
+        g.layers = {{sim::convLayer("a", 8, 14, 8, 1, 1, 0), qm}};
+        EXPECT_NE(g.validate().find("finite positive qm multiplier"),
+                  std::string::npos)
+            << qm << ": " << g.validate();
+    }
 }
 
 TEST(ModelFile, LoadModelPrefersBuiltinsAndListsNamesOnFailure)
