@@ -228,10 +228,11 @@ class Daemon
      * Validate @p p->req and warm the plan cache with every planning
      * point its execution will look up on every device, attributing
      * hits/misses to @p stats. Runs under mu_ (sequential in intake
-     * order => deterministic attribution). Fills p->dev_plan and creates
-     * one ExecVariant per distinct feasible shape. Returns a non-empty
-     * reason when the request can never run (unknown workload, bad
-     * override, infeasible mapping on every device).
+     * order => deterministic attribution). Resolves p->graph, fills
+     * p->dev_plan and creates one ExecVariant per distinct feasible
+     * shape (one staged variant for a graph split over a fleet). Returns
+     * a non-empty reason when the request can never run (unknown
+     * workload, bad override, infeasible mapping on every device).
      */
     std::string preplanLocked(Pending *p, ClientStats *stats);
 

@@ -77,6 +77,20 @@ TEST(ModelGraph, RejectsSpatialMismatchAndMixedOps)
     EXPECT_NE(g.validate().find("no layers"), std::string::npos);
 }
 
+TEST(ModelGraph, RejectsNonFiniteMultipliers)
+{
+    // NaN fails no `<= 0` check; validate() must still reject it.
+    ModelGraph g;
+    g.name = "qm";
+    for (const float qm : {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(), 0.0f}) {
+        g.layers = {{sim::convLayer("a", 8, 14, 8, 1, 1, 0), qm}};
+        EXPECT_NE(g.validate().find("finite positive qm multiplier"),
+                  std::string::npos)
+            << qm << ": " << g.validate();
+    }
+}
+
 TEST(ModelGraph, DepthwiseBindsByChannelCount)
 {
     ModelGraph g;
@@ -143,6 +157,17 @@ TEST(ModelFile, ErrorsNameTheLine)
     EXPECT_FALSE(parseModelText("conv c=8 hw=14 m=8 qm=zero\n", "t",
                                 &error));
     EXPECT_NE(error.find("qm"), std::string::npos) << error;
+    // strtof reads inf/nan and overflows 1e39 to inf; requantization
+    // rounds those to an unspecified integer on both sides of the
+    // bit-exact check.
+    for (const char *qm : {"inf", "1e39", "nan", "-inf"}) {
+        EXPECT_FALSE(parseModelText(
+            strCat("conv c=8 hw=14 m=8 qm=", qm, "\n"), "t", &error));
+        EXPECT_NE(error.find(strCat("finite positive number, got '", qm,
+                                    "'")),
+                  std::string::npos)
+            << error;
+    }
 
     // Pointwise layers are fixed at r=s=1; kernel keys must be rejected.
     EXPECT_FALSE(parseModelText("pointwise c=8 hw=14 m=8 rs=3\n", "t",
@@ -188,35 +213,6 @@ TEST(ModelFile, ErrorsNameTheLine)
                                 "conv c=99 hw=14 m=8\n",
                                 "t", &error));
     EXPECT_NE(error.find("8 channels"), std::string::npos) << error;
-}
-
-TEST(ModelFile, RejectsNonFiniteMultipliers)
-{
-    // strtof reads inf/nan and overflows 1e39 to inf; requantization
-    // would round those to an unspecified integer on both sides of the
-    // bit-exact check.
-    for (const char *qm : {"inf", "1e39", "nan", "-inf"}) {
-        std::string error;
-        EXPECT_FALSE(parseModelText(strCat("conv c=8 hw=14 m=8 qm=", qm,
-                                           "\n"),
-                                    "t", &error))
-            << qm;
-        EXPECT_NE(error.find(strCat("finite positive number, got '", qm,
-                                    "'")),
-                  std::string::npos)
-            << error;
-    }
-
-    // Programmatic graphs go through validate(), which NaN used to pass.
-    ModelGraph g;
-    g.name = "nan";
-    for (const float qm : {std::numeric_limits<float>::quiet_NaN(),
-                           std::numeric_limits<float>::infinity(), 0.0f}) {
-        g.layers = {{sim::convLayer("a", 8, 14, 8, 1, 1, 0), qm}};
-        EXPECT_NE(g.validate().find("finite positive qm multiplier"),
-                  std::string::npos)
-            << qm << ": " << g.validate();
-    }
 }
 
 TEST(ModelFile, LoadModelPrefersBuiltinsAndListsNamesOnFailure)
