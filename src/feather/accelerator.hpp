@@ -14,29 +14,18 @@
  * layer's* layout (RIR, §IV). Numerics are validated against
  * tensor/reference_ops in the test suite.
  *
- * run() takes every data-independent quantity — temporal steps, PE
- * coordinates, column liveness, group destinations, wave split, BIRRD
- * waves — from the layer's NestGeometry (feather/nest_geometry.hpp), the
- * same geometry the analytic tier (feather/analytic.hpp) probes. Each wave
- * replays from the compiled-wave table (noc/router.hpp), the Instruction
- * Buffer analogue: a wave pattern is routed and verified once, and a
- * replay adds each group's sum into the OB at its bank plus the wave's
- * switch hops.
- *
- * Timing model (per temporal step, steady state):
- *   cycles = max(feed, bus, t1)
- *     feed = iact delivery cycles including StaB bank conflicts
- *            (concordant layouts give feed == t1)
- *     bus  = one emission per row, plus serialization when two reduction
- *            groups target the same StaB bank (§IV-B write-port matching)
- *     t1   = Phase-1 local reduction length
- * plus the AH^2 weight preload for the first tile (later tiles load into
- * the shadow ping-pong registers, exposed only if longer than compute) and
- * a one-off pipeline fill of AH + BIRRD latency.
+ * run() walks every temporal step through NestGeometry::step, the one
+ * per-step body the analytic tier (feather/analytic.hpp) probes: it
+ * prices feed (StaB bank conflicts), bus (BIRRD write-port waves) and
+ * t1 into max(feed, bus, t1) cycles, and replays each wave's switch hops
+ * from the compiled-wave table (noc/router.hpp), the Instruction Buffer
+ * analogue. What run() adds is the data: one StaB read per distinct word
+ * per cycle (and its trace event), the NEST weight loads and emissions,
+ * each group's sum accumulated into the OB, and the requantized oAct
+ * written to StaB pong when its last partial sum lands.
  */
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "buffer/scratchpad.hpp"
@@ -46,7 +35,6 @@
 #include "layout/layout.hpp"
 #include "nest/nest_array.hpp"
 #include "nest/nest_mapping.hpp"
-#include "noc/birrd.hpp"
 #include "tensor/tensor.hpp"
 #include "workload/shapes.hpp"
 
@@ -75,8 +63,6 @@ class FeatherAccelerator
 {
   public:
     explicit FeatherAccelerator(FeatherConfig cfg);
-
-    const FeatherConfig &config() const { return cfg_; }
 
     /**
      * Load a conv iAct tensor [1,C,H,W] (or GEMM input [M,K]) into StaB
@@ -108,9 +94,6 @@ class FeatherAccelerator
      */
     Int8Tensor readActivations() const;
 
-    /** Layout currently bound to StaB ping. */
-    const BoundLayout &currentLayout() const { return current_layout_; }
-
     /** Enable capture of the first @p max_events StaB reads/writes. */
     void enableTrace(size_t max_events);
     const std::vector<TraceEvent> &trace() const { return trace_; }
@@ -121,7 +104,6 @@ class FeatherAccelerator
 
     FeatherConfig cfg_;
     NestArray nest_;
-    BirrdNetwork birrd_;
     PingPong<BankedScratchpad<int8_t>> stab_;
     BoundLayout current_layout_;
     Arena arena_; ///< per-run scratch; reset (blocks reused) each run()

@@ -2,6 +2,7 @@
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
+#include "noc/topology.hpp"
 
 namespace feather {
 
@@ -142,91 +143,110 @@ NestGeometry::NestGeometry(const LayerSpec &layer, const NestMapping &mapping)
 
 void
 NestGeometry::rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
-                         int aw, uint8_t *col_active, uint8_t *group_live,
-                         int64_t *group_bank, int64_t *group_line) const
+                         StepScratch &s) const
 {
-    const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(aw));
-    std::fill_n(col_active, size_t(aw), uint8_t(0));
-    std::fill_n(group_live, size_t(num_groups), uint8_t(0));
+    const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(s.aw));
+    std::fill_n(s.col_active, size_t(s.aw), uint8_t(0));
+    std::fill_n(s.group_live, size_t(num_groups), uint8_t(0));
     for (int64_t c = 0; c < cols_used; ++c) {
         Coord o;
         if (!oactAt(b, r, c, o)) continue;
-        col_active[size_t(c)] = 1;
-        const size_t g = size_t(cols[size_t(c)].group);
-        if (group_live[g]) continue;
+        s.col_active[c] = 1;
+        const int g = cols[size_t(c)].group;
+        if (s.group_live[g]) continue;
         const LineAddr a = out.addrOf(o);
-        group_live[g] = 1;
-        group_bank[g] = a.slot % aw;
-        group_line[g] = a.line * out_wpl + a.slot / aw;
+        s.group_live[g] = 1;
+        s.group_bank[g] = a.slot % s.aw;
+        s.group_line[g] = a.line * out_wpl + a.slot / s.aw;
     }
 }
 
 int
-NestGeometry::splitWaves(const uint8_t *group_live, const int64_t *group_bank,
-                         int aw, uint8_t *bank_used, int *wave_of_group) const
+NestGeometry::splitWaves(StepScratch &s) const
 {
-    std::fill_n(wave_of_group, size_t(num_groups), -1);
+    const size_t aw = size_t(s.aw);
+    std::fill_n(s.wave_of_group, size_t(num_groups), -1);
     int num_waves = 0;
     for (int64_t g = 0; g < num_groups; ++g) {
-        if (!group_live[g]) continue;
-        const size_t bank = size_t(group_bank[g]);
+        if (!s.group_live[g]) continue;
+        const size_t bank = size_t(s.group_bank[g]);
         int w = 0;
-        while (w < num_waves && bank_used[size_t(w) * size_t(aw) + bank]) ++w;
+        while (w < num_waves && s.wave_bank_used[size_t(w) * aw + bank]) ++w;
         if (w == num_waves) {
-            std::fill_n(bank_used + size_t(w) * size_t(aw), size_t(aw),
-                        uint8_t(0));
+            std::fill_n(s.wave_bank_used + size_t(w) * aw, aw, uint8_t(0));
             ++num_waves;
         }
-        bank_used[size_t(w) * size_t(aw) + bank] = 1;
-        wave_of_group[g] = w;
+        s.wave_bank_used[size_t(w) * aw + bank] = 1;
+        s.wave_of_group[g] = w;
     }
     return num_waves;
 }
 
 int
-NestGeometry::waveRequest(int w, const uint8_t *col_active,
-                          const int *wave_of_group, const int64_t *group_bank,
-                          int aw, int *dense_id, int *dense_dest,
-                          RouteRequest &req) const
+NestGeometry::waveRequest(int w, StepScratch &s, RouteRequest &req) const
 {
-    req.group_of_input.assign(size_t(aw), -1);
+    req.group_of_input.assign(size_t(s.aw), -1);
     req.dests_of_group.clear();
-    std::fill_n(dense_id, size_t(num_groups), -1);
+    std::fill_n(s.dense_id, size_t(num_groups), -1);
     int num_dense = 0;
     for (int64_t c = 0; c < cols_used; ++c) {
-        if (!col_active[c]) continue;
-        const size_t g = size_t(cols[size_t(c)].group);
-        if (wave_of_group[g] != w) continue;
-        if (dense_id[g] < 0) {
-            dense_id[g] = num_dense;
-            dense_dest[num_dense++] = int(group_bank[g]);
+        if (!s.col_active[c]) continue;
+        const int g = cols[size_t(c)].group;
+        if (s.wave_of_group[g] != w) continue;
+        if (s.dense_id[g] < 0) {
+            s.dense_id[g] = num_dense;
+            s.dense_dest[num_dense++] = int(s.group_bank[g]);
         }
-        req.group_of_input[size_t(c)] = dense_id[g];
+        req.group_of_input[size_t(c)] = s.dense_id[g];
     }
     for (int i = 0; i < num_dense; ++i) {
-        req.dests_of_group.push_back({dense_dest[i]});
+        req.dests_of_group.push_back({s.dense_dest[i]});
     }
     return num_dense;
 }
 
 int64_t
-NestGeometry::waveHops(int w, const uint8_t *col_active,
-                       const int *wave_of_group, const int64_t *group_bank,
-                       int aw, int *dense_id, int *dense_dest,
-                       std::string &key) const
+NestGeometry::waveHops(int w, StepScratch &s) const
 {
-    key.assign(size_t(aw), '\0');
+    s.wave_key.assign(size_t(s.aw), '\0');
     for (int64_t c = 0; c < cols_used; ++c) {
-        if (!col_active[c]) continue;
-        const size_t g = size_t(cols[size_t(c)].group);
-        if (wave_of_group[g] == w) key[size_t(c)] = char(group_bank[g] + 1);
+        if (!s.col_active[c]) continue;
+        const int g = cols[size_t(c)].group;
+        if (s.wave_of_group[g] == w) {
+            s.wave_key[size_t(c)] = char(s.group_bank[g] + 1);
+        }
     }
     CompiledWaves &waves = CompiledWaves::local();
-    if (const int64_t *hops = waves.find(key)) return *hops;
+    if (const int64_t *hops = waves.find(s.wave_key)) return *hops;
     RouteRequest req;
-    waveRequest(w, col_active, wave_of_group, group_bank, aw, dense_id,
-                dense_dest, req);
-    return waves.compile(key, req);
+    waveRequest(w, s, req);
+    return waves.compile(s.wave_key, req);
+}
+
+NestGeometry::StepScratch::StepScratch(const NestGeometry &geo, int aw,
+                                       Arena &arena)
+    : aw(aw), col_active(arena.allocArray<uint8_t>(size_t(aw))),
+      group_line(arena.allocArray<int64_t>(size_t(geo.num_groups))),
+      group_bank(arena.allocArray<int64_t>(size_t(geo.num_groups))),
+      group_live(arena.allocArray<uint8_t>(size_t(geo.num_groups))),
+      bank_reads(arena.allocArray<int64_t>(size_t(aw))),
+      read_key(arena.allocArray<int64_t>(size_t(geo.cols_used))),
+      read_val(arena.allocArray<int16_t>(size_t(geo.cols_used))),
+      wave_of_group(arena.allocArray<int>(size_t(geo.num_groups))),
+      wave_bank_used(arena.allocArray<uint8_t>(size_t(geo.num_groups) *
+                                               size_t(aw))),
+      dense_id(arena.allocArray<int>(size_t(geo.num_groups))),
+      dense_dest(arena.allocArray<int>(size_t(geo.num_groups)))
+{
+}
+
+void
+NestGeometry::finish(LayerStats &stats, const FeatherConfig &cfg) const
+{
+    stats.weight_load_cycles_each = exposedLoad(cfg, 0);
+    stats.fill_cycles = cfg.ah + BirrdTopology(cfg.aw).numStages() + 2;
+    stats.cycles = stats.compute_cycles + stats.weight_load_cycles +
+                   stats.fill_cycles;
 }
 
 } // namespace feather

@@ -7,10 +7,18 @@
  * which temporal steps walk the rest, which columns reduce together through
  * BIRRD, and which StaB bank each reduction group's sum lands in.
  *
- * Everything here is data-independent. Both engine tiers read it: the
- * cycle simulator (FeatherAccelerator::run) walks every temporal step and
- * moves data through these coordinates; the analytic model
- * (analyticLayerStats) probes one step with the same pieces and scales.
+ * Everything here is data-independent, and so is the one body of a
+ * temporal step (NestGeometry::step): per row the output pass, the iAct
+ * gather with its per-cycle StaB dedup and dual-port feed, the MACs, the
+ * BIRRD wave split, switch hops and OB destinations, then the step's
+ * cycles and stalls. Beside it sit the weight-tile walk (weightTile) and
+ * the layer's pipeline-fill term (finish). Both engine tiers run these
+ * bodies; data movement plugs in through a template sink, so a sink of
+ * no-op hooks costs nothing. The cycle simulator (FeatherAccelerator::run)
+ * runs every temporal step with a sink that reads StaB, drives NEST and
+ * accumulates and requantizes in the OB. The analytic model
+ * (analyticLayerStats) runs only the middle step, with a sink that
+ * collects OB destinations, and scales it by the step count.
  *
  * Coordinates: for dim d, PE (row r, column c, local slot l) at temporal
  * step base b holds
@@ -23,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.hpp"
+#include "common/bits.hpp"
 #include "dataflow/access_pattern.hpp"
 #include "feather/config.hpp"
 #include "layout/layout.hpp"
@@ -40,6 +50,18 @@ namespace feather {
  */
 void checkNestMapping(const LayerSpec &layer, const NestMapping &mapping,
                       const FeatherConfig &cfg);
+
+/** Feed cycles of one stream slot given per-bank distinct reads: dual-port
+ *  banks serve two reads a cycle, and a slot takes at least one cycle. */
+inline int64_t
+dualPortFeed(const int64_t *bank_reads, int aw)
+{
+    int64_t worst = 1;
+    for (int b = 0; b < aw; ++b) {
+        worst = std::max(worst, (bank_reads[b] + 1) / 2);
+    }
+    return worst;
+}
 
 /** Loop-nest geometry of (layer, mapping); see the file comment. */
 struct NestGeometry
@@ -175,6 +197,29 @@ struct NestGeometry
                i[Dim::W] >= 0 && i[Dim::W] < ext[Dim::W];
     }
 
+    /** Per-row scratch of step() and its pieces below, carved from an
+     *  arena in one fixed order. */
+    struct StepScratch
+    {
+        StepScratch(const NestGeometry &geo, int aw, Arena &arena);
+
+        int aw;
+        uint8_t *col_active;     ///< [aw]
+        int64_t *group_line;     ///< [num_groups]
+        int64_t *group_bank;     ///< [num_groups]
+        uint8_t *group_live;     ///< [num_groups]
+        int64_t *bank_reads;     ///< [aw] distinct reads per bank, per cycle
+        int64_t *read_key;       ///< [cols_used] distinct words, per cycle
+        int16_t *read_val;       ///< [cols_used] a data sink's read values
+        int *wave_of_group;      ///< [num_groups], -1 for dead groups
+        /** [num_groups x aw]: the greedy split never opens more waves
+         *  than live groups. */
+        uint8_t *wave_bank_used;
+        int *dense_id;           ///< [num_groups]
+        int *dense_dest;         ///< [num_groups]
+        std::string wave_key;
+    };
+
     /**
      * Column liveness and group destinations of row @p r at step base
      * @p b: col_active[c] for c < aw, and for each live group (the first
@@ -182,53 +227,168 @@ struct NestGeometry
      * written to under @p out (bound in next-layer iAct space).
      */
     void rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
-                    int aw, uint8_t *col_active, uint8_t *group_live,
-                    int64_t *group_bank, int64_t *group_line) const;
+                    StepScratch &s) const;
 
     /**
-     * Greedy wave split: each live group joins the first wave whose StaB
-     * bank is still free, so every wave writes each bank at most once.
-     * Fills wave_of_group (-1 for dead groups) using @p bank_used, a
-     * num_groups x aw scratch table. @return the number of waves.
+     * Greedy wave split of rowOutputs' live groups: each joins the first
+     * wave whose StaB bank is still free, so every wave writes each bank
+     * at most once. Fills wave_of_group. @return the number of waves.
      */
-    int splitWaves(const uint8_t *group_live, const int64_t *group_bank,
-                   int aw, uint8_t *bank_used, int *wave_of_group) const;
+    int splitWaves(StepScratch &s) const;
 
     /**
      * Fill @p req with the BIRRD request of wave @p w: each active column
      * of the wave feeds its group, renumbered densely in column order,
-     * and each group's sum goes to its bank. Uses @p dense_id
-     * (num_groups) and @p dense_dest (num_groups) as scratch.
+     * and each group's sum goes to its bank.
      * @return the number of groups in the wave (0: nothing to route).
      */
-    int waveRequest(int w, const uint8_t *col_active,
-                    const int *wave_of_group, const int64_t *group_bank,
-                    int aw, int *dense_id, int *dense_dest,
-                    RouteRequest &req) const;
+    int waveRequest(int w, StepScratch &s, RouteRequest &req) const;
 
     /**
      * BIRRD switch hops of wave @p w, replayed from the calling thread's
-     * CompiledWaves table (noc/router.hpp). @p key receives the wave's
-     * key: aw bytes, byte c the bank + 1 of column c's group when c is an
+     * CompiledWaves table (noc/router.hpp). The wave's key (wave_key) is
+     * aw bytes, byte c the bank + 1 of column c's group when c is an
      * active column of the wave, else 0. A miss compiles the entry from
-     * waveRequest, with @p dense_id and @p dense_dest as its scratch.
+     * waveRequest.
      */
-    int64_t waveHops(int w, const uint8_t *col_active,
-                     const int *wave_of_group, const int64_t *group_bank,
-                     int aw, int *dense_id, int *dense_dest,
-                     std::string &key) const;
-};
+    int64_t waveHops(int w, StepScratch &s) const;
 
-/** Feed cycles of one stream slot given per-bank distinct reads: dual-port
- *  banks serve two reads a cycle, and a slot takes at least one cycle. */
-inline int64_t
-dualPortFeed(const int64_t *bank_reads, int aw)
-{
-    int64_t worst = 1;
-    for (int b = 0; b < aw; ++b) {
-        worst = std::max(worst, (bank_reads[b] + 1) / 2);
+    /**
+     * The body of the temporal step at base @p b, with iActs read from
+     * StaB under @p in and oActs written under @p out (next-layer iAct
+     * space). Per row: the output pass (rowOutputs); the iAct gather,
+     * where columns requesting the same word in the same cycle share one
+     * bank access (the point-to-point distribution broadcasts it), priced
+     * by dualPortFeed for the first row_variants rows; the emission; the
+     * wave split, one bus slot per wave (at least one), and each wave's
+     * switch hops and OB destinations. In hardware order, @p sink gets
+     * read(s, bank, addr) for the cycle's first request of each StaB word
+     * (its value belongs in StepScratch::read_val[s]), iact(c, l, s) for
+     * each active column c at local slot l (s < 0: padding, a zero),
+     * emit(r, col_active) once row r is gathered, and accumulate(g, bank,
+     * line) for each live group's sum into its OB entry.
+     *
+     * Adds @p times such steps to @p stats: max(feed, bus, t1) cycles
+     * each, read stalls for feed beyond t1, write stalls for bus slots
+     * beyond one per row, and the step's access counts.
+     * @return the cycles of one step.
+     */
+    template <class Sink>
+    int64_t
+    step(const Coord &b, const BoundLayout &in, const BoundLayout &out,
+         const FeatherConfig &cfg, StepScratch &s, Sink &sink,
+         LayerStats &stats, int64_t times = 1) const
+    {
+        int64_t feed = 0, bus = 0, macs = 0, reads = 0, accumulates = 0;
+        int64_t hops = 0;
+        // Locals, not members: the scratch stores below may alias members.
+        const int aw = cfg.aw;
+        const int64_t depth = cfg.stab_depth, cols = cols_used, slots = t1;
+        const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
+        const uint8_t *col_active = s.col_active;
+        int64_t *bank_reads = s.bank_reads, *read_key = s.read_key;
+        for (int64_t r = 0; r < rows_used; ++r) {
+            rowOutputs(b, r, out, s);
+
+            int64_t row_feed = 0;
+            for (int64_t l = 0; l < slots; ++l) {
+                std::fill_n(bank_reads, size_t(aw), int64_t(0));
+                int64_t num_read = 0;
+                for (int64_t c = 0; c < cols; ++c) {
+                    if (!col_active[c]) continue;
+                    int64_t slot = -1;
+                    Coord ic;
+                    if (iactAt(b, r, c, l, ic)) {
+                        const LineAddr a = in.addrOf(ic);
+                        const int64_t bank = a.slot % aw;
+                        const int64_t addr = a.line * in_wpl + a.slot / aw;
+                        const int64_t key = bank * depth + addr;
+                        slot = 0;
+                        while (slot < num_read && read_key[slot] != key) {
+                            ++slot;
+                        }
+                        if (slot == num_read) {
+                            read_key[num_read++] = key;
+                            ++reads;
+                            ++bank_reads[bank];
+                            sink.read(slot, bank, addr);
+                        }
+                    }
+                    sink.iact(c, l, slot);
+                }
+                row_feed += dualPortFeed(bank_reads, aw);
+            }
+            if (r < row_variants) feed += row_feed;
+
+            sink.emit(r, s.col_active);
+            macs += t1 * std::count(s.col_active, s.col_active + cols_used,
+                                    uint8_t(1));
+
+            const int num_waves = splitWaves(s);
+            bus += std::max(num_waves, 1);
+            for (int w = 0; w < num_waves; ++w) {
+                hops += waveHops(w, s);
+                for (int64_t g = 0; g < num_groups; ++g) {
+                    if (!s.group_live[g] || s.wave_of_group[g] != w) continue;
+                    ++accumulates;
+                    sink.accumulate(g, s.group_bank[g], s.group_line[g]);
+                }
+            }
+        }
+        const int64_t cycles = std::max({feed, bus, t1});
+        stats.compute_cycles += times * cycles;
+        stats.read_stall_cycles += times * std::max<int64_t>(0, feed - t1);
+        stats.write_stall_cycles +=
+            times * std::max<int64_t>(0, bus - rows_used);
+        stats.macs += times * macs;
+        stats.stab_reads += times * reads;
+        stats.ob_accumulates += times * accumulates;
+        stats.birrd_switch_hops += times * hops;
+        return cycles;
     }
-    return worst;
-}
+
+    /**
+     * Load the weight tile of the step at base @p b, @p times over: hand
+     * each PE slot, row-, column-, then local-major, to sink.weight(r, c,
+     * l, w) (w null when out of bounds), and add to @p stats one StrB
+     * read and DRAM word per in-bounds weight, and the reload event.
+     */
+    template <class Sink>
+    void
+    weightTile(const Coord &b, Sink &sink, LayerStats &stats,
+               int64_t times = 1) const
+    {
+        int64_t loaded = 0;
+        for (int64_t r = 0; r < rows_used; ++r) {
+            for (int64_t c = 0; c < cols_used; ++c) {
+                for (int64_t l = 0; l < t1; ++l) {
+                    Coord w;
+                    const bool in = weightAt(b, r, c, l, w);
+                    loaded += in;
+                    sink.weight(r, c, l, in ? &w : nullptr);
+                }
+            }
+        }
+        stats.strb_reads += times * loaded;
+        stats.dram_words += times * loaded;
+        stats.weight_reload_events += times;
+    }
+
+    /** Cycles of the AH * t1 weight-tile preload that the shadow
+     *  ping-pong registers cannot hide behind @p hidden cycles of compute
+     *  since the previous load (0 before the first load). */
+    int64_t
+    exposedLoad(const FeatherConfig &cfg, int64_t hidden) const
+    {
+        return std::max<int64_t>(0, int64_t(cfg.ah) * t1 - hidden);
+    }
+
+    /**
+     * Set the layer terms both tiers share: the AH * t1 preload of one
+     * weight tile, the one-off pipeline fill (AH row stagger, one cycle
+     * per BIRRD stage, two OB/QM stages) and the total cycles.
+     */
+    void finish(LayerStats &stats, const FeatherConfig &cfg) const;
+};
 
 } // namespace feather

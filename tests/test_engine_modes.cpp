@@ -16,6 +16,8 @@
  * sweep grid, and full determinism. Its exact counters are locked too
  * (engine_analytic_counters.golden), and so is every scenario layer run
  * standalone through runLayer in both tiers (run_layer_counters.golden).
+ * Both tiers run the same per-step body (NestGeometry::step), so on a
+ * one-step nest they must agree on every shared counter.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +29,9 @@
 #include <sstream>
 #include <vector>
 
+#include "feather/nest_geometry.hpp"
 #include "golden_util.hpp"
+#include "model/scheduler.hpp"
 #include "serve/engine.hpp"
 #include "serve/plan_cache.hpp"
 #include "sim/engine_mode.hpp"
@@ -258,6 +262,54 @@ TEST(AnalyticEngine_, WithinBoundAndPreservesRankingEverywhere)
                 << i;
         }
     }
+}
+
+TEST(AnalyticEngine_, SingleStepLayersMatchTheCycleTier)
+{
+    // A one-step nest leaves the analytic probe nothing to scale: its
+    // middle step is the only step, so both tiers run the same step body
+    // once and must agree on every counter. The OB high-water mark (the
+    // probe counts distinct destinations, the cycle tier live entries)
+    // and the arena use (cycle tier only) are the two tier-specific
+    // fields.
+    int cases = 0;
+    for (const ModelGraph &s : scenarios()) {
+        for (const ModelLayer &sl : s.layers) {
+            for (const DataflowKind kind : model::kFamilies) {
+                for (const int aw : {4, 8, 16}) {
+                    for (const int ah : {4, 8, 16}) {
+                        const std::optional<LayerPlan> plan =
+                            planLayer(kind, sl.spec, aw, ah);
+                        if (!plan ||
+                            NestGeometry(sl.spec, plan->mapping)
+                                    .total_steps != 1) {
+                            continue;
+                        }
+                        ++cases;
+                        RunOptions opts;
+                        opts.aw = aw;
+                        opts.ah = ah;
+                        opts.mapping = plan->mapping;
+                        opts.in_layout = plan->in_layout;
+                        opts.out_layout = plan->out_layout;
+                        opts.quant.multiplier = sl.multiplier;
+                        opts.engine = EngineMode::Cycle;
+                        LayerStats cycle = runLayer(sl.spec, opts).stats;
+                        opts.engine = EngineMode::Analytic;
+                        LayerStats analytic = runLayer(sl.spec, opts).stats;
+                        cycle.peak_ob_entries = analytic.peak_ob_entries = 0;
+                        cycle.arena_peak_bytes = 0;
+                        EXPECT_EQ(cycle, analytic)
+                            << s.name << "/" << sl.spec.name << " "
+                            << toString(kind) << " " << aw << "x" << ah
+                            << ": cycle " << cycle.toString()
+                            << " vs analytic " << analytic.toString();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 45) << "the one-step grid points moved";
 }
 
 TEST(AnalyticEngine_, DeterministicAndReplayFree)

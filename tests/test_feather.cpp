@@ -472,18 +472,12 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                 const BoundLayout out(plan->out_layout,
                                       oactIactExtents(sl.spec));
                 const int aw = s.default_aw;
-                const size_t groups = size_t(geo.num_groups);
                 const BirrdNetwork net(aw);
                 BirrdRouter router(net.topology());
 
-                std::vector<uint8_t> col_active(static_cast<size_t>(aw)),
-                    live(groups);
-                std::vector<int64_t> bank(groups), line(groups);
-                std::vector<uint8_t> bank_used(groups * size_t(aw));
-                std::vector<int> wave_of_group(groups), dense_id(groups),
-                    dense_dest(groups);
+                Arena arena;
+                NestGeometry::StepScratch rows(geo, aw, arena);
                 RouteRequest req;
-                std::string key;
                 std::vector<PortValue> inputs(static_cast<size_t>(aw)), outputs,
                     scratch;
                 std::vector<int64_t> want;
@@ -493,16 +487,10 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                 while (more) {
                     const Coord base = geo.base(step);
                     for (int64_t r = 0; r < geo.rows_used; ++r) {
-                        geo.rowOutputs(base, r, out, aw, col_active.data(),
-                                       live.data(), bank.data(), line.data());
-                        const int num_waves = geo.splitWaves(
-                            live.data(), bank.data(), aw, bank_used.data(),
-                            wave_of_group.data());
+                        geo.rowOutputs(base, r, out, rows);
+                        const int num_waves = geo.splitWaves(rows);
                         for (int w = 0; w < num_waves; ++w) {
-                            const int n = geo.waveRequest(
-                                w, col_active.data(), wave_of_group.data(),
-                                bank.data(), aw, dense_id.data(),
-                                dense_dest.data(), req);
+                            const int n = geo.waveRequest(w, rows, req);
                             ASSERT_GT(n, 0) << where;
                             const BirrdConfigWord *config = router.route(req);
                             ASSERT_NE(config, nullptr) << where;
@@ -526,12 +514,7 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                                 ASSERT_TRUE(got.has_value()) << where;
                                 ASSERT_EQ(*got, want[size_t(g)]) << where;
                             }
-                            ASSERT_EQ(hops,
-                                      geo.waveHops(w, col_active.data(),
-                                                   wave_of_group.data(),
-                                                   bank.data(), aw,
-                                                   dense_id.data(),
-                                                   dense_dest.data(), key))
+                            ASSERT_EQ(hops, geo.waveHops(w, rows))
                                 << where;
                             ++waves;
                         }
