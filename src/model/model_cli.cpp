@@ -8,6 +8,7 @@
 #include "common/table.hpp"
 #include "model/fleet.hpp"
 #include "model/report.hpp"
+#include "serve/batch_cli.hpp"
 #include "sim/cli.hpp"
 
 namespace feather {
@@ -25,44 +26,74 @@ isModelInvocation(const std::vector<std::string> &args)
     return false;
 }
 
-ModelCliParse
-parseModelCli(const std::vector<std::string> &args)
+namespace {
+
+/** The one declaration of every model-mode flag, storing into @p o: the
+ *  parse and the usage section both derive from it. */
+OptionTable
+modelOptions(ModelCliOptions *o)
 {
-    ModelCliParse parse;
-    ModelCliOptions &o = parse.opts;
     OptionTable t;
     t.unknownSuffix(" in model mode (--model runs accept --schedule, "
                     "--fleet, --aw, --ah, --seed, --jobs, --engine, "
                     "--report-csv, --report-json)");
     t.str("--model", "NAME|FILE",
-          "schedule a built-in model graph or a model\nfile", &o.model);
+          "schedule a built-in model graph or a model\n"
+          "file (layer lines: conv/depthwise/pointwise/\n"
+          "gemm key=value...)",
+          &o->model);
     t.str("--schedule", "S",
-          "per-layer, greedy, fixed:<ws|cp|wp>, or\npinned:<device> "
-          "(default: per-layer)",
-          &o.schedule);
+          "per-layer (DP over dataflow candidates and\n"
+          "BIRRD reorder costs), greedy, fixed:<ws|cp|wp>\n"
+          "or pinned:<device> (default: per-layer)",
+          &o->schedule);
     t.str("--fleet", "SPEC|F",
           "split the graph across a device fleet\n"
           "(e.g. feather:16x16,feather:32x32,tpu-like)",
-          &o.fleet);
-    t.positiveInt("--aw", "N", "array width (default: model's)", &o.aw,
+          &o->fleet);
+    t.positiveInt("--aw", "N", "array width (default: model's)", &o->aw,
                   65536);
-    t.positiveInt("--ah", "N", "array height (default: model's)", &o.ah,
+    t.positiveInt("--ah", "N", "array height (default: model's)", &o->ah,
                   65536);
     t.nonNegative("--seed", "N", "RNG seed for inputs (default: 2024)",
-                  &o.seed);
+                  &o->seed);
     t.positiveInt("--jobs", "N", "candidate-evaluation worker threads",
-                  &o.jobs, 256);
+                  &o->jobs, 256);
     sim::addEngineFlag(t, "candidate-evaluation tier; the final chosen\n"
                           "schedule is always measured cycle-accurately",
-                          &o.engine);
+                          &o->engine);
     t.str("--report-csv", "F", "write the schedule report as CSV to F",
-          &o.report_csv);
+          &o->report_csv);
     t.str("--report-json", "F",
-          "write the schedule report as JSON to F", &o.report_json);
+          "write the schedule report as JSON to F", &o->report_json);
     t.flag("--list-models", "list the built-in model graphs and exit",
-           &o.list_models);
-    t.flag("--help", "show this text", &o.help);
-    if (!t.parse(args, &parse.error)) return parse;
+           &o->list_models);
+    t.flag("--help", "show this text", &o->help);
+    return t;
+}
+
+/** The whole feather_cli usage text: sim::usage with the batch and model
+ *  sections rendered from their option tables. */
+std::string
+usage()
+{
+    serve::BatchCliOptions batch;
+    ModelCliOptions model;
+    return sim::usage(
+        "\nbatch mode (multi-threaded serve engine; see src/serve):\n" +
+        serve::batchOptions(&batch).helpText() +
+        "\nmodel mode (whole-graph per-layer scheduler; see src/model):\n" +
+        modelOptions(&model).helpText());
+}
+
+} // namespace
+
+ModelCliParse
+parseModelCli(const std::vector<std::string> &args)
+{
+    ModelCliParse parse;
+    ModelCliOptions &o = parse.opts;
+    if (!modelOptions(&o).parse(args, &parse.error)) return parse;
     if (!o.help && !o.list_models && o.model.empty()) {
         parse.error = "model mode needs --model NAME|FILE "
                       "(see --list-models)";
@@ -75,16 +106,17 @@ cliMain(int argc, const char *const *argv)
 {
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+    if (!isModelInvocation(args)) return serve::cliMain(argc, argv, usage());
 
     const ModelCliParse parse = parseModelCli(args);
     if (!parse.ok()) {
         std::fprintf(stderr, "error: %s\n\n%s", parse.error.c_str(),
-                     sim::usage().c_str());
+                     usage().c_str());
         return 2;
     }
     const ModelCliOptions &o = parse.opts;
     if (o.help) {
-        std::printf("%s", sim::usage().c_str());
+        std::printf("%s", usage().c_str());
         return 0;
     }
     if (o.list_models) {

@@ -57,9 +57,10 @@ bool isModelInvocation(const std::vector<std::string> &args);
 ModelCliParse parseModelCli(const std::vector<std::string> &args);
 
 /**
- * Full model-mode entry point: load the graph, schedule it, print the
- * per-layer choices and the schedule ranking. Returns 0 on a verified
- * run, 1 on a numeric mismatch, 2 on a usage error.
+ * The `feather_cli` entry point. Model invocations load the graph,
+ * schedule it and print the per-layer choices and the schedule ranking;
+ * anything else goes to serve::cliMain (batch, else single run). Returns
+ * 0 on a verified run, 1 on a numeric mismatch, 2 on a usage error.
  */
 int cliMain(int argc, const char *const *argv);
 

@@ -25,34 +25,45 @@ isBatchInvocation(const std::vector<std::string> &args)
     return false;
 }
 
+OptionTable
+batchOptions(BatchCliOptions *o)
+{
+    OptionTable t;
+    t.unknownSuffix(" in batch mode (--batch/--sweep runs accept --jobs, "
+                    "--seed, --engine, --report-csv, --report-json)");
+    t.str("--batch", "FILE",
+          "run the jobs listed in FILE, one per line:\n"
+          "<scenario> [dataflow=..] [layout=..]\n"
+          "[out_layout=..] [aw=N] [ah=N] [seed=N]\n"
+          "[engine=cycle|analytic] [name=..] ('#' comments)",
+          &o->batch_file);
+    t.str("--sweep", "NAME",
+          "run the (dataflow x array-size) grid over a\n"
+          "scenario; infeasible grid points are skipped",
+          &o->sweep);
+    t.positiveInt("--jobs", "N",
+                  "worker threads (default 1); the report is\n"
+                  "bit-identical for any N",
+                  &o->jobs, 256);
+    t.nonNegative("--seed", "N",
+                  "base seed; job i draws inputs from stream\n(seed, i)",
+                  &o->seed);
+    sim::addEngineFlag(t, "default tier for jobs that do not pin one",
+                          &o->engine);
+    t.str("--report-csv", "F", "write the per-job report as CSV to F",
+          &o->report_csv);
+    t.str("--report-json", "F", "write the report as single-line JSON to F",
+          &o->report_json);
+    t.flag("--help", "show this text", &o->help);
+    return t;
+}
+
 BatchCliParse
 parseBatchCli(const std::vector<std::string> &args)
 {
     BatchCliParse parse;
     BatchCliOptions &o = parse.opts;
-    OptionTable t;
-    t.unknownSuffix(" in batch mode (--batch/--sweep runs accept --jobs, "
-                    "--seed, --engine, --report-csv, --report-json)");
-    t.str("--batch", "FILE", "run the jobs listed in FILE, one per line",
-          &o.batch_file);
-    t.str("--sweep", "NAME",
-          "run the (dataflow x array-size) grid over a\nscenario",
-          &o.sweep);
-    t.positiveInt("--jobs", "N",
-                  "worker threads (default 1); the report is\n"
-                  "bit-identical for any N",
-                  &o.jobs, 256);
-    t.nonNegative("--seed", "N",
-                  "base seed; job i draws inputs from stream\n(seed, i)",
-                  &o.seed);
-    sim::addEngineFlag(t, "default tier for jobs that do not pin one",
-                          &o.engine);
-    t.str("--report-csv", "F", "write the per-job report as CSV to F",
-          &o.report_csv);
-    t.str("--report-json", "F", "write the report as single-line JSON to F",
-          &o.report_json);
-    t.flag("--help", "show this text", &o.help);
-    if (!t.parse(args, &parse.error)) return parse;
+    if (!batchOptions(&o).parse(args, &parse.error)) return parse;
     if (o.help) return parse;
     if (o.batch_file.empty() == o.sweep.empty()) {
         parse.error = o.batch_file.empty()
@@ -66,11 +77,6 @@ parseBatchCli(const std::vector<std::string> &args)
 int
 batchMain(const BatchCliOptions &opts)
 {
-    if (opts.help) {
-        std::printf("%s", sim::usage().c_str());
-        return 0;
-    }
-
     BatchOptions engine_opts;
     engine_opts.num_threads = opts.jobs;
     engine_opts.base_seed = opts.seed;
@@ -125,17 +131,21 @@ batchMain(const BatchCliOptions &opts)
 }
 
 int
-cliMain(int argc, const char *const *argv)
+cliMain(int argc, const char *const *argv, const std::string &usage_text)
 {
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-    if (!isBatchInvocation(args)) return sim::cliMain(argc, argv);
+    if (!isBatchInvocation(args)) return sim::cliMain(argc, argv, usage_text);
 
     const BatchCliParse parse = parseBatchCli(args);
     if (!parse.ok()) {
         std::fprintf(stderr, "error: %s\n\n%s", parse.error.c_str(),
-                     sim::usage().c_str());
+                     usage_text.c_str());
         return 2;
+    }
+    if (parse.opts.help) {
+        std::printf("%s", usage_text.c_str());
+        return 0;
     }
     return batchMain(parse.opts);
 }

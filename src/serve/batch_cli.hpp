@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/options.hpp"
 #include "sim/engine_mode.hpp"
 
 namespace feather {
@@ -47,6 +48,10 @@ struct BatchCliParse
 /** True when @p args selects batch mode (--batch/--sweep/--jobs/--report-*). */
 bool isBatchInvocation(const std::vector<std::string> &args);
 
+/** The one declaration of every batch-mode flag, storing into @p o: the
+ *  parse and the usage section both derive from it. */
+OptionTable batchOptions(BatchCliOptions *o);
+
 /** Parse the arguments after argv[0] (batch mode only). */
 BatchCliParse parseBatchCli(const std::vector<std::string> &args);
 
@@ -59,10 +64,12 @@ BatchCliParse parseBatchCli(const std::vector<std::string> &args);
 int batchMain(const BatchCliOptions &opts);
 
 /**
- * Full `feather_cli` entry point: batch invocations run batchMain, anything
- * else is delegated to sim::cliMain.
+ * Batch and single-run entry point: batch invocations run batchMain,
+ * anything else is delegated to sim::cliMain. @p usage_text is what
+ * --help and a parse error print.
  */
-int cliMain(int argc, const char *const *argv);
+int cliMain(int argc, const char *const *argv,
+            const std::string &usage_text);
 
 } // namespace serve
 } // namespace feather

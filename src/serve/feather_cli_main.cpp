@@ -12,19 +12,10 @@
  *   $ ./feather_cli --list-models
  */
 
-#include <string>
-#include <vector>
-
 #include "model/model_cli.hpp"
-#include "serve/batch_cli.hpp"
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-    if (feather::model::isModelInvocation(args)) {
-        return feather::model::cliMain(argc, argv);
-    }
-    return feather::serve::cliMain(argc, argv);
+    return feather::model::cliMain(argc, argv);
 }

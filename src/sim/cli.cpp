@@ -77,7 +77,7 @@ addEngineFlag(OptionTable &table, const std::string &help, EngineMode *out)
 }
 
 std::string
-usage()
+usage(const std::string &modes)
 {
     CliOptions dummy;
     std::string text =
@@ -87,36 +87,7 @@ usage()
         "and verify the result bit-exactly against the reference operators.\n"
         "\n"
         "options:\n" +
-        simOptions(&dummy).helpText() +
-        "\n"
-        "batch mode (multi-threaded serve engine; see src/serve):\n"
-        "  --sweep NAME      run the (dataflow x array-size) grid over a\n"
-        "                    scenario; infeasible grid points are skipped\n"
-        "  --batch FILE      run the jobs listed in FILE, one per line:\n"
-        "                    <scenario> [dataflow=..] [layout=..]\n"
-        "                    [out_layout=..] [aw=N] [ah=N] [seed=N]\n"
-        "                    [engine=cycle|analytic] [name=..]\n"
-        "                    ('#' comments)\n"
-        "  --jobs N          worker threads (default 1); the report is\n"
-        "                    bit-identical for any N\n"
-        "  --seed N          base seed; job i draws inputs from stream\n"
-        "                    (seed, i)\n"
-        "  --engine MODE     default tier for jobs that do not pin one\n"
-        "  --report-csv F    write the per-job report as CSV to F\n"
-        "  --report-json F   write the report as single-line JSON to F\n"
-        "\n"
-        "model mode (whole-graph per-layer scheduler; see src/model):\n"
-        "  --model NAME|FILE schedule a built-in model graph or a model\n"
-        "                    file (layer lines: conv/depthwise/pointwise/\n"
-        "                    gemm key=value...)\n"
-        "  --schedule S      per-layer (DP over dataflow candidates and\n"
-        "                    BIRRD reorder costs), greedy, or\n"
-        "                    fixed:<ws|cp|wp> (default: per-layer)\n"
-        "  --list-models     list the built-in model graphs and exit\n"
-        "  --jobs N          candidate-evaluation worker threads\n"
-        "  --engine MODE     candidate-evaluation tier; the final chosen\n"
-        "                    schedule is always measured cycle-accurately\n"
-        "  --report-csv/--report-json also export the schedule report\n"
+        simOptions(&dummy).helpText() + modes +
         "\n"
         "long-running serving (continuous batching, admission control,\n"
         "latency percentiles) lives in the separate feather_serve binary\n"
@@ -140,7 +111,7 @@ parseCli(const std::vector<std::string> &args)
 }
 
 int
-cliMain(int argc, const char *const *argv)
+cliMain(int argc, const char *const *argv, const std::string &usage_text)
 {
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
@@ -148,12 +119,12 @@ cliMain(int argc, const char *const *argv)
     const CliParse parse = parseCli(args);
     if (!parse.ok()) {
         std::fprintf(stderr, "error: %s\n\n%s", parse.error.c_str(),
-                     usage().c_str());
+                     usage_text.c_str());
         return 2;
     }
     const CliOptions &o = parse.opts;
     if (o.help) {
-        std::printf("%s", usage().c_str());
+        std::printf("%s", usage_text.c_str());
         return 0;
     }
     if (o.list) {

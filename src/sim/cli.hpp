@@ -51,8 +51,13 @@ struct CliParse
  */
 CliParse parseCli(const std::vector<std::string> &args);
 
-/** Usage text (one screen; printed by --help and on parse errors). */
-std::string usage();
+/**
+ * The feather_cli usage text (printed by --help and on parse errors): the
+ * single-run options, then @p modes, then the scenario list. @p modes
+ * holds the batch and model sections, which model/model_cli.cpp renders
+ * from the option tables their own libraries declare.
+ */
+std::string usage(const std::string &modes);
 
 /** Declare `--engine MODE` on @p table with @p help, storing the parsed
  *  tier into @p out; every CLI (sim, batch, model, serve) shares this one
@@ -64,9 +69,10 @@ void addEngineFlag(OptionTable &table, const std::string &help,
  * Full CLI entry point: parse, run the scenario, print per-layer stats and
  * the bit-exactness verdict. Returns 0 on a verified run (or an analytic
  * estimate, which has nothing to verify), 1 on a numeric mismatch, 2 on a
- * usage error.
+ * usage error. @p usage_text is what --help and a parse error print.
  */
-int cliMain(int argc, const char *const *argv);
+int cliMain(int argc, const char *const *argv,
+            const std::string &usage_text);
 
 } // namespace sim
 } // namespace feather

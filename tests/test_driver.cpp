@@ -206,7 +206,7 @@ runCliMain(const std::vector<const char *> &args)
 {
     std::vector<const char *> argv = {"feather_cli"};
     argv.insert(argv.end(), args.begin(), args.end());
-    return cliMain(int(argv.size()), argv.data());
+    return cliMain(int(argv.size()), argv.data(), usage(""));
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "serve/plan_cache.hpp"
 #include "serve/report.hpp"
 #include "serve/thread_pool.hpp"
+#include "sim/cli.hpp"
 
 namespace feather {
 namespace serve {
@@ -563,16 +564,16 @@ TEST(BatchCli, SweepRunsEndToEnd)
 {
     std::vector<const char *> argv = {"feather_cli", "--sweep",
                                       "quickstart_conv", "--jobs", "2"};
-    EXPECT_EQ(cliMain(int(argv.size()), argv.data()), 0);
+    EXPECT_EQ(cliMain(int(argv.size()), argv.data(), sim::usage("")), 0);
 }
 
 TEST(BatchCli, DelegatesNonBatchInvocationsToSim)
 {
     std::vector<const char *> argv = {"feather_cli", "--workload", "gemm"};
-    EXPECT_EQ(cliMain(int(argv.size()), argv.data()), 0);
+    EXPECT_EQ(cliMain(int(argv.size()), argv.data(), sim::usage("")), 0);
     std::vector<const char *> bad = {"feather_cli", "--workload",
                                      "no_such_scenario"};
-    EXPECT_EQ(cliMain(int(bad.size()), bad.data()), 2);
+    EXPECT_EQ(cliMain(int(bad.size()), bad.data(), sim::usage("")), 2);
 }
 
 TEST(BatchCli, UnknownSweepScenarioListsRegisteredNames)
