@@ -16,13 +16,22 @@
  *                   in cycle mode, deterministic closed-form in analytic)
  * The speedup of analytic over cycle mode is visible in CI artifacts as
  * the ratio of the two suites' real_time.
+ *
+ * BM_CycleConvLayer times one layer on the cycle tier in the calling
+ * thread, verified bit-exactly: resnet_block's conv_3x3 at its pinned
+ * dataflow, whose rows unroll only output channels, so one iAct stream
+ * feeds every row and NestGeometry::step replays row 0's gather. CI gates
+ * its time too, so losing that replay fails the build. Its deterministic
+ * counters are cycles, stab_reads and birrd_switch_hops.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "serve/engine.hpp"
+#include "sim/scenario.hpp"
 
 using namespace feather;
 
@@ -79,8 +88,47 @@ BM_SweepAnalytic(benchmark::State &state)
     runSweepBench(state, sim::EngineMode::Analytic);
 }
 
+/** resnet_block's conv_3x3 at its pin on a state.range(0) square array. */
+void
+BM_CycleConvLayer(benchmark::State &state)
+{
+    const auto &layers = sim::findScenario("resnet_block")->layers;
+    const sim::ModelLayer &layer = *std::find_if(
+        layers.begin(), layers.end(),
+        [](const sim::ModelLayer &l) { return l.spec.name == "conv_3x3"; });
+    const int side = int(state.range(0));
+    std::string error;
+    const auto plan =
+        sim::planLayer(*layer.dataflow, layer.spec, side, side, &error);
+    if (!plan) {
+        state.SkipWithError(("plan failed: " + error).c_str());
+        return;
+    }
+    sim::RunOptions opts;
+    opts.aw = side;
+    opts.ah = side;
+    opts.mapping = plan->mapping;
+    opts.in_layout = plan->in_layout;
+    opts.out_layout = plan->out_layout;
+
+    LayerStats stats;
+    for (auto _ : state) {
+        const sim::RunResult run = sim::runLayer(layer.spec, opts);
+        if (!run.bitExact()) {
+            state.SkipWithError("conv_3x3 is not bit-exact");
+            return;
+        }
+        stats = run.stats;
+        benchmark::DoNotOptimize(stats);
+    }
+    state.counters["cycles"] = double(stats.cycles);
+    state.counters["stab_reads"] = double(stats.stab_reads);
+    state.counters["birrd_switch_hops"] = double(stats.birrd_switch_hops);
+}
+
 BENCHMARK(BM_SweepCycle)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepAnalytic)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CycleConvLayer)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

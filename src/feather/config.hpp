@@ -44,6 +44,10 @@ struct LayerStats
     int64_t macs = 0;
 
     // Access counts for the energy model.
+    /** StaB words read: per row and local slot, the distinct words its
+     *  columns request. Rows the shared top-to-bottom iAct stream serves
+     *  (row_variants == 1) count theirs too, so there it is rows_used x
+     *  the words the feed pays for. */
     int64_t stab_reads = 0;
     int64_t stab_writes = 0;
     int64_t strb_reads = 0;

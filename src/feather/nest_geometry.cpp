@@ -238,6 +238,12 @@ NestGeometry::StepScratch::StepScratch(const NestGeometry &geo, int aw,
       dense_id(arena.allocArray<int>(size_t(geo.num_groups))),
       dense_dest(arena.allocArray<int>(size_t(geo.num_groups)))
 {
+    if (geo.row_variants == 1 && geo.rows_used > 1) {
+        const size_t cells = size_t(geo.t1) * size_t(geo.cols_used);
+        gather_active.resize(size_t(geo.cols_used));
+        gather_slot.resize(cells);
+        gather_read.resize(cells);
+    }
 }
 
 void

@@ -11,8 +11,12 @@
  * temporal step (NestGeometry::step): per row the output pass, the iAct
  * gather with its per-cycle StaB dedup and dual-port feed, the MACs, the
  * BIRRD wave split, switch hops and OB destinations, then the step's
- * cycles and stalls. Beside it sit the weight-tile walk (weightTile) and
- * the layer's pipeline-fill term (finish). Both engine tiers run these
+ * cycles and stalls. When one top-to-bottom iAct stream serves every row
+ * (row_variants == 1), row 0 records its gather and each later row with
+ * the same active columns replays it: the sink sees the same calls in the
+ * same order, without the coordinate and address math. Beside the step
+ * sit the weight-tile walk (weightTile) and the layer's pipeline-fill
+ * term (finish). Both engine tiers run these
  * bodies; data movement plugs in through a template sink, so a sink of
  * no-op hooks costs nothing. The cycle simulator (FeatherAccelerator::run)
  * runs every temporal step with a sink that reads StaB, drives NEST and
@@ -218,6 +222,22 @@ struct NestGeometry
         int *dense_id;           ///< [num_groups]
         int *dense_dest;         ///< [num_groups]
         std::string wave_key;
+
+        /** One first read of row 0's gather: the StaB word it fetches. */
+        struct GatherRead
+        {
+            int64_t bank;
+            int64_t addr;
+        };
+        /** Row 0's gather, kept for replay when row_variants == 1 and
+         *  rows_used > 1 (else empty): its active columns [cols_used],
+         *  per (local slot l, column c) the dedup slot at [l * cols_used +
+         *  c] (-1: padding) and per (l, dedup slot s) the word of that
+         *  first read at [l * cols_used + s]. On the heap, not the arena,
+         *  whose peak is a reported counter. */
+        std::vector<uint8_t> gather_active;
+        std::vector<int32_t> gather_slot;
+        std::vector<GatherRead> gather_read;
     };
 
     /**
@@ -268,6 +288,12 @@ struct NestGeometry
      * emit(r, col_active) once row r is gathered, and accumulate(g, bank,
      * line) for each live group's sum into its OB entry.
      *
+     * When row_variants == 1 the iActs do not depend on the row, so row 0
+     * records its gather (StepScratch::gather_*) and each later row whose
+     * col_active equals row 0's replays it: the same read and iact calls
+     * in the same order and the same reads, with no coordinate or address
+     * math. Rows with other active columns (an M tail) gather in full.
+     *
      * Adds @p times such steps to @p stats: max(feed, bus, t1) cycles
      * each, read stalls for feed beyond t1, write stalls for bus slots
      * beyond one per row, and the step's access counts.
@@ -287,38 +313,75 @@ struct NestGeometry
         const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
         const uint8_t *col_active = s.col_active;
         int64_t *bank_reads = s.bank_reads, *read_key = s.read_key;
+        const bool shared = !s.gather_active.empty();
+        int64_t shared_reads = 0; // row 0's distinct reads
+        int32_t *const rec_slot = s.gather_slot.data();
+        StepScratch::GatherRead *const rec_read = s.gather_read.data();
         for (int64_t r = 0; r < rows_used; ++r) {
             rowOutputs(b, r, out, s);
 
-            int64_t row_feed = 0;
-            for (int64_t l = 0; l < slots; ++l) {
-                std::fill_n(bank_reads, size_t(aw), int64_t(0));
-                int64_t num_read = 0;
-                for (int64_t c = 0; c < cols; ++c) {
-                    if (!col_active[c]) continue;
-                    int64_t slot = -1;
-                    Coord ic;
-                    if (iactAt(b, r, c, l, ic)) {
-                        const LineAddr a = in.addrOf(ic);
-                        const int64_t bank = a.slot % aw;
-                        const int64_t addr = a.line * in_wpl + a.slot / aw;
-                        const int64_t key = bank * depth + addr;
-                        slot = 0;
-                        while (slot < num_read && read_key[slot] != key) {
-                            ++slot;
-                        }
+            if (shared && r > 0 &&
+                std::equal(col_active, col_active + cols,
+                           s.gather_active.begin())) {
+                for (int64_t l = 0; l < slots; ++l) {
+                    const int32_t *slot_of = rec_slot + l * cols;
+                    const StepScratch::GatherRead *first =
+                        rec_read + l * cols;
+                    int64_t num_read = 0;
+                    for (int64_t c = 0; c < cols; ++c) {
+                        if (!col_active[c]) continue;
+                        const int64_t slot = slot_of[c];
                         if (slot == num_read) {
-                            read_key[num_read++] = key;
-                            ++reads;
-                            ++bank_reads[bank];
-                            sink.read(slot, bank, addr);
+                            sink.read(slot, first[slot].bank,
+                                      first[slot].addr);
+                            ++num_read;
                         }
+                        sink.iact(c, l, slot);
                     }
-                    sink.iact(c, l, slot);
                 }
-                row_feed += dualPortFeed(bank_reads, aw);
+                reads += shared_reads;
+            } else {
+                const bool record = shared && r == 0;
+                int64_t row_feed = 0;
+                for (int64_t l = 0; l < slots; ++l) {
+                    std::fill_n(bank_reads, size_t(aw), int64_t(0));
+                    int64_t num_read = 0;
+                    for (int64_t c = 0; c < cols; ++c) {
+                        if (!col_active[c]) continue;
+                        int64_t slot = -1;
+                        Coord ic;
+                        if (iactAt(b, r, c, l, ic)) {
+                            const LineAddr a = in.addrOf(ic);
+                            const int64_t bank = a.slot % aw;
+                            const int64_t addr =
+                                a.line * in_wpl + a.slot / aw;
+                            const int64_t key = bank * depth + addr;
+                            slot = 0;
+                            while (slot < num_read &&
+                                   read_key[slot] != key) {
+                                ++slot;
+                            }
+                            if (slot == num_read) {
+                                read_key[num_read++] = key;
+                                ++bank_reads[bank];
+                                if (record) {
+                                    rec_read[l * cols + slot] = {bank, addr};
+                                }
+                                sink.read(slot, bank, addr);
+                            }
+                        }
+                        if (record) rec_slot[l * cols + c] = int32_t(slot);
+                        sink.iact(c, l, slot);
+                    }
+                    reads += num_read;
+                    if (record) shared_reads += num_read;
+                    row_feed += dualPortFeed(bank_reads, aw);
+                }
+                if (record) {
+                    std::copy_n(col_active, cols, s.gather_active.begin());
+                }
+                if (r < row_variants) feed += row_feed;
             }
-            if (r < row_variants) feed += row_feed;
 
             sink.emit(r, s.col_active);
             macs += t1 * std::count(s.col_active, s.col_active + cols_used,

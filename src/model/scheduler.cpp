@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <limits>
-#include <unordered_set>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
@@ -48,6 +47,17 @@ forEachCoord(const Extents &extents, Fn &&fn)
     walk(walk, 0);
 }
 
+/** Number of coordinates forEachCoord visits. */
+int64_t
+elementCount(const Extents &extents)
+{
+    int64_t elements = 1;
+    for (int d = 0; d < kNumDims; ++d) {
+        if (extents[Dim(d)] > 0) elements *= extents[Dim(d)];
+    }
+    return elements;
+}
+
 } // namespace
 
 int64_t
@@ -57,14 +67,16 @@ reorderCost(const Layout &src, const Layout &dst, const Extents &extents)
     const BoundLayout from(src, extents);
     const BoundLayout to(dst, extents);
     // One read cycle per distinct source line feeding each destination
-    // line; writes overlap with reads in the BIRRD pipeline.
-    std::vector<std::unordered_set<int64_t>> sources(size_t(to.numLines()));
+    // line; writes overlap with reads in the BIRRD pipeline. Each
+    // (destination, source) line pair packs into one key.
+    const int64_t from_lines = from.numLines();
+    std::vector<int64_t> pairs;
+    pairs.reserve(size_t(elementCount(extents)));
     forEachCoord(extents, [&](const Coord &c) {
-        sources[size_t(to.addrOf(c).line)].insert(from.addrOf(c).line);
+        pairs.push_back(to.addrOf(c).line * from_lines + from.addrOf(c).line);
     });
-    int64_t cycles = 0;
-    for (const auto &lines : sources) cycles += int64_t(lines.size());
-    return cycles;
+    std::sort(pairs.begin(), pairs.end());
+    return int64_t(std::unique(pairs.begin(), pairs.end()) - pairs.begin());
 }
 
 int64_t
@@ -73,11 +85,8 @@ handoffCost(bool same_device, const Layout &src, const Layout &dst,
             const InterChipLink &link)
 {
     if (same_device) return 0;
-    int64_t elements = 1;
-    for (int d = 0; d < kNumDims; ++d) {
-        if (extents[Dim(d)] > 0) elements *= extents[Dim(d)];
-    }
-    const int64_t bytes = elements * std::max<int64_t>(1, elem_bytes);
+    const int64_t bytes =
+        elementCount(extents) * std::max<int64_t>(1, elem_bytes);
     const int64_t bpc = std::max<int64_t>(1, link.bytes_per_cycle);
     const int64_t transfer = (bytes + bpc - 1) / bpc;
     return reorderCost(src, dst, extents) + transfer;

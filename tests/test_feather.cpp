@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "feather/accelerator.hpp"
@@ -527,6 +530,152 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
     }
     EXPECT_GT(cases, 0);
     EXPECT_GT(waves, 0);
+}
+
+/** One call a gather sink receives: {0, slot, bank, addr} for read,
+ *  {1, c, l, slot} for iact. */
+using GatherCall = std::array<int64_t, 4>;
+
+/** NestGeometry::step sink that keeps each row's read/iact calls. */
+struct GatherLog
+{
+    std::vector<std::vector<GatherCall>> rows;
+    std::vector<GatherCall> calls;
+
+    void weight(int64_t, int64_t, int64_t, const Coord *) {}
+    void
+    read(int64_t s, int64_t bank, int64_t addr)
+    {
+        calls.push_back({0, s, bank, addr});
+    }
+    void
+    iact(int64_t c, int64_t l, int64_t s)
+    {
+        calls.push_back({1, c, l, s});
+    }
+    void
+    emit(int64_t, const uint8_t *)
+    {
+        rows.push_back(std::move(calls));
+        calls.clear();
+    }
+    void accumulate(int64_t, int64_t, int64_t) {}
+};
+
+/** Row @p r's gather calls at step base @p b, written out per row from
+ *  oactAt, iactAt, addrOf and the per-cycle dedup; adds its distinct
+ *  reads to @p reads. */
+std::vector<GatherCall>
+rowGather(const NestGeometry &geo, const Coord &b, int64_t r,
+          const BoundLayout &in, const FeatherConfig &cfg, int64_t &reads)
+{
+    const int64_t wpl = ceilDiv(in.lineSize(), int64_t(cfg.aw));
+    std::vector<GatherCall> calls;
+    for (int64_t l = 0; l < geo.t1; ++l) {
+        std::vector<int64_t> keys;
+        for (int64_t c = 0; c < geo.cols_used; ++c) {
+            Coord o, ic;
+            if (!geo.oactAt(b, r, c, o)) continue;
+            int64_t slot = -1;
+            if (geo.iactAt(b, r, c, l, ic)) {
+                const LineAddr a = in.addrOf(ic);
+                const int64_t bank = a.slot % cfg.aw;
+                const int64_t addr = a.line * wpl + a.slot / cfg.aw;
+                const int64_t key = bank * cfg.stab_depth + addr;
+                slot = int64_t(std::find(keys.begin(), keys.end(), key) -
+                               keys.begin());
+                if (slot == int64_t(keys.size())) {
+                    keys.push_back(key);
+                    calls.push_back({0, slot, bank, addr});
+                }
+            }
+            calls.push_back({1, c, l, slot});
+        }
+        reads += int64_t(keys.size());
+    }
+    return calls;
+}
+
+// NestGeometry::step gathers once per local slot when one iAct stream feeds
+// every row (row_variants == 1) and replays row 0's gather on later rows
+// with the same active columns. A recording sink captures each row's
+// read/iact calls on every scenario layer x family at aw, ah in {4, 8, 16},
+// at each step whose loop indices are all first, middle or last (tails sit
+// at the last index), and each row must match rowGather. The extra conv
+// (C 2, M 5) puts M on columns and rows under canonical at 4x4, so one
+// row holds M 4 and 5 of which only M 4 is live: a strict, non-empty
+// subset of row 0's active columns, which must gather in full.
+TEST(NestGeometry_, RowInvariantGatherMatchesPerRowGather)
+{
+    std::vector<std::pair<std::string, LayerSpec>> layers;
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
+            layers.emplace_back(s.name + "/" + sl.spec.name, sl.spec);
+        }
+    }
+    layers.emplace_back("m_tail", convLayer(2, 6, 5, 3, 1, 1));
+
+    int cases = 0;
+    int64_t replayed_rows = 0, subset_rows = 0;
+    for (const int aw : {4, 8, 16}) {
+        for (const int ah : {4, 8, 16}) {
+            const FeatherConfig cfg = smallConfig(aw, ah);
+            for (const auto &[name, layer] : layers) {
+                for (const sim::DataflowKind kind : model::kFamilies) {
+                    const auto plan = sim::planLayer(kind, layer, aw, ah);
+                    if (!plan) continue;
+                    const std::string where =
+                        name + "/" + sim::toString(kind) + "/" +
+                        std::to_string(aw) + "x" + std::to_string(ah);
+                    const NestGeometry geo(layer, plan->mapping);
+                    const BoundLayout in(plan->in_layout, iactExtents(layer));
+                    const BoundLayout out(plan->out_layout,
+                                          oactIactExtents(layer));
+                    Arena arena;
+                    NestGeometry::StepScratch scratch(geo, aw, arena);
+                    Coord step;
+                    do {
+                        bool probed = true;
+                        for (const LoopLevel &lv : geo.loops.levels()) {
+                            const int64_t i = step[lv.dim];
+                            probed &= i == 0 || i == (lv.extent - 1) / 2 ||
+                                      i == lv.extent - 1;
+                        }
+                        if (!probed) continue;
+                        const Coord b = geo.base(step);
+                        GatherLog log;
+                        LayerStats stats;
+                        geo.step(b, in, out, cfg, scratch, log, stats);
+                        ASSERT_EQ(int64_t(log.rows.size()), geo.rows_used)
+                            << where;
+                        int64_t reads = 0;
+                        for (int64_t r = 0; r < geo.rows_used; ++r) {
+                            ASSERT_EQ(log.rows[size_t(r)],
+                                      rowGather(geo, b, r, in, cfg, reads))
+                                << where << " row " << r;
+                            if (geo.row_variants != 1 || r == 0) continue;
+                            bool any = false, subset = true, equal = true;
+                            for (int64_t c = 0; c < geo.cols_used; ++c) {
+                                Coord o;
+                                const bool live = geo.oactAt(b, r, c, o);
+                                const bool live0 = geo.oactAt(b, 0, c, o);
+                                any |= live;
+                                subset &= live0 || !live;
+                                equal &= live == live0;
+                            }
+                            replayed_rows += equal;
+                            subset_rows += any && subset && !equal;
+                        }
+                        ASSERT_EQ(stats.stab_reads, reads) << where;
+                    } while (geo.loops.advance(step));
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 0);
+    EXPECT_GT(replayed_rows, 0);
+    EXPECT_GT(subset_rows, 0);
 }
 
 // StaB storage is demand-sized, but its depth still bounds a layer: iActs

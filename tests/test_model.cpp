@@ -13,8 +13,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/report_norm.hpp"
 #include "golden_util.hpp"
@@ -274,6 +278,54 @@ TEST(ReorderCost, GrowsWithTensorSize)
     const Layout src = Layout::parse("CHW_W4");
     const Layout dst = Layout::parse("HWC_C4");
     EXPECT_LT(reorderCost(src, dst, small), reorderCost(src, dst, big));
+}
+
+// Every pair of the searched conv and GEMM layout spaces against a
+// brute-force count of distinct (destination line, source line) pairs, at
+// extents that are not multiples of the intra sizes (ragged last lines).
+TEST(ReorderCost, MatchesBruteForceLinePairsOverTheLayoutSpaces)
+{
+    const auto bruteForce = [](const Layout &src, const Layout &dst,
+                               const Extents &e, const std::vector<Dim> &dims) {
+        if (src == dst) return int64_t(0);
+        const BoundLayout from(src, e), to(dst, e);
+        int64_t elems = 1;
+        for (Dim d : dims) elems *= e[d];
+        std::set<std::pair<int64_t, int64_t>> pairs;
+        for (int64_t i = 0; i < elems; ++i) {
+            Coord c;
+            int64_t rest = i;
+            for (Dim d : dims) {
+                c[d] = rest % e[d];
+                rest /= e[d];
+            }
+            pairs.insert({to.addrOf(c).line, from.addrOf(c).line});
+        }
+        return int64_t(pairs.size());
+    };
+    Extents conv;
+    conv[Dim::C] = 6;
+    conv[Dim::H] = 5;
+    conv[Dim::W] = 7;
+    Extents gemm;
+    gemm[Dim::M] = 6;
+    gemm[Dim::K] = 37;
+    int pairs = 0;
+    for (const auto &[space, e, dims] :
+         {std::make_tuple(convLayoutSpace(), conv,
+                          std::vector<Dim>{Dim::C, Dim::H, Dim::W}),
+          std::make_tuple(gemmLayoutSpace(), gemm,
+                          std::vector<Dim>{Dim::M, Dim::K})}) {
+        for (const Layout &src : space) {
+            for (const Layout &dst : space) {
+                EXPECT_EQ(reorderCost(src, dst, e),
+                          bruteForce(src, dst, e, dims))
+                    << src.toString() << " -> " << dst.toString();
+                ++pairs;
+            }
+        }
+    }
+    EXPECT_EQ(pairs, 7 * 7 + 3 * 3);
 }
 
 // ---------------------------------------------------------------------------
