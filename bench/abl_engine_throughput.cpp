@@ -15,7 +15,10 @@
  *   - total_cycles  summed simulated cycles over the report (bit-stable
  *                   in cycle mode, deterministic closed-form in analytic)
  * The speedup of analytic over cycle mode is visible in CI artifacts as
- * the ratio of the two suites' real_time.
+ * the ratio of the two suites' real_time. Each iteration gets a fresh
+ * engine, so planning starts cold every time; the BIRRD waves do not:
+ * CompiledWaves (noc/router.hpp) is one table per process, so from the
+ * second iteration on every wave the sweep replays is already compiled.
  *
  * BM_CycleConvLayer times one layer on the cycle tier in the calling
  * thread, verified bit-exactly: resnet_block's conv_3x3 at its pinned

@@ -250,7 +250,7 @@ void
 NestGeometry::finish(LayerStats &stats, const FeatherConfig &cfg) const
 {
     stats.weight_load_cycles_each = exposedLoad(cfg, 0);
-    stats.fill_cycles = cfg.ah + BirrdTopology(cfg.aw).numStages() + 2;
+    stats.fill_cycles = cfg.ah + BirrdTopology::stagesFor(cfg.aw) + 2;
     stats.cycles = stats.compute_cycles + stats.weight_load_cycles +
                    stats.fill_cycles;
 }

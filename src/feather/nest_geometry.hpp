@@ -265,11 +265,12 @@ struct NestGeometry
     int waveRequest(int w, StepScratch &s, RouteRequest &req) const;
 
     /**
-     * BIRRD switch hops of wave @p w, replayed from the calling thread's
-     * CompiledWaves table (noc/router.hpp). The wave's key (wave_key) is
-     * aw bytes, byte c the bank + 1 of column c's group when c is an
-     * active column of the wave, else 0. A miss compiles the entry from
-     * waveRequest.
+     * BIRRD switch hops of wave @p w, replayed from the process-wide
+     * CompiledWaves table (noc/router.hpp) through the calling thread's
+     * front cache. The wave's key (wave_key) is aw bytes, byte c the
+     * bank + 1 of column c's group when c is an active column of the
+     * wave, else 0. A key no thread has compiled yet is compiled here
+     * from waveRequest.
      */
     int64_t waveHops(int w, StepScratch &s) const;
 

@@ -1,7 +1,9 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
+#include <string_view>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
@@ -155,11 +157,45 @@ BirrdRouter::route(const RouteRequest &req)
     return &cache_.emplace(key, std::move(*result)).first->second;
 }
 
+namespace {
+
+/** The process table behind every thread's CompiledWaves front cache. */
+struct SharedWaves
+{
+    std::mutex mu;
+    std::unordered_map<std::string, int64_t> hops;
+};
+
+SharedWaves &
+sharedWaves()
+{
+    static SharedWaves table;
+    return table;
+}
+
+} // namespace
+
 CompiledWaves &
 CompiledWaves::local()
 {
     thread_local CompiledWaves table;
     return table;
+}
+
+const int64_t *
+CompiledWaves::findShared(const std::string &key)
+{
+    SharedWaves &shared = sharedWaves();
+    std::string_view stored;
+    int64_t hops = 0;
+    {
+        std::lock_guard<std::mutex> lk(shared.mu);
+        const auto it = shared.hops.find(key);
+        if (it == shared.hops.end()) return nullptr;
+        stored = it->first;
+        hops = it->second;
+    }
+    return &hops_.emplace(stored, hops).first->second;
 }
 
 int64_t
@@ -176,8 +212,22 @@ CompiledWaves::compile(const std::string &key, const RouteRequest &req)
         if (req.group_of_input[size_t(i)] >= 0) live[size_t(i)] = 1;
     }
     const int64_t hops = net.activeSwitches(*config, live);
-    hops_.emplace(key, hops);
+    std::string_view stored;
+    {
+        SharedWaves &shared = sharedWaves();
+        std::lock_guard<std::mutex> lk(shared.mu);
+        stored = shared.hops.emplace(key, hops).first->first;
+    }
+    hops_.emplace(stored, hops);
     return hops;
+}
+
+size_t
+CompiledWaves::size()
+{
+    SharedWaves &shared = sharedWaves();
+    std::lock_guard<std::mutex> lk(shared.mu);
+    return shared.hops.size();
 }
 
 // ---------------------------------------------------------------------------

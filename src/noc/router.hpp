@@ -24,14 +24,15 @@
  * the paper also describes. Solved patterns are cached — FEATHER generates
  * BIRRD configurations offline into the Instruction Buffer.
  *
- * The simulator's Instruction Buffer is CompiledWaves: a per-thread table
- * that routes each wave pattern once and keeps only what replaying the
- * wave needs, so a wave costs a key lookup instead of a route and a
- * network evaluation.
+ * The simulator's Instruction Buffer is CompiledWaves: one table per
+ * process that routes each wave pattern once and keeps only what replaying
+ * the wave needs, so a wave costs a key lookup instead of a route and a
+ * network evaluation. Each thread reads it through a lock-free front cache.
  */
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -204,32 +205,51 @@ class BirrdRouter
  * verified when the entry was compiled.
  *
  * Each entry is routed by a fresh BirrdRouter, so it depends on its
- * request alone; the table is therefore safe to share across runs. One
- * table per thread (local()), so no lock.
+ * request alone; the table is therefore safe to share across runs and
+ * threads. There is one table per process, behind one mutex, and each
+ * thread reads it through its own front cache (local()), which needs no
+ * lock: a wave is routed once per process and costs a thread one locked
+ * lookup the first time that thread meets it.
  */
 class CompiledWaves
 {
   public:
-    /** The calling thread's table. */
+    /** The calling thread's front cache over the process table. */
     static CompiledWaves &local();
 
-    /** Switch hops of the wave @p key, or nullptr when not compiled. */
+    /**
+     * Switch hops of the wave @p key, or nullptr when no thread of the
+     * process has compiled it yet.
+     */
     const int64_t *
-    find(const std::string &key) const
+    find(const std::string &key)
     {
         const auto it = hops_.find(key);
-        return it == hops_.end() ? nullptr : &it->second;
+        return it == hops_.end() ? findShared(key) : &it->second;
     }
 
     /**
      * Route @p req (the request @p key encodes), store its switch hops
      * — BirrdNetwork::activeSwitches over the request's live inputs —
-     * under @p key and return them. Panics when routing fails.
+     * under @p key and return them. Panics when routing fails. Routing
+     * runs outside the lock; when two threads compile the same key, the
+     * first store wins (both computed the same value).
      */
     int64_t compile(const std::string &key, const RouteRequest &req);
 
+    /** Number of waves compiled in this process (the process table). */
+    static size_t size();
+
   private:
-    std::unordered_map<std::string, int64_t> hops_;
+    /** Look @p key up in the process table, copying a hit to hops_. */
+    const int64_t *findShared(const std::string &key);
+
+    /**
+     * This thread's copies of process-table entries. The keys view the
+     * process table's keys, which live as long as the process: entries
+     * are never erased.
+     */
+    std::unordered_map<std::string_view, int64_t> hops_;
 };
 
 } // namespace feather

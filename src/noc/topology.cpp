@@ -7,24 +7,24 @@
 
 namespace feather {
 
-BirrdTopology::BirrdTopology(int num_inputs) : num_inputs_(num_inputs)
+int
+BirrdTopology::stagesFor(int aw)
 {
-    FEATHER_CHECK(num_inputs >= 2 && isPow2(uint64_t(num_inputs)),
-                  "BIRRD input count must be a power of two >= 2, got ",
-                  num_inputs);
-    FEATHER_CHECK(num_inputs <= 64,
+    FEATHER_CHECK(aw >= 2 && isPow2(uint64_t(aw)),
+                  "BIRRD input count must be a power of two >= 2, got ", aw);
+    FEATHER_CHECK(aw <= 64,
                   "router reachability masks support up to 64 inputs");
-    log2_inputs_ = int(log2Exact(uint64_t(num_inputs)));
+    if (aw == 2) return 1;
+    // Special case (paper footnote 1): the two half butterflies share
+    // their middle stage, giving 2*log2(4)-1 = 3 stages.
+    if (aw == 4) return 3;
+    return 2 * int(log2Exact(uint64_t(aw)));
+}
 
-    if (num_inputs_ == 2) {
-        num_stages_ = 1;
-    } else if (num_inputs_ == 4) {
-        // Special case (paper footnote 1): the two half butterflies share
-        // their middle stage, giving 2*log2(4)-1 = 3 stages.
-        num_stages_ = 3;
-    } else {
-        num_stages_ = 2 * log2_inputs_;
-    }
+BirrdTopology::BirrdTopology(int num_inputs)
+    : num_inputs_(num_inputs), num_stages_(stagesFor(num_inputs))
+{
+    log2_inputs_ = int(log2Exact(uint64_t(num_inputs)));
 
     wires_.assign(size_t(num_stages_), std::vector<int>(num_inputs_, 0));
     for (int s = 0; s < num_stages_; ++s) {

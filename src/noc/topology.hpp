@@ -24,6 +24,13 @@ class BirrdTopology
     /** @param num_inputs AW; must be a power of two >= 2. */
     explicit BirrdTopology(int num_inputs);
 
+    /**
+     * Stage count of an @p aw-input BIRRD, without building its wiring:
+     * 1 for AW = 2, 3 for AW = 4, else 2*log2(AW). Panics unless @p aw is
+     * a power of two in [2, 64].
+     */
+    static int stagesFor(int aw);
+
     int numInputs() const { return num_inputs_; }
     int numStages() const { return num_stages_; }
     int switchesPerStage() const { return num_inputs_ / 2; }

@@ -21,6 +21,19 @@ TEST(Topology, StageCounts)
     EXPECT_EQ(BirrdTopology(32).numStages(), 10);
 }
 
+// The closed form callers use when they need only the depth.
+TEST(Topology, StagesForMatchesTheBuiltNetwork)
+{
+    for (int aw = 2; aw <= 64; aw *= 2) {
+        EXPECT_EQ(BirrdTopology::stagesFor(aw), BirrdTopology(aw).numStages())
+            << "AW=" << aw;
+    }
+    EXPECT_DEATH(BirrdTopology::stagesFor(6), "power of two");
+    EXPECT_DEATH(BirrdTopology::stagesFor(1), "power of two");
+    EXPECT_DEATH(BirrdTopology::stagesFor(128), "up to 64 inputs");
+    EXPECT_DEATH(BirrdTopology(12), "power of two");
+}
+
 TEST(Topology, SwitchCounts)
 {
     const BirrdTopology t(16);

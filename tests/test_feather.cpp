@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "feather/accelerator.hpp"
 #include "feather/nest_geometry.hpp"
 #include "model/scheduler.hpp"
+#include "noc/router.hpp"
 #include "sim/driver.hpp"
 #include "sim/scenario.hpp"
 #include "tensor/reference_ops.hpp"
@@ -530,6 +533,60 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
     }
     EXPECT_GT(cases, 0);
     EXPECT_GT(waves, 0);
+}
+
+// The CompiledWaves table is one per process. Four threads run the scenario
+// layer x family cases at once on the cycle tier, verified, racing to
+// compile the same waves; each must get the stats a single thread gets.
+// That single-threaded run comes last, on a new thread whose front cache
+// starts empty: every wave it needs is already in the process table, so it
+// compiles none.
+TEST(NestGeometry_, CompiledWavesAreSharedAcrossThreads)
+{
+    std::vector<std::pair<LayerSpec, sim::RunOptions>> runs;
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
+            for (const sim::DataflowKind kind : model::kFamilies) {
+                const auto plan = sim::planLayer(kind, sl.spec, s.default_aw,
+                                                 s.default_ah);
+                if (!plan) continue;
+                sim::RunOptions opts;
+                opts.aw = s.default_aw;
+                opts.ah = s.default_ah;
+                opts.mapping = plan->mapping;
+                opts.in_layout = plan->in_layout;
+                opts.out_layout = plan->out_layout;
+                runs.emplace_back(sl.spec, opts);
+            }
+        }
+    }
+    ASSERT_FALSE(runs.empty());
+
+    using Results = std::vector<sim::RunResult>;
+    const auto runAll = [&runs](Results &out) {
+        for (const auto &[spec, opts] : runs) {
+            out.push_back(sim::runLayer(spec, opts));
+        }
+    };
+    std::vector<Results> racing(4);
+    std::vector<std::thread> threads;
+    for (Results &out : racing) threads.emplace_back(runAll, std::ref(out));
+    for (std::thread &t : threads) t.join();
+
+    const size_t compiled = CompiledWaves::size();
+    EXPECT_GT(compiled, 0u);
+    Results single;
+    std::thread(runAll, std::ref(single)).join();
+    EXPECT_EQ(CompiledWaves::size(), compiled);
+
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const std::string where = runs[i].first.name + " #" + std::to_string(i);
+        EXPECT_TRUE(single[i].bitExact()) << where;
+        for (const Results &out : racing) {
+            EXPECT_TRUE(out[i].bitExact()) << where;
+            EXPECT_EQ(out[i].stats, single[i].stats) << where;
+        }
+    }
 }
 
 /** One call a gather sink receives: {0, slot, bank, addr} for read,
