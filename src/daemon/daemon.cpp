@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
+#include <tuple>
 #include <utility>
 
 #include "common/bits.hpp"
@@ -33,21 +35,11 @@ Daemon::Daemon(DaemonOptions opts) : opts_(opts)
 {
     if (opts_.num_threads < 1) opts_.num_threads = 1;
     if (opts_.clock_mhz < 1) opts_.clock_mhz = 1;
-    opts_.virt.devices.clear();
-    if (opts_.fleet.enabled()) {
-        // The fleet *is* the virtual serving system: one virtual server
-        // per device, placement by the fleet's policy.
-        devices_ = opts_.fleet.devices;
-        for (const model::FleetDevice &d : devices_) {
-            opts_.virt.devices.push_back({d.name, d.capability});
-        }
-        opts_.virt.place = opts_.fleet.place;
-        opts_.virt.vworkers = int(devices_.size());
-    } else {
-        // One implicit device whose virt.vworkers servers run every
-        // request at its own shape.
-        devices_ = {model::FleetDevice{"", 0, 0, 1}};
-    }
+    // No fleet: one implicit device whose virt.vworkers servers run every
+    // request at its own shape.
+    devices_ = opts_.fleet.enabled()
+                   ? opts_.fleet.devices
+                   : std::vector<model::FleetDevice>{{"", 0, 0, 1}};
     dev_stats_.resize(devices_.size());
     pool_ = std::make_unique<serve::ThreadPool>(opts_.num_threads);
     start_ = std::chrono::steady_clock::now();
@@ -99,32 +91,6 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         return bad_schedule;
     }
 
-    // One planning point of device @p d: count hit/miss against the
-    // admission-time planning history (racing the pool's runtime lookups
-    // would make per-client counters timing-dependent), then plan.
-    const auto plan_point = [&](size_t d, const std::string &scope,
-                                sim::DataflowKind kind,
-                                const LayerSpec &layer, int aw, int ah,
-                                std::string *err) {
-        const std::string key =
-            serve::PlanCache::key(mode, kind, layer, aw, ah);
-        DevicePlan &dp = p->dev_plan[d];
-        dp.keys.push_back(key);
-        if (planned_keys_.insert(serve::PlanCache::scopedKey(key, scope))
-                .second) {
-            ++stats->cache_misses;
-        } else {
-            ++stats->cache_hits;
-        }
-        const std::optional<sim::LayerPlan> plan =
-            cache_.getOrPlan(mode, kind, layer, aw, ah, err, scope);
-        if (plan && !dp.feasible) {
-            dp.feasible = true;
-            dp.in_layout = plan->in_layout;
-            dp.in_extents = iactExtents(layer);
-        }
-        return plan.has_value();
-    };
     const auto add_variant = [&](int aw, int ah) {
         auto v = std::make_unique<ExecVariant>();
         v->aw = aw;
@@ -133,96 +99,111 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         p->variants.push_back(std::move(v));
         return int(p->variants.size()) - 1;
     };
+    // One device loop; request kinds differ in four inputs. A split graph
+    // (a model on a fleet, whose scheduler places each layer itself) plans
+    // each usable device at its own shape in its own cache scope (request
+    // shape pins are ignored, as the README says), every family, and past
+    // an unfit layer (so every scope warms alike, rejected or not); it
+    // shares one staged variant. A whole request plans at its pinned
+    // shape, else the device's, in the shared scope; a model layer plans
+    // every family, a scenario layer its one (forced, else its pin); it
+    // stops at its first unfit layer, and runs once per distinct (scope,
+    // shape), shared by the devices that resolve to it.
     const bool fleet = opts_.fleet.enabled();
-    p->dev_plan.resize(devices_.size());
-
-    if (req.isModel() && fleet) {
-        // A fleet scheduler splits the graph over the fleet: warm every
-        // (layer, family, device) point it will enumerate, in its order,
-        // at each usable device's own shape (request shape pins are
-        // ignored, as documented in the README) and cache scope. Planning
-        // continues past an unfit layer so every scope is warmed the same
-        // whether or not the request is rejected; the first unfit layer
-        // is reported.
-        std::string unfit;
-        for (const sim::ModelLayer &ml : graph.layers) {
-            bool fits = false;
-            std::string err;
-            std::string first_err;
-            for (size_t d = 0; d < devices_.size(); ++d) {
-                const model::FleetDevice &dev = devices_[d];
-                if (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1) {
-                    continue;
-                }
-                for (sim::DataflowKind kind : model::kFamilies) {
-                    if (plan_point(d, dev.name, kind, ml.spec, dev.aw,
-                                   dev.ah, &err)) {
-                        fits = true;
-                    } else if (first_err.empty()) {
-                        first_err = err;
-                    }
-                }
-            }
-            if (!fits && unfit.empty()) {
-                unfit = strCat("no fleet device fits ", ml.spec.name, ": ",
-                               first_err.empty() ? "no usable device shape"
-                                                 : first_err);
-            }
-        }
-        if (!unfit.empty()) return unfit;
-        // One staged variant, runnable on every device: the scheduler
-        // places each layer itself.
-        add_variant(0, 0);
-        for (DevicePlan &dp : p->dev_plan) dp.feasible = true;
-        return "";
+    const bool split = req.isModel() && fleet;
+    const size_t nlayers = graph.layers.size();
+    std::vector<sim::DataflowKind> pins;
+    for (const sim::ModelLayer &ml : graph.layers) {
+        if (req.isModel()) break;
+        FEATHER_CHECK(forced || ml.dataflow, "unpinned scenario");
+        pins.push_back(forced ? *forced : *ml.dataflow);
     }
-
-    // Placed whole on one device: plan once per *distinct* resolved shape
-    // (a request that pins aw/ah resolves to the same shape everywhere)
-    // and share the resulting variant between same-shaped devices. A
-    // scenario layer plans its one family (the forced dataflow, else its
-    // pin); a model layer plans every family the scheduler enumerates.
-    std::map<std::pair<int, int>, size_t> shapes; // -> first device
+    // Per layer: whether any device fits it, and its error (a split graph
+    // reports the first failure on any device, a whole request the last
+    // family's failure on the device it stops).
+    std::vector<char> layer_fits(nlayers, 0);
+    std::vector<std::string> layer_err(nlayers);
+    std::map<std::tuple<std::string, int, int>, size_t> seen; // -> device
     std::string first_error;
+    p->dev_plan.resize(devices_.size());
     for (size_t d = 0; d < devices_.size(); ++d) {
-        const int aw = req.aw > 0 ? req.aw : devices_[d].aw;
-        const int ah = req.ah > 0 ? req.ah : devices_[d].ah;
-        const auto [it, fresh] = shapes.emplace(std::make_pair(aw, ah), d);
+        const model::FleetDevice &dev = devices_[d];
+        if (split && (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1)) {
+            continue;
+        }
+        const int aw = !split && req.aw > 0 ? req.aw : dev.aw;
+        const int ah = !split && req.ah > 0 ? req.ah : dev.ah;
+        const std::string scope = split ? dev.name : "";
+        const auto [it, fresh] = seen.emplace(std::tie(scope, aw, ah), d);
+        DevicePlan &dp = p->dev_plan[d];
         if (!fresh) {
-            p->dev_plan[d] = p->dev_plan[it->second];
+            dp = p->dev_plan[it->second];
             continue;
         }
         const int plan_aw = aw > 0 ? aw : graph.default_aw;
         const int plan_ah = ah > 0 ? ah : graph.default_ah;
         std::string err;
-        for (const sim::ModelLayer &ml : graph.layers) {
-            std::string why;
+        for (size_t l = 0; l < nlayers && err.empty(); ++l) {
+            const sim::ModelLayer &ml = graph.layers[l];
+            const sim::DataflowKind *kinds =
+                req.isModel() ? std::begin(model::kFamilies) : &pins[l];
+            const size_t nkinds =
+                req.isModel() ? std::size(model::kFamilies) : 1;
             bool fits = false;
-            if (req.isModel()) {
-                for (sim::DataflowKind kind : model::kFamilies) {
-                    fits |= plan_point(d, "", kind, ml.spec, plan_aw,
-                                       plan_ah, &why);
+            for (size_t k = 0; k < nkinds; ++k) {
+                // Count hit/miss against the admission-time planning
+                // history (racing the pool's runtime lookups would make
+                // per-client counters timing-dependent), then plan.
+                const std::string key = serve::PlanCache::key(
+                    mode, kinds[k], ml.spec, plan_aw, plan_ah);
+                dp.keys.push_back(key);
+                if (planned_keys_
+                        .insert(serve::PlanCache::scopedKey(key, scope))
+                        .second) {
+                    ++stats->cache_misses;
+                } else {
+                    ++stats->cache_hits;
                 }
-            } else {
-                FEATHER_CHECK(forced || ml.dataflow, "unpinned scenario");
-                fits = plan_point(d, "", forced ? *forced : *ml.dataflow,
-                                  ml.spec, plan_aw, plan_ah, &why);
+                std::string why;
+                const std::optional<sim::LayerPlan> plan = cache_.getOrPlan(
+                    mode, kinds[k], ml.spec, plan_aw, plan_ah, &why, scope);
+                if (!plan) {
+                    if (!split || layer_err[l].empty()) layer_err[l] = why;
+                    continue;
+                }
+                fits = true;
+                if (dp.feasible) continue;
+                dp.feasible = true; // first fitting layer: hand-off input
+                dp.in_layout = plan->in_layout;
+                dp.in_extents = iactExtents(ml.spec);
             }
-            if (fits) continue;
+            layer_fits[l] |= fits;
+            if (fits || split) continue;
             err = req.isModel()
                       ? strCat("no dataflow family fits ", ml.spec.name,
                                " on a ", plan_aw, "x", plan_ah,
-                               " array: ", why)
-                      : strCat("layer ", ml.spec.name, ": ", why);
-            break;
+                               " array: ", layer_err[l])
+                      : strCat("layer ", ml.spec.name, ": ", layer_err[l]);
         }
-        DevicePlan &dp = p->dev_plan[d];
+        if (split) continue;
         dp.feasible = err.empty();
         if (dp.feasible) {
             dp.variant = add_variant(aw, ah);
         } else if (first_error.empty()) {
             first_error = err;
         }
+    }
+    if (split) {
+        for (size_t l = 0; l < nlayers; ++l) {
+            if (layer_fits[l]) continue;
+            return strCat("no fleet device fits ", graph.layers[l].spec.name,
+                          ": ",
+                          layer_err[l].empty() ? "no usable device shape"
+                                               : layer_err[l]);
+        }
+        add_variant(0, 0);
+        for (DevicePlan &dp : p->dev_plan) dp.feasible = true;
+        return "";
     }
     if (!p->variants.empty()) return "";
     return fleet ? strCat("no fleet device can run this request: ",
@@ -397,8 +378,6 @@ Daemon::execute(Pending *p, ExecVariant *v)
                     }
                     r.segments.back().cycles += lc.cycles;
                 }
-                r.first_in_layout = result->layers.front().plan.in_layout;
-                r.first_in_extents = iactExtents(graph.layers.front().spec);
             }
         }
     } catch (const std::exception &e) {
@@ -485,7 +464,7 @@ Daemon::run()
     // Requests the DES admitted, indexed by DES position.
     std::vector<Pending *> des;
     VirtualScheduler vs(
-        opts_.virt,
+        opts_.virt, opts_.fleet,
         [this, &des](size_t pos, int stage, int device) {
             Pending *p = des[pos];
             // The one synchronization point between virtual time and the
@@ -577,11 +556,15 @@ Daemon::run()
                     if (a.stages.empty() && prev >= 0 && prev != seg.device) {
                         // The client's stream moving off its previous
                         // device: concordant layouts, so handoffCost
-                        // charges only the inter-chip link term.
+                        // charges only the inter-chip link term on the
+                        // first layer's input. The device's plan holds its
+                        // extents: the scheduler put that layer there, so
+                        // it is the first layer planned there.
+                        const DevicePlan &dp =
+                            p->dev_plan[size_t(seg.device)];
                         cycles = model::handoffCost(
-                            false, r.first_in_layout, r.first_in_layout,
-                            r.first_in_extents, model::kHandoffElemBytes,
-                            opts_.fleet.link);
+                            false, dp.in_layout, dp.in_layout, dp.in_extents,
+                            model::kHandoffElemBytes, opts_.fleet.link);
                     }
                     a.stages.push_back(
                         {seg.device, cycles > 0 ? toVus(cycles) : 0});
@@ -675,7 +658,8 @@ Daemon::buildReport(const VirtualScheduler &vs) const
     std::lock_guard<std::mutex> lk(mu_);
     DaemonReport rep;
     rep.base_seed = opts_.base_seed;
-    rep.vworkers = opts_.virt.vworkers;
+    rep.vworkers = opts_.fleet.enabled() ? int(devices_.size())
+                                         : opts_.virt.vworkers;
     rep.clock_mhz = opts_.clock_mhz;
     rep.engine = sim::toString(opts_.engine);
 

@@ -9,10 +9,11 @@
  *   - Frontend threads (stdin reader, TCP connections, the load
  *     generator, a trace replayer) call enqueue()/enqueueLine() as
  *     requests arrive. Enqueue validates the request, *pre-plans* it
- *     through the shared PlanCache (attributing per-client hits/misses
- *     under the intake lock, so attribution is deterministic), and
- *     immediately submits its simulation to the wall-clock thread pool —
- *     speculative, continuous execution with no wave barrier.
+ *     through the shared PlanCache in one loop over the devices
+ *     (attributing per-client hits/misses under the intake lock, so
+ *     attribution is deterministic), and immediately submits its
+ *     simulation to the wall-clock thread pool — speculative, continuous
+ *     execution with no wave barrier.
  *   - run() — the event loop, on the caller's thread — consumes requests
  *     in intake order and feeds their arrivals to the VirtualScheduler,
  *     which decides admission and virtual timing. Responses (one JSON
@@ -20,6 +21,11 @@
  *     order for pinned-arrival request streams.
  *   - closeIntake() (EOF / shutdown control line) lets run() drain and
  *     return the final DaemonReport.
+ *
+ * Devices: DaemonOptions::fleet (a FleetConfig) is the one description
+ * of the devices and their placement policy, read by both the pre-plan
+ * loop and the VirtualScheduler; an empty fleet is one implicit device
+ * with virt.vworkers servers.
  *
  * Determinism: for a request stream with pinned arrival_us values, every
  * response and every report field other than `*_wall_us` is bit-identical
@@ -52,13 +58,6 @@
 namespace feather {
 namespace daemon {
 
-/** The --fleet devices (model/fleet.hpp) plus the policy that places
- *  each arrival on one of them. */
-struct FleetConfig : model::FleetSpec
-{
-    PlacementPolicy place = PlacementPolicy::LeastLoaded;
-};
-
 using model::parseFleetSpec;
 
 /** Daemon-wide knobs. */
@@ -70,15 +69,17 @@ struct DaemonOptions
     uint64_t base_seed = 2024; ///< stream base for per-request seeds
     /** Default engine tier for requests that do not pin one. */
     sim::EngineMode engine = sim::EngineMode::Cycle;
-    /** Virtual serving system (vworkers, queue depth, quotas). */
+    /** Admission bounds of the virtual serving system (queue depth,
+     *  quotas), plus the servers of the implicit device (vworkers). */
     VirtualConfig virt;
     /** Virtual clock: service_vus = ceil(cycles / clock_mhz). */
     uint64_t clock_mhz = 1000;
-    /** Heterogeneous fleet (--fleet): each device is one virtual server
-     *  at its own array shape, requests are placed by fleet.place, and
-     *  cross-device hand-offs are priced into service time. Overrides
-     *  virt.vworkers/virt.devices. Empty = one implicit device with
-     *  virt.vworkers servers, running every request at its own shape. */
+    /** The devices (--fleet) and their placement policy: each device is
+     *  one virtual server at its own array shape, requests are placed by
+     *  fleet.place, and cross-device hand-offs are priced into service
+     *  time; virt.vworkers is then unused. Empty = one implicit device
+     *  with virt.vworkers servers, running every request at its own
+     *  shape. */
     FleetConfig fleet;
 };
 
@@ -146,11 +147,7 @@ class Daemon
         int64_t queue_wall_us = 0;   ///< enqueue -> execution start
         int64_t service_wall_us = 0; ///< execution duration
         std::vector<ExecSegment> segments; ///< >= 1 when ok
-        // Model requests: the device chain "devA>devB" and the first
-        // layer's chosen input layout.
-        std::string path;
-        Layout first_in_layout;
-        Extents first_in_extents;
+        std::string path; ///< model requests: device chain "devA>devB"
     };
 
     /** One speculative execution at one resolved array shape. A request
@@ -230,9 +227,10 @@ class Daemon
      * hits/misses to @p stats. Runs under mu_ (sequential in intake
      * order => deterministic attribution). Resolves p->graph, fills
      * p->dev_plan and creates one ExecVariant per distinct feasible
-     * shape (one staged variant for a graph split over a fleet). Returns
-     * a non-empty reason when the request can never run (unknown
-     * workload, bad override, infeasible mapping on every device).
+     * (scope, shape) (one staged variant for a graph split over a
+     * fleet). Returns a non-empty reason when the request can never run
+     * (unknown workload, bad override, infeasible mapping on every
+     * device).
      */
     std::string preplanLocked(Pending *p, ClientStats *stats);
 

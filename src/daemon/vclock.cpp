@@ -28,26 +28,18 @@ toString(PlacementPolicy p)
     return "?";
 }
 
-std::vector<std::string>
-placementNames()
-{
-    return {"affinity", "least-loaded", "capability"};
-}
-
-VirtualScheduler::VirtualScheduler(VirtualConfig cfg, DurationFn duration,
-                                   FinishFn on_finish)
-    : cfg_(std::move(cfg)), duration_(std::move(duration)),
-      on_finish_(std::move(on_finish))
+VirtualScheduler::VirtualScheduler(VirtualConfig cfg,
+                                   const FleetConfig &fleet,
+                                   DurationFn duration, FinishFn on_finish)
+    : cfg_(std::move(cfg)), place_(fleet.place),
+      duration_(std::move(duration)), on_finish_(std::move(on_finish))
 {
     // A fleet device is one server; the implicit device has vworkers.
-    const int servers =
-        cfg_.devices.empty() ? std::max(1, cfg_.vworkers) : 1;
-    if (cfg_.devices.empty()) cfg_.devices.push_back({"", 1});
-    dev_.resize(cfg_.devices.size());
-    for (size_t d = 0; d < dev_.size(); ++d) {
-        VirtualDevice &vd = cfg_.devices[d];
-        vd.capability = std::max<int64_t>(1, vd.capability);
-        dev_[d].servers = servers;
+    dev_.resize(std::max<size_t>(1, fleet.devices.size()));
+    if (!fleet.enabled()) dev_[0].servers = std::max(1, cfg_.vworkers);
+    for (size_t d = 0; d < fleet.devices.size(); ++d) {
+        dev_[d].capability =
+            std::max<int64_t>(1, fleet.devices[d].capability);
     }
 }
 
@@ -157,20 +149,17 @@ VirtualScheduler::place(const ArrivalHints &hints) const
         }
         const size_t b = size_t(best);
         bool wins = false;
-        switch (cfg_.place) {
+        switch (place_) {
         case PlacementPolicy::LeastLoaded:
             wins = load(d) < load(b);
             break;
         case PlacementPolicy::Capability: {
             // Minimize (load + 1) / capability without division; ties go
             // to the bigger device, then the lower index.
-            const int64_t lhs =
-                (load(d) + 1) * cfg_.devices[b].capability;
-            const int64_t rhs =
-                (load(b) + 1) * cfg_.devices[d].capability;
+            const int64_t lhs = (load(d) + 1) * dev_[b].capability;
+            const int64_t rhs = (load(b) + 1) * dev_[d].capability;
             wins = lhs < rhs ||
-                   (lhs == rhs && cfg_.devices[d].capability >
-                                      cfg_.devices[b].capability);
+                   (lhs == rhs && dev_[d].capability > dev_[b].capability);
             break;
         }
         case PlacementPolicy::Affinity: {

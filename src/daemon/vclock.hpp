@@ -15,15 +15,16 @@
  * at any `--jobs N`, while execution still fans out.
  *
  * One serving model: a fleet of virtual devices, each with its servers
- * draining its own per-priority FIFOs. A device of an explicit fleet is
- * one server; a run without an explicit fleet is one implicit device
- * with `vworkers` servers (the classic --vworkers N). Every arrival is a list of pipeline stages.
- * Stage 0 is either pinned to a device or *placed* on one by the
- * configured PlacementPolicy, using only virtual state (queue depths,
- * device capabilities, caller-supplied affinity scores), so placement is
- * deterministic at any pool size. Cross-device hand-off premiums (priced
- * by the caller via model::handoffCost) are added to a stage's service
- * time.
+ * draining its own per-priority FIFOs. The FleetConfig is the one
+ * description of the devices: each device of an explicit fleet is one
+ * server weighted by its capability, and an empty fleet is one implicit
+ * device with `vworkers` servers (the classic --vworkers N). Every
+ * arrival is a list of pipeline stages. Stage 0 is either pinned to a
+ * device or *placed* on one by the fleet's PlacementPolicy, using only
+ * virtual state (queue depths, device capabilities, caller-supplied
+ * affinity scores), so placement is deterministic at any pool size.
+ * Cross-device hand-off premiums (priced by the caller via
+ * model::handoffCost) are added to a stage's service time.
  *
  * Event processing is *lazy*: arrivals are fed in non-decreasing virtual
  * time order, and a completion is only materialized when a later arrival
@@ -57,6 +58,8 @@
 #include <utility>
 #include <vector>
 
+#include "model/fleet.hpp"
+
 namespace feather {
 namespace daemon {
 
@@ -69,14 +72,14 @@ enum class PlacementPolicy : uint8_t {
 
 std::optional<PlacementPolicy> parsePlacement(const std::string &name);
 std::string toString(PlacementPolicy p);
-std::vector<std::string> placementNames();
 
-/** One virtual device of an explicit fleet: a single server. */
-struct VirtualDevice
+/** The --fleet devices (model/fleet.hpp) plus the policy that places
+ *  each arrival on one of them: the one description of the devices. An
+ *  empty fleet is one implicit device with VirtualConfig::vworkers
+ *  servers. */
+struct FleetConfig : model::FleetSpec
 {
-    std::string name;
-    /** Relative placement weight of the Capability policy (PE count). */
-    int64_t capability = 1;
+    PlacementPolicy place = PlacementPolicy::LeastLoaded;
 };
 
 /** Admission/service knobs of the virtual serving system. */
@@ -84,7 +87,7 @@ struct VirtualConfig
 {
     static constexpr int kPriorities = 3;
 
-    /** Servers of the implicit single device used when `devices` is
+    /** Servers of the implicit single device used when the fleet is
      *  empty (--vworkers N; not --jobs). */
     int vworkers = 1;
     /** Max requests waiting (not in service), fleet-wide; < 0 =
@@ -92,9 +95,6 @@ struct VirtualConfig
     int max_queue = 64;
     /** Per-priority bound on waiting requests; -1 = unbounded. */
     std::array<int64_t, kPriorities> quota = {-1, -1, -1};
-    /** The fleet; empty = one implicit device with `vworkers` servers. */
-    std::vector<VirtualDevice> devices;
-    PlacementPolicy place = PlacementPolicy::LeastLoaded;
 };
 
 /** One pipeline stage: the device it runs on plus the hand-off premium
@@ -168,8 +168,10 @@ class VirtualScheduler
     /** Called once per finished stage. */
     using FinishFn = std::function<void(const StageEvent &)>;
 
-    VirtualScheduler(VirtualConfig cfg, DurationFn duration,
-                     FinishFn on_finish);
+    /** Devices and their capabilities, and the placement policy, come
+     *  from @p fleet; the admission bounds from @p cfg. */
+    VirtualScheduler(VirtualConfig cfg, const FleetConfig &fleet,
+                     DurationFn duration, FinishFn on_finish);
 
     /**
      * Process arrival @p a. Materializes any completions up to its time
@@ -219,6 +221,8 @@ class VirtualScheduler
     struct DeviceState
     {
         int servers = 1;
+        /** Relative placement weight of the Capability policy (>= 1). */
+        int64_t capability = 1;
         int busy = 0;
         std::array<std::deque<Waiter>, VirtualConfig::kPriorities> waiting;
         size_t waiting_total = 0;
@@ -250,6 +254,7 @@ class VirtualScheduler
     bool admitWaiter(int priority, std::string *reject_reason);
 
     VirtualConfig cfg_;
+    PlacementPolicy place_;
     DurationFn duration_;
     FinishFn on_finish_;
     std::priority_queue<Running, std::vector<Running>, std::greater<Running>>

@@ -231,6 +231,8 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
     for (const ModelLayer &ml : graph.layers) {
         std::vector<Candidate> candidates;
         std::string plan_error;
+        std::array<std::string, std::size(kFamilies)> &unfit =
+            eval.unfit.emplace_back();
         for (size_t d = 0; d < devs.size(); ++d) {
             const FleetDevice &dev = devs[d];
             if (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1) {
@@ -243,7 +245,11 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                 const std::optional<sim::LayerPlan> plan =
                     cache().getOrPlan(opts_.engine, kind, ml.spec, dev.aw,
                                       dev.ah, &plan_error, dev.name);
-                if (!plan) continue;
+                if (!plan) {
+                    std::string &why = unfit[size_t(kind)];
+                    if (why.empty()) why = plan_error;
+                    continue;
+                }
                 bool merged = false;
                 for (size_t c = first; c < candidates.size(); ++c) {
                     if (planKey(candidates[c].plan) == planKey(*plan)) {
@@ -369,8 +375,6 @@ Scheduler::pickCandidates(const ModelGraph &graph, const Evaluation &eval,
     FEATHER_CHECK(eval.layers.size() == graph.layers.size(),
                   "schedule: evaluation does not match the graph");
     const size_t n = graph.layers.size();
-    const int aw = resolvedAw(graph);
-    const int ah = resolvedAh(graph);
     const auto edge = [&](size_t i, size_t p, size_t c) {
         return eval.edges[i][p][c];
     };
@@ -419,12 +423,10 @@ Scheduler::pickCandidates(const ModelGraph &graph, const Evaluation &eval,
                 if (found) break;
             }
             if (!found) {
-                std::string why;
-                (void)cache().getOrPlan(opts_.engine, policy.fixed,
-                                       graph.layers[i].spec, aw, ah, &why);
                 if (error) {
                     *error = strCat(toString(policy), " cannot schedule ",
-                                    graph.name, ": ", why);
+                                    graph.name, ": ",
+                                    eval.unfit[i][size_t(policy.fixed)]);
                 }
                 return false;
             }

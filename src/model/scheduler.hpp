@@ -53,6 +53,8 @@
  * bit-exactly.
  */
 
+#include <array>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,6 +157,10 @@ struct Evaluation
      *  empty). Computed once per graph so the DP, greedy and every
      *  compared policy index instead of re-walking the tensor. */
     std::vector<std::vector<std::vector<int64_t>>> edges;
+    /** unfit[i][kind]: why family kind did not plan layer i on the first
+     *  usable device that rejected it ("" when none did) — the reason a
+     *  fixed schedule of that family reports. */
+    std::vector<std::array<std::string, std::size(kFamilies)>> unfit;
 };
 
 /** The scheduler's choice for one layer, with measured chain stats. */

@@ -190,7 +190,14 @@ buildMapping(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
         m.cols = {{Dim::Q, fitPow2(c.outW(), aw)}};
         m.rows = {{Dim::M, fitPow2(c.m, ah)}};
     }
-    const std::string why = m.validate(layer, aw, ah);
+    std::string why = m.validate(layer, aw, ah);
+    // The PE register file bounds Phase 1: a longer local tile is a family
+    // that does not fit, not a run to abort (checkNestMapping's invariant).
+    const int max_local = FeatherConfig().max_local;
+    if (why.empty() && m.t1() > max_local) {
+        why = strCat("local tile ", m.t1(), " exceeds the PE register file (",
+                     max_local, ")");
+    }
     if (!why.empty()) {
         if (error) {
             *error = toString(kind) + " does not fit " + layer.name + ": " +

@@ -98,7 +98,8 @@ std::string toString(DataflowKind kind);
  * Instantiate @p kind for @p layer on an AW x AH array. Falls back to the
  * canonical mapping when the family does not apply (e.g. window-parallel
  * GEMM); returns nullopt with @p error set when the result fails
- * NestMapping::validate.
+ * NestMapping::validate or its local tile overflows the PE register file
+ * (FeatherConfig::max_local).
  */
 std::optional<NestMapping> buildMapping(DataflowKind kind,
                                         const LayerSpec &layer, int aw, int ah,

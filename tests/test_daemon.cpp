@@ -200,7 +200,8 @@ struct DesHarness
     std::vector<std::string> rejected; ///< "" = accepted
 
     explicit DesHarness(VirtualConfig cfg)
-        : vs(cfg, [this](size_t i, int, int) { return durations[i]; },
+        : vs(cfg, FleetConfig(),
+             [this](size_t i, int, int) { return durations[i]; },
              [this](const StageEvent &e) {
                  completions.push_back({e.index, e.start_vus, e.finish_vus});
              })

@@ -261,13 +261,29 @@ TEST(PlanCacheScope, ScopesMissIndependently)
 // Placement policies in the DES
 // ---------------------------------------------------------------------------
 
-VirtualConfig
+/** A DES fleet of (name, capability) devices; their shapes are unused. */
+FleetConfig
+desFleet(const std::vector<std::pair<std::string, int64_t>> &devices,
+         PlacementPolicy place)
+{
+    FleetConfig fleet;
+    for (const auto &[name, capability] : devices) {
+        fleet.devices.push_back({name, 16, 16, capability});
+    }
+    fleet.place = place;
+    return fleet;
+}
+
+FleetConfig
 fleetConfig(PlacementPolicy place)
 {
-    VirtualConfig cfg;
-    cfg.devices = {{"small", 64}, {"big", 1024}, {"mid", 256}};
-    cfg.place = place;
-    return cfg;
+    return desFleet({{"small", 64}, {"big", 1024}, {"mid", 256}}, place);
+}
+
+FleetConfig
+twoDeviceFleet()
+{
+    return desFleet({{"a", 1}, {"b", 1}}, PlacementPolicy::LeastLoaded);
 }
 
 /** DES harness for placed arrivals; records (index, device). */
@@ -276,8 +292,9 @@ struct PlacedHarness
     std::vector<int64_t> durations;
     std::vector<std::pair<size_t, int>> completions;
 
-    explicit PlacedHarness(VirtualConfig cfg)
-        : vs(cfg, [this](size_t i, int, int) { return durations[i]; },
+    explicit PlacedHarness(const FleetConfig &fleet)
+        : vs(VirtualConfig(), fleet,
+             [this](size_t i, int, int) { return durations[i]; },
              [this](const StageEvent &e) {
                  completions.push_back({e.index, e.device});
              })
@@ -351,12 +368,10 @@ TEST(Placement, IneligibleDevicesAreNeverChosen)
 
 TEST(Placement, HandoffPremiumExtendsTheServiceWindow)
 {
-    VirtualConfig cfg;
-    cfg.devices = {{"a", 1}, {"b", 1}};
-    cfg.place = PlacementPolicy::LeastLoaded;
     std::vector<std::pair<int64_t, int64_t>> windows;
     VirtualScheduler vs(
-        cfg, [](size_t, int, int) { return int64_t(10); },
+        VirtualConfig(), twoDeviceFleet(),
+        [](size_t, int, int) { return int64_t(10); },
         [&windows](const StageEvent &e) {
             windows.push_back({e.start_vus, e.finish_vus});
         });
@@ -727,8 +742,8 @@ struct StagedHarness
     std::vector<Window> windows;
     std::vector<Window> completions; ///< stage = last stage index
 
-    explicit StagedHarness(VirtualConfig cfg)
-        : vs(cfg,
+    explicit StagedHarness(const FleetConfig &fleet)
+        : vs(VirtualConfig(), fleet,
              [this](size_t i, int stage, int) {
                  return stage_durations[i][size_t(stage)];
              },
@@ -757,18 +772,9 @@ struct StagedHarness
     VirtualScheduler vs;
 };
 
-VirtualConfig
-twoDeviceConfig()
-{
-    VirtualConfig cfg;
-    cfg.devices = {{"a", 1}, {"b", 1}};
-    cfg.place = PlacementPolicy::LeastLoaded;
-    return cfg;
-}
-
 TEST(StagedScheduler, StagesRunInOrderAndChargeTheHandoffPremium)
 {
-    StagedHarness h(twoDeviceConfig());
+    StagedHarness h(twoDeviceFleet());
     h.arrive(0, 0, {{0, 0}, {1, 5}}, {10, 20});
     h.vs.drain();
     ASSERT_EQ(h.windows.size(), 2u);
@@ -789,7 +795,7 @@ TEST(StagedScheduler, IndependentPipelinesInterleaveInVirtualTime)
 {
     // Two identical a->b pipelines: request 1's first stage overlaps
     // request 0's second stage, so the makespan is 3 windows, not 4.
-    StagedHarness h(twoDeviceConfig());
+    StagedHarness h(twoDeviceFleet());
     h.arrive(0, 0, {{0, 0}, {1, 0}}, {10, 10});
     h.arrive(1, 0, {{0, 0}, {1, 0}}, {10, 10});
     h.vs.drain();
@@ -802,7 +808,7 @@ TEST(StagedScheduler, IndependentPipelinesInterleaveInVirtualTime)
 
 TEST(StagedScheduler, ContinuationStageQueuesBehindABusyDevice)
 {
-    StagedHarness h(twoDeviceConfig());
+    StagedHarness h(twoDeviceFleet());
     // Request 0 occupies device b until t=100; request 1's second stage
     // must wait for it.
     h.arrive(0, 0, {{1, 0}}, {100});
@@ -821,7 +827,7 @@ TEST(StagedScheduler, ContinuationReclaimsItsOwnDeviceBeforeWaiters)
     // Both stages of request 0 are pinned to device a; request 1 waits
     // on a. The continuation starts immediately at its own stage-0
     // finish — the waiter must not double-claim the freed server.
-    StagedHarness h(twoDeviceConfig());
+    StagedHarness h(twoDeviceFleet());
     h.arrive(0, 0, {{0, 0}, {0, 0}}, {10, 10});
     h.arrive(1, 0, {{0, 0}}, {10});
     h.vs.drain();
@@ -853,6 +859,7 @@ struct DesProperty
     };
 
     VirtualConfig cfg;
+    FleetConfig fleet;
     std::vector<Req> reqs;
     int64_t makespan = 0;
 
@@ -861,12 +868,12 @@ struct DesProperty
     void
     run(std::mt19937 *rng, size_t n, int staged_share)
     {
-        const size_t ndev = std::max<size_t>(1, cfg.devices.size());
+        const size_t ndev = std::max<size_t>(1, fleet.devices.size());
         std::uniform_int_distribution<int64_t> gap(0, 12);
         std::uniform_int_distribution<int64_t> dur(0, 30);
         std::uniform_int_distribution<int> pct(0, 99);
         VirtualScheduler vs(
-            cfg,
+            cfg, fleet,
             [&](size_t i, int stage, int) {
                 EXPECT_EQ(reqs[i].durations.size(), size_t(stage))
                     << "one duration call per started stage, in order";
@@ -917,7 +924,7 @@ struct DesProperty
     void
     check(size_t *rejected_total, size_t *waited_total) const
     {
-        const size_t ndev = std::max<size_t>(1, cfg.devices.size());
+        const size_t ndev = std::max<size_t>(1, fleet.devices.size());
         std::vector<int64_t> busy(ndev, 0);
         size_t rejected = 0;
         size_t waited = 0;
@@ -960,7 +967,7 @@ struct DesProperty
         EXPECT_EQ(accepted, completed) << "accepted = completed";
         for (size_t d = 0; d < ndev; ++d) {
             // A fleet device is one server; the implicit one, vworkers.
-            const int servers = cfg.devices.empty() ? cfg.vworkers : 1;
+            const int servers = fleet.enabled() ? 1 : cfg.vworkers;
             EXPECT_LE(busy[d], makespan * servers) << "device " << d;
         }
         for (const auto &[key, starts] : fifo) {
@@ -1002,8 +1009,8 @@ TEST(DesProperty, ThreeDeviceFleetWithPlacedAndStagedArrivals)
         SCOPED_TRACE(seed);
         std::mt19937 rng(seed);
         DesProperty h;
-        h.cfg.devices = {{"a", 64}, {"b", 1024}, {"c", 256}};
-        h.cfg.place = policies[seed % 3];
+        h.fleet = desFleet({{"a", 64}, {"b", 1024}, {"c", 256}},
+                           policies[seed % 3]);
         h.cfg.max_queue = int(rng() % 16) - 1;
         h.cfg.quota[1] = int64_t(rng() % 6) - 1;
         h.run(&rng, 80, 40);

@@ -496,6 +496,34 @@ TEST(GraphFleet, PinnedPolicyErrorsAreActionable)
         << error;
 }
 
+TEST(GraphFleet, FixedPolicyReportsThePlanningErrorOfTheFleet)
+{
+    // Window-parallel plans this layer at the graph's default 8x8 shape,
+    // but on the fleet's one 2x1024 device its local tile is 1024 weights.
+    // The fixed schedule reports that error and plans nothing again.
+    std::string error;
+    const std::optional<ModelGraph> graph =
+        parseModelText("conv name=a c=1024 hw=2 m=2 rs=1\n", "w", &error);
+    ASSERT_TRUE(graph.has_value()) << error;
+    serve::PlanCache cache;
+    SchedulerOptions opts =
+        fleetOptions("feather:2x1024", sim::EngineMode::Analytic);
+    opts.shared_cache = &cache;
+    Scheduler sched(opts);
+    const std::optional<Evaluation> eval = sched.evaluate(*graph, &error);
+    ASSERT_TRUE(eval.has_value()) << error;
+    const serve::PlanCache::Stats before = cache.stats();
+    EXPECT_FALSE(
+        sched.schedule(*graph, *eval, policyOf("fixed:wp"), &error)
+            .has_value());
+    EXPECT_EQ(error, "fixed:window-parallel cannot schedule w: "
+                     "window-parallel does not fit a: local tile 1024 "
+                     "exceeds the PE register file (512)");
+    const serve::PlanCache::Stats after = cache.stats();
+    EXPECT_EQ(after.lookups(), before.lookups()) << "no stray lookup";
+    EXPECT_EQ(after.entries, before.entries);
+}
+
 } // namespace
 } // namespace model
 } // namespace feather

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -790,6 +791,38 @@ TEST(ModelCli, ExitCodesAreLocked)
     EXPECT_EQ(run({"--model", "no_such_model"}), 2);
     EXPECT_EQ(run({"--model", "bert_mlp", "--schedule", "wat"}), 2);
     EXPECT_EQ(run({"--model"}), 2);
+}
+
+TEST(ModelCli, LocalTileOverPeRegisterFileIsAPlanningError)
+{
+    // A family whose Phase-1 local tile outgrows the PE register file
+    // (512 weights) does not fit: a usage error (exit 2) naming the tile,
+    // not an abort in the accelerator's mapping check.
+    const auto write = [](const std::string &name, const std::string &text) {
+        const std::string path = ::testing::TempDir() + name;
+        std::ofstream(path) << text;
+        return path;
+    };
+    const std::string conv = write("t1_conv.model",
+                                   "conv name=a c=4 hw=24 m=8 rs=23 pad=11\n");
+    const std::string gemm =
+        write("t1_gemm.model", "gemm name=a m=4 n=4 k=2048\n");
+    const auto run = [](std::vector<const char *> argv, std::string *err) {
+        argv.insert(argv.begin(), "feather_cli");
+        ::testing::internal::CaptureStderr();
+        const int rc = cliMain(int(argv.size()), argv.data());
+        *err = ::testing::internal::GetCapturedStderr();
+        return rc;
+    };
+    std::string err;
+    EXPECT_EQ(run({"--model", conv.c_str()}, &err), 2);
+    EXPECT_EQ(err, "error: no dataflow family fits a on a 8x8 array: "
+                   "window-parallel does not fit a: local tile 529 exceeds "
+                   "the PE register file (512)\n");
+    EXPECT_EQ(run({"--model", gemm.c_str(), "--ah", "1024"}, &err), 2);
+    EXPECT_NE(err.find("local tile 1024 exceeds the PE register file (512)"),
+              std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------------------
