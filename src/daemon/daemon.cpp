@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -128,9 +127,7 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
     p->dev_plan.resize(devices_.size());
     for (size_t d = 0; d < devices_.size(); ++d) {
         const model::FleetDevice &dev = devices_[d];
-        if (split && (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1)) {
-            continue;
-        }
+        if (split && !sim::arrayShapeError(dev.aw, dev.ah).empty()) continue;
         const int aw = !split && req.aw > 0 ? req.aw : dev.aw;
         const int ah = !split && req.ah > 0 ? req.ah : dev.ah;
         const std::string scope = split ? dev.name : "";
@@ -142,6 +139,14 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         }
         const int plan_aw = aw > 0 ? aw : graph.default_aw;
         const int plan_ah = ah > 0 ? ah : graph.default_ah;
+        // Execution refuses an unusable pinned width on every device:
+        // refuse it before it plans anything, with the same error.
+        if (!split && req.aw > 0) {
+            if (std::string bad = sim::arrayShapeError(plan_aw, plan_ah);
+                !bad.empty()) {
+                return bad;
+            }
+        }
         std::string err;
         for (size_t l = 0; l < nlayers && err.empty(); ++l) {
             const sim::ModelLayer &ml = graph.layers[l];

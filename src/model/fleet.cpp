@@ -51,10 +51,12 @@ parseEntry(const std::string &entry, FleetDevice *out, std::string *error)
         uint64_t rows = 0;
         if (x == std::string::npos ||
             !parsePositive(shape.substr(0, x), &cols, kMaxFeatherCols) ||
-            !parsePositive(shape.substr(x + 1), &rows, kMaxFeatherRows)) {
+            !parsePositive(shape.substr(x + 1), &rows, kMaxFeatherRows) ||
+            cols < 2) {
+            // BIRRD needs at least two inputs: one column runs nothing.
             *error = strCat("bad --fleet entry '", entry,
                             "' (expected feather:<COLS>x<ROWS> with COLS "
-                            "in 1..",
+                            "in 2..",
                             kMaxFeatherCols, " and ROWS in 1..",
                             kMaxFeatherRows, ")");
             return false;

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <numeric>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "dataflow/mapping.hpp"
@@ -24,30 +24,7 @@ planKey(const sim::LayerPlan &plan)
            plan.out_layout.toString();
 }
 
-/** Visit every coordinate of @p extents (dims with extent > 0). */
-template <typename Fn>
-void
-forEachCoord(const Extents &extents, Fn &&fn)
-{
-    std::vector<Dim> dims;
-    for (int d = 0; d < kNumDims; ++d) {
-        if (extents[Dim(d)] > 0) dims.push_back(Dim(d));
-    }
-    Coord c;
-    const auto walk = [&](const auto &self, size_t depth) -> void {
-        if (depth == dims.size()) {
-            fn(c);
-            return;
-        }
-        for (int64_t i = 0; i < extents[dims[depth]]; ++i) {
-            c[dims[depth]] = i;
-            self(self, depth + 1);
-        }
-    };
-    walk(walk, 0);
-}
-
-/** Number of coordinates forEachCoord visits. */
+/** Number of elements of a tensor of @p extents (dims with extent > 0). */
 int64_t
 elementCount(const Extents &extents)
 {
@@ -64,19 +41,26 @@ int64_t
 reorderCost(const Layout &src, const Layout &dst, const Extents &extents)
 {
     if (src == dst) return 0;
-    const BoundLayout from(src, extents);
-    const BoundLayout to(dst, extents);
-    // One read cycle per distinct source line feeding each destination
-    // line; writes overlap with reads in the BIRRD pipeline. Each
-    // (destination, source) line pair packs into one key.
-    const int64_t from_lines = from.numLines();
-    std::vector<int64_t> pairs;
-    pairs.reserve(size_t(elementCount(extents)));
-    forEachCoord(extents, [&](const Coord &c) {
-        pairs.push_back(to.addrOf(c).line * from_lines + from.addrOf(c).line);
-    });
-    std::sort(pairs.begin(), pairs.end());
-    return int64_t(std::unique(pairs.begin(), pairs.end()) - pairs.begin());
+    // Tile size of d in a layout's line index; 0 stands for infinity.
+    const auto tile = [](const Layout &l, Dim d) -> int64_t {
+        const std::vector<Dim> &o = l.interOrder();
+        return std::find(o.begin(), o.end(), d) != o.end() ? l.intraSize(d)
+                                                           : 0;
+    };
+    int64_t pairs = 1;
+    for (int i = 0; i < kNumDims; ++i) {
+        const int64_t e = extents[Dim(i)];
+        if (e < 2) continue;
+        const int64_t a = tile(src, Dim(i));
+        const int64_t b = tile(dst, Dim(i));
+        // ceil(e / t): tiles of size t over the dim, 1 when t is infinite.
+        const auto tiles = [e](int64_t t) { return t ? (e - 1) / t + 1 : 1; };
+        // The lcm term is 1 when a / gcd > e / b: no lcm, no overflow.
+        const int64_t a_g = a && b ? a / std::gcd(a, b) : 0;
+        pairs *= tiles(a) + tiles(b) -
+                 (a_g && a_g <= e / b ? tiles(a_g * b) : 1);
+    }
+    return pairs;
 }
 
 int64_t
@@ -185,15 +169,8 @@ Scheduler::devices(const ModelGraph &graph, std::string *error) const
     if (opts_.fleet.enabled()) return opts_.fleet.devices;
     const int aw = resolvedAw(graph);
     const int ah = resolvedAh(graph);
-    if (aw < 2 || !isPow2(uint64_t(aw))) {
-        if (error) {
-            *error = strCat("array width (--aw) must be a power of two"
-                            " >= 2, got ", aw);
-        }
-        return {};
-    }
-    if (ah < 1) {
-        if (error) *error = "array height (--ah) must be >= 1";
+    if (std::string why = sim::arrayShapeError(aw, ah); !why.empty()) {
+        if (error) *error = std::move(why);
         return {};
     }
     return {FleetDevice{"", aw, ah, int64_t(aw) * ah}};
@@ -235,7 +212,7 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
             eval.unfit.emplace_back();
         for (size_t d = 0; d < devs.size(); ++d) {
             const FleetDevice &dev = devs[d];
-            if (dev.aw < 2 || !isPow2(uint64_t(dev.aw)) || dev.ah < 1) {
+            if (!sim::arrayShapeError(dev.aw, dev.ah).empty()) {
                 plan_error = strCat(dev.name, " has an unusable ", dev.aw,
                                     "x", dev.ah, " array");
                 continue;

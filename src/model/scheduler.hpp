@@ -82,12 +82,18 @@ constexpr sim::DataflowKind kFamilies[] = {
 /**
  * BIRRD reorder cycles to convert a tensor of @p extents stored under
  * @p src into @p dst: zero when the layouts are identical (concordant
- * hand-off), else one read cycle per distinct source line feeding each
- * destination line (the reorder pass streams every destination line
- * through BIRRD; writes overlap with reads). An optimistic lower bound —
- * the measured chain run is the ground truth — but it prices edges
+ * hand-off), else one read cycle per distinct (destination line, source
+ * line) pair (writes overlap with reads). An optimistic lower bound — the
+ * measured chain run is the ground truth — but it prices edges
  * consistently: discordant hand-offs of big tensors cost more than small
  * ones, and concordant hand-offs are free.
+ *
+ * O(dims), no allocation. Along a dim of extent E, with a (b) its intra
+ * size in src (dst), or infinity when it is not an inter dim there, the
+ * tile pair (c / a, c / b) changes exactly at the multiples of a or b:
+ * n = ceil(E/a) + ceil(E/b) - ceil(E/lcm(a, b)) values. A line index is
+ * an injective mixed-radix function of its dims' tiles and the
+ * coordinates are a Cartesian product, so the count is the product of n.
  */
 int64_t reorderCost(const Layout &src, const Layout &dst,
                     const Extents &extents);

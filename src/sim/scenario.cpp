@@ -235,6 +235,18 @@ scenarioNames()
     return names;
 }
 
+std::string
+arrayShapeError(int aw, int ah)
+{
+    // BIRRD is a power-of-two butterfly; reject up front instead of
+    // panicking inside the topology constructor.
+    if (aw < 2 || !isPow2(uint64_t(aw))) {
+        return strCat("array width (--aw) must be a power of two >= 2, got ",
+                      aw);
+    }
+    return ah < 1 ? "array height (--ah) must be >= 1" : "";
+}
+
 std::optional<ScenarioRun>
 runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
             std::string *error, const PlanFn &plan)
@@ -246,17 +258,8 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
     ScenarioRun run;
     run.aw = opts.aw > 0 ? opts.aw : scenario.default_aw;
     run.ah = opts.ah > 0 ? opts.ah : scenario.default_ah;
-    if (run.aw < 2 || !isPow2(uint64_t(run.aw))) {
-        // BIRRD is a power-of-two butterfly; reject up front instead of
-        // panicking inside the topology constructor.
-        if (error) {
-            *error = strCat("array width (--aw) must be a power of two >= 2"
-                            ", got ", run.aw);
-        }
-        return std::nullopt;
-    }
-    if (run.ah < 1) {
-        if (error) *error = strCat("array height (--ah) must be >= 1");
+    if (std::string why = arrayShapeError(run.aw, run.ah); !why.empty()) {
+        if (error) *error = std::move(why);
         return std::nullopt;
     }
 

@@ -107,6 +107,12 @@ using PlanFn = std::function<std::optional<LayerPlan>(
     int ah, std::string *error)>;
 
 /**
+ * Why an @p aw x @p ah array cannot run anything (BIRRD needs a
+ * power-of-two width >= 2, NEST a height >= 1), or "" when it can.
+ */
+std::string arrayShapeError(int aw, int ah);
+
+/**
  * Run @p scenario under @p opts: every layer at opts.dataflow when set,
  * else at its pin; opts.layout replaces the first layer's input layout
  * and opts.out_layout the last layer's output layout ("concordant"

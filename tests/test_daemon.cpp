@@ -589,6 +589,42 @@ TEST(Daemon, BadLayoutFailsAtExecutionNotAdmission)
         << run.responses[0];
 }
 
+TEST(Daemon, UnusablePinnedWidthIsRefusedAtAdmission)
+{
+    // BIRRD needs a power-of-two width >= 2. A pinned aw of 3 gets the
+    // error execution would give, before it plans anything: the run's
+    // plan cache is what the plain gemm alone leaves.
+    Request plain;
+    plain.scenario = "gemm";
+    plain.arrival_us = 1000;
+    const DaemonRun alone = runDaemon({plain}, DaemonOptions());
+    Request scenario = plain;
+    scenario.aw = 3;
+    scenario.arrival_us = 0;
+    Request model = scenario;
+    model.scenario.clear();
+    model.model = "bert_mlp";
+    for (const Request &bad : {scenario, model}) {
+        const std::string kind = bad.isModel() ? "model" : "scenario";
+        const DaemonRun run = runDaemon({bad, plain}, DaemonOptions());
+        ASSERT_EQ(run.responses.size(), 2u);
+        EXPECT_NE(run.responses[0].find(
+                      "\"ERROR\",\"reason\":\"array width (--aw) must be "
+                      "a power of two >= 2, got 3\""),
+                  std::string::npos)
+            << kind << ": " << run.responses[0];
+        EXPECT_EQ(run.report.errors, 1u) << kind;
+        EXPECT_EQ(run.report.accepted, 1u) << kind;
+        EXPECT_EQ(run.report.cache.entries, alone.report.cache.entries)
+            << kind;
+        EXPECT_EQ(run.report.cache.misses, alone.report.cache.misses)
+            << kind;
+        EXPECT_EQ(run.report.clients[0].cache_misses,
+                  alone.report.clients[0].cache_misses)
+            << kind;
+    }
+}
+
 TEST(Daemon, ModelRequestsScheduleWholeGraphs)
 {
     Request req;

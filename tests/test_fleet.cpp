@@ -98,13 +98,25 @@ TEST(FleetSpec, RejectsMalformedShapes)
     // Columns are bounded by what the BIRRD cycle engine can run (64
     // router inputs); rows by the generic dim bound.
     EXPECT_FALSE(parseFleetSpec("feather:128x8", &fleet, &error));
-    EXPECT_NE(error.find("1..64"), std::string::npos) << error;
+    EXPECT_NE(error.find("COLS in 2..64"), std::string::npos) << error;
     EXPECT_FALSE(parseFleetSpec("feather:16x2048", &fleet, &error));
     // BIRRD needs a power-of-two column count.
     EXPECT_FALSE(parseFleetSpec("feather:12x8", &fleet, &error));
     EXPECT_NE(error.find("power-of-two"), std::string::npos) << error;
     EXPECT_FALSE(parseFleetSpec("", &fleet, &error));
     EXPECT_NE(error.find("no devices"), std::string::npos) << error;
+}
+
+// One column passes the power-of-two test but gives BIRRD a single input,
+// so no request could run on it: the spec is rejected when it is parsed.
+TEST(FleetSpec, RejectsOneColumnDevices)
+{
+    FleetConfig fleet;
+    std::string error;
+    EXPECT_FALSE(parseFleetSpec("feather:16x16,feather:1x4", &fleet, &error));
+    EXPECT_NE(error.find("'feather:1x4'"), std::string::npos) << error;
+    EXPECT_NE(error.find("COLS in 2..64"), std::string::npos) << error;
+    EXPECT_TRUE(parseFleetSpec("feather:2x1", &fleet, &error)) << error;
 }
 
 TEST(FleetSpec, ReadsFleetFilesWithCommentsAndNewlines)

@@ -21,7 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/report_norm.hpp"
+#include "common/rng.hpp"
 #include "golden_util.hpp"
 #include "model/graph.hpp"
 #include "model/model_cli.hpp"
@@ -327,6 +329,106 @@ TEST(ReorderCost, MatchesBruteForceLinePairsOverTheLayoutSpaces)
         }
     }
     EXPECT_EQ(pairs, 7 * 7 + 3 * 3);
+}
+
+// The closed form against a walk over every element on random layout
+// pairs: dims absent from one or both inter orders, a dim repeated in an
+// inter order, intra sizes that are not powers of two, ragged extents
+// (including 0 and 1), N beside the conv dims, and M/K.
+TEST(ReorderCost, MatchesElementWalkOnRandomLayouts)
+{
+    const auto walk = [](const Layout &src, const Layout &dst,
+                         const Extents &e) {
+        if (src == dst) return int64_t(0);
+        const BoundLayout from(src, e), to(dst, e);
+        std::vector<int64_t> pairs;
+        Coord c;
+        const auto visit = [&](const auto &self, int d) -> void {
+            if (d == kNumDims) {
+                pairs.push_back(to.addrOf(c).line * from.numLines() +
+                                from.addrOf(c).line);
+                return;
+            }
+            const int64_t n = std::max<int64_t>(e[Dim(d)], 1);
+            for (c[Dim(d)] = 0; c[Dim(d)] < n; ++c[Dim(d)]) {
+                self(self, d + 1);
+            }
+            c[Dim(d)] = 0;
+        };
+        visit(visit, 0);
+        std::sort(pairs.begin(), pairs.end());
+        return int64_t(std::unique(pairs.begin(), pairs.end()) -
+                       pairs.begin());
+    };
+    Rng rng(23);
+    const auto randomLayout = [&rng](const std::vector<Dim> &pool) {
+        std::vector<Dim> inter;
+        for (Dim d : pool) {
+            if (rng.chance(0.7)) inter.push_back(d);
+        }
+        std::shuffle(inter.begin(), inter.end(), rng);
+        if (!inter.empty() && rng.chance(0.2)) {
+            inter.insert(inter.begin() + rng.below(inter.size() + 1),
+                         inter[rng.below(inter.size())]);
+        }
+        std::vector<IntraFactor> intra;
+        for (Dim d : pool) {
+            if (rng.chance(0.5)) intra.push_back({d, rng.range(1, 6)});
+        }
+        if (intra.empty()) intra.push_back({pool[0], rng.range(1, 6)});
+        std::shuffle(intra.begin(), intra.end(), rng);
+        return Layout(std::move(inter), std::move(intra));
+    };
+    int absent = 0, repeated = 0, odd_size = 0, ragged = 0;
+    for (const auto &[pool, max_extent] :
+         {std::make_pair(std::vector<Dim>{Dim::N, Dim::C, Dim::H, Dim::W}, 8),
+          std::make_pair(std::vector<Dim>{Dim::M, Dim::K}, 40)}) {
+        for (int i = 0; i < 2000; ++i) {
+            Extents e;
+            for (Dim d : pool) e[d] = rng.range(0, max_extent);
+            const Layout src = randomLayout(pool);
+            const Layout dst = rng.chance(0.1) ? src : randomLayout(pool);
+            ASSERT_EQ(reorderCost(src, dst, e), walk(src, dst, e))
+                << src.toString() << " -> " << dst.toString();
+            for (const Layout *l : {&src, &dst}) {
+                const std::vector<Dim> &o = l->interOrder();
+                const std::set<Dim> distinct(o.begin(), o.end());
+                repeated += distinct.size() < o.size();
+                for (Dim d : pool) {
+                    absent += e[d] > 1 && distinct.count(d) == 0;
+                    odd_size += !isPow2(uint64_t(l->intraSize(d)));
+                    ragged += e[d] % l->intraSize(d) != 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(absent, 0);
+    EXPECT_GT(repeated, 0);
+    EXPECT_GT(odd_size, 0);
+    EXPECT_GT(ragged, 0);
+}
+
+// About 2^40 elements: the closed form does no per-element work and
+// allocates nothing, so it answers at once. A 2^20 x 2^20 transpose from
+// MK_K32 to MK_M32 reads 32 source lines for each of 2^35 destination
+// lines; to MK_M4K8, 4 source lines for each of 2^35.
+TEST(ReorderCost, PricesHugeTensorsWithoutWalkingThem)
+{
+    Extents e;
+    e[Dim::M] = int64_t(1) << 20;
+    e[Dim::K] = int64_t(1) << 20;
+    const Layout k32 = Layout::parse("MK_K32");
+    EXPECT_EQ(reorderCost(k32, Layout::parse("MK_M32"), e), int64_t(1) << 40);
+    EXPECT_EQ(reorderCost(k32, Layout::parse("MK_M4K8"), e),
+              int64_t(1) << 37);
+    // Intra sizes above 2^32 whose lcm overflows int64: along M each line
+    // index changes at 255 multiples, never both at once, so 1 + 2 * 255
+    // pairs; the lcm term is taken as 1 without forming the lcm.
+    e[Dim::K] = 1;
+    e[Dim::M] = int64_t(1) << 40;
+    EXPECT_EQ(reorderCost(Layout::parse("MK_M4294967311"),
+                          Layout::parse("MK_M4294967357"), e),
+              511);
 }
 
 // ---------------------------------------------------------------------------
