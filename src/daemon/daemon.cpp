@@ -127,7 +127,6 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
     p->dev_plan.resize(devices_.size());
     for (size_t d = 0; d < devices_.size(); ++d) {
         const model::FleetDevice &dev = devices_[d];
-        if (split && !sim::arrayShapeError(dev.aw, dev.ah).empty()) continue;
         const int aw = !split && req.aw > 0 ? req.aw : dev.aw;
         const int ah = !split && req.ah > 0 ? req.ah : dev.ah;
         const std::string scope = split ? dev.name : "";
@@ -139,13 +138,15 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         }
         const int plan_aw = aw > 0 ? aw : graph.default_aw;
         const int plan_ah = ah > 0 ? ah : graph.default_ah;
-        // Execution refuses an unusable pinned width on every device:
-        // refuse it before it plans anything, with the same error.
-        if (!split && req.aw > 0) {
-            if (std::string bad = sim::arrayShapeError(plan_aw, plan_ah);
-                !bad.empty()) {
-                return bad;
-            }
+        // Execution refuses an unusable shape: a pinned width on every
+        // device, so the request is refused outright; else just this
+        // device, which plans nothing, stays infeasible and is never
+        // placed.
+        if (std::string bad = sim::arrayShapeError(plan_aw, plan_ah);
+            !bad.empty()) {
+            if (!split && req.aw > 0) return bad;
+            if (first_error.empty()) first_error = std::move(bad);
+            continue;
         }
         std::string err;
         for (size_t l = 0; l < nlayers && err.empty(); ++l) {

@@ -1,7 +1,6 @@
 #include "feather/accelerator.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
@@ -142,10 +141,13 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     // Buffer's per-(bank,addr) accumulation with completion countdown.
     struct Datapath
     {
+        /** One OB word: its partial sum and the contributions it still
+         *  awaits (0: free). The QM reads the sum as int32, so a 32-bit
+         *  modular accumulator keeps every bit it reads. */
         struct ObEntry
         {
-            int64_t acc = 0;
-            int64_t remaining = 0;
+            uint32_t acc = 0;
+            int32_t remaining = 0;
         };
 
         FeatherAccelerator &acc;
@@ -157,7 +159,11 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         int16_t *iact_vals;
         int16_t *read_val;
         int64_t step_index = 0;
-        std::unordered_map<int64_t, ObEntry> ob;
+        /** The OB, flat over the output region: entry bank * out_words +
+         *  addr, zeroed, with a count of the live (busy) entries. */
+        std::vector<ObEntry> ob;
+        int64_t out_words;
+        int64_t ob_live = 0;
         // Hoisted heap buffers, reused across rows and steps: the NEST
         // emission (std::optional is not trivial) and the per-group sums.
         std::vector<PortValue> emission;
@@ -215,29 +221,37 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         void
         accumulate(int64_t g, int64_t bank, int64_t addr)
         {
-            auto [it, inserted] =
-                ob.try_emplace(bank * acc.cfg_.stab_depth + addr);
-            if (inserted) {
-                it->second.remaining = geo.expected_contribs;
+            ObEntry &e = ob[size_t(bank * out_words + addr)];
+            if (e.remaining == 0) {
+                e.remaining = int32_t(geo.expected_contribs);
                 stats.peak_ob_entries =
-                    std::max(stats.peak_ob_entries, int64_t(ob.size()));
+                    std::max(stats.peak_ob_entries, ++ob_live);
             }
-            it->second.acc += group_sum[size_t(g)];
-            if (--it->second.remaining == 0) {
-                const int8_t q = requantize(int32_t(it->second.acc),
-                                            quant.multiplier, quant.oact_zp);
+            e.acc += uint32_t(group_sum[size_t(g)]);
+            if (--e.remaining == 0) {
+                const int8_t q = requantize(int32_t(e.acc), quant.multiplier,
+                                            quant.oact_zp);
                 acc.stab_.pong().write(bank, addr, q);
                 ++stats.stab_writes;
                 acc.recordTrace(TraceEvent::Kind::StabWrite, step_index,
                                 bank, addr);
-                ob.erase(it);
+                e.acc = 0;
+                --ob_live;
             }
         }
     };
+    // The OB spans the layer's output region, not the StaB depth, and
+    // lives on the heap, not in the arena, whose peak is a reported
+    // counter.
+    const int64_t out_words = out_bound.numLines() * out_wpl;
+    FEATHER_CHECK(geo.expected_contribs <= INT32_MAX,
+                  "an OB word cannot count ", geo.expected_contribs,
+                  " partial sums");
     LayerStats stats;
     Datapath dp{*this, geo, weights, quant, stats, geo.t1, iact_vals,
-                scratch.read_val, 0, {},
-                std::vector<PortValue>(size_t(cfg_.aw)),
+                scratch.read_val, 0,
+                std::vector<Datapath::ObEntry>(size_t(cfg_.aw * out_words)),
+                out_words, 0, std::vector<PortValue>(size_t(cfg_.aw)),
                 std::vector<int64_t>(size_t(geo.num_groups))};
 
     // Weight dims are a prefix of the temporal order, so the weight tile
@@ -262,7 +276,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         ++dp.step_index;
     } while (geo.loops.advance(step));
 
-    FEATHER_CHECK(dp.ob.empty(), "OB has ", dp.ob.size(),
+    FEATHER_CHECK(dp.ob_live == 0, "OB has ", dp.ob_live,
                   " incomplete accumulations at layer end");
 
     stats.arena_peak_bytes = int64_t(arena_.peakBytes());

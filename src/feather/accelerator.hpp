@@ -22,7 +22,9 @@
  * analogue. What run() adds is the data: one StaB read per distinct word
  * per cycle (and its trace event), the NEST weight loads and emissions,
  * each group's sum accumulated into the OB, and the requantized oAct
- * written to StaB pong when its last partial sum lands.
+ * written to StaB pong when its last partial sum lands. The OB is a flat
+ * table over the layer's output region, one 32-bit accumulator and
+ * countdown per (bank, address), with a count of its live entries.
  */
 
 #include <cstdint>

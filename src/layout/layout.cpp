@@ -1,5 +1,6 @@
 #include "layout/layout.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/bits.hpp"
@@ -81,32 +82,32 @@ Layout::toString() const
 BoundLayout::BoundLayout(Layout layout, Extents extents)
     : layout_(std::move(layout)), extents_(extents)
 {
-    num_lines_ = 1;
-    tiles_per_dim_.reserve(layout_.interOrder().size());
-    for (Dim d : layout_.interOrder()) {
-        const int64_t extent = std::max<int64_t>(extents_[d], 1);
-        const int64_t tiles = ceilDiv(extent, layout_.intraSize(d));
-        tiles_per_dim_.push_back(tiles);
-        num_lines_ *= tiles;
-    }
-}
-
-LineAddr
-BoundLayout::addrOf(const Coord &c) const
-{
-    LineAddr addr;
-    // Intra-line slot: mixed-radix flatten, outermost factor first.
-    for (const auto &f : layout_.intraFactors()) {
-        addr.slot = addr.slot * f.size + (c[f.dim] % f.size);
-    }
-    // Line index: mixed-radix flatten of tile coordinates.
+    const auto term = [](Dim d, int64_t div, int64_t stride) {
+        return Term{d, div, stride,
+                    isPow2(uint64_t(div)) ? int(log2Exact(uint64_t(div)))
+                                          : -1};
+    };
+    // Expand both Horner forms, innermost first, into (dim, divisor,
+    // stride) terms: a stride is the product of the radices inside it.
     const auto &order = layout_.interOrder();
-    for (size_t i = 0; i < order.size(); ++i) {
+    tiles_per_dim_.resize(order.size());
+    line_terms_.resize(order.size());
+    num_lines_ = 1;
+    for (size_t i = order.size(); i-- > 0;) {
         const Dim d = order[i];
-        const int64_t tile = c[d] / layout_.intraSize(d);
-        addr.line = addr.line * tiles_per_dim_[i] + tile;
+        const int64_t extent = std::max<int64_t>(extents_[d], 1);
+        const int64_t size = layout_.intraSize(d);
+        tiles_per_dim_[i] = ceilDiv(extent, size);
+        line_terms_[i] = term(d, size, num_lines_);
+        num_lines_ *= tiles_per_dim_[i];
     }
-    return addr;
+    const auto &intra = layout_.intraFactors();
+    slot_terms_.resize(intra.size());
+    int64_t slot_stride = 1;
+    for (size_t i = intra.size(); i-- > 0;) {
+        slot_terms_[i] = term(intra[i].dim, intra[i].size, slot_stride);
+        slot_stride *= intra[i].size;
+    }
 }
 
 Coord

@@ -96,6 +96,12 @@ struct LineAddr
 /**
  * A Layout bound to concrete tensor extents: provides the coordinate ->
  * (line, slot) address map and its inverse.
+ *
+ * The map is the mixed-radix flatten of the paper's descriptor: the line
+ * is the Horner form over the inter order of each dim's tile index
+ * c[d] / intraSize(d), the slot the Horner form over the intra factors of
+ * c[f.dim] % f.size. The constructor expands both into stride tables, so
+ * addrOf is a sum of products with no per-call size lookups.
  */
 class BoundLayout
 {
@@ -109,8 +115,22 @@ class BoundLayout
     int64_t lineSize() const { return layout_.lineSize(); }
     int64_t numLines() const { return num_lines_; }
 
-    /** Address of the element at @p c. */
-    LineAddr addrOf(const Coord &c) const;
+    /** Address of the element at @p c: the line sums each inter dim's
+     *  tile times its line stride, the slot each intra factor's offset
+     *  times its slot stride. Equal to the Horner form for every
+     *  coordinate, negative ones included (truncating / and %). */
+    LineAddr
+    addrOf(const Coord &c) const
+    {
+        LineAddr addr;
+        for (const Term &t : line_terms_) {
+            addr.line += t.quot(c[t.dim]) * t.stride;
+        }
+        for (const Term &t : slot_terms_) {
+            addr.slot += t.rem(c[t.dim]) * t.stride;
+        }
+        return addr;
+    }
 
     /** Inverse map: coordinates stored at (line, slot). */
     Coord coordAt(const LineAddr &addr) const;
@@ -121,11 +141,36 @@ class BoundLayout
     std::string toString() const;
 
   private:
+    /** One addend of addrOf: c[dim] / div (an inter dim's tile) or
+     *  c[dim] % div (an intra factor's offset), times stride. When div is
+     *  a power of two, shift = log2(div) serves non-negative coordinates;
+     *  a negative one takes the truncating / and %, as the Horner form. */
+    struct Term
+    {
+        Dim dim;
+        int64_t div;
+        int64_t stride;
+        int shift; ///< -1: div is not a power of two
+
+        int64_t
+        quot(int64_t x) const
+        {
+            return shift >= 0 && x >= 0 ? x >> shift : x / div;
+        }
+        int64_t
+        rem(int64_t x) const
+        {
+            return shift >= 0 && x >= 0 ? x & (div - 1) : x % div;
+        }
+    };
+
     Layout layout_;
     Extents extents_;
     /** Tile count per inter dim (ceil(extent / intra size)). */
     std::vector<int64_t> tiles_per_dim_; ///< parallel to interOrder()
     int64_t num_lines_ = 0;
+    std::vector<Term> line_terms_; ///< one per inter dim
+    std::vector<Term> slot_terms_; ///< one per intra factor
 };
 
 /**

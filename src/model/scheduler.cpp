@@ -24,6 +24,35 @@ planKey(const sim::LayerPlan &plan)
            plan.out_layout.toString();
 }
 
+/** The same-device segments of @p result, as layer ranges [first, last]:
+ *  each runs as one measured chain on its device. */
+std::vector<std::pair<size_t, size_t>>
+segments(const ScheduleResult &result)
+{
+    std::vector<std::pair<size_t, size_t>> out;
+    for (size_t i = 0; i < result.layers.size(); ++i) {
+        if (!out.empty() &&
+            result.layers[out.back().first].device ==
+                result.layers[i].device) {
+            out.back().second = i;
+        } else {
+            out.push_back({i, i});
+        }
+    }
+    return out;
+}
+
+/** Layers [first, last] of @p graph as a graph of their own. */
+ModelGraph
+segmentGraph(const ModelGraph &graph, size_t first, size_t last)
+{
+    ModelGraph chain;
+    chain.name = graph.name;
+    chain.layers.assign(graph.layers.begin() + first,
+                        graph.layers.begin() + last + 1);
+    return chain;
+}
+
 /** Number of elements of a tensor of @p extents (dims with extent > 0). */
 int64_t
 elementCount(const Extents &extents)
@@ -207,6 +236,7 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
     Evaluation eval;
     for (const ModelLayer &ml : graph.layers) {
         std::vector<Candidate> candidates;
+        std::vector<std::string> keys; // planKey of each candidate
         std::string plan_error;
         std::array<std::string, std::size(kFamilies)> &unfit =
             eval.unfit.emplace_back();
@@ -227,20 +257,20 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                     if (why.empty()) why = plan_error;
                     continue;
                 }
-                bool merged = false;
-                for (size_t c = first; c < candidates.size(); ++c) {
-                    if (planKey(candidates[c].plan) == planKey(*plan)) {
-                        candidates[c].kinds.push_back(kind);
-                        merged = true;
-                        break;
-                    }
+                std::string key = planKey(*plan);
+                const auto same =
+                    std::find(keys.begin() + first, keys.end(), key);
+                if (same != keys.end()) {
+                    candidates[size_t(same - keys.begin())].kinds.push_back(
+                        kind);
+                    continue;
                 }
-                if (merged) continue;
                 Candidate c;
                 c.kinds = {kind};
                 c.plan = *plan;
                 c.device = int(d);
                 candidates.push_back(std::move(c));
+                keys.push_back(std::move(key));
             }
         }
         if (candidates.empty()) {
@@ -514,7 +544,7 @@ Scheduler::assemble(const ModelGraph &graph, const Evaluation &eval,
 
 bool
 Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
-                   std::string *error)
+                   std::string *error, const SegmentReferences *refs)
 {
     // Step 5: execute the chosen schedule as measured, bit-exact chains
     // through the StaB ping-pong (layer i writes directly in layer i+1's
@@ -525,52 +555,36 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
     // reference operators from freshly seeded inputs. A one-device
     // schedule is a single chain.
     const std::vector<FleetDevice> devs = devices(graph);
-    struct Segment
-    {
-        size_t first; ///< layer range [first, last]
-        size_t last;
-        const FleetDevice *dev;
-    };
-    std::vector<Segment> segments;
-    for (size_t i = 0; i < graph.layers.size(); ++i) {
-        const int dev = result->layers[i].device;
-        if (!segments.empty() &&
-            result->layers[segments.back().first].device == dev) {
-            segments.back().last = i;
-            continue;
-        }
-        segments.push_back({i, i, &devs[size_t(dev)]});
-    }
-
     const auto start = std::chrono::steady_clock::now();
-    for (const Segment &seg : segments) {
-        ModelGraph chain; // the segment, pinned to the schedule's picks
-        chain.name = graph.name;
-        chain.layers.assign(graph.layers.begin() + seg.first,
-                            graph.layers.begin() + seg.last + 1);
-        for (size_t i = seg.first; i <= seg.last; ++i) {
-            chain.layers[i - seg.first].dataflow = result->layers[i].dataflow;
+    for (const auto &[first, last] : segments(*result)) {
+        const FleetDevice &dev = devs[size_t(result->layers[first].device)];
+        // The segment, pinned to the schedule's picks.
+        ModelGraph chain = segmentGraph(graph, first, last);
+        for (size_t i = first; i <= last; ++i) {
+            chain.layers[i - first].dataflow = result->layers[i].dataflow;
         }
         sim::ScenarioOptions sopts;
-        sopts.aw = seg.dev->aw;
-        sopts.ah = seg.dev->ah;
+        sopts.aw = dev.aw;
+        sopts.ah = dev.ah;
         sopts.seed = opts_.seed;
+        if (refs) {
+            const auto it = refs->find({first, last});
+            if (it != refs->end()) sopts.reference = it->second;
+        }
         // Measured cycles are the ground truth the report ranks schedules
         // by: the chain always replays cycle-accurately, whatever tier
         // evaluated the candidates.
         sopts.engine = sim::EngineMode::Cycle;
-        const std::optional<sim::ScenarioRun> run =
-            sim::runScenario(chain, sopts, error,
-                             cache().planFn(seg.dev->name));
+        const std::optional<sim::ScenarioRun> run = sim::runScenario(
+            chain, sopts, error, cache().planFn(dev.name));
         if (!run) return false;
-        for (size_t i = seg.first; i <= seg.last; ++i) {
-            const sim::RunResult &r = run->chain.layers[i - seg.first];
+        for (size_t i = first; i <= last; ++i) {
+            const sim::RunResult &r = run->chain.layers[i - first];
             result->layers[i].cycles = r.stats.cycles;
             result->layers[i].macs = r.stats.macs;
             result->layers[i].read_stalls = r.stats.read_stall_cycles;
             result->layers[i].write_stalls = r.stats.write_stall_cycles;
-            result->layers[i].pe_cycles =
-                r.stats.cycles * seg.dev->aw * seg.dev->ah;
+            result->layers[i].pe_cycles = r.stats.cycles * dev.aw * dev.ah;
             result->cycles += r.stats.cycles;
             result->macs += r.stats.macs;
             result->read_stalls += r.stats.read_stall_cycles;
@@ -665,20 +679,44 @@ Scheduler::compare(const ModelGraph &graph, const SchedulePolicy &primary,
         }
     }
 
-    // The measured chain runs dominate compare() wall-clock and are
-    // independent — fan the unique ones out on the same pool candidate
-    // evaluation used. Results land in per-policy slots and every plan
-    // lookup hits the cache evaluate() warmed, so the comparison
-    // (including the cache counters) is bit-identical at any thread
-    // count.
+    // Every chain of a segment [first, last] draws the same inputs at
+    // opts_.seed, whatever its plans and device, so its golden output is
+    // one tensor: compute it once per distinct segment, then let every
+    // chain of that segment compare its whole read-back against it. The
+    // references die with compare().
+    SegmentReferences refs;
+    for (size_t i = 0; i < policies.size(); ++i) {
+        if (!slots[i].picked || slots[i].measure_as != i) continue;
+        for (const auto &seg : segments(slots[i].result)) refs[seg];
+    }
+
+    // The reference ops and the measured chain runs dominate compare()
+    // wall-clock and are independent — fan them out on the same pool
+    // candidate evaluation used, references first. Results land in
+    // per-policy slots and every plan lookup hits the cache evaluate()
+    // warmed, so the comparison (including the cache counters) is
+    // bit-identical at any thread count.
     {
         serve::ThreadPool pool(opts_.num_threads);
+        for (auto &[seg, ref] : refs) {
+            pool.submit([this, &graph, &seg = seg, &ref = ref] {
+                try {
+                    ref = std::make_shared<const Int8Tensor>(
+                        sim::scenarioReference(
+                            segmentGraph(graph, seg.first, seg.second),
+                            opts_.seed));
+                } catch (const std::exception &) {
+                    // Left null: the chain reports the failure itself.
+                }
+            });
+        }
+        pool.wait();
         for (size_t i = 0; i < policies.size(); ++i) {
             if (!slots[i].picked || slots[i].measure_as != i) continue;
-            pool.submit([this, &graph, &slots, i] {
+            pool.submit([this, &graph, &slots, &refs, i] {
                 try {
-                    if (!measure(graph, &slots[i].result,
-                                 &slots[i].error)) {
+                    if (!measure(graph, &slots[i].result, &slots[i].error,
+                                 &refs)) {
                         slots[i].picked = false;
                     }
                 } catch (const std::exception &e) {

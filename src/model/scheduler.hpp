@@ -55,6 +55,8 @@
 
 #include <array>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -332,10 +334,19 @@ class Scheduler
                             const SchedulePolicy &policy,
                             const std::vector<size_t> &picks) const;
 
-    /** Step 5: run @p result's schedule as one verified chain and fill
-     *  the measured fields. */
+    /** Golden outputs shared by the measured chains of one compare(), by
+     *  segment layer range [first, last]; null: the chain computes its
+     *  own. */
+    using SegmentReferences =
+        std::map<std::pair<size_t, size_t>, std::shared_ptr<const Int8Tensor>>;
+
+    /** Step 5: run @p result's schedule as one verified chain per
+     *  same-device segment and fill the measured fields. Each chain
+     *  verifies against its segment's entry of @p refs when there is one,
+     *  else against reference ops of its own. */
     bool measure(const ModelGraph &graph, ScheduleResult *result,
-                 std::string *error);
+                 std::string *error,
+                 const SegmentReferences *refs = nullptr);
 
     SchedulerOptions opts_;
     serve::PlanCache cache_;

@@ -318,6 +318,30 @@ runLayer(const LayerSpec &layer, const RunOptions &opts)
     return res;
 }
 
+ChainInputs
+drawChainInputs(const std::vector<ChainStep> &steps, uint64_t seed)
+{
+    Rng rng(seed);
+    ChainInputs in;
+    in.iacts = randomIacts(steps.front().layer, rng);
+    for (const ChainStep &s : steps) {
+        in.weights.push_back(randomWeights(s.layer, rng));
+    }
+    return in;
+}
+
+Int8Tensor
+chainReference(const std::vector<ChainStep> &steps, const ChainInputs &in)
+{
+    Int8Tensor ref = referenceOutput(steps[0].layer, in.iacts, in.weights[0],
+                                     steps[0].quant);
+    for (size_t i = 1; i < steps.size(); ++i) {
+        ref = referenceOutput(steps[i].layer, ref, in.weights[i],
+                              steps[i].quant);
+    }
+    return ref;
+}
+
 ChainResult
 runChain(const std::vector<ChainStep> &steps, const RunOptions &opts)
 {
@@ -345,18 +369,13 @@ runChain(const std::vector<ChainStep> &steps, const RunOptions &opts)
     // threaded through the StaB ping-pong and checked against the chained
     // reference ops. The analytic tier builds no accelerator and draws no
     // tensors (checked stays 0, output stays empty).
-    Int8Tensor iacts;
-    std::vector<Int8Tensor> weights;
+    ChainInputs in;
     std::optional<FeatherAccelerator> acc;
     if (opts.engine == EngineMode::Cycle) {
-        Rng rng(opts.seed);
-        iacts = randomIacts(steps.front().layer, rng);
-        for (const ChainStep &s : steps) {
-            weights.push_back(randomWeights(s.layer, rng));
-        }
+        in = drawChainInputs(steps, opts.seed);
         acc.emplace(cfg);
         if (opts.trace_events > 0) acc->enableTrace(opts.trace_events);
-        acc->loadIacts(iacts, first_in);
+        acc->loadIacts(in.iacts, first_in);
     }
 
     ChainResult res;
@@ -374,8 +393,8 @@ runChain(const std::vector<ChainStep> &steps, const RunOptions &opts)
             r.out_layout = concordantOutputLayout(s.layer, r.mapping, opts.aw);
         }
         if (acc) {
-            r.stats = acc->run(s.layer, weights[i], r.mapping, r.out_layout,
-                               s.quant);
+            r.stats = acc->run(s.layer, in.weights[i], r.mapping,
+                               r.out_layout, s.quant);
         } else {
             r.stats = analyticLayerStats(s.layer, r.mapping, r.in_layout,
                                          r.out_layout, cfg);
@@ -388,12 +407,9 @@ runChain(const std::vector<ChainStep> &steps, const RunOptions &opts)
         last.output = acc->readActivations();
         last.trace = acc->trace();
         if (opts.verify) {
-            Int8Tensor ref = referenceOutput(steps[0].layer, iacts,
-                                             weights[0], steps[0].quant);
-            for (size_t i = 1; i < steps.size(); ++i) {
-                ref = referenceOutput(steps[i].layer, ref, weights[i],
-                                      steps[i].quant);
-            }
+            const Int8Tensor own =
+                opts.reference ? Int8Tensor() : chainReference(steps, in);
+            const Int8Tensor &ref = opts.reference ? *opts.reference : own;
             res.checked = ref.numel();
             res.mismatches = countMismatches(last.output, ref);
         }

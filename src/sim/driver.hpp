@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -171,6 +172,11 @@ struct RunOptions
     std::optional<Layout> out_layout;
     LayerQuant quant = defaultQuant();
     bool verify = true;       ///< diff against referenceOutput
+    /** The chain's golden final output, when a caller already holds it
+     *  (chainReference of the same steps at the same seed): runChain
+     *  verifies against it instead of recomputing the reference ops.
+     *  Shared read-only, so one tensor serves concurrent chains. */
+    std::shared_ptr<const Int8Tensor> reference;
     size_t trace_events = 0;  ///< capture first N StaB reads/writes
 
     static LayerQuant
@@ -223,6 +229,24 @@ struct ChainStep
     LayerQuant quant = RunOptions::defaultQuant();
 };
 
+/** The seeded tensors of a cycle-tier chain: the first step's iActs, then
+ *  each step's weights, drawn in that order from one Rng(seed). */
+struct ChainInputs
+{
+    Int8Tensor iacts;
+    std::vector<Int8Tensor> weights;
+};
+
+/** The one draw of a chain's inputs; runChain and every shared reference
+ *  (RunOptions::reference) take their tensors from it. */
+ChainInputs drawChainInputs(const std::vector<ChainStep> &steps,
+                            uint64_t seed);
+
+/** Golden final output of @p steps on @p in: referenceOutput of each step
+ *  fed the previous step's output. */
+Int8Tensor chainReference(const std::vector<ChainStep> &steps,
+                          const ChainInputs &in);
+
 struct ChainResult
 {
     std::vector<RunResult> layers; ///< per-layer stats (output kept on last)
@@ -243,7 +267,8 @@ struct ChainResult
  *
  * Cycle mode runs the steps back-to-back on one accelerator, threading
  * activations through the StaB ping-pong, then verifies the *final*
- * activations against the chained reference ops. Analytic mode fills each
+ * activations element by element against the chained reference ops
+ * (opts.reference when set, else chainReference). Analytic mode fills each
  * step's stats from the closed-form model (checked == 0, no output).
  */
 ChainResult runChain(const std::vector<ChainStep> &steps,

@@ -174,6 +174,20 @@ buildScenarios()
     return all;
 }
 
+/** The unplanned chain of @p scenario: each layer with its QM multiplier. */
+std::vector<ChainStep>
+chainSteps(const ModelGraph &scenario)
+{
+    std::vector<ChainStep> steps;
+    for (const ModelLayer &ml : scenario.layers) {
+        ChainStep step;
+        step.layer = ml.spec;
+        step.quant.multiplier = ml.multiplier;
+        steps.push_back(std::move(step));
+    }
+    return steps;
+}
+
 } // namespace
 
 std::string
@@ -280,6 +294,7 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
     ropts.ah = run.ah;
     ropts.engine = opts.engine;
     ropts.seed = opts.seed;
+    ropts.reference = opts.reference;
     ropts.trace_events = opts.trace_events;
 
     // Plan every layer up front (through the injected plan source) so the
@@ -302,15 +317,11 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
         plans.push_back(std::move(*p));
     }
 
-    std::vector<ChainStep> steps;
-    for (size_t i = 0; i < scenario.layers.size(); ++i) {
-        ChainStep step;
-        step.layer = scenario.layers[i].spec;
-        step.mapping = plans[i].mapping;
-        step.out_layout = i + 1 < plans.size() ? plans[i + 1].in_layout
-                                               : plans.back().out_layout;
-        step.quant.multiplier = scenario.layers[i].multiplier;
-        steps.push_back(std::move(step));
+    std::vector<ChainStep> steps = chainSteps(scenario);
+    for (size_t i = 0; i < steps.size(); ++i) {
+        steps[i].mapping = plans[i].mapping;
+        steps[i].out_layout = i + 1 < plans.size() ? plans[i + 1].in_layout
+                                                   : plans.back().out_layout;
     }
     ropts.in_layout = plans.front().in_layout;
 
@@ -350,6 +361,13 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
 
     run.chain = runChain(steps, ropts);
     return run;
+}
+
+Int8Tensor
+scenarioReference(const ModelGraph &scenario, uint64_t seed)
+{
+    const std::vector<ChainStep> steps = chainSteps(scenario);
+    return chainReference(steps, drawChainInputs(steps, seed));
 }
 
 } // namespace sim

@@ -11,6 +11,7 @@
  */
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,9 @@ struct ScenarioOptions
     /** Execution tier: cycle replays and verifies, analytic estimates. */
     EngineMode engine = EngineMode::Cycle;
     uint64_t seed = 2024;
+    /** The scenario's golden output (scenarioReference at this seed),
+     *  when the caller shares one between runs; see RunOptions. */
+    std::shared_ptr<const Int8Tensor> reference;
     size_t trace_events = 0;
 };
 
@@ -126,6 +130,14 @@ std::optional<ScenarioRun> runScenario(const ModelGraph &scenario,
                                        const ScenarioOptions &opts = {},
                                        std::string *error = nullptr,
                                        const PlanFn &plan = {});
+
+/**
+ * The golden final output every cycle-tier runScenario of @p scenario at
+ * @p seed verifies against, whatever its dataflows, layouts and array
+ * shape: the chain's drawChainInputs fed through chainReference. @p
+ * scenario must pass validate().
+ */
+Int8Tensor scenarioReference(const ModelGraph &scenario, uint64_t seed);
 
 } // namespace sim
 } // namespace feather

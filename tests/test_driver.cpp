@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "sim/cli.hpp"
 #include "sim/driver.hpp"
@@ -76,6 +78,42 @@ TEST(ScenarioRegistry, AllScenariosRunBitExact)
         EXPECT_TRUE(run->chain.bitExact())
             << s.name << ": " << run->chain.mismatches << " of "
             << run->chain.checked << " elements differ";
+    }
+}
+
+TEST(ScenarioRegistry, SharedReferenceIsTheChainsOwnAndStillChecked)
+{
+    // A reference handed in (ScenarioOptions::reference) replaces only the
+    // reference ops: it equals what the chain computes itself, and the
+    // whole read-back is still compared against it element by element, so
+    // a corrupted one reports exactly its corrupted elements.
+    for (const ModelGraph &s : scenarios()) {
+        ScenarioOptions opts;
+        opts.seed = 7;
+        const Int8Tensor ref = scenarioReference(s, opts.seed);
+        std::string error;
+        const std::optional<ScenarioRun> own = runScenario(s, opts, &error);
+        ASSERT_TRUE(own.has_value()) << s.name << ": " << error;
+        ASSERT_TRUE(own->chain.bitExact()) << s.name;
+        EXPECT_EQ(own->chain.checked, ref.numel()) << s.name;
+        EXPECT_EQ(countMismatches(own->chain.layers.back().output, ref), 0)
+            << s.name;
+
+        Int8Tensor corrupted = ref;
+        for (const size_t i : {size_t(0), size_t(ref.numel() - 1)}) {
+            corrupted[i] = int8_t(corrupted[i] ^ 0x55);
+        }
+        const int64_t corrupted_elems = ref.numel() > 1 ? 2 : 1;
+        for (const auto &[given, mismatches] :
+             {std::make_pair(ref, int64_t(0)),
+              std::make_pair(corrupted, corrupted_elems)}) {
+            opts.reference = std::make_shared<const Int8Tensor>(given);
+            const std::optional<ScenarioRun> run =
+                runScenario(s, opts, &error);
+            ASSERT_TRUE(run.has_value()) << s.name << ": " << error;
+            EXPECT_EQ(run->chain.checked, ref.numel()) << s.name;
+            EXPECT_EQ(run->chain.mismatches, mismatches) << s.name;
+        }
     }
 }
 

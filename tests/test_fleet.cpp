@@ -639,6 +639,48 @@ TEST(FleetDaemon, GraphNoDeviceFitsIsAnErrorWithoutPlanning)
     EXPECT_EQ(run.report.clients[0].cache_misses, 0u);
 }
 
+TEST(FleetDaemon, WholeRequestSkipsDevicesBirrdCannotRun)
+{
+    // A whole request skips every device whose shape execution would
+    // refuse (xilinx-dpu-like is 12x96): it plans nothing there and is
+    // never placed there. With no device left it is refused at admission.
+    Request req;
+    req.id = "s0";
+    req.client = "c0";
+    req.scenario = "gemm";
+    req.arrival_us = 0;
+    const DaemonRun refused = runDaemon(
+        {req}, fleetOptions("xilinx-dpu-like", PlacementPolicy::LeastLoaded));
+    EXPECT_EQ(refused.report.errors, 1u);
+    EXPECT_EQ(refused.report.accepted, 0u);
+    ASSERT_EQ(refused.responses.size(), 1u);
+    EXPECT_NE(refused.responses[0].find(
+                  "no fleet device can run this request: array width "
+                  "(--aw) must be a power of two >= 2, got 12"),
+              std::string::npos)
+        << refused.responses[0];
+    EXPECT_EQ(refused.report.cache.entries, 0u);
+    EXPECT_EQ(refused.report.cache.misses, 0u);
+    ASSERT_EQ(refused.report.clients.size(), 1u);
+    EXPECT_EQ(refused.report.clients[0].cache_misses, 0u);
+
+    for (PlacementPolicy place :
+         {PlacementPolicy::Affinity, PlacementPolicy::LeastLoaded,
+          PlacementPolicy::Capability}) {
+        const DaemonRun run = runDaemon(
+            {req}, fleetOptions("xilinx-dpu-like,feather:16x16", place));
+        EXPECT_EQ(run.report.errors, 0u);
+        EXPECT_EQ(run.report.accepted, 1u);
+        ASSERT_EQ(run.responses.size(), 1u);
+        EXPECT_NE(run.responses[0].find("\"status\":\"ok\""),
+                  std::string::npos)
+            << run.responses[0];
+        EXPECT_NE(run.responses[0].find("\"device\":\"feather:16x16\""),
+                  std::string::npos)
+            << run.responses[0];
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet CLI surface
 // ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
  * @file
  * Unit tests for src/layout: the layout grammar of Fig. 3 and the
  * coordinate -> (line, slot) address map, including the paper's worked
- * examples (channel-last HWC_C4, row-major HCW_W8, CHW_W4H2C2).
+ * examples (channel-last HWC_C4, row-major HCW_W8, CHW_W4H2C2), and the
+ * stride-table map against the Horner form it expands.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
+#include <vector>
 
+#include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "layout/layout.hpp"
 
 namespace feather {
@@ -188,6 +193,104 @@ TEST(Layout, SpacesMatchPaper)
     for (const auto &l : gemmLayoutSpace()) {
         EXPECT_EQ(l.lineSize(), 32) << l.toString();
     }
+}
+
+/** addrOf as the Horner form over the descriptor: the slot flattens each
+ *  intra factor's offset, the line each inter dim's tile, outermost
+ *  first. */
+LineAddr
+hornerAddr(const Layout &l, const Extents &e, const Coord &c)
+{
+    LineAddr addr;
+    for (const auto &f : l.intraFactors()) {
+        addr.slot = addr.slot * f.size + (c[f.dim] % f.size);
+    }
+    for (Dim d : l.interOrder()) {
+        const int64_t tiles =
+            ceilDiv(std::max<int64_t>(e[d], 1), l.intraSize(d));
+        addr.line = addr.line * tiles + c[d] / l.intraSize(d);
+    }
+    return addr;
+}
+
+TEST(BoundLayout, AddrOfMatchesHornerForm)
+{
+    Rng rng(24);
+    const auto randomLayout = [&rng](const std::vector<Dim> &pool) {
+        std::vector<Dim> inter;
+        for (Dim d : pool) {
+            if (rng.chance(0.8)) inter.push_back(d);
+        }
+        std::shuffle(inter.begin(), inter.end(), rng);
+        std::vector<IntraFactor> intra;
+        const int64_t factors = rng.range(1, 4);
+        for (int64_t i = 0; i < factors; ++i) {
+            // Sizes 1..9: powers of two and not, so both the shift/mask
+            // and the divide terms run.
+            intra.push_back({pool[rng.below(pool.size())], rng.range(1, 9)});
+        }
+        return Layout(std::move(inter), std::move(intra));
+    };
+    int absent = 0, repeated = 0, odd_size = 0, ragged = 0, negative = 0,
+        round_trips = 0;
+    for (const auto &[pool, max_extent] :
+         {std::make_pair(std::vector<Dim>{Dim::N, Dim::C, Dim::H, Dim::W}, 12),
+          std::make_pair(std::vector<Dim>{Dim::M, Dim::K}, 40)}) {
+        for (int i = 0; i < 1500; ++i) {
+            Extents e;
+            for (Dim d : pool) e[d] = rng.range(0, max_extent);
+            const Layout layout = randomLayout(pool);
+            const BoundLayout bl(layout, e);
+
+            // A bijection onto its lines and slots only when every dim
+            // sits in the inter order or one intra factor covers it, and
+            // no intra dim repeats.
+            std::set<Dim> intra_dims;
+            for (const auto &f : layout.intraFactors()) {
+                odd_size += !isPow2(uint64_t(f.size));
+                repeated += !intra_dims.insert(f.dim).second;
+            }
+            bool bijective =
+                intra_dims.size() == layout.intraFactors().size();
+            const std::vector<Dim> &o = layout.interOrder();
+            for (Dim d : pool) {
+                const bool inter = std::count(o.begin(), o.end(), d) > 0;
+                absent += !inter && e[d] > 1;
+                ragged += inter && e[d] % layout.intraSize(d) != 0;
+                bijective &= inter || e[d] <= layout.intraSize(d);
+            }
+
+            for (int k = 0; k < 40; ++k) {
+                // Coordinates past both ends too: the Horner form's
+                // truncating / and % on negatives must carry over.
+                Coord c;
+                bool inside = true;
+                for (Dim d : pool) {
+                    const int64_t hi = std::max<int64_t>(e[d], 1);
+                    c[d] = rng.chance(0.7) ? rng.range(0, hi - 1)
+                                           : rng.range(-2 * hi, 2 * hi);
+                    negative += c[d] < 0;
+                    inside &= c[d] >= 0 && c[d] < hi;
+                }
+                const LineAddr got = bl.addrOf(c);
+                const LineAddr want = hornerAddr(layout, e, c);
+                ASSERT_EQ(got.line, want.line) << bl.toString();
+                ASSERT_EQ(got.slot, want.slot) << bl.toString();
+                if (!bijective || !inside) continue;
+                ++round_trips;
+                const Coord back = bl.coordAt(got);
+                for (Dim d : pool) {
+                    ASSERT_EQ(back[d], c[d]) << bl.toString();
+                }
+            }
+        }
+    }
+    EXPECT_GT(absent, 0);
+    EXPECT_GT(repeated, 0);
+    EXPECT_GT(odd_size, 0);
+    EXPECT_GT(ragged, 0);
+    EXPECT_GT(negative, 0);
+    EXPECT_GT(round_trips, 0);
 }
 
 } // namespace

@@ -607,6 +607,87 @@ TEST(Scheduler, ReportIsBitIdenticalAcrossThreadCounts)
     }
 }
 
+/** Every field of @p r but the wall time, per layer too. */
+std::string
+deterministicFields(const ScheduleResult &r)
+{
+    std::ostringstream os;
+    os << r.model << " " << r.schedule << " " << r.aw << "x" << r.ah
+       << " seed=" << r.seed << " est=" << r.est_total
+       << " cycles=" << r.cycles << " macs=" << r.macs
+       << " stalls=" << r.read_stalls << "/" << r.write_stalls
+       << " checked=" << r.checked << " mismatches=" << r.mismatches
+       << " engine=" << sim::toString(r.engine)
+       << " arena=" << r.arena_peak_bytes << " fleet=" << r.fleet
+       << " nodes=" << r.search_nodes << " handoffs=" << r.handoffs << "/"
+       << r.handoff_cycles;
+    for (const LayerChoice &l : r.layers) {
+        os << "\n  " << l.layer << " " << l.op << " "
+           << sim::toString(l.dataflow) << " " << l.plan.mapping.toString()
+           << " " << l.plan.in_layout.toString() << " "
+           << l.plan.out_layout.toString() << " est=" << l.est_cycles
+           << " reorder=" << l.reorder_cycles << " dev=" << l.device << ":"
+           << l.device_name << " cycles=" << l.cycles << " macs=" << l.macs
+           << " stalls=" << l.read_stalls << "/" << l.write_stalls
+           << " pe=" << l.pe_cycles;
+    }
+    return os.str();
+}
+
+TEST(Scheduler, SharedReferenceStillVerifiesEverySegment)
+{
+    // compare() computes each segment's reference once and shares it with
+    // every measured chain of that segment. Each chain must still compare
+    // its whole read-back: checked counts the final output of every
+    // same-device segment, on one device and on the CI smoke fleet, and
+    // the comparison is the same at any thread count.
+    FleetSpec smoke;
+    std::string error;
+    ASSERT_TRUE(parseFleetSpec("feather:16x16,feather:32x32,tpu-like",
+                               &smoke, &error))
+        << error;
+    for (const ModelGraph &g : builtinModels()) {
+        for (const FleetSpec &fleet : {FleetSpec{}, smoke}) {
+            std::vector<ScheduleComparison> runs;
+            for (int threads : {1, 4}) {
+                SchedulerOptions opts;
+                opts.num_threads = threads;
+                opts.fleet = fleet;
+                Scheduler s(opts);
+                std::optional<ScheduleComparison> cmp =
+                    s.compare(g, SchedulePolicy{}, &error);
+                ASSERT_TRUE(cmp.has_value()) << g.name << ": " << error;
+                runs.push_back(std::move(*cmp));
+            }
+            for (const ScheduleResult &r : runs[0].schedules) {
+                int64_t segment_outputs = 0;
+                for (size_t i = 0; i < r.layers.size(); ++i) {
+                    if (i + 1 < r.layers.size() &&
+                        r.layers[i + 1].device == r.layers[i].device) {
+                        continue;
+                    }
+                    const Extents e = oactIactExtents(g.layers[i].spec);
+                    int64_t elems = 1;
+                    for (int d = 0; d < kNumDims; ++d) {
+                        if (e[Dim(d)] > 0) elems *= e[Dim(d)];
+                    }
+                    segment_outputs += elems;
+                }
+                EXPECT_EQ(r.checked, segment_outputs)
+                    << g.name << " " << r.schedule << " on " << r.fleet;
+                EXPECT_EQ(r.mismatches, 0)
+                    << g.name << " " << r.schedule << " on " << r.fleet;
+            }
+            ASSERT_EQ(runs[0].schedules.size(), runs[1].schedules.size());
+            for (size_t k = 0; k < runs[0].schedules.size(); ++k) {
+                EXPECT_EQ(deterministicFields(runs[0].schedules[k]),
+                          deterministicFields(runs[1].schedules[k]));
+            }
+            EXPECT_EQ(runs[0].cache.toJson(), runs[1].cache.toJson());
+        }
+    }
+}
+
 TEST(Scheduler, IgnoresDataflowPins)
 {
     // A scenario is a pinned graph; the scheduler searches every layer
