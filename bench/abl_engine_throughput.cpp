@@ -23,9 +23,15 @@
  * BM_CycleConvLayer times one layer on the cycle tier in the calling
  * thread, verified bit-exactly: resnet_block's conv_3x3 at its pinned
  * dataflow, whose rows unroll only output channels, so one iAct stream
- * feeds every row and NestGeometry::step replays row 0's gather. CI gates
- * its time too, so losing that replay fails the build. Its deterministic
+ * feeds every row and NestGeometry::step hands later rows row 0's gather
+ * (sink.reuse) instead of gathering again. CI gates
+ * its time too, so losing that reuse fails the build. Its deterministic
  * counters are cycles, stab_reads and birrd_switch_hops.
+ *
+ * BM_ReferenceConv times the verification side of that layer: the
+ * reference ops (tensor/reference_ops.hpp) that every measured cycle-tier
+ * run is checked against, on the same seeded tensors. Its counter is the
+ * layer's macs; its time is tracked in the CI artifacts but not gated.
  */
 
 #include <benchmark/benchmark.h>
@@ -91,14 +97,21 @@ BM_SweepAnalytic(benchmark::State &state)
     runSweepBench(state, sim::EngineMode::Analytic);
 }
 
+/** resnet_block's conv_3x3. */
+const sim::ModelLayer &
+conv3x3()
+{
+    const auto &layers = sim::findScenario("resnet_block")->layers;
+    return *std::find_if(
+        layers.begin(), layers.end(),
+        [](const sim::ModelLayer &l) { return l.spec.name == "conv_3x3"; });
+}
+
 /** resnet_block's conv_3x3 at its pin on a state.range(0) square array. */
 void
 BM_CycleConvLayer(benchmark::State &state)
 {
-    const auto &layers = sim::findScenario("resnet_block")->layers;
-    const sim::ModelLayer &layer = *std::find_if(
-        layers.begin(), layers.end(),
-        [](const sim::ModelLayer &l) { return l.spec.name == "conv_3x3"; });
+    const sim::ModelLayer &layer = conv3x3();
     const int side = int(state.range(0));
     std::string error;
     const auto plan =
@@ -129,6 +142,25 @@ BM_CycleConvLayer(benchmark::State &state)
     state.counters["birrd_switch_hops"] = double(stats.birrd_switch_hops);
 }
 
+/** The reference output of resnet_block's conv_3x3 on the seeded inputs
+ *  a one-step chain of it draws. */
+void
+BM_ReferenceConv(benchmark::State &state)
+{
+    const sim::ModelLayer &layer = conv3x3();
+    sim::ChainStep step;
+    step.layer = layer.spec;
+    step.quant.multiplier = layer.multiplier;
+    const sim::ChainInputs in =
+        sim::drawChainInputs({step}, sim::RunOptions().seed);
+    for (auto _ : state) {
+        Int8Tensor out = sim::referenceOutput(layer.spec, in.iacts,
+                                              in.weights[0], step.quant);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["macs"] = double(layer.spec.macs());
+}
+
 // The engine's pool thread runs the sweep, so CPU time is the process's,
 // not the calling thread's (which only sets up the pool and waits).
 BENCHMARK(BM_SweepCycle)->MeasureProcessCPUTime()->Unit(
@@ -136,6 +168,7 @@ BENCHMARK(BM_SweepCycle)->MeasureProcessCPUTime()->Unit(
 BENCHMARK(BM_SweepAnalytic)->MeasureProcessCPUTime()->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_CycleConvLayer)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReferenceConv)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -97,9 +97,10 @@ class Scratchpad
  * entries deep, with independent addressing per bank.
  *
  * Storage is demand-sized: each bank holds words only up to its highest
- * written address, and an address never written reads as the fill value.
- * depth() still bounds every access, so capacity errors are unchanged; a
- * run that touches a few KB of a multi-MB StaB allocates a few KB.
+ * written address, or the region a layer sized up front (growBanks), and
+ * an address never written reads as the fill value. depth() still bounds
+ * every access, so capacity errors are unchanged; a run that touches a few
+ * KB of a multi-MB StaB allocates a few KB.
  */
 template <typename T>
 class BankedScratchpad
@@ -153,6 +154,17 @@ class BankedScratchpad
         stats_.word_writes += n;
         std::copy(src, src + n,
                   grownTo(bank, addr + n).begin() + ptrdiff_t(addr));
+    }
+
+    /** Grow every bank to hold at least @p words words (fill beyond what
+     *  it held), so the writes of a region sized once never grow a bank
+     *  one word at a time. Stored words and access stats are unchanged. */
+    void
+    growBanks(int64_t words)
+    {
+        if (words <= 0) return;
+        checkAddr(0, words - 1);
+        for (int64_t b = 0; b < num_banks_; ++b) grownTo(b, words);
     }
 
     /** Bulk peek of @p n contiguous words of one bank (no access stats,

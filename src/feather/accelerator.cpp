@@ -75,30 +75,38 @@ FeatherAccelerator::loadIacts(const Int8Tensor &iacts, const Layout &layout)
     }
     current_layout_ = BoundLayout(layout, ext);
 
-    const int64_t wpl = ceilDiv(current_layout_.lineSize(), int64_t(cfg_.aw));
-    FEATHER_CHECK(current_layout_.numLines() * wpl <= cfg_.stab_depth,
+    const BoundLayout &bl = current_layout_;
+    const int64_t line_size = bl.lineSize();
+    const int64_t wpl = ceilDiv(line_size, int64_t(cfg_.aw));
+    FEATHER_CHECK(bl.numLines() * wpl <= cfg_.stab_depth,
                   "iacts exceed StaB capacity");
+    stab_.ping().growBanks(bl.numLines() * wpl);
     // A bank's slots within one line (slot = bank + j*AW) land at contiguous
     // addresses line*wpl + j, so each (line, bank) run becomes one bulk
-    // write — the DMA burst the host interface would issue.
+    // write — the DMA burst the host interface would issue. Each line is
+    // decoded once; a slot adds its tabled intra offsets.
     std::vector<int8_t> burst(static_cast<size_t>(wpl));
-    for (int64_t line = 0; line < current_layout_.numLines(); ++line) {
-        for (int64_t bank = 0;
-             bank < std::min<int64_t>(cfg_.aw, current_layout_.lineSize());
+    for (int64_t line = 0; line < bl.numLines(); ++line) {
+        const Coord base = bl.lineBase(line);
+        for (int64_t bank = 0; bank < std::min<int64_t>(cfg_.aw, line_size);
              ++bank) {
             int64_t n = 0;
-            for (int64_t slot = bank; slot < current_layout_.lineSize();
-                 slot += cfg_.aw) {
-                const Coord c = current_layout_.coordAt({line, slot});
+            for (int64_t slot = bank; slot < line_size; slot += cfg_.aw) {
+                const Coord &off = bl.slotOffset(slot);
                 int8_t v = 0;
                 if (is_gemm) {
-                    if (c[Dim::M] < ext[Dim::M] && c[Dim::K] < ext[Dim::K]) {
-                        v = iacts.at2(c[Dim::M], c[Dim::K]);
+                    const int64_t m = base[Dim::M] + off[Dim::M];
+                    const int64_t k = base[Dim::K] + off[Dim::K];
+                    if (m < ext[Dim::M] && k < ext[Dim::K]) {
+                        v = iacts.at2(m, k);
                     }
                 } else {
-                    if (c[Dim::C] < ext[Dim::C] && c[Dim::H] < ext[Dim::H] &&
-                        c[Dim::W] < ext[Dim::W]) {
-                        v = iacts.at4(0, c[Dim::C], c[Dim::H], c[Dim::W]);
+                    const int64_t c = base[Dim::C] + off[Dim::C];
+                    const int64_t h = base[Dim::H] + off[Dim::H];
+                    const int64_t w = base[Dim::W] + off[Dim::W];
+                    if (c < ext[Dim::C] && h < ext[Dim::H] &&
+                        w < ext[Dim::W]) {
+                        v = iacts.at4(0, c, h, w);
                     }
                 }
                 burst[size_t(n++)] = v;
@@ -125,8 +133,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     // Output layout bound in next-layer iAct space.
     const BoundLayout out_bound(out_layout, oactIactExtents(layer));
     const int64_t out_wpl = ceilDiv(out_bound.lineSize(), int64_t(cfg_.aw));
-    FEATHER_CHECK(out_bound.numLines() * out_wpl <= cfg_.stab_depth,
-                  "oacts exceed StaB capacity");
+    const int64_t out_words = out_bound.numLines() * out_wpl;
+    FEATHER_CHECK(out_words <= cfg_.stab_depth, "oacts exceed StaB capacity");
+    stab_.pong().growBanks(out_words);
 
     // Per-run scratch carved out of the bump arena: one reset, flat POD
     // blocks, no allocator traffic inside the step loop.
@@ -138,7 +147,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
 
     // The data movement NestGeometry::step and weightTile leave to the
     // cycle tier: StaB reads, NEST loads and emission, and the Output
-    // Buffer's per-(bank,addr) accumulation with completion countdown.
+    // Buffer's per-(bank,addr) accumulation with completion countdown. A
+    // row that reuses row 0's gather moves no data: its iActs are row
+    // 0's, already in iact_vals.
     struct Datapath
     {
         /** One OB word: its partial sum and the contributions it still
@@ -202,6 +213,20 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                 s < 0 ? int16_t(0) : read_val[s];
         }
 
+        // A row that shares row 0's stream finds row 0's iActs still in
+        // iact_vals, so only the accounting of its reads remains: the
+        // StaB read count and, when tracing, one event per word.
+        void
+        reuse(const NestGeometry::StepScratch::GatherRead *first, int64_t n)
+        {
+            acc.stab_.ping().stats().word_reads += n;
+            if (acc.trace_.size() >= acc.trace_cap_) return;
+            for (int64_t i = 0; i < n; ++i) {
+                acc.recordTrace(TraceEvent::Kind::StabRead, step_index,
+                                first[i].bank, first[i].addr);
+            }
+        }
+
         // BIRRD delivers each group's sum to the group's bank (route()
         // verified that when the wave was compiled), so the sum is taken
         // once here and the waves only count switch hops.
@@ -243,7 +268,6 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     // The OB spans the layer's output region, not the StaB depth, and
     // lives on the heap, not in the arena, whose peak is a reported
     // counter.
-    const int64_t out_words = out_bound.numLines() * out_wpl;
     FEATHER_CHECK(geo.expected_contribs <= INT32_MAX,
                   "an OB word cannot count ", geo.expected_contribs,
                   " partial sums");
@@ -293,8 +317,10 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
 Int8Tensor
 FeatherAccelerator::readActivations() const
 {
-    const Extents &ext = current_layout_.extents();
-    const int64_t wpl = ceilDiv(current_layout_.lineSize(), int64_t(cfg_.aw));
+    const BoundLayout &bl = current_layout_;
+    const Extents &ext = bl.extents();
+    const int64_t line_size = bl.lineSize();
+    const int64_t wpl = ceilDiv(line_size, int64_t(cfg_.aw));
     const bool is_gemm = ext[Dim::K] > 0;
 
     Int8Tensor out =
@@ -303,30 +329,28 @@ FeatherAccelerator::readActivations() const
     // Mirror of loadIacts: one bulk peek per (line, bank) run, then scatter
     // into the tensor.
     std::vector<int8_t> burst(static_cast<size_t>(wpl));
-    for (int64_t line = 0; line < current_layout_.numLines(); ++line) {
-        for (int64_t bank = 0;
-             bank < std::min<int64_t>(cfg_.aw, current_layout_.lineSize());
+    for (int64_t line = 0; line < bl.numLines(); ++line) {
+        const Coord base = bl.lineBase(line);
+        for (int64_t bank = 0; bank < std::min<int64_t>(cfg_.aw, line_size);
              ++bank) {
-            const int64_t n =
-                ceilDiv(current_layout_.lineSize() - bank, int64_t(cfg_.aw));
+            const int64_t n = ceilDiv(line_size - bank, int64_t(cfg_.aw));
             stab_.ping().peekRange(bank, line * wpl, burst.data(), n);
             for (int64_t j = 0; j < n; ++j) {
-                const int64_t slot = bank + j * cfg_.aw;
-                const Coord c = current_layout_.coordAt({line, slot});
+                const Coord &off = bl.slotOffset(bank + j * cfg_.aw);
                 if (is_gemm) {
-                    if (c[Dim::M] >= ext[Dim::M] ||
-                        c[Dim::K] >= ext[Dim::K]) {
-                        continue;
-                    }
-                    out.at2(c[Dim::M], c[Dim::K]) = burst[size_t(j)];
+                    const int64_t m = base[Dim::M] + off[Dim::M];
+                    const int64_t k = base[Dim::K] + off[Dim::K];
+                    if (m >= ext[Dim::M] || k >= ext[Dim::K]) continue;
+                    out.at2(m, k) = burst[size_t(j)];
                 } else {
-                    if (c[Dim::C] >= ext[Dim::C] ||
-                        c[Dim::H] >= ext[Dim::H] ||
-                        c[Dim::W] >= ext[Dim::W]) {
+                    const int64_t c = base[Dim::C] + off[Dim::C];
+                    const int64_t h = base[Dim::H] + off[Dim::H];
+                    const int64_t w = base[Dim::W] + off[Dim::W];
+                    if (c >= ext[Dim::C] || h >= ext[Dim::H] ||
+                        w >= ext[Dim::W]) {
                         continue;
                     }
-                    out.at4(0, c[Dim::C], c[Dim::H], c[Dim::W]) =
-                        burst[size_t(j)];
+                    out.at4(0, c, h, w) = burst[size_t(j)];
                 }
             }
         }

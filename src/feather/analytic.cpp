@@ -37,6 +37,7 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
         void weight(int64_t, int64_t, int64_t, const Coord *) {}
         void read(int64_t, int64_t, int64_t) {}
         void iact(int64_t, int64_t, int64_t) {}
+        void reuse(const NestGeometry::StepScratch::GatherRead *, int64_t) {}
         void emit(int64_t, const uint8_t *) {}
         void
         accumulate(int64_t, int64_t bank, int64_t line)

@@ -13,14 +13,16 @@
  * BIRRD wave split, switch hops and OB destinations, then the step's
  * cycles and stalls. When one top-to-bottom iAct stream serves every row
  * (row_variants == 1), row 0 records its gather and each later row with
- * the same active columns replays it: the sink sees the same calls in the
- * same order, without the coordinate and address math. Beside the step
- * sit the weight-tile walk (weightTile) and the layer's pipeline-fill
- * term (finish). Both engine tiers run these
- * bodies; data movement plugs in through a template sink, so a sink of
- * no-op hooks costs nothing. The cycle simulator (FeatherAccelerator::run)
- * runs every temporal step with a sink that reads StaB, drives NEST and
- * accumulates and requantizes in the OB. The analytic model
+ * the same active columns reuses it: one sink.reuse call stands for the
+ * row's read and iact calls, which would repeat row 0's, and the row is
+ * charged row 0's reads. Beside the step sit the weight-tile walk
+ * (weightTile) and the layer's pipeline-fill term (finish). Both engine
+ * tiers run these bodies; data movement plugs in through a template
+ * sink, so a sink of no-op hooks costs nothing. The cycle simulator
+ * (FeatherAccelerator::run) runs every temporal step with a sink that
+ * reads StaB, drives NEST and accumulates and requantizes in the OB; its
+ * reuse moves no data and only counts (and traces) the reads. The
+ * analytic model
  * (analyticLayerStats) runs only the middle step, with a sink that
  * collects OB destinations, and scales it by the step count.
  *
@@ -229,14 +231,12 @@ struct NestGeometry
             int64_t bank;
             int64_t addr;
         };
-        /** Row 0's gather, kept for replay when row_variants == 1 and
-         *  rows_used > 1 (else empty): its active columns [cols_used],
-         *  per (local slot l, column c) the dedup slot at [l * cols_used +
-         *  c] (-1: padding) and per (l, dedup slot s) the word of that
-         *  first read at [l * cols_used + s]. On the heap, not the arena,
-         *  whose peak is a reported counter. */
+        /** Row 0's gather, kept for reuse when row_variants == 1 and
+         *  rows_used > 1 (else empty): its active columns [cols_used] and
+         *  the words of its first reads in call order [t1 * cols_used],
+         *  of which the step's first shared_reads are live. On the heap,
+         *  not the arena, whose peak is a reported counter. */
         std::vector<uint8_t> gather_active;
-        std::vector<int32_t> gather_slot;
         std::vector<GatherRead> gather_read;
     };
 
@@ -291,9 +291,13 @@ struct NestGeometry
      *
      * When row_variants == 1 the iActs do not depend on the row, so row 0
      * records its gather (StepScratch::gather_*) and each later row whose
-     * col_active equals row 0's replays it: the same read and iact calls
-     * in the same order and the same reads, with no coordinate or address
-     * math. Rows with other active columns (an M tail) gather in full.
+     * col_active equals row 0's reuses it: instead of the read and iact
+     * calls, which would repeat row 0's call for call, the sink gets one
+     * reuse(first_reads, n) with the n words of row 0's read calls in
+     * order, and the row is charged those n reads. A data sink keeps
+     * row 0's iActs for the row: they do not depend on the row, and an M
+     * tail row gathered in between rewrites only equal values. Rows with
+     * other active columns (an M tail) gather in full.
      *
      * Adds @p times such steps to @p stats: max(feed, bus, t1) cycles
      * each, read stalls for feed beyond t1, write stalls for bus slots
@@ -316,7 +320,6 @@ struct NestGeometry
         int64_t *bank_reads = s.bank_reads, *read_key = s.read_key;
         const bool shared = !s.gather_active.empty();
         int64_t shared_reads = 0; // row 0's distinct reads
-        int32_t *const rec_slot = s.gather_slot.data();
         StepScratch::GatherRead *const rec_read = s.gather_read.data();
         for (int64_t r = 0; r < rows_used; ++r) {
             rowOutputs(b, r, out, s);
@@ -324,22 +327,7 @@ struct NestGeometry
             if (shared && r > 0 &&
                 std::equal(col_active, col_active + cols,
                            s.gather_active.begin())) {
-                for (int64_t l = 0; l < slots; ++l) {
-                    const int32_t *slot_of = rec_slot + l * cols;
-                    const StepScratch::GatherRead *first =
-                        rec_read + l * cols;
-                    int64_t num_read = 0;
-                    for (int64_t c = 0; c < cols; ++c) {
-                        if (!col_active[c]) continue;
-                        const int64_t slot = slot_of[c];
-                        if (slot == num_read) {
-                            sink.read(slot, first[slot].bank,
-                                      first[slot].addr);
-                            ++num_read;
-                        }
-                        sink.iact(c, l, slot);
-                    }
-                }
+                sink.reuse(rec_read, shared_reads);
                 reads += shared_reads;
             } else {
                 const bool record = shared && r == 0;
@@ -366,12 +354,12 @@ struct NestGeometry
                                 read_key[num_read++] = key;
                                 ++bank_reads[bank];
                                 if (record) {
-                                    rec_read[l * cols + slot] = {bank, addr};
+                                    rec_read[shared_reads + slot] = {bank,
+                                                                     addr};
                                 }
                                 sink.read(slot, bank, addr);
                             }
                         }
-                        if (record) rec_slot[l * cols + c] = int32_t(slot);
                         sink.iact(c, l, slot);
                     }
                     reads += num_read;

@@ -108,29 +108,45 @@ BoundLayout::BoundLayout(Layout layout, Extents extents)
         slot_terms_[i] = term(intra[i].dim, intra[i].size, slot_stride);
         slot_stride *= intra[i].size;
     }
+    line_size_ = slot_stride;
+    slot_offsets_.resize(size_t(line_size_));
+    for (int64_t slot = 0; slot < line_size_; ++slot) {
+        addSlotOffsets(slot, slot_offsets_[size_t(slot)]);
+    }
 }
 
 Coord
-BoundLayout::coordAt(const LineAddr &addr) const
+BoundLayout::lineBase(int64_t line) const
 {
     Coord c;
     // Unflatten the line index into per-dim tile coordinates.
     const auto &order = layout_.interOrder();
-    int64_t line = addr.line;
     for (size_t i = order.size(); i-- > 0;) {
         const int64_t tiles = tiles_per_dim_[i];
         const int64_t tile = line % tiles;
         line /= tiles;
         c[order[i]] = tile * layout_.intraSize(order[i]);
     }
+    return c;
+}
+
+void
+BoundLayout::addSlotOffsets(int64_t slot, Coord &c) const
+{
     // Unflatten the slot into intra offsets and add them on.
     const auto &intra = layout_.intraFactors();
-    int64_t slot = addr.slot;
     for (size_t i = intra.size(); i-- > 0;) {
         const int64_t off = slot % intra[i].size;
         slot /= intra[i].size;
         c[intra[i].dim] += off;
     }
+}
+
+Coord
+BoundLayout::coordAt(const LineAddr &addr) const
+{
+    Coord c = lineBase(addr.line);
+    addSlotOffsets(addr.slot, c);
     return c;
 }
 

@@ -112,7 +112,7 @@ class BoundLayout
     const Layout &layout() const { return layout_; }
     const Extents &extents() const { return extents_; }
 
-    int64_t lineSize() const { return layout_.lineSize(); }
+    int64_t lineSize() const { return line_size_; }
     int64_t numLines() const { return num_lines_; }
 
     /** Address of the element at @p c: the line sums each inter dim's
@@ -135,12 +135,28 @@ class BoundLayout
     /** Inverse map: coordinates stored at (line, slot). */
     Coord coordAt(const LineAddr &addr) const;
 
+    /** The tile base of line @p line: coordAt({line, 0}) less slot 0's
+     *  intra offsets, i.e. each inter dim's tile times its intra size. */
+    Coord lineBase(int64_t line) const;
+
+    /** The intra offsets of slot @p slot, tabled at binding: coordAt({line,
+     *  slot}) is lineBase(line) plus these, dim by dim. For walks over
+     *  whole lines, which decode each line once. */
+    const Coord &
+    slotOffset(int64_t slot) const
+    {
+        return slot_offsets_[size_t(slot)];
+    }
+
     /** Total elements (product of bound extents). */
     int64_t numElems() const;
 
     std::string toString() const;
 
   private:
+    /** Add the intra offsets of slot @p slot onto @p c. */
+    void addSlotOffsets(int64_t slot, Coord &c) const;
+
     /** One addend of addrOf: c[dim] / div (an inter dim's tile) or
      *  c[dim] % div (an intra factor's offset), times stride. When div is
      *  a power of two, shift = log2(div) serves non-negative coordinates;
@@ -169,6 +185,8 @@ class BoundLayout
     /** Tile count per inter dim (ceil(extent / intra size)). */
     std::vector<int64_t> tiles_per_dim_; ///< parallel to interOrder()
     int64_t num_lines_ = 0;
+    int64_t line_size_ = 1; ///< layout_.lineSize()
+    std::vector<Coord> slot_offsets_; ///< [line_size_], see slotOffset
     std::vector<Term> line_terms_; ///< one per inter dim
     std::vector<Term> slot_terms_; ///< one per intra factor
 };

@@ -5,7 +5,11 @@
  * Golden reference implementations of the operators FEATHER executes.
  *
  * Every cycle-level result produced by the NEST/BIRRD simulator is checked
- * bit-exactly against these loops in the test suite. All operators follow
+ * bit-exactly against these loops in the test suite. The convolutions
+ * accumulate plane by plane, one weight tap over its valid output range
+ * at a time, and GEMM row by row; each output sums the same int32 terms
+ * as the per-element loops they replace (test_tensor keeps those as the
+ * oracle). All operators follow
  * the int8-input / int32-accumulate / requantize-to-int8 discipline of the
  * paper's datapath (9-bit multipliers after zero-point subtraction feeding
  * 32-bit accumulation, §III / Fig. 8).
@@ -42,7 +46,7 @@ Int32Tensor depthwiseConv2d(const Int8Tensor &iacts, const Int8Tensor &weights,
 /**
  * GEMM: A [M,K] * B [K,N] -> C [M,N] int32, zero points subtracted.
  * The paper's GEMM notation (Fig. 10) streams A (weights stationary possible
- * per-column); the reference is plain triple-loop.
+ * per-column); the reference runs the triple loop in i-k-j order.
  */
 Int32Tensor gemm(const Int8Tensor &a, const Int8Tensor &b, int8_t a_zp,
                  int8_t b_zp);

@@ -185,6 +185,22 @@ TEST(BankedScratchpad, RangesAcrossGrowthBoundary)
     EXPECT_EQ(stab.stats().word_writes, 5);
 }
 
+TEST(BankedScratchpad, GrowBanksKeepsWordsFillAndStats)
+{
+    BankedScratchpad<int8_t> stab(2, 8, int8_t(-2));
+    stab.write(0, 5, 4);
+    stab.growBanks(3); // smaller than bank 0 holds: nothing shrinks
+    stab.growBanks(7);
+    for (int64_t a = 0; a < 8; ++a) {
+        EXPECT_EQ(stab.peek(0, a), a == 5 ? 4 : -2) << a;
+        EXPECT_EQ(stab.peek(1, a), -2) << a;
+    }
+    EXPECT_EQ(stab.stats().word_writes, 1);
+    EXPECT_EQ(stab.stats().word_reads, 0);
+    stab.growBanks(8);
+    EXPECT_DEATH(stab.growBanks(9), "out of range");
+}
+
 TEST(PingPong, SwapRoles)
 {
     PingPong<Scratchpad<int8_t>> pp(Scratchpad<int8_t>(spec(2, 2, 2)),

@@ -31,6 +31,7 @@
 
 #include "feather/nest_geometry.hpp"
 #include "golden_util.hpp"
+#include "model/graph.hpp"
 #include "model/scheduler.hpp"
 #include "serve/engine.hpp"
 #include "serve/plan_cache.hpp"
@@ -202,6 +203,78 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
             }
         }
     }
+}
+
+TEST(CycleEngine_, StabTraceBitIdenticalToGolden)
+{
+    // The whole StaB read/write trace of two catalogue layers, run
+    // standalone under each dataflow family at two array sizes (the
+    // plans whose rows share one iAct stream among them): one line per
+    // run with the event counts and an FNV-1a hash of every event in
+    // order. Locks the order and the (step, bank, addr) of each event,
+    // not only the counts the counter goldens see.
+    const auto golden = golden::readGoldenLines("cycle_trace.golden");
+    std::vector<std::string> got;
+    for (const auto &[model, layer] :
+         {std::pair<std::string, std::string>{"resnet_block", "conv_3x3"},
+          {"mobilenet_slice", "dw1_3x3"}}) {
+        const ModelGraph *g = model::findModel(model);
+        ASSERT_NE(g, nullptr) << model;
+        const auto ml = std::find_if(
+            g->layers.begin(), g->layers.end(),
+            [&](const ModelLayer &l) { return l.spec.name == layer; });
+        ASSERT_NE(ml, g->layers.end()) << layer;
+        for (const char *df : {"ws", "cp", "wp"}) {
+            for (const int a : {4, 8}) {
+                std::string error;
+                const std::optional<LayerPlan> plan = planLayer(
+                    *parseDataflow(df), ml->spec, a, a, &error);
+                ASSERT_TRUE(plan.has_value()) << layer << ": " << error;
+                RunOptions opts;
+                opts.aw = opts.ah = a;
+                opts.mapping = plan->mapping;
+                opts.in_layout = plan->in_layout;
+                opts.out_layout = plan->out_layout;
+                opts.quant.multiplier = ml->multiplier;
+                // One event per StaB read and write, so a cap past their
+                // sum captures the whole run.
+                const RunResult counted = runLayer(ml->spec, opts);
+                const int64_t events =
+                    counted.stats.stab_reads + counted.stats.stab_writes;
+                opts.trace_events = size_t(events) + 1;
+                const RunResult r = runLayer(ml->spec, opts);
+                ASSERT_TRUE(r.bitExact()) << layer;
+                ASSERT_EQ(int64_t(r.trace.size()), events) << layer;
+
+                const NestGeometry geo(ml->spec, plan->mapping);
+                int64_t reads = 0;
+                uint64_t hash = 1469598103934665603ull;
+                const auto mix = [&](int64_t v) {
+                    for (int byte = 0; byte < 8; ++byte) {
+                        hash ^= uint64_t(v >> (8 * byte)) & 0xff;
+                        hash *= 1099511628211ull;
+                    }
+                };
+                for (const TraceEvent &ev : r.trace) {
+                    reads += ev.kind == TraceEvent::Kind::StabRead;
+                    mix(int64_t(ev.kind));
+                    mix(ev.step);
+                    mix(ev.bank);
+                    mix(ev.addr);
+                }
+                std::ostringstream line;
+                line << model << "," << layer << "," << df << "," << a
+                     << "x" << a << "," << geo.rows_used << ","
+                     << geo.row_variants << "," << events << "," << reads
+                     << "," << events - reads << "," << std::hex << hash;
+                got.push_back(line.str());
+            }
+        }
+    }
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(std::vector<std::string>(golden.begin() + 1, golden.end()),
+              got)
+        << "the StaB trace must stay bit-identical to the captured golden";
 }
 
 // ---------------------------------------------------------------------------

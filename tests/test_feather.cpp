@@ -593,11 +593,14 @@ TEST(NestGeometry_, CompiledWavesAreSharedAcrossThreads)
  *  {1, c, l, slot} for iact. */
 using GatherCall = std::array<int64_t, 4>;
 
-/** NestGeometry::step sink that keeps each row's read/iact calls. */
+/** NestGeometry::step sink that keeps each row's read/iact calls. A
+ *  reuse logs row 0's calls again, and counts the reused words that are
+ *  not row 0's read calls in order. */
 struct GatherLog
 {
     std::vector<std::vector<GatherCall>> rows;
     std::vector<GatherCall> calls;
+    int64_t reuse_mismatches = 0;
 
     void weight(int64_t, int64_t, int64_t, const Coord *) {}
     void
@@ -609,6 +612,19 @@ struct GatherLog
     iact(int64_t c, int64_t l, int64_t s)
     {
         calls.push_back({1, c, l, s});
+    }
+    void
+    reuse(const NestGeometry::StepScratch::GatherRead *first, int64_t n)
+    {
+        calls = rows.at(0);
+        int64_t i = 0;
+        for (const GatherCall &call : calls) {
+            if (call[0] != 0) continue;
+            reuse_mismatches += i >= n || first[i].bank != call[2] ||
+                                first[i].addr != call[3];
+            ++i;
+        }
+        reuse_mismatches += i != n;
     }
     void
     emit(int64_t, const uint8_t *)
@@ -654,11 +670,13 @@ rowGather(const NestGeometry &geo, const Coord &b, int64_t r,
 }
 
 // NestGeometry::step gathers once per local slot when one iAct stream feeds
-// every row (row_variants == 1) and replays row 0's gather on later rows
-// with the same active columns. A recording sink captures each row's
-// read/iact calls on every scenario layer x family at aw, ah in {4, 8, 16},
-// at each step whose loop indices are all first, middle or last (tails sit
-// at the last index), and each row must match rowGather. The extra conv
+// every row (row_variants == 1) and hands row 0's gather to sink.reuse on
+// later rows with the same active columns. A recording sink captures each
+// row's read/iact calls (a reuse logs row 0's again, after checking the
+// words it is given) on every scenario layer x family at aw, ah in {4, 8,
+// 16}, at each step whose loop indices are all first, middle or last
+// (tails sit at the last index), and each row must match rowGather. The
+// extra conv
 // (C 2, M 5) puts M on columns and rows under canonical at 4x4, so one
 // row holds M 4 and 5 of which only M 4 is live: a strict, non-empty
 // subset of row 0's active columns, which must gather in full.
@@ -724,6 +742,7 @@ TEST(NestGeometry_, RowInvariantGatherMatchesPerRowGather)
                             subset_rows += any && subset && !equal;
                         }
                         ASSERT_EQ(stats.stab_reads, reads) << where;
+                        ASSERT_EQ(log.reuse_mismatches, 0) << where;
                     } while (geo.loops.advance(step));
                     ++cases;
                 }

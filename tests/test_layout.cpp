@@ -213,24 +213,29 @@ hornerAddr(const Layout &l, const Extents &e, const Coord &c)
     return addr;
 }
 
+/** A random layout over @p pool: each dim inter with odds 0.8, in random
+ *  order, and one to four intra factors of any pool dim (repeats too). */
+Layout
+randomLayout(Rng &rng, const std::vector<Dim> &pool)
+{
+    std::vector<Dim> inter;
+    for (Dim d : pool) {
+        if (rng.chance(0.8)) inter.push_back(d);
+    }
+    std::shuffle(inter.begin(), inter.end(), rng);
+    std::vector<IntraFactor> intra;
+    const int64_t factors = rng.range(1, 4);
+    for (int64_t i = 0; i < factors; ++i) {
+        // Sizes 1..9: powers of two and not, so both the shift/mask
+        // and the divide terms run.
+        intra.push_back({pool[rng.below(pool.size())], rng.range(1, 9)});
+    }
+    return Layout(std::move(inter), std::move(intra));
+}
+
 TEST(BoundLayout, AddrOfMatchesHornerForm)
 {
     Rng rng(24);
-    const auto randomLayout = [&rng](const std::vector<Dim> &pool) {
-        std::vector<Dim> inter;
-        for (Dim d : pool) {
-            if (rng.chance(0.8)) inter.push_back(d);
-        }
-        std::shuffle(inter.begin(), inter.end(), rng);
-        std::vector<IntraFactor> intra;
-        const int64_t factors = rng.range(1, 4);
-        for (int64_t i = 0; i < factors; ++i) {
-            // Sizes 1..9: powers of two and not, so both the shift/mask
-            // and the divide terms run.
-            intra.push_back({pool[rng.below(pool.size())], rng.range(1, 9)});
-        }
-        return Layout(std::move(inter), std::move(intra));
-    };
     int absent = 0, repeated = 0, odd_size = 0, ragged = 0, negative = 0,
         round_trips = 0;
     for (const auto &[pool, max_extent] :
@@ -239,7 +244,7 @@ TEST(BoundLayout, AddrOfMatchesHornerForm)
         for (int i = 0; i < 1500; ++i) {
             Extents e;
             for (Dim d : pool) e[d] = rng.range(0, max_extent);
-            const Layout layout = randomLayout(pool);
+            const Layout layout = randomLayout(rng, pool);
             const BoundLayout bl(layout, e);
 
             // A bijection onto its lines and slots only when every dim
@@ -291,6 +296,41 @@ TEST(BoundLayout, AddrOfMatchesHornerForm)
     EXPECT_GT(ragged, 0);
     EXPECT_GT(negative, 0);
     EXPECT_GT(round_trips, 0);
+}
+
+// Line walks (loadIacts, readActivations) decode a line once with
+// lineBase and add each slot's tabled offsets: that must be coordAt for
+// every (line, slot) of the binding.
+TEST(BoundLayout, LineWalkMatchesCoordAt)
+{
+    Rng rng(25);
+    int64_t words = 0;
+    for (const auto &[pool, max_extent] :
+         {std::make_pair(std::vector<Dim>{Dim::N, Dim::C, Dim::H, Dim::W}, 12),
+          std::make_pair(std::vector<Dim>{Dim::M, Dim::K}, 40)}) {
+        for (int i = 0; i < 500; ++i) {
+            Extents e;
+            for (Dim d : pool) e[d] = rng.range(0, max_extent);
+            const Layout layout = randomLayout(rng, pool);
+            const BoundLayout bl(layout, e);
+            ASSERT_EQ(bl.lineSize(), layout.lineSize()) << bl.toString();
+            for (int64_t line = 0; line < std::min<int64_t>(bl.numLines(), 64);
+                 ++line) {
+                const Coord base = bl.lineBase(line);
+                for (int64_t slot = 0; slot < bl.lineSize(); ++slot) {
+                    const Coord want = bl.coordAt({line, slot});
+                    const Coord &off = bl.slotOffset(slot);
+                    for (int d = 0; d < kNumDims; ++d) {
+                        ASSERT_EQ(base[Dim(d)] + off[Dim(d)], want[Dim(d)])
+                            << bl.toString() << " line " << line << " slot "
+                            << slot;
+                    }
+                    ++words;
+                }
+            }
+        }
+    }
+    EXPECT_GT(words, 0);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "tensor/quant.hpp"
 #include "tensor/reference_ops.hpp"
@@ -186,6 +188,141 @@ TEST(RefOps, GemmZeroPoints)
     // (3-3)*(4-4) = 0 contributions.
     const Int32Tensor c = gemm(a, b, 3, 4);
     EXPECT_EQ(c.at2(0, 0), 0);
+}
+
+// The per-element loops the reference ops used to run, kept as the oracle
+// for their plane-order form.
+Int32Tensor
+naiveConv2d(const Int8Tensor &iacts, const Int8Tensor &weights,
+            int64_t stride, int64_t pad, int8_t iact_zp, int8_t weight_zp,
+            bool depthwise)
+{
+    const int64_t n = iacts.dim(0), c = iacts.dim(1);
+    const int64_t h = iacts.dim(2), w = iacts.dim(3);
+    const int64_t m = depthwise ? c : weights.dim(0);
+    const int64_t r = weights.dim(2), s = weights.dim(3);
+    const int64_t p = convOutDim(h, r, stride, pad);
+    const int64_t q = convOutDim(w, s, stride, pad);
+    Int32Tensor out({n, m, p, q});
+    for (int64_t in_ = 0; in_ < n; ++in_) {
+        for (int64_t im = 0; im < m; ++im) {
+            for (int64_t ip = 0; ip < p; ++ip) {
+                for (int64_t iq = 0; iq < q; ++iq) {
+                    int32_t acc = 0;
+                    for (int64_t ic = 0; ic < c; ++ic) {
+                        if (depthwise && ic != im) continue;
+                        for (int64_t ir = 0; ir < r; ++ir) {
+                            const int64_t ih = ip * stride + ir - pad;
+                            if (ih < 0 || ih >= h) continue;
+                            for (int64_t is = 0; is < s; ++is) {
+                                const int64_t iw = iq * stride + is - pad;
+                                if (iw < 0 || iw >= w) continue;
+                                const int8_t wt =
+                                    depthwise ? weights.at4(ic, 0, ir, is)
+                                              : weights.at4(im, ic, ir, is);
+                                acc += (int32_t(iacts.at4(in_, ic, ih, iw)) -
+                                        iact_zp) *
+                                       (int32_t(wt) - weight_zp);
+                            }
+                        }
+                    }
+                    out.at4(in_, im, ip, iq) = acc;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+Int32Tensor
+naiveGemm(const Int8Tensor &a, const Int8Tensor &b, int8_t a_zp, int8_t b_zp)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Int32Tensor out({m, n});
+    for (int64_t im = 0; im < m; ++im) {
+        for (int64_t in_ = 0; in_ < n; ++in_) {
+            int32_t acc = 0;
+            for (int64_t ik = 0; ik < k; ++ik) {
+                acc += (int32_t(a.at2(im, ik)) - a_zp) *
+                       (int32_t(b.at2(ik, in_)) - b_zp);
+            }
+            out.at2(im, in_) = acc;
+        }
+    }
+    return out;
+}
+
+TEST(ReferenceOps, MatchNaiveLoops)
+{
+    Rng rng(25);
+    // Zero points at both ends of int8 half the time, so (x - zp) spans
+    // the full 9-bit range the datapath multiplies.
+    const auto zeroPoint = [&rng] {
+        const int64_t pick = rng.range(0, 3);
+        return int8_t(pick == 0   ? -128
+                      : pick == 1 ? 127
+                                  : rng.range(-128, 127));
+    };
+    int strides[4] = {}, pads[3] = {}, one_by_one = 0, wide_kernel = 0,
+        batched = 0, extreme_zp = 0, convs = 0;
+    while (convs < 400) {
+        const int64_t n = rng.range(1, 3), c = rng.range(1, 5);
+        const int64_t m = rng.range(1, 5);
+        const int64_t h = rng.range(1, 9), w = rng.range(1, 9);
+        const int64_t r = rng.range(1, 6), s = rng.range(1, 6);
+        const int64_t stride = rng.range(1, 3), pad = rng.range(0, 2);
+        if (convOutDim(h, r, stride, pad) <= 0 ||
+            convOutDim(w, s, stride, pad) <= 0) {
+            continue;
+        }
+        ++convs;
+        const int8_t iact_zp = zeroPoint(), weight_zp = zeroPoint();
+        ++strides[stride];
+        ++pads[pad];
+        one_by_one += r == 1 && s == 1;
+        wide_kernel += r > h || s > w;
+        batched += n > 1;
+        extreme_zp += iact_zp == -128 || iact_zp == 127 ||
+                      weight_zp == -128 || weight_zp == 127;
+
+        Int8Tensor iacts({n, c, h, w});
+        iacts.randomize(rng, -128, 127);
+        Int8Tensor weights({m, c, r, s});
+        weights.randomize(rng, -128, 127);
+        Int8Tensor dw({c, 1, r, s});
+        dw.randomize(rng, -128, 127);
+        const std::string where =
+            "n" + std::to_string(n) + " c" + std::to_string(c) + " m" +
+            std::to_string(m) + " " + std::to_string(h) + "x" +
+            std::to_string(w) + " k" + std::to_string(r) + "x" +
+            std::to_string(s) + " stride " + std::to_string(stride) +
+            " pad " + std::to_string(pad);
+        ASSERT_EQ(conv2d(iacts, weights, stride, pad, iact_zp, weight_zp),
+                  naiveConv2d(iacts, weights, stride, pad, iact_zp,
+                              weight_zp, false))
+            << where;
+        ASSERT_EQ(depthwiseConv2d(iacts, dw, stride, pad, iact_zp, weight_zp),
+                  naiveConv2d(iacts, dw, stride, pad, iact_zp, weight_zp,
+                              true))
+            << where;
+    }
+    for (int i = 0; i < 200; ++i) {
+        const int64_t m = rng.range(1, 20), k = rng.range(1, 40);
+        const int64_t n = rng.range(1, 20);
+        const int8_t a_zp = zeroPoint(), b_zp = zeroPoint();
+        Int8Tensor a({m, k});
+        Int8Tensor b({k, n});
+        a.randomize(rng, -128, 127);
+        b.randomize(rng, -128, 127);
+        ASSERT_EQ(gemm(a, b, a_zp, b_zp), naiveGemm(a, b, a_zp, b_zp))
+            << m << "x" << k << "x" << n;
+    }
+    for (int v = 1; v <= 3; ++v) EXPECT_GT(strides[v], 0) << "stride " << v;
+    for (int v = 0; v <= 2; ++v) EXPECT_GT(pads[v], 0) << "pad " << v;
+    EXPECT_GT(one_by_one, 0);
+    EXPECT_GT(wide_kernel, 0);
+    EXPECT_GT(batched, 0);
+    EXPECT_GT(extreme_zp, 0);
 }
 
 TEST(RefOps, ReluQuantized)
