@@ -28,6 +28,12 @@
  * its time too, so losing that reuse fails the build. Its deterministic
  * counters are cycles, stab_reads and birrd_switch_hops.
  *
+ * BM_CycleGemmLayer (gemm_chain's fc1) and BM_CycleDepthwiseLayer
+ * (mobilenet_bneck's dw_3x3) run the same way on the other path: their
+ * pinned mappings unroll iAct dims over rows (row_variants > 1), so every
+ * row gathers through the compiled axis tables. They report the same
+ * counters; their times are tracked in the CI artifacts but not gated.
+ *
  * BM_ReferenceConv times the verification side of that layer: the
  * reference ops (tensor/reference_ops.hpp) that every measured cycle-tier
  * run is checked against, on the same seeded tensors. Its counter is the
@@ -39,6 +45,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "feather/nest_geometry.hpp"
 #include "serve/engine.hpp"
 #include "sim/scenario.hpp"
 
@@ -97,27 +104,41 @@ BM_SweepAnalytic(benchmark::State &state)
     runSweepBench(state, sim::EngineMode::Analytic);
 }
 
+/** Layer @p name of scenario @p scenario. */
+const sim::ModelLayer &
+scenarioLayer(const char *scenario, const char *name)
+{
+    const auto &layers = sim::findScenario(scenario)->layers;
+    return *std::find_if(
+        layers.begin(), layers.end(),
+        [name](const sim::ModelLayer &l) { return l.spec.name == name; });
+}
+
 /** resnet_block's conv_3x3. */
 const sim::ModelLayer &
 conv3x3()
 {
-    const auto &layers = sim::findScenario("resnet_block")->layers;
-    return *std::find_if(
-        layers.begin(), layers.end(),
-        [](const sim::ModelLayer &l) { return l.spec.name == "conv_3x3"; });
+    return scenarioLayer("resnet_block", "conv_3x3");
 }
 
-/** resnet_block's conv_3x3 at its pin on a state.range(0) square array. */
+/** @p layer at its pin on a state.range(0) square array, on the cycle
+ *  tier. @p shared_stream: whether the pinned mapping's rows share one
+ *  iAct stream (row_variants == 1) or each gather their own. */
 void
-BM_CycleConvLayer(benchmark::State &state)
+runCycleLayer(benchmark::State &state, const sim::ModelLayer &layer,
+              bool shared_stream)
 {
-    const sim::ModelLayer &layer = conv3x3();
     const int side = int(state.range(0));
     std::string error;
     const auto plan =
         sim::planLayer(*layer.dataflow, layer.spec, side, side, &error);
     if (!plan) {
         state.SkipWithError(("plan failed: " + error).c_str());
+        return;
+    }
+    const NestGeometry geo(layer.spec, plan->mapping);
+    if ((geo.row_variants == 1) != shared_stream) {
+        state.SkipWithError("the pinned mapping takes the other gather path");
         return;
     }
     sim::RunOptions opts;
@@ -131,7 +152,8 @@ BM_CycleConvLayer(benchmark::State &state)
     for (auto _ : state) {
         const sim::RunResult run = sim::runLayer(layer.spec, opts);
         if (!run.bitExact()) {
-            state.SkipWithError("conv_3x3 is not bit-exact");
+            state.SkipWithError(
+                (layer.spec.name + " is not bit-exact").c_str());
             return;
         }
         stats = run.stats;
@@ -140,6 +162,27 @@ BM_CycleConvLayer(benchmark::State &state)
     state.counters["cycles"] = double(stats.cycles);
     state.counters["stab_reads"] = double(stats.stab_reads);
     state.counters["birrd_switch_hops"] = double(stats.birrd_switch_hops);
+}
+
+/** resnet_block's conv_3x3 at its pin on a state.range(0) square array. */
+void
+BM_CycleConvLayer(benchmark::State &state)
+{
+    runCycleLayer(state, conv3x3(), true);
+}
+
+/** gemm_chain's fc1 (M8 N16 K32): rows unroll M, which the iActs read. */
+void
+BM_CycleGemmLayer(benchmark::State &state)
+{
+    runCycleLayer(state, scenarioLayer("gemm_chain", "fc1"), false);
+}
+
+/** mobilenet_bneck's dw_3x3 (C32 14x14): rows unroll an iAct dim. */
+void
+BM_CycleDepthwiseLayer(benchmark::State &state)
+{
+    runCycleLayer(state, scenarioLayer("mobilenet_bneck", "dw_3x3"), false);
 }
 
 /** The reference output of resnet_block's conv_3x3 on the seeded inputs
@@ -168,6 +211,11 @@ BENCHMARK(BM_SweepCycle)->MeasureProcessCPUTime()->Unit(
 BENCHMARK(BM_SweepAnalytic)->MeasureProcessCPUTime()->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_CycleConvLayer)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CycleGemmLayer)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CycleDepthwiseLayer)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReferenceConv)->Unit(benchmark::kMillisecond);
 
 } // namespace

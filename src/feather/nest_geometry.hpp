@@ -30,9 +30,26 @@
  * step base b holds
  *     b[d] + local[l][d] + L[d] * (col[c][d] + C[d] * row[r][d])
  * where L and C are the local and column degrees of d.
+ *
+ * Compiled addressing: the gather and the output pass do not evaluate
+ * iactAt/oactAt and BoundLayout::addrOf per PE (those stay as the
+ * reference the tests compare against). Each tensor axis a layout
+ * addresses (iAct conv C, H = P*stride + R - pad, W = Q*stride + S - pad,
+ * GEMM M, K; oAct conv C, H, W, GEMM M, K) is an Axis. A PE's offset on an
+ * axis is the sum of a column, a local and a row part, so its key into the
+ * axis is the sum of three keys tabled once per layer. Per step, one table
+ * per axis holds each key's bounds check and dimAddr's line and slot
+ * parts; it is rebuilt only when the axis's base coordinates move (in the
+ * inner loop, usually one axis). A PE's validity is the AND of its three
+ * entries and its address their sum. Since a layout is one-to-one on
+ * in-bound coordinates, two columns read one StaB word in a cycle exactly
+ * when their column offsets agree on every iAct axis: col_class numbers
+ * those offset triples, and the gather's per-cycle dedup is a class ->
+ * read-slot lookup. The output pass computes one address per group.
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -121,6 +138,42 @@ struct NestGeometry
     /** Rows the iAct feed pays for: rows_used when iActs depend on the
      *  row index, else 1 (one top-to-bottom stream serves every row). */
     int64_t row_variants;
+
+    /**
+     * One tensor axis a layout addresses: x = a, or (windowed) x = a *
+     * stride + k - pad, with a and k loop dims. A PE's table key on the
+     * axis is off(a) * uk + off(k) (off(k) = 0 unless windowed), off being
+     * its offset from the step base; each off splits into a column, a
+     * local and a row part below unroll, so the key is the sum of the
+     * three parts' keys. A dead axis (GEMM's third) is a constant 0.
+     */
+    struct Axis
+    {
+        Dim x = Dim::N; ///< the tensor dim, in the layout's space
+        Dim a = Dim::N;
+        Dim k = Dim::N;
+        bool live = false;
+        bool windowed = false;
+        int64_t ua = 1; ///< unroll[a]
+        int64_t uk = 1; ///< unroll[k] when windowed, else 1
+    };
+    static constexpr int kAxes = 3;
+    using Axes = std::array<Axis, kAxes>;
+    /** One column's, local slot's or row's key part on each axis. */
+    using AxisKeys = std::array<int32_t, kAxes>;
+
+    Axes iact_axes; ///< iactAt's: conv C, H, W; GEMM M, K
+    Axes oact_axes; ///< oactAt's: conv C, H, W; GEMM M, K
+    std::vector<AxisKeys> iact_col_keys;   ///< [cols_used]
+    std::vector<AxisKeys> iact_local_keys; ///< [t1]
+    std::vector<AxisKeys> iact_row_keys;   ///< [rows_used]
+    std::vector<AxisKeys> oact_col_keys;   ///< [cols_used]
+    std::vector<AxisKeys> oact_row_keys;   ///< [rows_used]
+    /** [cols_used] dense id of the column's iAct offsets on the three
+     *  axes, numbered in column order: columns of one class read the same
+     *  iAct in every cycle, other columns never do. */
+    std::vector<int32_t> col_class;
+    int64_t num_classes;
 
     /** Base coordinate of the temporal step @p step. */
     Coord
@@ -215,7 +268,9 @@ struct NestGeometry
         int64_t *group_bank;     ///< [num_groups]
         uint8_t *group_live;     ///< [num_groups]
         int64_t *bank_reads;     ///< [aw] distinct reads per bank, per cycle
-        int64_t *read_key;       ///< [cols_used] distinct words, per cycle
+        /** [cols_used] per cycle: the read slot of each column class, -1
+         *  before its first read (entries [0, num_classes) are used). */
+        int64_t *class_slot;
         int16_t *read_val;       ///< [cols_used] a data sink's read values
         int *wave_of_group;      ///< [num_groups], -1 for dead groups
         /** [num_groups x aw]: the greedy split never opens more waves
@@ -238,7 +293,37 @@ struct NestGeometry
          *  not the arena, whose peak is a reported counter. */
         std::vector<uint8_t> gather_active;
         std::vector<GatherRead> gather_read;
+
+        /** One key of an axis table: whether its coordinate is in bounds
+         *  (the axis's share of iactAt's or oactAt's check), and if so
+         *  dimAddr's line and slot parts. */
+        struct AxisEntry
+        {
+            int64_t line;
+            int64_t slot;
+            bool valid;
+        };
+        /** An axis's entries [ua * uk] for the layout and base coordinates
+         *  b[a], b[k] it was built at (layout null: never built). */
+        struct AxisTable
+        {
+            std::vector<AxisEntry> entries;
+            const BoundLayout *layout = nullptr;
+            int64_t base_a = 0;
+            int64_t base_k = 0;
+        };
+        /** Heap, not arena: the arena blocks keep their order and size. */
+        std::array<AxisTable, kAxes> iact_tables, oact_tables;
     };
+
+    /**
+     * Bring @p tables up to the step at base @p b under @p layout: each
+     * axis of @p axes whose base coordinates or layout changed since its
+     * last build is rebuilt, the others are kept.
+     */
+    void refreshAxes(const Axes &axes, const Coord &b,
+                     const BoundLayout &layout,
+                     std::array<StepScratch::AxisTable, kAxes> &tables) const;
 
     /**
      * Column liveness and group destinations of row @p r at step base
@@ -314,13 +399,20 @@ struct NestGeometry
         int64_t hops = 0;
         // Locals, not members: the scratch stores below may alias members.
         const int aw = cfg.aw;
-        const int64_t depth = cfg.stab_depth, cols = cols_used, slots = t1;
+        const int64_t cols = cols_used, slots = t1;
         const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
+        const size_t classes = size_t(num_classes);
         const uint8_t *col_active = s.col_active;
-        int64_t *bank_reads = s.bank_reads, *read_key = s.read_key;
+        int64_t *bank_reads = s.bank_reads, *class_slot = s.class_slot;
         const bool shared = !s.gather_active.empty();
         int64_t shared_reads = 0; // row 0's distinct reads
         StepScratch::GatherRead *const rec_read = s.gather_read.data();
+        const AxisKeys *col_keys = iact_col_keys.data();
+        const int32_t *col_cls = col_class.data();
+        refreshAxes(iact_axes, b, in, s.iact_tables);
+        const StepScratch::AxisEntry *tab0 = s.iact_tables[0].entries.data(),
+                                     *tab1 = s.iact_tables[1].entries.data(),
+                                     *tab2 = s.iact_tables[2].entries.data();
         for (int64_t r = 0; r < rows_used; ++r) {
             rowOutputs(b, r, out, s);
 
@@ -331,34 +423,42 @@ struct NestGeometry
                 reads += shared_reads;
             } else {
                 const bool record = shared && r == 0;
+                const AxisKeys row_key = iact_row_keys[size_t(r)];
                 int64_t row_feed = 0;
                 for (int64_t l = 0; l < slots; ++l) {
                     std::fill_n(bank_reads, size_t(aw), int64_t(0));
+                    std::fill_n(class_slot, classes, int64_t(-1));
+                    const AxisKeys &lk = iact_local_keys[size_t(l)];
+                    const int64_t k0 = lk[0] + row_key[0],
+                                  k1 = lk[1] + row_key[1],
+                                  k2 = lk[2] + row_key[2];
                     int64_t num_read = 0;
                     for (int64_t c = 0; c < cols; ++c) {
                         if (!col_active[c]) continue;
+                        const AxisKeys &ck = col_keys[c];
+                        const StepScratch::AxisEntry &e0 = tab0[ck[0] + k0],
+                                                     &e1 = tab1[ck[1] + k1],
+                                                     &e2 = tab2[ck[2] + k2];
                         int64_t slot = -1;
-                        Coord ic;
-                        if (iactAt(b, r, c, l, ic)) {
-                            const LineAddr a = in.addrOf(ic);
-                            const int64_t bank = a.slot % aw;
-                            const int64_t addr =
-                                a.line * in_wpl + a.slot / aw;
-                            const int64_t key = bank * depth + addr;
-                            slot = 0;
-                            while (slot < num_read &&
-                                   read_key[slot] != key) {
-                                ++slot;
-                            }
-                            if (slot == num_read) {
-                                read_key[num_read++] = key;
+                        if (e0.valid & e1.valid & e2.valid) {
+                            int64_t &cs = class_slot[col_cls[c]];
+                            if (cs < 0) {
+                                const int64_t line =
+                                    e0.line + e1.line + e2.line;
+                                const int64_t word =
+                                    e0.slot + e1.slot + e2.slot;
+                                const int64_t bank = word % aw;
+                                const int64_t addr =
+                                    line * in_wpl + word / aw;
+                                cs = num_read++;
                                 ++bank_reads[bank];
                                 if (record) {
-                                    rec_read[shared_reads + slot] = {bank,
-                                                                     addr};
+                                    rec_read[shared_reads + cs] = {bank,
+                                                                   addr};
                                 }
-                                sink.read(slot, bank, addr);
+                                sink.read(cs, bank, addr);
                             }
+                            slot = cs;
                         }
                         sink.iact(c, l, slot);
                     }

@@ -132,6 +132,22 @@ class BoundLayout
         return addr;
     }
 
+    /** The addends of addrOf that read dim @p d, at c[d] = @p x: addrOf(c)
+     *  is the sum over dims of dimAddr(d, c[d]), line and slot apart.
+     *  Lets a caller table each dim's part once and add the parts. */
+    LineAddr
+    dimAddr(Dim d, int64_t x) const
+    {
+        LineAddr addr;
+        for (const Term &t : line_terms_) {
+            if (t.dim == d) addr.line += t.quot(x) * t.stride;
+        }
+        for (const Term &t : slot_terms_) {
+            if (t.dim == d) addr.slot += t.rem(x) * t.stride;
+        }
+        return addr;
+    }
+
     /** Inverse map: coordinates stored at (line, slot). */
     Coord coordAt(const LineAddr &addr) const;
 

@@ -7,6 +7,7 @@
 #include "baselines/arch_zoo.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
+#include "sim/scenario.hpp"
 
 namespace feather {
 namespace model {
@@ -14,9 +15,6 @@ namespace model {
 namespace {
 
 constexpr size_t kMaxDevices = 64;
-/** BIRRD's router reachability masks support 64 inputs (one per column),
- *  so 64 is the widest array the cycle engine can actually run. */
-constexpr uint64_t kMaxFeatherCols = 64;
 constexpr uint64_t kMaxFeatherRows = 1024;
 
 std::string
@@ -50,14 +48,14 @@ parseEntry(const std::string &entry, FleetDevice *out, std::string *error)
         uint64_t cols = 0;
         uint64_t rows = 0;
         if (x == std::string::npos ||
-            !parsePositive(shape.substr(0, x), &cols, kMaxFeatherCols) ||
+            !parsePositive(shape.substr(0, x), &cols, sim::kMaxFeatherCols) ||
             !parsePositive(shape.substr(x + 1), &rows, kMaxFeatherRows) ||
             cols < 2) {
             // BIRRD needs at least two inputs: one column runs nothing.
             *error = strCat("bad --fleet entry '", entry,
                             "' (expected feather:<COLS>x<ROWS> with COLS "
                             "in 2..",
-                            kMaxFeatherCols, " and ROWS in 1..",
+                            sim::kMaxFeatherCols, " and ROWS in 1..",
                             kMaxFeatherRows, ")");
             return false;
         }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
 
@@ -104,17 +103,14 @@ expandSweep(const SweepSpec &sweep, PlanCache &cache,
     // run (and the run itself then hits the warmed cache).
     std::vector<JobSpec> jobs;
     for (const auto &array : unique_arrays) {
-        // BIRRD is a power-of-two butterfly: grid points with an invalid
-        // array shape are skipped like unmappable ones, not run into the
-        // runScenario error path job by job.
-        if (array.first < 2 || !isPow2(uint64_t(array.first)) ||
-            array.second < 1) {
+        // Grid points with an array shape nothing can run on are skipped
+        // like unmappable ones, not run into the runScenario error path
+        // job by job.
+        if (std::string why = sim::arrayShapeError(array.first, array.second);
+            !why.empty()) {
             if (skipped) {
-                skipped->push_back(
-                    strCat(scenario->name, "@", array.first, "x",
-                           array.second,
-                           ": array width must be a power of two >= 2 and "
-                           "height >= 1"));
+                skipped->push_back(strCat(scenario->name, "@", array.first,
+                                          "x", array.second, ": ", why));
             }
             continue;
         }

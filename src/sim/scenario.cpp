@@ -258,6 +258,10 @@ arrayShapeError(int aw, int ah)
         return strCat("array width (--aw) must be a power of two >= 2, got ",
                       aw);
     }
+    if (aw > kMaxFeatherCols) {
+        return strCat("array width (--aw) must be in 2..", kMaxFeatherCols,
+                      ", got ", aw);
+    }
     return ah < 1 ? "array height (--ah) must be >= 1" : "";
 }
 

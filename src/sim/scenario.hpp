@@ -110,9 +110,14 @@ using PlanFn = std::function<std::optional<LayerPlan>(
     EngineMode mode, DataflowKind kind, const LayerSpec &layer, int aw,
     int ah, std::string *error)>;
 
+/** BIRRD's router reachability masks support 64 inputs (one per column),
+ *  so 64 is the widest array the cycle engine can actually run. */
+constexpr int kMaxFeatherCols = 64;
+
 /**
  * Why an @p aw x @p ah array cannot run anything (BIRRD needs a
- * power-of-two width >= 2, NEST a height >= 1), or "" when it can.
+ * power-of-two width in 2..kMaxFeatherCols, NEST a height >= 1), or ""
+ * when it can.
  */
 std::string arrayShapeError(int aw, int ah);
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -637,6 +638,43 @@ TEST(Daemon, ModelRequestsScheduleWholeGraphs)
     EXPECT_EQ(run.report.accepted, 1u);
     EXPECT_GT(run.report.total_cycles, 0);
     EXPECT_EQ(run.failures, 0u);
+}
+
+// BIRRD's routing masks cover 64 columns. A request for a wider array on
+// the --stdin frontend gets one ERROR line, and the daemon goes on to
+// serve the next request; it must not reach the topology's panic.
+TEST(ServeCli, StdinRefusesWiderThanBirrdAndServesTheNext)
+{
+    std::istringstream in(
+        "{\"id\":\"wide\",\"scenario\":\"conv3x3\",\"aw\":128,"
+        "\"ah\":8}\n"
+        "{\"id\":\"next\",\"scenario\":\"conv3x3\",\"aw\":8,\"ah\":8}\n");
+    std::streambuf *const cin_buf = std::cin.rdbuf(in.rdbuf());
+    const char *argv[] = {"feather_serve", "--stdin"};
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = serveCliMain(2, const_cast<char **>(argv));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ::testing::internal::GetCapturedStderr();
+    std::cin.rdbuf(cin_buf);
+
+    EXPECT_EQ(rc, 1) << "one request failed";
+    std::vector<std::string> lines;
+    std::istringstream stream(out);
+    for (std::string line; std::getline(stream, line);) {
+        lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 2u) << out;
+    EXPECT_EQ(lines[0], "{\"id\":\"wide\",\"client\":\"anon\","
+                        "\"status\":\"ERROR\",\"reason\":\"array width "
+                        "(--aw) must be in 2..64, got 128\"}");
+    EXPECT_EQ(lines[1].rfind("{\"id\":\"next\",\"client\":\"anon\","
+                             "\"status\":\"ok\",",
+                             0),
+              0u)
+        << lines[1];
+    EXPECT_NE(lines[1].find("\"mismatches\":0"), std::string::npos)
+        << lines[1];
 }
 
 TEST(Daemon, AnalyticScenarioRunsReportEstimates)

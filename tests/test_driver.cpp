@@ -265,6 +265,18 @@ TEST(Cli, MainRejectsBadUsage)
     EXPECT_EQ(runCliMain({"--workload", "gemm", "--dataflow", "bad"}), 2);
 }
 
+// BIRRD's routing masks cover 64 columns: a wider --aw is a one-line
+// usage error, not an abort in the topology constructor.
+TEST(Cli, MainRejectsArrayWiderThanBirrd)
+{
+    ::testing::internal::CaptureStderr();
+    const int rc =
+        runCliMain({"--workload", "conv3x3", "--aw", "128", "--ah", "8"});
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "error: array width (--aw) must be in 2..64, got 128\n");
+    EXPECT_EQ(rc, 2);
+}
+
 TEST(Cli, MainListAndHelpSucceed)
 {
     EXPECT_EQ(runCliMain({"--list"}), 0);

@@ -754,6 +754,112 @@ TEST(NestGeometry_, RowInvariantGatherMatchesPerRowGather)
     EXPECT_GT(subset_rows, 0);
 }
 
+// Hand-built mappings that put a window dim and its kernel dim on columns
+// together ({Q,S} with an S tail, {P,R} with an R tail), or channels with
+// a tail beside M ({C,M}), at stride 1 and 2 and pad 0 and 1. Two columns
+// of one cycle can then read the same iAct with different validity (one
+// tap inside the kernel, one past its tail), which the gather's column
+// classes must not merge. On every step, each row's read/iact calls must
+// match rowGather, rowOutputs must match oactAt + addrOf, and the run must
+// be bit-exact.
+TEST(NestGeometry_, WindowAndTailColumnsGatherPerRow)
+{
+    NestMapping qs, pr, cm;
+    qs.cols = {{Dim::Q, 2}, {Dim::S, 2}};
+    qs.rows = {{Dim::M, 2}, {Dim::P, 2}};
+    qs.local = {{Dim::R, 3}};
+    pr.cols = {{Dim::P, 2}, {Dim::R, 2}};
+    pr.rows = {{Dim::M, 2}, {Dim::Q, 2}};
+    pr.local = {{Dim::S, 3}};
+    cm.cols = {{Dim::C, 2}, {Dim::M, 2}};
+    cm.rows = {{Dim::M, 4}};
+    cm.local = {{Dim::R, 3}, {Dim::S, 3}};
+    const FeatherConfig cfg = smallConfig(4, 4);
+
+    int64_t mixed_validity = 0, steps = 0;
+    uint64_t seed = 40;
+    for (const auto &[name, mapping] :
+         {std::pair{"QS", qs}, std::pair{"PR", pr}, std::pair{"CM", cm}}) {
+        for (const int64_t stride : {1, 2}) {
+            for (const int64_t pad : {0, 1}) {
+                // C 3 and kernel 3 leave tails under degree 2; M 5 under
+                // cm's M 8.
+                const LayerSpec layer = convLayer(3, 7, 5, 3, stride, pad);
+                const std::string where = std::string(name) + " stride " +
+                                          std::to_string(stride) + " pad " +
+                                          std::to_string(pad);
+                const NestGeometry geo(layer, mapping);
+                const BoundLayout in(Layout::parse("HWC_C2W2"),
+                                     iactExtents(layer));
+                const BoundLayout out(Layout::parse("CHW_W4"),
+                                      oactIactExtents(layer));
+                const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(4));
+                Arena arena;
+                NestGeometry::StepScratch scratch(geo, cfg.aw, arena);
+                Coord step;
+                do {
+                    const Coord b = geo.base(step);
+                    GatherLog log;
+                    LayerStats stats;
+                    geo.step(b, in, out, cfg, scratch, log, stats);
+                    ASSERT_EQ(int64_t(log.rows.size()), geo.rows_used)
+                        << where;
+                    int64_t reads = 0;
+                    for (int64_t r = 0; r < geo.rows_used; ++r) {
+                        ASSERT_EQ(log.rows[size_t(r)],
+                                  rowGather(geo, b, r, in, cfg, reads))
+                            << where << " row " << r;
+
+                        geo.rowOutputs(b, r, out, scratch);
+                        std::vector<uint8_t> seen(size_t(geo.num_groups));
+                        for (int64_t c = 0; c < geo.cols_used; ++c) {
+                            Coord o;
+                            const bool live = geo.oactAt(b, r, c, o);
+                            ASSERT_EQ(scratch.col_active[c], live) << where;
+                            const int g = geo.cols[size_t(c)].group;
+                            if (!live || seen[size_t(g)]) continue;
+                            seen[size_t(g)] = 1;
+                            const LineAddr a = out.addrOf(o);
+                            ASSERT_TRUE(scratch.group_live[g]) << where;
+                            ASSERT_EQ(scratch.group_bank[g], a.slot % 4)
+                                << where;
+                            ASSERT_EQ(scratch.group_line[g],
+                                      a.line * out_wpl + a.slot / 4)
+                                << where;
+                        }
+                        for (int64_t g = 0; g < geo.num_groups; ++g) {
+                            ASSERT_EQ(scratch.group_live[g], seen[size_t(g)])
+                                << where;
+                        }
+
+                        // Same iAct, different validity, in one cycle.
+                        for (int64_t l = 0; l < geo.t1; ++l) {
+                            for (int64_t c = 0; c < geo.cols_used; ++c) {
+                                Coord o, ic;
+                                if (!geo.oactAt(b, r, c, o)) continue;
+                                const bool ok = geo.iactAt(b, r, c, l, ic);
+                                for (int64_t d = 0; d < c; ++d) {
+                                    Coord id;
+                                    if (!geo.oactAt(b, r, d, o)) continue;
+                                    mixed_validity +=
+                                        geo.iactAt(b, r, d, l, id) != ok &&
+                                        id == ic;
+                                }
+                            }
+                        }
+                    }
+                    ASSERT_EQ(stats.stab_reads, reads) << where;
+                    ASSERT_EQ(log.reuse_mismatches, 0) << where;
+                    ++steps;
+                } while (geo.loops.advance(step));
+                checkConv(layer, mapping, "HWC_C2W2", "CHW_W4", seed++);
+            }
+        }
+    }
+    EXPECT_GT(steps, 0);
+    EXPECT_GT(mixed_validity, 0);
+}
+
 // StaB storage is demand-sized, but its depth still bounds a layer: iActs
 // or oActs that do not fit are rejected, not silently grown into.
 TEST(Feather, LayerBeyondStabDepthFails)

@@ -298,6 +298,58 @@ TEST(BoundLayout, AddrOfMatchesHornerForm)
     EXPECT_GT(round_trips, 0);
 }
 
+// addrOf is a sum of per-dim addends, so summing dimAddr over the dims
+// must give it back, line and slot apart: on the named layouts of these
+// tests and both search spaces, and on random layouts (repeated and
+// non-power-of-two intra factors, dims left out), at coordinates inside,
+// past and below the extents.
+TEST(BoundLayout, DimAddrSumsToAddrOf)
+{
+    std::vector<std::pair<Layout, std::vector<Dim>>> layouts;
+    const std::vector<Dim> chw_dims{Dim::C, Dim::H, Dim::W};
+    const std::vector<Dim> mk_dims{Dim::M, Dim::K};
+    for (const char *name :
+         {"CHW_W4H2C2", "HWC_C4", "HCW_W8", "HWC_C2W2", "WHC_C4", "CHW_W4"}) {
+        layouts.emplace_back(Layout::parse(name), chw_dims);
+    }
+    for (const Layout &l : convLayoutSpace()) {
+        layouts.emplace_back(l, chw_dims);
+    }
+    for (const Layout &l : gemmLayoutSpace()) {
+        layouts.emplace_back(l, mk_dims);
+    }
+    Rng rng(26);
+    const std::vector<Dim> nchw_dims{Dim::N, Dim::C, Dim::H, Dim::W};
+    for (int i = 0; i < 300; ++i) {
+        layouts.emplace_back(randomLayout(rng, nchw_dims), nchw_dims);
+        layouts.emplace_back(randomLayout(rng, mk_dims), mk_dims);
+    }
+
+    int64_t negative = 0;
+    for (const auto &[layout, pool] : layouts) {
+        Extents e;
+        for (Dim d : pool) e[d] = rng.range(1, 40);
+        const BoundLayout bl(layout, e);
+        for (int k = 0; k < 40; ++k) {
+            Coord c;
+            for (Dim d : pool) {
+                c[d] = rng.range(-2 * e[d], 2 * e[d]);
+                negative += c[d] < 0;
+            }
+            LineAddr sum;
+            for (int d = 0; d < kNumDims; ++d) {
+                const LineAddr part = bl.dimAddr(Dim(d), c[Dim(d)]);
+                sum.line += part.line;
+                sum.slot += part.slot;
+            }
+            const LineAddr want = bl.addrOf(c);
+            ASSERT_EQ(sum.line, want.line) << bl.toString();
+            ASSERT_EQ(sum.slot, want.slot) << bl.toString();
+        }
+    }
+    EXPECT_GT(negative, 0);
+}
+
 // Line walks (loadIacts, readActivations) decode a line once with
 // lineBase and add each slot's tabled offsets: that must be coordAt for
 // every (line, slot) of the binding.

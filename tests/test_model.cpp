@@ -976,6 +976,20 @@ TEST(ModelCli, ExitCodesAreLocked)
     EXPECT_EQ(run({"--model"}), 2);
 }
 
+// BIRRD's routing masks cover 64 columns: scheduling a model on a wider
+// array is a one-line usage error, not an abort in the topology.
+TEST(ModelCli, ArrayWiderThanBirrdIsAUsageError)
+{
+    const char *argv[] = {"feather_cli", "--model", "resnet_block",
+                          "--aw",        "128",     "--ah",
+                          "8"};
+    ::testing::internal::CaptureStderr();
+    const int rc = cliMain(7, argv);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "error: array width (--aw) must be in 2..64, got 128\n");
+    EXPECT_EQ(rc, 2);
+}
+
 TEST(ModelCli, LocalTileOverPeRegisterFileIsAPlanningError)
 {
     // A family whose Phase-1 local tile outgrows the PE register file
