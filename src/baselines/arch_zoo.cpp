@@ -223,7 +223,6 @@ defaultIactBuffer()
     b.line_size = 32;
     b.lines_per_bank = 8;
     b.read_ports = 2;
-    b.write_ports = 2;
     return b;
 }
 

@@ -21,7 +21,6 @@
 
 #include "buffer/spec.hpp"
 #include "common/log.hpp"
-#include "layout/layout.hpp"
 
 namespace feather {
 
@@ -182,28 +181,6 @@ class BankedScratchpad
         std::fill(dst + stored, dst + n, fill_);
     }
 
-    /**
-     * Load a tensor into the scratchpad under @p bl: element coords map to
-     * (line -> address, slot -> bank). The value provider @p get is called
-     * with each element coordinate.
-     */
-    template <typename GetFn>
-    void
-    loadWithLayout(const BoundLayout &bl, GetFn get)
-    {
-        FEATHER_CHECK(bl.lineSize() <= num_banks_,
-                      "layout line size ", bl.lineSize(),
-                      " exceeds bank count ", num_banks_);
-        FEATHER_CHECK(bl.numLines() <= depth_, "layout needs ",
-                      bl.numLines(), " lines, scratchpad depth ", depth_);
-        for (int64_t line = 0; line < bl.numLines(); ++line) {
-            for (int64_t slot = 0; slot < bl.lineSize(); ++slot) {
-                const Coord c = bl.coordAt({line, slot});
-                write(slot, line, get(c));
-            }
-        }
-    }
-
     AccessStats &stats() { return stats_; }
     const AccessStats &stats() const { return stats_; }
 
@@ -251,8 +228,6 @@ class PingPong
 
     /** Swap roles: the written pong becomes the next layer's ping. */
     void swap() { active_ = 1 - active_; }
-
-    int activeIndex() const { return active_; }
 
   private:
     B bufs_[2];

@@ -43,10 +43,4 @@ readConflictCycles(const BufferSpec &spec, std::vector<int64_t> lines)
     return conflictCycles(spec, std::move(lines), spec.read_ports);
 }
 
-int64_t
-writeConflictCycles(const BufferSpec &spec, std::vector<int64_t> lines)
-{
-    return conflictCycles(spec, std::move(lines), spec.write_ports);
-}
-
 } // namespace feather

@@ -26,7 +26,6 @@ struct BufferSpec
     int64_t line_size = 0;      ///< words per row (per-cycle bandwidth)
     int64_t lines_per_bank = 1; ///< conflict depth: rows per physical bank
     int read_ports = 2;         ///< read ports per bank
-    int write_ports = 2;        ///< write ports per bank
 
     /** Bank index holding @p line. */
     int64_t
@@ -57,11 +56,9 @@ struct BufferSpec
 int64_t conflictCycles(const BufferSpec &spec, std::vector<int64_t> lines,
                        int ports);
 
-/** Convenience wrappers for read and write port counts. */
+/** conflictCycles at the buffer's read port count. */
 int64_t readConflictCycles(const BufferSpec &spec,
                            std::vector<int64_t> lines);
-int64_t writeConflictCycles(const BufferSpec &spec,
-                            std::vector<int64_t> lines);
 
 /** Running access statistics for one buffer. */
 struct AccessStats

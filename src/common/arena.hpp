@@ -94,10 +94,8 @@ class Arena
         live_bytes_ = 0;
     }
 
-    /** Bytes currently allocated (since the last reset). */
-    size_t liveBytes() const { return live_bytes_; }
-
-    /** High-water mark of liveBytes() over the arena's lifetime. */
+    /** High-water mark, over the arena's lifetime, of the bytes allocated
+     *  since a reset. */
     size_t peakBytes() const { return peak_bytes_; }
 
   private:

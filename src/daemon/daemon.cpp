@@ -223,15 +223,39 @@ Daemon::enqueue(Request req, ResponseSink sink)
     auto p = std::make_unique<Pending>();
     p->req = std::move(req);
     p->sink = std::move(sink);
+    enqueuePending(std::move(p));
+}
 
+void
+Daemon::enqueueLine(const std::string &line, ResponseSink sink)
+{
+    auto p = std::make_unique<Pending>();
+    std::string error;
+    if (!Request::parse(line, &p->req, &error)) {
+        // Attribute the failure to the line's client when that field
+        // parsed before the error; "anon" otherwise.
+        p->req.scenario.clear();
+        p->req.model.clear();
+        p->early_error = strCat("bad request line: ", error);
+    }
+    p->sink = std::move(sink);
+    enqueuePending(std::move(p));
+}
+
+void
+Daemon::enqueuePending(std::unique_ptr<Pending> p)
+{
+    // Only an unparsable line arrives with an error already set.
+    const bool parsed = p->early_error.empty();
     bool runnable = false;
     Pending *raw = p.get();
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (closed_) {
-            // Late arrival racing shutdown (TCP). Answer directly — the
-            // event loop may already be unreachable.
-            if (p->sink) {
+            // Late arrival racing shutdown (TCP). Answer a parsed request
+            // directly — the event loop may already be unreachable — and
+            // drop an unparsable line.
+            if (parsed && p->sink) {
                 p->sink(reasonLine(p->req, "rejected", "intake closed"));
             }
             return;
@@ -244,9 +268,7 @@ Daemon::enqueue(Request req, ResponseSink sink)
                                                 : p->enqueue_wall_us;
         ClientStats &cs = clients_[p->req.client];
         ++cs.requests;
-        if (p->early_error.empty()) {
-            p->early_error = preplanLocked(p.get(), &cs);
-        }
+        if (parsed) p->early_error = preplanLocked(p.get(), &cs);
         runnable = p->early_error.empty();
         intake_.push_back(std::move(p));
     }
@@ -262,36 +284,6 @@ Daemon::enqueue(Request req, ResponseSink sink)
         }
     }
     intake_cv_.notify_one();
-}
-
-void
-Daemon::enqueueLine(const std::string &line, ResponseSink sink)
-{
-    auto p = std::make_unique<Pending>();
-    std::string error;
-    if (!Request::parse(line, &p->req, &error)) {
-        // Attribute the failure to the line's client when that field
-        // parsed before the error; "anon" otherwise.
-        Request bad = p->req;
-        bad.scenario.clear();
-        bad.model.clear();
-        Pending *raw = p.get();
-        raw->early_error = strCat("bad request line: ", error);
-        raw->req = std::move(bad);
-        raw->sink = std::move(sink);
-        std::lock_guard<std::mutex> lk(mu_);
-        if (closed_) return;
-        raw->index = next_index_++;
-        ++total_requests_;
-        if (raw->req.id.empty()) raw->req.id = strCat("r", raw->index);
-        raw->enqueue_wall_us = wallSinceStartUs();
-        raw->arrival_vus = raw->enqueue_wall_us;
-        ++clients_[raw->req.client].requests;
-        intake_.push_back(std::move(p));
-        intake_cv_.notify_one();
-        return;
-    }
-    enqueue(std::move(p->req), std::move(sink));
 }
 
 void
@@ -414,17 +406,23 @@ Daemon::respond(Pending *p, const std::string &line)
 }
 
 void
+Daemon::respondError(Pending *p, const std::string &reason)
+{
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++clients_[p->req.client].errors;
+        ++failures_;
+    }
+    respond(p, reasonLine(p->req, "ERROR", reason));
+}
+
+void
 Daemon::finishOne(Pending *p, int device, int64_t start_vus,
                   int64_t finish_vus)
 {
     const ExecResult &r = variantFor(p, device)->exec;
     if (!r.ok) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++clients_[p->req.client].errors;
-            ++failures_;
-        }
-        respond(p, reasonLine(p->req, "ERROR", r.error));
+        respondError(p, r.error);
         return;
     }
     const int64_t queue_vus = start_vus - p->arrival_vus;
@@ -516,26 +514,14 @@ Daemon::run()
         processed_.push_back(std::move(item));
 
         if (!p->early_error.empty()) {
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++clients_[p->req.client].errors;
-                ++failures_;
-            }
-            respond(p, reasonLine(p->req, "ERROR", p->early_error));
+            respondError(p, p->early_error);
             continue;
         }
         if (p->arrival_vus < last_arrival) {
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++clients_[p->req.client].errors;
-                ++failures_;
-            }
-            respond(p, reasonLine(
-                           p->req, "ERROR",
-                           strCat("arrival_us ", p->arrival_vus,
-                                  " is earlier than a previous request's ",
-                                  last_arrival, " (pinned arrivals must be"
-                                  " non-decreasing)")));
+            respondError(p, strCat("arrival_us ", p->arrival_vus,
+                                   " is earlier than a previous request's ",
+                                   last_arrival, " (pinned arrivals must be"
+                                   " non-decreasing)"));
             continue;
         }
         last_arrival = p->arrival_vus;
@@ -569,8 +555,7 @@ Daemon::run()
                         const DevicePlan &dp =
                             p->dev_plan[size_t(seg.device)];
                         cycles = model::handoffCost(
-                            false, dp.in_layout, dp.in_layout, dp.in_extents,
-                            model::kHandoffElemBytes, opts_.fleet.link);
+                            dp.in_layout, dp.in_layout, dp.in_extents);
                     }
                     a.stages.push_back(
                         {seg.device, cycles > 0 ? toVus(cycles) : 0});
@@ -606,9 +591,8 @@ Daemon::run()
                 // inter-chip transfer (model::handoffCost).
                 const DevicePlan &src = p->dev_plan[size_t(prev)];
                 a.hints.handoff_vus[d] = toVus(model::handoffCost(
-                    false, src.feasible ? src.in_layout : dst.in_layout,
-                    dst.in_layout, dst.in_extents, model::kHandoffElemBytes,
-                    opts_.fleet.link));
+                    src.feasible ? src.in_layout : dst.in_layout,
+                    dst.in_layout, dst.in_extents));
             }
         }
         std::string reason;

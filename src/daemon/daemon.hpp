@@ -242,6 +242,19 @@ class Daemon
 
     void respond(Pending *p, const std::string &line);
 
+    /** Count an error against @p p's client and answer @p p with an
+     *  ERROR line carrying @p reason. */
+    void respondError(Pending *p, const std::string &reason);
+
+    /**
+     * The one intake path of enqueue() and enqueueLine(): number @p p,
+     * count it against its client, pre-plan it unless it carries a parse
+     * error, queue it for run() and start its speculative executions.
+     * After closeIntake() a parsed request is answered "rejected: intake
+     * closed" and an unparsable line is dropped.
+     */
+    void enqueuePending(std::unique_ptr<Pending> p);
+
     /** Virtual microseconds of @p cycles: ceil(cycles / clock_mhz), at
      *  least 1. */
     int64_t toVus(int64_t cycles) const;

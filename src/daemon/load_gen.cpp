@@ -21,6 +21,8 @@ generateLoad(const LoadGenConfig &cfg)
     const uint64_t qps = std::max<uint64_t>(1, cfg.qps);
     const int64_t period = std::max<int64_t>(1, int64_t(1000000 / qps));
 
+    constexpr uint64_t kClients = 4;
+    constexpr uint64_t kModelEvery = 40;
     static const char *const kScenarios[] = {
         "gemm", "quickstart_conv", "depthwise", "conv1x1", "gemm_skewed"};
     constexpr size_t kNumScenarios =
@@ -35,10 +37,9 @@ generateLoad(const LoadGenConfig &cfg)
         Request req;
         req.id = strCat("r", i);
         req.arrival_us = t;
-        req.client = strCat(
-            "c", shapes.below(uint64_t(std::max(1, cfg.clients))));
+        req.client = strCat("c", shapes.below(kClients));
         req.priority = int(shapes.below(3));
-        if (cfg.model_every > 0 && i > 0 && i % cfg.model_every == 0) {
+        if (i > 0 && i % kModelEvery == 0) {
             req.model = "bert_mlp";
         } else {
             req.scenario = kScenarios[shapes.below(kNumScenarios)];

@@ -31,13 +31,11 @@ struct LoadGenConfig
     uint64_t qps = 200;       ///< mean virtual arrival rate (--qps)
     uint64_t requests = 100;  ///< stream length (--requests)
     uint64_t seed = 2024;     ///< stream base (the daemon's base seed)
-    int clients = 4;          ///< client names c0..c<clients-1>
-    /** Every Nth request asks for whole-model scheduling (0 = never). */
-    uint64_t model_every = 40;
 };
 
 /** The deterministic request stream for @p cfg (arrival_us pinned,
- *  non-decreasing; ids r0..r<requests-1>). */
+ *  non-decreasing; ids r0..r<requests-1>; clients c0..c3; every 40th
+ *  request after the first asks for whole-model scheduling). */
 std::vector<Request> generateLoad(const LoadGenConfig &cfg);
 
 /** Requests as a JSON-lines trace (`--trace FILE` body); replayable via

@@ -103,20 +103,4 @@ iactExtents(const LayerSpec &layer)
     return e;
 }
 
-Extents
-oactExtents(const LayerSpec &layer)
-{
-    Extents e;
-    if (layer.type == OpType::Gemm) {
-        e[Dim::M] = layer.gemm.m;
-        e[Dim::N] = layer.gemm.n;
-    } else {
-        e[Dim::N] = layer.conv.n;
-        e[Dim::M] = layer.conv.depthwise ? layer.conv.c : layer.conv.m;
-        e[Dim::P] = layer.conv.outH();
-        e[Dim::Q] = layer.conv.outW();
-    }
-    return e;
-}
-
 } // namespace feather

@@ -76,7 +76,4 @@ Extents gemmExtents(const GemmShape &shape);
 /** Extents of the layer's iAct tensor dims only (N,C,H,W or M,K). */
 Extents iactExtents(const LayerSpec &layer);
 
-/** Extents of the layer's oAct tensor dims only (N,M,P,Q or M,N). */
-Extents oactExtents(const LayerSpec &layer);
-
 } // namespace feather

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 
 #include "tensor/quant.hpp"
 
@@ -69,18 +68,51 @@ struct LayerStats
 
     std::string toString() const;
 
-    /** Every field, in declaration order (field-for-field comparison). */
-    auto
-    tie() const
-    {
-        return std::tie(cycles, compute_cycles, weight_load_cycles,
-                        fill_cycles, read_stall_cycles, write_stall_cycles,
-                        macs, stab_reads, stab_writes, strb_reads,
-                        ob_accumulates, birrd_switch_hops, dram_words,
-                        peak_ob_entries, weight_reload_events,
-                        weight_load_cycles_each, arena_peak_bytes);
-    }
-    bool operator==(const LayerStats &o) const { return tie() == o.tie(); }
+    /** Field-for-field comparison over kLayerStatsFields. */
+    bool operator==(const LayerStats &o) const;
 };
+
+/** One LayerStats counter: its name in the counter goldens, and its
+ *  member. */
+struct LayerStatsField
+{
+    const char *name;
+    int64_t LayerStats::*member;
+};
+
+/** Every LayerStats field, in declaration order. operator== and the
+ *  tests' counter-golden reader walk it; a new field goes here too. */
+inline constexpr LayerStatsField kLayerStatsFields[] = {
+    {"cycles", &LayerStats::cycles},
+    {"compute_cycles", &LayerStats::compute_cycles},
+    {"weight_load_cycles", &LayerStats::weight_load_cycles},
+    {"fill_cycles", &LayerStats::fill_cycles},
+    {"read_stall_cycles", &LayerStats::read_stall_cycles},
+    {"write_stall_cycles", &LayerStats::write_stall_cycles},
+    {"macs", &LayerStats::macs},
+    {"stab_reads", &LayerStats::stab_reads},
+    {"stab_writes", &LayerStats::stab_writes},
+    {"strb_reads", &LayerStats::strb_reads},
+    {"ob_accumulates", &LayerStats::ob_accumulates},
+    {"birrd_switch_hops", &LayerStats::birrd_switch_hops},
+    {"dram_words", &LayerStats::dram_words},
+    {"peak_ob_entries", &LayerStats::peak_ob_entries},
+    {"weight_reload_events", &LayerStats::weight_reload_events},
+    {"weight_load_cycles_each", &LayerStats::weight_load_cycles_each},
+    {"arena_peak_bytes", &LayerStats::arena_peak_bytes},
+};
+static_assert(sizeof(LayerStats) ==
+                  sizeof(kLayerStatsFields) / sizeof(LayerStatsField) *
+                      sizeof(int64_t),
+              "kLayerStatsFields must list every LayerStats field");
+
+inline bool
+LayerStats::operator==(const LayerStats &o) const
+{
+    for (const LayerStatsField &f : kLayerStatsFields) {
+        if (this->*f.member != o.*f.member) return false;
+    }
+    return true;
+}
 
 } // namespace feather

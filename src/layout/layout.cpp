@@ -150,12 +150,6 @@ BoundLayout::coordAt(const LineAddr &addr) const
     return c;
 }
 
-int64_t
-BoundLayout::numElems() const
-{
-    return num_lines_ * lineSize();
-}
-
 std::string
 BoundLayout::toString() const
 {

@@ -164,9 +164,6 @@ class BoundLayout
         return slot_offsets_[size_t(slot)];
     }
 
-    /** Total elements (product of bound extents). */
-    int64_t numElems() const;
-
     std::string toString() const;
 
   private:

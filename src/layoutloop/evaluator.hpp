@@ -37,10 +37,6 @@ struct EvalResult
     Layout layout;
 
     double edp() const { return energy_pj * double(total_cycles); }
-    double pjPerMac(int64_t macs) const
-    {
-        return macs > 0 ? energy_pj / double(macs) : 0.0;
-    }
 
     std::string toString() const;
 };

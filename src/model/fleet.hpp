@@ -32,17 +32,6 @@
 namespace feather {
 namespace model {
 
-/** Chip-to-chip link model for cross-device hand-offs in a simulated
- *  fleet. */
-struct InterChipLink
-{
-    /** Payload bytes the link moves per cycle (per-byte transfer term). */
-    int64_t bytes_per_cycle = 16;
-};
-
-/** Element width the hand-off transfer term is priced at (int8 path). */
-constexpr int64_t kHandoffElemBytes = 1;
-
 /** One named device of a simulated fleet. */
 struct FleetDevice
 {
@@ -54,12 +43,10 @@ struct FleetDevice
     int64_t capability = 256;
 };
 
-/** An ordered device fleet plus its inter-chip link. */
+/** An ordered device fleet. */
 struct FleetSpec
 {
     std::vector<FleetDevice> devices;
-    /** Prices the transfer term of cross-device hand-offs. */
-    InterChipLink link;
     /** The normalized spec text ("a,b,c"), echoed in reports. */
     std::string spec;
 

@@ -93,15 +93,10 @@ reorderCost(const Layout &src, const Layout &dst, const Extents &extents)
 }
 
 int64_t
-handoffCost(bool same_device, const Layout &src, const Layout &dst,
-            const Extents &extents, int64_t elem_bytes,
-            const InterChipLink &link)
+handoffCost(const Layout &src, const Layout &dst, const Extents &extents)
 {
-    if (same_device) return 0;
-    const int64_t bytes =
-        elementCount(extents) * std::max<int64_t>(1, elem_bytes);
-    const int64_t bpc = std::max<int64_t>(1, link.bytes_per_cycle);
-    const int64_t transfer = (bytes + bpc - 1) / bpc;
+    const int64_t transfer =
+        (elementCount(extents) + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;
     return reorderCost(src, dst, extents) + transfer;
 }
 
@@ -364,9 +359,8 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                     prev.device == next.device
                         ? reorderCost(prev.plan.out_layout,
                                       next.plan.in_layout, extents)
-                        : handoffCost(false, prev.plan.out_layout,
-                                      next.plan.in_layout, extents,
-                                      kHandoffElemBytes, opts_.fleet.link));
+                        : handoffCost(prev.plan.out_layout,
+                                      next.plan.in_layout, extents));
             }
         }
     }

@@ -100,17 +100,19 @@ constexpr sim::DataflowKind kFamilies[] = {
 int64_t reorderCost(const Layout &src, const Layout &dst,
                     const Extents &extents);
 
+/** Bytes the inter-chip link moves per cycle; a hand-off moves int8
+ *  elements, one byte each. */
+constexpr int64_t kLinkBytesPerCycle = 16;
+
 /**
- * Cycles to hand a tensor of @p extents (elements of @p elem_bytes each,
- * resident under layout @p src) over to a device whose consumer wants
- * layout @p dst: zero when @p same_device (the on-chip StaB ping-pong
- * hand-off is free — the paper's headline), else the BIRRD
- * reorderCost(src, dst, extents) plus the link transfer term
- * ceil(total_bytes / link.bytes_per_cycle).
+ * Cycles to hand a tensor of @p extents, resident under layout @p src on
+ * one device, over to another device whose consumer wants layout @p dst:
+ * the BIRRD reorderCost(src, dst, extents) plus the inter-chip link
+ * transfer, ceil(elements / kLinkBytesPerCycle). Same-device edges pay
+ * reorderCost alone: the on-chip StaB ping-pong hand-off uses no link.
  */
-int64_t handoffCost(bool same_device, const Layout &src, const Layout &dst,
-                    const Extents &extents, int64_t elem_bytes,
-                    const InterChipLink &link);
+int64_t handoffCost(const Layout &src, const Layout &dst,
+                    const Extents &extents);
 
 // ---------------------------------------------------------------------------
 // Schedules

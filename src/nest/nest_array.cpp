@@ -21,7 +21,6 @@ NestArray::loadWeight(int row, int col, int local_step, int16_t weight)
                   "local step ", local_step, " exceeds register file ",
                   max_local_);
     regs_[regIndex(1 - active_bank_, row, col, local_step)] = weight;
-    ++weight_writes_;
 }
 
 void

@@ -38,7 +38,6 @@ class NestArray
 
     int aw() const { return aw_; }
     int ah() const { return ah_; }
-    int maxLocal() const { return max_local_; }
 
     /**
      * Write one weight into the *shadow* register bank of PE (row, col).
@@ -82,9 +81,6 @@ class NestArray
     /** Total multiply-accumulates executed so far. */
     int64_t macsExecuted() const { return macs_; }
 
-    /** Total weight-register writes so far (for energy accounting). */
-    int64_t weightWrites() const { return weight_writes_; }
-
   private:
     size_t
     regIndex(int bank, int row, int col, int local_step) const
@@ -99,7 +95,6 @@ class NestArray
     int active_bank_ = 0;
     std::vector<int16_t> regs_; ///< [2][ah][aw][max_local]
     int64_t macs_ = 0;
-    int64_t weight_writes_ = 0;
 };
 
 } // namespace feather

@@ -129,9 +129,7 @@ BirrdRouter::route(const RouteRequest &req)
     if (use_path_search_) {
         // Configs are generated offline into the Instruction Buffer and
         // cached, so wide networks may afford many rapid restarts.
-        const int scaled_restarts =
-            n >= 64 ? 1024 : (n >= 32 ? 256 : max_restarts_);
-        const int restarts = std::max(max_restarts_, scaled_restarts);
+        const int restarts = n >= 64 ? 1024 : (n >= 32 ? 256 : kMaxRestarts);
         result = routeByPaths(req, /*randomized=*/false);
         for (int r = 0; r < restarts && !result; ++r) {
             result = routeByPaths(req, /*randomized=*/true);
@@ -143,7 +141,7 @@ BirrdRouter::route(const RouteRequest &req)
     // path search with restarts is strictly stronger.
     if (!result && (!use_path_search_ || topo_.numInputs() <= 8)) {
         result = routeByDfs(req, /*randomized=*/false);
-        for (int r = 0; r < max_restarts_ && !result; ++r) {
+        for (int r = 0; r < kMaxRestarts && !result; ++r) {
             result = routeByDfs(req, /*randomized=*/true);
         }
         if (result) ++stats_.solved_fallback;
@@ -446,7 +444,6 @@ BirrdRouter::routeByPaths(const RouteRequest &req, bool randomized)
 
     // Recursive lambda over tasks with undo-log backtracking.
     int64_t nodes = 0;
-    const int64_t budget = node_budget_;
     auto solve = [&](auto &&self, size_t idx) -> bool {
         if (idx == tasks.size()) return true;
         const PathTask &task = tasks[idx];
@@ -469,7 +466,7 @@ BirrdRouter::routeByPaths(const RouteRequest &req, bool randomized)
             const int cross_occ =
                 st.occ[size_t(crossover_stage_)][size_t(c)];
             if (cross_occ >= 0 && cross_occ != task.group) continue;
-            if (++nodes > budget) return false;
+            if (++nodes > kNodeBudget) return false;
             const size_t mark = st.mark();
             bool ok = true;
             if (task.input_port >= 0) {
@@ -485,7 +482,7 @@ BirrdRouter::routeByPaths(const RouteRequest &req, bool randomized)
             if (ok) ok = placeSecondHalf(st, task.group, c, task.dest_mask);
             if (ok && self(self, idx + 1)) return true;
             st.rollback(mark);
-            if (nodes > budget) return false;
+            if (nodes > kNodeBudget) return false;
         }
         return false;
     };
@@ -526,7 +523,6 @@ BirrdRouter::routeByDfs(const RouteRequest &req, bool randomized)
     }
 
     ctx.nodes = 0;
-    ctx.budget = node_budget_;
     ctx.randomized = randomized;
     ctx.rng = &rng_;
     ctx.config.assign(size_t(topo_.numStages()),
@@ -592,7 +588,7 @@ BirrdRouter::finalOk(const SearchCtx &ctx, const std::vector<Sig> &ports) const
 bool
 BirrdRouter::dfs(SearchCtx &ctx, int stage, int sw, std::vector<Sig> &ports)
 {
-    if (ctx.nodes++ > ctx.budget) return false;
+    if (ctx.nodes++ > kNodeBudget) return false;
 
     if (stage == topo_.numStages()) {
         return finalOk(ctx, ports);
@@ -682,7 +678,7 @@ BirrdRouter::dfs(SearchCtx &ctx, int stage, int sw, std::vector<Sig> &ports)
         ports[size_t(2 * sw + 1)] = o.r;
         ctx.config[size_t(stage)][size_t(sw)] = o.cfg;
         if (dfs(ctx, stage, sw + 1, ports)) return true;
-        if (ctx.nodes > ctx.budget) break;
+        if (ctx.nodes > kNodeBudget) break;
     }
     ports[size_t(2 * sw)] = a;
     ports[size_t(2 * sw + 1)] = b;

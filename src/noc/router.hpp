@@ -98,10 +98,6 @@ class BirrdRouter
     /** Total nodes explored, cache hits, etc. */
     const RouterStats &stats() const { return stats_; }
 
-    /** Per-attempt search node budget. */
-    void setNodeBudget(int64_t budget) { node_budget_ = budget; }
-    /** Number of randomized restarts after the deterministic pass. */
-    void setMaxRestarts(int restarts) { max_restarts_ = restarts; }
     /** Disable the path search (ablation: fallback DFS only). */
     void setUsePathSearch(bool use) { use_path_search_ = use; }
 
@@ -170,7 +166,6 @@ class BirrdRouter
         std::vector<int> group_sizes;
         std::vector<uint64_t> dest_masks;
         int64_t nodes = 0;
-        int64_t budget = 0;
         bool randomized = false;
         Rng *rng = nullptr;
         BirrdConfigWord config;
@@ -188,9 +183,12 @@ class BirrdRouter
     /** reach_fh_[t][p]: crossover ports reachable from stage-t port p. */
     std::vector<std::vector<uint64_t>> reach_fh_;
     Rng rng_;
-    /** Per-attempt budget; rapid randomized restarts beat one deep dive. */
-    int64_t node_budget_ = 50000;
-    int max_restarts_ = 64;
+    /** Per-attempt search node budget; rapid randomized restarts beat one
+     *  deep dive. */
+    static constexpr int64_t kNodeBudget = 50000;
+    /** Randomized restarts after the deterministic pass (path search
+     *  scales this up on wide networks). */
+    static constexpr int kMaxRestarts = 64;
     bool use_path_search_ = true;
     RouterStats stats_;
     std::unordered_map<std::string, BirrdConfigWord> cache_;

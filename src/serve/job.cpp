@@ -95,9 +95,6 @@ expandSweep(const SweepSpec &sweep, PlanCache &cache,
         }
     }
 
-    std::vector<std::string> layouts = sweep.layouts;
-    if (layouts.empty()) layouts = {"concordant"};
-
     // Pre-plan every (dataflow, array) point through the shared cache;
     // points that cannot map are filtered here so every emitted job can
     // run (and the run itself then hits the warmed cache).
@@ -138,16 +135,13 @@ expandSweep(const SweepSpec &sweep, PlanCache &cache,
                 }
                 continue;
             }
-            for (const std::string &layout : layouts) {
-                JobSpec job;
-                job.scenario = sweep.scenario;
-                job.inline_scenario = sweep.inline_scenario;
-                job.opts.dataflow = dataflow;
-                job.opts.layout = layout;
-                job.opts.aw = array.first;
-                job.opts.ah = array.second;
-                jobs.push_back(std::move(job));
-            }
+            JobSpec job;
+            job.scenario = sweep.scenario;
+            job.inline_scenario = sweep.inline_scenario;
+            job.opts.dataflow = dataflow;
+            job.opts.aw = array.first;
+            job.opts.ah = array.second;
+            jobs.push_back(std::move(job));
         }
     }
     return jobs;

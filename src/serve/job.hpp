@@ -53,7 +53,8 @@ const sim::ModelGraph *resolveScenario(const JobSpec &spec,
 /** The display name of @p spec (spec.name, or derived from overrides). */
 std::string displayName(const JobSpec &spec);
 
-/** A (dataflow x layout x array-size) grid over one scenario. */
+/** A (dataflow x array-size) grid over one scenario; every job reads its
+ *  first layer's iActs in the concordant layout. */
 struct SweepSpec
 {
     std::string scenario; ///< registered name (or set inline_scenario)
@@ -63,8 +64,6 @@ struct SweepSpec
     std::vector<std::string> dataflows;
     /** (AW, AH) grid; empty = scenario default + {4x4, 8x8, 16x16}. */
     std::vector<std::pair<int, int>> arrays;
-    /** First-layer iAct layouts; empty = {"concordant"}. */
-    std::vector<std::string> layouts;
     /** Engine tier the sweep's jobs will run under (pre-planning warms the
      *  cache for this tier's keys). */
     sim::EngineMode engine = sim::EngineMode::Cycle;

@@ -45,7 +45,7 @@ PlanCache::getOrPlan(sim::EngineMode mode, sim::DataflowKind kind,
     if (it == map_.end()) {
         ++misses_;
         Entry entry;
-        entry.plan = sim::planLayer(kind, layer, aw, ah, &entry.error, mode);
+        entry.plan = sim::planLayer(kind, layer, aw, ah, &entry.error);
         it = map_.emplace(k, std::move(entry)).first;
     } else {
         ++hits_;
@@ -112,16 +112,6 @@ PlanCache::Stats::toString() const
 {
     return strCat("plan cache: ", hits, " hit(s), ", misses, " miss(es), ",
                   entries, " entr(y/ies)");
-}
-
-void
-PlanCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    memo_hits_ = 0;
 }
 
 } // namespace serve

@@ -65,9 +65,10 @@ class PlanCache
      * regardless of how many worker threads race on it) — which keeps the
      * exported BatchReport bit-identical across --jobs settings.
      *
-     * @p mode is part of the key: a plan cached by an analytic enumeration
-     * pass is never served to a cycle-mode job (and vice versa), so each
-     * tier's plans carry the right LayerPlan::engine tag.
+     * @p mode is part of the key although both tiers plan alike: the
+     * stats memoized beside a plan (findStats/storeStats) are the run of
+     * one tier, so an analytic run's stats never answer a cycle-mode
+     * lookup (and vice versa).
      *
      * @p scope optionally partitions the key space (e.g. one scope per
      * simulated device of a fleet, so two devices never share warmth even
@@ -96,14 +97,12 @@ class PlanCache
      * Attach @p stats, computed by the caller outside the lock, to the
      * plan at @p key. When two threads race on one key the second store
      * checks that its stats equal the stored ones: a run is a pure
-     * function of its plan. A no-op when @p key has no plan (cleared since
-     * it was planned), so entries never grow here.
+     * function of its plan. A no-op when @p key has no plan, so entries
+     * never grow here.
      */
     void storeStats(const std::string &key, const LayerStats &stats);
 
     Stats stats() const;
-
-    void clear();
 
     /** Cache key of one planning point (layer shape, not name). */
     static std::string key(sim::EngineMode mode, sim::DataflowKind kind,

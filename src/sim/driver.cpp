@@ -71,19 +71,23 @@ gemmLayer(std::string name, int64_t m, int64_t n, int64_t k)
 // Inputs and golden reference
 // ---------------------------------------------------------------------------
 
+/** Range of every random input value. */
+constexpr int kInputLo = -50;
+constexpr int kInputHi = 50;
+
 Int8Tensor
-randomIacts(const LayerSpec &layer, Rng &rng, int lo, int hi)
+randomIacts(const LayerSpec &layer, Rng &rng)
 {
     Int8Tensor t = layer.type == OpType::Gemm
                        ? Int8Tensor({layer.gemm.m, layer.gemm.k})
                        : Int8Tensor({layer.conv.n, layer.conv.c, layer.conv.h,
                                      layer.conv.w});
-    t.randomize(rng, lo, hi);
+    t.randomize(rng, kInputLo, kInputHi);
     return t;
 }
 
 Int8Tensor
-randomWeights(const LayerSpec &layer, Rng &rng, int lo, int hi)
+randomWeights(const LayerSpec &layer, Rng &rng)
 {
     Int8Tensor t;
     switch (layer.type) {
@@ -98,7 +102,7 @@ randomWeights(const LayerSpec &layer, Rng &rng, int lo, int hi)
                         layer.conv.s});
         break;
     }
-    t.randomize(rng, lo, hi);
+    t.randomize(rng, kInputLo, kInputHi);
     return t;
 }
 
@@ -290,7 +294,7 @@ concordantOutputLayout(const LayerSpec &layer, const NestMapping &mapping,
 
 std::optional<LayerPlan>
 planLayer(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
-          std::string *error, EngineMode mode)
+          std::string *error)
 {
     const std::optional<NestMapping> mapping =
         buildMapping(kind, layer, aw, ah, error);
@@ -299,7 +303,6 @@ planLayer(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
     plan.mapping = *mapping;
     plan.in_layout = concordantInputLayout(layer, *mapping, aw);
     plan.out_layout = concordantOutputLayout(layer, *mapping, aw);
-    plan.engine = mode;
     return plan;
 }
 

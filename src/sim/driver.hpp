@@ -59,14 +59,13 @@ LayerSpec gemmLayer(std::string name, int64_t m, int64_t n, int64_t k);
 // theirs from Rng::deriveStream(base_seed, job_index) — so concurrent runs
 // are bit-identical regardless of thread count or scheduling.
 
-/** Random iActs of the layer's input shape ([1,C,H,W] conv, [M,K] GEMM). */
-Int8Tensor randomIacts(const LayerSpec &layer, Rng &rng, int lo = -50,
-                       int hi = 50);
+/** Random iActs of the layer's input shape ([1,C,H,W] conv, [M,K] GEMM),
+ *  uniform in [-50, 50]. */
+Int8Tensor randomIacts(const LayerSpec &layer, Rng &rng);
 
 /** Random weights of the layer's weight shape ([M,C,R,S] conv, [C,1,R,S]
- *  depthwise, [K,N] GEMM). */
-Int8Tensor randomWeights(const LayerSpec &layer, Rng &rng, int lo = -50,
-                         int hi = 50);
+ *  depthwise, [K,N] GEMM), uniform in [-50, 50]. */
+Int8Tensor randomWeights(const LayerSpec &layer, Rng &rng);
 
 /**
  * Golden output of @p layer via tensor/reference_ops: conv2d /
@@ -138,19 +137,16 @@ struct LayerPlan
     NestMapping mapping;
     Layout in_layout;
     Layout out_layout;
-    /** Engine tier the plan was made for (and is cached under). */
-    EngineMode engine = EngineMode::Cycle;
 };
 
 /**
  * buildMapping + both concordant layouts in one call; nullopt (with
- * @p error set) when the mapping does not fit or fails validation.
- * @p mode tags the plan with the engine tier requesting it (the plan
- * artifacts themselves are mode-independent, but caches key on it).
+ * @p error set) when the mapping does not fit or fails validation. The
+ * plan is the same for both engine tiers.
  */
 std::optional<LayerPlan> planLayer(DataflowKind kind, const LayerSpec &layer,
-                                   int aw, int ah, std::string *error = nullptr,
-                                   EngineMode mode = EngineMode::Cycle);
+                                   int aw, int ah,
+                                   std::string *error = nullptr);
 
 // ---------------------------------------------------------------------------
 // Single-layer runs

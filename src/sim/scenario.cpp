@@ -315,8 +315,7 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
         }
         std::optional<LayerPlan> p =
             plan ? plan(opts.engine, *kind, ml.spec, run.aw, run.ah, error)
-                 : planLayer(*kind, ml.spec, run.aw, run.ah, error,
-                             opts.engine);
+                 : planLayer(*kind, ml.spec, run.aw, run.ah, error);
         if (!p) return std::nullopt;
         plans.push_back(std::move(*p));
     }

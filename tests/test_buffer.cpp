@@ -20,7 +20,6 @@ spec(int64_t lines, int64_t line_size, int64_t lines_per_bank, int ports = 2)
     s.line_size = line_size;
     s.lines_per_bank = lines_per_bank;
     s.read_ports = ports;
-    s.write_ports = ports;
     return s;
 }
 
@@ -114,29 +113,6 @@ TEST(BankedScratchpad, PerBankAddressing)
     EXPECT_EQ(stab.peek(2, 0), 30);
     EXPECT_EQ(stab.numBanks(), 4);
     EXPECT_EQ(stab.depth(), 8);
-}
-
-TEST(BankedScratchpad, LoadWithLayout)
-{
-    // Load a tiny CHW tensor channel-last and check physical placement:
-    // slot (bank) = c, line (addr) = h*W + w.
-    Extents ext;
-    ext[Dim::C] = 4;
-    ext[Dim::H] = 2;
-    ext[Dim::W] = 2;
-    const BoundLayout bl(Layout::parse("HWC_C4"), ext);
-
-    BankedScratchpad<int8_t> stab(4, 8);
-    stab.loadWithLayout(bl, [](const Coord &c) {
-        return int8_t(c[Dim::C] * 16 + c[Dim::H] * 4 + c[Dim::W]);
-    });
-    for (int64_t c = 0; c < 4; ++c) {
-        for (int64_t h = 0; h < 2; ++h) {
-            for (int64_t w = 0; w < 2; ++w) {
-                EXPECT_EQ(stab.peek(c, h * 2 + w), c * 16 + h * 4 + w);
-            }
-        }
-    }
 }
 
 TEST(BankedScratchpad, UnwrittenAddressReadsFill)

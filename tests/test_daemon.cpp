@@ -540,14 +540,20 @@ TEST(Daemon, EnqueueAfterCloseIsRejected)
     Daemon daemon;
     daemon.closeIntake();
     std::vector<std::string> responses;
+    const ResponseSink sink = [&responses](const std::string &line) {
+        responses.push_back(line);
+    };
     Request req;
     req.scenario = "gemm";
-    daemon.enqueue(req, [&responses](const std::string &line) {
-        responses.push_back(line);
-    });
+    daemon.enqueue(req, sink);
+    daemon.enqueueLine("{\"scenario\":\"gemm\"}", sink);
+    // An unparsable line after close is dropped without a reply.
+    daemon.enqueueLine("this is not json", sink);
     const DaemonReport report = daemon.run();
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_NE(responses[0].find("intake closed"), std::string::npos);
+    ASSERT_EQ(responses.size(), 2u);
+    for (const std::string &r : responses) {
+        EXPECT_NE(r.find("intake closed"), std::string::npos) << r;
+    }
     EXPECT_EQ(report.requests, 0u) << "late arrivals are not accounted";
 }
 
@@ -675,6 +681,33 @@ TEST(ServeCli, StdinRefusesWiderThanBirrdAndServesTheNext)
         << lines[1];
     EXPECT_NE(lines[1].find("\"mismatches\":0"), std::string::npos)
         << lines[1];
+}
+
+// The tallest array a request line may ask for (ah <= 4096) at the
+// widest BIRRD (aw 64) runs and verifies; it must not abort or exhaust
+// memory.
+TEST(ServeCli, StdinServesTheTallestArray)
+{
+    std::istringstream in(
+        "{\"id\":\"tall\",\"scenario\":\"gemm\",\"aw\":64,"
+        "\"ah\":4096}\n");
+    std::streambuf *const cin_buf = std::cin.rdbuf(in.rdbuf());
+    const char *argv[] = {"feather_serve", "--stdin"};
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = serveCliMain(2, const_cast<char **>(argv));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ::testing::internal::GetCapturedStderr();
+    std::cin.rdbuf(cin_buf);
+
+    EXPECT_EQ(rc, 0) << out;
+    EXPECT_EQ(out.rfind("{\"id\":\"tall\",\"client\":\"anon\","
+                        "\"status\":\"ok\",",
+                        0),
+              0u)
+        << out;
+    EXPECT_NE(out.find("\"mismatches\":0"), std::string::npos) << out;
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1) << out;
 }
 
 TEST(Daemon, AnalyticScenarioRunsReportEstimates)

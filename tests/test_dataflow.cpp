@@ -41,7 +41,6 @@ singleBankBuffer(int64_t lines, int64_t line_size)
     s.line_size = line_size;
     s.lines_per_bank = lines; // everything in one bank: worst case
     s.read_ports = 2;
-    s.write_ports = 2;
     return s;
 }
 

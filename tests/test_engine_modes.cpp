@@ -25,8 +25,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "feather/nest_geometry.hpp"
@@ -78,10 +81,9 @@ TEST(EngineMode_, ParsesAndRoundTrips)
 // Deterministic counters locked against captured goldens
 // ---------------------------------------------------------------------------
 
-struct GoldenRow
-{
-    int64_t v[17]; ///< the numeric columns, in header order
-};
+/** One golden per-layer row: each counter column's header name and
+ *  value, in header order. */
+using GoldenRow = std::vector<std::pair<std::string, int64_t>>;
 
 /** Golden per-layer counter rows, keyed by each row's first
  *  @p key_columns cells (joined by ','); the next cell is the layer
@@ -91,7 +93,13 @@ readCounterGolden(const std::string &file, int key_columns = 1)
 {
     const std::vector<std::string> lines = golden::readGoldenLines(file);
     std::map<std::string, std::vector<GoldenRow>> out;
-    for (size_t i = 1; i < lines.size(); ++i) { // skip the header
+    if (lines.empty()) return out;
+    std::vector<std::string> names;
+    std::istringstream header(lines[0]);
+    for (std::string name; std::getline(header, name, ',');) {
+        names.push_back(name);
+    }
+    for (size_t i = 1; i < lines.size(); ++i) {
         std::istringstream in(lines[i]);
         std::string key, cell;
         for (int k = 0; k < key_columns; ++k) {
@@ -99,35 +107,39 @@ readCounterGolden(const std::string &file, int key_columns = 1)
             key += (k > 0 ? "," : "") + cell;
         }
         std::getline(in, cell, ','); // layer index; rows are in order
-        GoldenRow row{};
-        for (int64_t &value : row.v) {
+        GoldenRow row;
+        for (size_t c = size_t(key_columns) + 1; c < names.size(); ++c) {
             std::getline(in, cell, ',');
-            value = std::strtoll(cell.c_str(), nullptr, 10);
+            row.emplace_back(names[c],
+                             std::strtoll(cell.c_str(), nullptr, 10));
         }
         out[key].push_back(row);
     }
     return out;
 }
 
-/** Compare one layer's 17 golden columns (15 LayerStats counters, then
- *  the run's checked/mismatches). */
+/** Compare one layer's golden columns: LayerStats counters, named as in
+ *  kLayerStatsFields, then the run's checked/mismatches. */
 void
 expectCounters(const std::string &where, const LayerStats &st,
                int64_t checked, int64_t mismatches, const GoldenRow &g)
 {
-    const int64_t got[17] = {
-        st.cycles,          st.compute_cycles,
-        st.weight_load_cycles, st.fill_cycles,
-        st.read_stall_cycles,  st.write_stall_cycles,
-        st.macs,            st.stab_reads,
-        st.stab_writes,     st.strb_reads,
-        st.ob_accumulates,  st.birrd_switch_hops,
-        st.dram_words,      st.peak_ob_entries,
-        st.weight_reload_events, checked,
-        mismatches};
-    for (int c = 0; c < 17; ++c) {
-        EXPECT_EQ(got[c], g.v[c])
-            << where << " counter column " << c
+    for (const auto &[name, want] : g) {
+        int64_t got = 0;
+        if (name == "checked") {
+            got = checked;
+        } else if (name == "mismatches") {
+            got = mismatches;
+        } else {
+            const auto field = std::find_if(
+                std::begin(kLayerStatsFields), std::end(kLayerStatsFields),
+                [&](const LayerStatsField &f) { return name == f.name; });
+            ASSERT_NE(field, std::end(kLayerStatsFields))
+                << "golden column " << name << " is no LayerStats field";
+            got = st.*field->member;
+        }
+        EXPECT_EQ(got, want)
+            << where << " counter " << name
             << ": counters must stay bit-identical to the captured golden";
     }
 }
@@ -187,7 +199,7 @@ TEST(RunLayer_, StandaloneLayersBitIdenticalToGolden)
                 std::string error;
                 const std::optional<LayerPlan> plan =
                     planLayer(*sl.dataflow, sl.spec, s.default_aw,
-                              s.default_ah, &error, mode);
+                              s.default_ah, &error);
                 ASSERT_TRUE(plan.has_value()) << key << ": " << error;
                 RunOptions opts;
                 opts.aw = s.default_aw;
@@ -435,13 +447,11 @@ TEST(PlanCacheEngineKey, ModesNeverShareEntries)
         EngineMode::Analytic, DataflowKind::Canonical, conv, 4, 4);
     ASSERT_TRUE(cycle.has_value());
     ASSERT_TRUE(analytic.has_value());
-    // Regression: a shared entry would replay one job under the other's
-    // engine. Same planning point, two modes = two misses, two entries.
+    // Regression: a shared entry would hand one tier's memoized stats to
+    // the other. Same planning point, two modes = two misses, two entries.
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().entries, 2u);
-    EXPECT_EQ(cycle->engine, EngineMode::Cycle);
-    EXPECT_EQ(analytic->engine, EngineMode::Analytic);
     // The planning artifacts themselves are engine-independent.
     EXPECT_EQ(cycle->mapping.toString(), analytic->mapping.toString());
     EXPECT_EQ(cycle->in_layout.toString(), analytic->in_layout.toString());

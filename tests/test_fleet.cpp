@@ -179,23 +179,11 @@ TEST(ArchZoo, LegacyFactoriesAreThinWrappersOverTheRegistry)
 // Hand-off pricing (model::handoffCost)
 // ---------------------------------------------------------------------------
 
-TEST(HandoffCost, SameDeviceIsFree)
-{
-    Extents e;
-    e[Dim::C] = 4;
-    e[Dim::H] = 8;
-    e[Dim::W] = 8;
-    EXPECT_EQ(model::handoffCost(true, Layout::parse("CHW_W4"),
-                                 Layout::parse("HWC_C4"), e, 2,
-                                 model::InterChipLink()),
-              0);
-}
-
 TEST(HandoffCost, CrossDeviceIsReorderPlusTransfer)
 {
     // 2x2x2 tensor, 8 elements. Reorder between these layouts costs 8
-    // (see ReorderCost tests); the transfer term adds
-    // ceil(bytes / bytes_per_cycle) on top.
+    // (see ReorderCost tests); the transfer term adds ceil(8 / 16) = 1 on
+    // top.
     Extents e;
     e[Dim::C] = 2;
     e[Dim::H] = 2;
@@ -204,18 +192,13 @@ TEST(HandoffCost, CrossDeviceIsReorderPlusTransfer)
     const Layout dst = Layout::parse("HWC_C2");
     const int64_t reorder = model::reorderCost(src, dst, e);
     ASSERT_EQ(reorder, 8);
-
-    model::InterChipLink link;
-    link.bytes_per_cycle = 4;
-    // 8 elements x 2 bytes = 16 bytes -> 4 transfer cycles.
-    EXPECT_EQ(model::handoffCost(false, src, dst, e, 2, link), reorder + 4);
-    // 1-byte elements: 8 bytes -> 2 cycles.
-    EXPECT_EQ(model::handoffCost(false, src, dst, e, 1, link), reorder + 2);
-    // A narrower link makes the same hand-off strictly dearer.
-    link.bytes_per_cycle = 1;
-    EXPECT_EQ(model::handoffCost(false, src, dst, e, 2, link), reorder + 16);
+    EXPECT_EQ(model::handoffCost(src, dst, e), reorder + 1);
     // Identical layouts still pay the transfer term across chips.
-    EXPECT_EQ(model::handoffCost(false, src, src, e, 1, link), 8);
+    EXPECT_EQ(model::handoffCost(src, src, e), 1);
+    // A bigger tensor costs more: 8x8x8 is 512 elements, 32 cycles.
+    e[Dim::C] = e[Dim::H] = e[Dim::W] = 8;
+    EXPECT_EQ(model::handoffCost(src, src, e), 32);
+    EXPECT_GT(model::handoffCost(src, dst, e), model::handoffCost(src, src, e));
 }
 
 // ---------------------------------------------------------------------------

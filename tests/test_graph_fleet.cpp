@@ -10,9 +10,9 @@
  *     equals the brute-force optimum over every (device, candidate)
  *     assignment, and is never beaten by greedy or by any pinned
  *     single-device placement (100+ seed-derived cases);
- *   - edge pricing: model::handoffCost is zero on-device, scales with
- *     tensor bytes, and charges only the link term on concordant
- *     hand-offs.
+ *   - edge pricing: model::handoffCost scales with tensor size, charges
+ *     only the link term, ceil(elements / 16), on concordant hand-offs,
+ *     and adds reorderCost on discordant ones.
  */
 
 #include <gtest/gtest.h>
@@ -77,53 +77,37 @@ hwcExtents(int64_t h, int64_t w, int64_t c)
 // handoffCost edge pricing
 // ---------------------------------------------------------------------------
 
-TEST(HandoffCost, SameDeviceHandoffIsFree)
-{
-    const InterChipLink link;
-    const Layout src = Layout::parse("HWC_C16");
-    const Layout dst = Layout::parse("CHW_W8");
-    // Even a discordant hand-off is free on-device: the StaB ping-pong
-    // plus BIRRD write path is what the per-layer scheduler exploits.
-    EXPECT_EQ(handoffCost(true, src, dst, hwcExtents(8, 8, 16), 1, link),
-              0);
-}
-
 TEST(HandoffCost, ConcordantHandoffChargesOnlyTheLinkTerm)
 {
-    const InterChipLink link; // 16 bytes/cycle
     const Layout layout = Layout::parse("HWC_C16");
     const Extents extents = hwcExtents(8, 8, 16); // 1024 elements
     EXPECT_EQ(reorderCost(layout, layout, extents), 0);
-    // 1024 bytes over a 16 B/cycle link = 64 transfer cycles, nothing
-    // else.
-    EXPECT_EQ(handoffCost(false, layout, layout, extents, 1, link), 64);
-    // Wider elements transfer proportionally more bytes.
-    EXPECT_EQ(handoffCost(false, layout, layout, extents, 4, link), 256);
+    // 1024 one-byte elements over the 16 B/cycle link = 64 transfer
+    // cycles, nothing else.
+    EXPECT_EQ(handoffCost(layout, layout, extents), 64);
+    // A partial last transfer cycle is paid in full: ceil(75 / 16) = 5.
+    EXPECT_EQ(handoffCost(layout, layout, hwcExtents(5, 5, 3)), 5);
 }
 
 TEST(HandoffCost, ScalesWithTensorBytes)
 {
-    const InterChipLink link;
     const Layout layout = Layout::parse("HWC_C16");
-    const int64_t small =
-        handoffCost(false, layout, layout, hwcExtents(4, 4, 16), 1, link);
-    const int64_t big =
-        handoffCost(false, layout, layout, hwcExtents(16, 16, 16), 1, link);
+    const int64_t small = handoffCost(layout, layout, hwcExtents(4, 4, 16));
+    const int64_t big = handoffCost(layout, layout, hwcExtents(16, 16, 16));
     EXPECT_GT(small, 0);
     EXPECT_EQ(big, 16 * small); // 16x the elements, 16x the cycles
 }
 
 TEST(HandoffCost, DiscordantHandoffAddsTheReorderTerm)
 {
-    const InterChipLink link;
     const Layout src = Layout::parse("HWC_C16");
     const Layout dst = Layout::parse("CHW_W8");
     const Extents extents = hwcExtents(8, 8, 16);
     const int64_t reorder = reorderCost(src, dst, extents);
     EXPECT_GT(reorder, 0);
-    EXPECT_EQ(handoffCost(false, src, dst, extents, 1, link),
-              reorder +
-                  handoffCost(false, src, src, extents, 1, link));
+    EXPECT_EQ(handoffCost(src, dst, extents), reorder + 64);
+    EXPECT_EQ(handoffCost(src, dst, extents),
+              reorder + handoffCost(src, src, extents));
 }
 
 // ---------------------------------------------------------------------------

@@ -750,7 +750,7 @@ TEST(SeedIndependence, ScenarioLayerStatsIgnoreSeedAndMultiplier)
                 for (const sim::DataflowKind kind : kFamilies) {
                     const std::optional<sim::LayerPlan> plan =
                         sim::planLayer(kind, sl.spec, s.default_aw,
-                                       s.default_ah, nullptr, mode);
+                                       s.default_ah);
                     if (!plan) continue;
                     const std::string where =
                         strCat(s.name, "/", sl.spec.name, "/",
