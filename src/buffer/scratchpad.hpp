@@ -2,10 +2,9 @@
 
 /**
  * @file
- * Data-holding buffer models used by the cycle-level simulator.
+ * Data-holding buffer models used by the cycle-level simulator. Access
+ * counts live in the run's LayerStats, not here.
  *
- * - Scratchpad<T>: logical (num_lines x line_size) buffer with access stats,
- *   used for StrB and baseline accelerators.
  * - BankedScratchpad<T>: FEATHER's StaB organization (§III-C1): AW banks
  *   side-by-side, each one word wide, with *independent per-bank write
  *   addresses* — the property BIRRD exploits to materialise a new layout
@@ -19,85 +18,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "buffer/spec.hpp"
 #include "common/log.hpp"
 
 namespace feather {
 
-/** Logical 2D buffer that actually stores words. */
-template <typename T>
-class Scratchpad
-{
-  public:
-    Scratchpad() = default;
-
-    explicit Scratchpad(BufferSpec spec, T fill = T{})
-        : spec_(spec),
-          data_(size_t(spec.num_lines * spec.line_size), fill)
-    {
-    }
-
-    const BufferSpec &spec() const { return spec_; }
-
-    T
-    read(int64_t line, int64_t slot)
-    {
-        checkAddr(line, slot);
-        ++stats_.word_reads;
-        return data_[size_t(line * spec_.line_size + slot)];
-    }
-
-    void
-    write(int64_t line, int64_t slot, T value)
-    {
-        checkAddr(line, slot);
-        ++stats_.word_writes;
-        data_[size_t(line * spec_.line_size + slot)] = value;
-    }
-
-    /** Peek without counting an access (for test assertions / dumps). */
-    T
-    peek(int64_t line, int64_t slot) const
-    {
-        checkAddr(line, slot);
-        return data_[size_t(line * spec_.line_size + slot)];
-    }
-
-    /** Charge a multi-line read access and return its stall cycles. */
-    int64_t
-    chargeReadAccess(const std::vector<int64_t> &lines)
-    {
-        stats_.line_reads += int64_t(lines.size());
-        const int64_t cycles = readConflictCycles(spec_, lines);
-        stats_.conflict_stall_cycles += cycles - 1;
-        return cycles;
-    }
-
-    AccessStats &stats() { return stats_; }
-    const AccessStats &stats() const { return stats_; }
-
-  private:
-    void
-    checkAddr(int64_t line, int64_t slot) const
-    {
-        FEATHER_CHECK(line >= 0 && line < spec_.num_lines, "line ", line,
-                      " out of range (", spec_.num_lines, ")");
-        FEATHER_CHECK(slot >= 0 && slot < spec_.line_size, "slot ", slot,
-                      " out of range (", spec_.line_size, ")");
-    }
-
-    BufferSpec spec_;
-    std::vector<T> data_;
-    AccessStats stats_;
-};
-
 /**
- * FEATHER StaB: @ref numBanks() banks of one word width, each @ref depth()
- * entries deep, with independent addressing per bank.
+ * FEATHER StaB: num_banks banks of one word width, each depth entries
+ * deep, with independent addressing per bank.
  *
  * Storage is demand-sized: each bank holds words only up to its highest
  * written address, or the region a layer sized up front (growBanks), and
- * an address never written reads as the fill value. depth() still bounds
+ * an address never written reads as the fill value. The depth still bounds
  * every access, so capacity errors are unchanged; a run that touches a few
  * KB of a multi-MB StaB allocates a few KB.
  */
@@ -113,26 +44,15 @@ class BankedScratchpad
     {
     }
 
-    int64_t numBanks() const { return num_banks_; }
-    int64_t depth() const { return depth_; }
-
-    T
-    read(int64_t bank, int64_t addr)
-    {
-        ++stats_.word_reads;
-        return peek(bank, addr);
-    }
-
     void
     write(int64_t bank, int64_t addr, T value)
     {
         checkAddr(bank, addr);
-        ++stats_.word_writes;
         grownTo(bank, addr + 1)[size_t(addr)] = value;
     }
 
     T
-    peek(int64_t bank, int64_t addr) const
+    read(int64_t bank, int64_t addr) const
     {
         checkAddr(bank, addr);
         const std::vector<T> &b = banks_[size_t(bank)];
@@ -141,8 +61,8 @@ class BankedScratchpad
 
     /**
      * Write @p n contiguous words into one bank starting at @p addr — the
-     * bulk DMA path for host loads: one bounds check, one memcpy-able copy,
-     * and the same per-word access accounting as n write() calls.
+     * bulk DMA path for host loads: one bounds check and one memcpy-able
+     * copy in place of n write() calls.
      */
     void
     writeRange(int64_t bank, int64_t addr, const T *src, int64_t n)
@@ -150,14 +70,13 @@ class BankedScratchpad
         if (n <= 0) return;
         checkAddr(bank, addr);
         checkAddr(bank, addr + n - 1);
-        stats_.word_writes += n;
         std::copy(src, src + n,
                   grownTo(bank, addr + n).begin() + ptrdiff_t(addr));
     }
 
     /** Grow every bank to hold at least @p words words (fill beyond what
      *  it held), so the writes of a region sized once never grow a bank
-     *  one word at a time. Stored words and access stats are unchanged. */
+     *  one word at a time. Stored words are unchanged. */
     void
     growBanks(int64_t words)
     {
@@ -166,10 +85,9 @@ class BankedScratchpad
         for (int64_t b = 0; b < num_banks_; ++b) grownTo(b, words);
     }
 
-    /** Bulk peek of @p n contiguous words of one bank (no access stats,
-     *  matching peek()). */
+    /** Bulk read of @p n contiguous words of one bank. */
     void
-    peekRange(int64_t bank, int64_t addr, T *dst, int64_t n) const
+    readRange(int64_t bank, int64_t addr, T *dst, int64_t n) const
     {
         if (n <= 0) return;
         checkAddr(bank, addr);
@@ -180,9 +98,6 @@ class BankedScratchpad
         std::copy_n(b.begin() + ptrdiff_t(addr), stored, dst);
         std::fill(dst + stored, dst + n, fill_);
     }
-
-    AccessStats &stats() { return stats_; }
-    const AccessStats &stats() const { return stats_; }
 
   private:
     void
@@ -207,7 +122,6 @@ class BankedScratchpad
     int64_t depth_ = 0;
     T fill_{};
     std::vector<std::vector<T>> banks_;
-    AccessStats stats_;
 };
 
 /** Ping-pong pair of buffers with an explicit swap. */

@@ -37,10 +37,4 @@ conflictCycles(const BufferSpec &spec, std::vector<int64_t> lines, int ports)
     return worst;
 }
 
-int64_t
-readConflictCycles(const BufferSpec &spec, std::vector<int64_t> lines)
-{
-    return conflictCycles(spec, std::move(lines), spec.read_ports);
-}
-
 } // namespace feather

@@ -33,15 +33,6 @@ struct BufferSpec
     {
         return line / lines_per_bank;
     }
-
-    /** Number of physical banks (vertical stacking). */
-    int64_t
-    numBanks() const
-    {
-        return (num_lines + lines_per_bank - 1) / lines_per_bank;
-    }
-
-    int64_t capacityWords() const { return num_lines * line_size; }
 };
 
 /**
@@ -51,33 +42,9 @@ struct BufferSpec
  *
  * @param spec   buffer organization
  * @param lines  distinct line indices touched this cycle (need not be sorted)
- * @param ports  port count to use (read or write ports)
+ * @param ports  ports per bank (read_ports, or more under a mitigation)
  */
 int64_t conflictCycles(const BufferSpec &spec, std::vector<int64_t> lines,
                        int ports);
-
-/** conflictCycles at the buffer's read port count. */
-int64_t readConflictCycles(const BufferSpec &spec,
-                           std::vector<int64_t> lines);
-
-/** Running access statistics for one buffer. */
-struct AccessStats
-{
-    int64_t word_reads = 0;
-    int64_t word_writes = 0;
-    int64_t line_reads = 0;      ///< distinct (cycle, line) read activations
-    int64_t line_writes = 0;
-    int64_t conflict_stall_cycles = 0;
-
-    void
-    merge(const AccessStats &o)
-    {
-        word_reads += o.word_reads;
-        word_writes += o.word_writes;
-        line_reads += o.line_reads;
-        line_writes += o.line_writes;
-        conflict_stall_cycles += o.conflict_stall_cycles;
-    }
-};
 
 } // namespace feather

@@ -52,12 +52,6 @@ LatencyHistogram::merge(const LatencyHistogram &other)
     for (size_t i = 0; i < kNumBuckets; ++i) counts_[i] += other.counts_[i];
 }
 
-double
-LatencyHistogram::mean() const
-{
-    return count_ ? double(sum_) / double(count_) : 0.0;
-}
-
 int64_t
 LatencyHistogram::percentile(double p) const
 {

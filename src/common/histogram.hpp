@@ -40,7 +40,6 @@ class LatencyHistogram
     int64_t min() const { return count_ ? min_ : 0; }
     int64_t max() const { return count_ ? max_ : 0; }
     int64_t total() const { return sum_; }
-    double mean() const;
 
     /**
      * The value at percentile @p p in [0, 100]: the lower bound of the

@@ -107,23 +107,6 @@ OptionTable::nonNegative(const std::string &name,
 }
 
 OptionTable &
-OptionTable::ranged(const std::string &name, const std::string &value_name,
-                    const std::string &help, uint64_t *out, uint64_t max)
-{
-    options_.push_back(
-        {name, value_name, help, [name, out, max](const std::string &v) {
-             uint64_t n = 0;
-             if (!parseUint(v, &n) || n > max) {
-                 return invalidValue(name, v,
-                                     strCat("an integer in 0..", max));
-             }
-             *out = n;
-             return std::string();
-         }});
-    return *this;
-}
-
-OptionTable &
 OptionTable::rangedInt(const std::string &name,
                        const std::string &value_name,
                        const std::string &help, int *out, uint64_t max)

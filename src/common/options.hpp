@@ -66,10 +66,6 @@ class OptionTable
                              const std::string &help, uint64_t *out);
 
     /** A non-negative integer <= @p max (0 allowed). */
-    OptionTable &ranged(const std::string &name,
-                        const std::string &value_name,
-                        const std::string &help, uint64_t *out,
-                        uint64_t max);
     OptionTable &rangedInt(const std::string &name,
                            const std::string &value_name,
                            const std::string &help, int *out, uint64_t max);

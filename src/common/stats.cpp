@@ -1,6 +1,5 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace feather {
@@ -29,20 +28,6 @@ sum(const std::vector<double> &xs)
     double s = 0.0;
     for (double x : xs) s += x;
     return s;
-}
-
-double
-maxOf(const std::vector<double> &xs)
-{
-    if (xs.empty()) return 0.0;
-    return *std::max_element(xs.begin(), xs.end());
-}
-
-double
-minOf(const std::vector<double> &xs)
-{
-    if (xs.empty()) return 0.0;
-    return *std::min_element(xs.begin(), xs.end());
 }
 
 } // namespace feather

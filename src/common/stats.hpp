@@ -21,12 +21,6 @@ double geomean(const std::vector<double> &xs);
 /** Sum of @p xs. */
 double sum(const std::vector<double> &xs);
 
-/** Maximum of @p xs; 0 for empty. */
-double maxOf(const std::vector<double> &xs);
-
-/** Minimum of @p xs; 0 for empty. */
-double minOf(const std::vector<double> &xs);
-
 /** Running accumulator for mean / min / max without storing samples. */
 class RunningStat
 {

@@ -29,8 +29,6 @@ class Table
     /** Render as CSV (no quoting; cells must not contain commas). */
     std::string toCsv() const;
 
-    size_t numRows() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -243,6 +243,15 @@ Daemon::enqueueLine(const std::string &line, ResponseSink sink)
 }
 
 void
+Daemon::refuseLine(const std::string &reason, ResponseSink sink)
+{
+    auto p = std::make_unique<Pending>();
+    p->early_error = strCat("bad request line: ", reason);
+    p->sink = std::move(sink);
+    enqueuePending(std::move(p));
+}
+
+void
 Daemon::enqueuePending(std::unique_ptr<Pending> p)
 {
     // Only an unparsable line arrives with an error already set.

@@ -98,9 +98,14 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     /** Parse @p line and enqueue it; unparsable lines become error
-     *  responses attributed to client "_invalid" (or the line's client
+     *  responses attributed to client "anon" (or the line's client
      *  when that field parsed before the failure). */
     void enqueueLine(const std::string &line, ResponseSink sink);
+
+    /** Answer a request line that could not be read whole (@p reason)
+     *  the way enqueueLine answers an unparsable one: one ERROR line
+     *  "bad request line: <reason>", attributed to client "anon". */
+    void refuseLine(const std::string &reason, ResponseSink sink);
 
     /** Enqueue an already-parsed request. */
     void enqueue(Request req, ResponseSink sink);
@@ -247,9 +252,10 @@ class Daemon
     void respondError(Pending *p, const std::string &reason);
 
     /**
-     * The one intake path of enqueue() and enqueueLine(): number @p p,
-     * count it against its client, pre-plan it unless it carries a parse
-     * error, queue it for run() and start its speculative executions.
+     * The one intake path of enqueue(), enqueueLine() and refuseLine():
+     * number @p p, count it against its client, pre-plan it unless it
+     * carries a parse error, queue it for run() and start its speculative
+     * executions.
      * After closeIntake() a parsed request is answered "rejected: intake
      * closed" and an unparsable line is dropped.
      */

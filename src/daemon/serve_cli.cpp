@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -20,14 +21,81 @@
 namespace feather {
 namespace daemon {
 
+bool
+LineSplitter::emit()
+{
+    if (!buf_.empty() && buf_.back() == '\r') buf_.pop_back();
+    bool more = true;
+    if (buf_.size() > kMaxRequestLineBytes) {
+        more = fn_(std::string(), true);
+    } else if (!buf_.empty()) {
+        more = fn_(buf_, false);
+    }
+    buf_.clear();
+    stopped_ = !more;
+    return more;
+}
+
+bool
+LineSplitter::feed(const char *data, size_t n)
+{
+    const char *const end = data + n;
+    while (!stopped_ && data < end) {
+        const char *const eol = std::find(data, end, '\n');
+        if (!dropping_) {
+            // Room for the cap and one '\r'; a line that overflows it is
+            // reported now and the rest of it dropped as it arrives.
+            if (size_t(eol - data) > kMaxRequestLineBytes + 1 - buf_.size()) {
+                buf_.clear();
+                dropping_ = true;
+                stopped_ = !fn_(std::string(), true);
+            } else {
+                buf_.append(data, eol);
+            }
+        }
+        if (eol == end) break;
+        data = eol + 1;
+        if (dropping_) {
+            dropping_ = false;
+        } else {
+            emit();
+        }
+    }
+    return !stopped_;
+}
+
+bool
+LineSplitter::finish()
+{
+    if (stopped_) return false;
+    if (dropping_) {
+        dropping_ = false;
+        return true;
+    }
+    return emit();
+}
+
+bool
+LineSplitter::feedStream(std::istream &in)
+{
+    std::streambuf *const sb = in.rdbuf();
+    char chunk[4096];
+    while (sb->sgetc() != std::char_traits<char>::eof()) {
+        const std::streamsize ready = std::clamp<std::streamsize>(
+            sb->in_avail(), 1, std::streamsize(sizeof(chunk)));
+        if (!feed(chunk, size_t(sb->sgetn(chunk, ready)))) return false;
+    }
+    return finish();
+}
+
 namespace {
 
-/** Strip one trailing '\r' (TCP clients may send CRLF). */
-std::string
-chomp(std::string line)
+/** Answer a request line longer than kMaxRequestLineBytes. */
+void
+refuseTooLong(Daemon &daemon, const ResponseSink &sink)
 {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
+    daemon.refuseLine(
+        strCat("longer than ", kMaxRequestLineBytes, " bytes"), sink);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,27 +182,24 @@ class TcpFrontend
             // (and suppress SIGPIPE).
             (void)::send(fd, msg.data(), msg.size(), MSG_NOSIGNAL);
         };
-        std::string buf;
+        LineSplitter split(
+            [this, &sink](const std::string &line, bool too_long) {
+                if (too_long) {
+                    refuseTooLong(*daemon_, sink);
+                } else if (line == "shutdown") {
+                    daemon_->closeIntake();
+                } else {
+                    daemon_->enqueueLine(line, sink);
+                }
+                return true;
+            });
         char chunk[4096];
         for (;;) {
             const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
             if (n <= 0) break;
-            buf.append(chunk, size_t(n));
-            size_t eol;
-            while ((eol = buf.find('\n')) != std::string::npos) {
-                const std::string line = chomp(buf.substr(0, eol));
-                buf.erase(0, eol + 1);
-                if (line.empty()) continue;
-                if (line == "shutdown") {
-                    daemon_->closeIntake();
-                    continue;
-                }
-                daemon_->enqueueLine(line, sink);
-            }
+            split.feed(chunk, size_t(n));
         }
-        if (!chomp(buf).empty() && chomp(buf) != "shutdown") {
-            daemon_->enqueueLine(chomp(buf), sink);
-        }
+        split.finish();
     }
 
     Daemon *daemon_ = nullptr;
@@ -401,12 +466,15 @@ serveMain(const ServeCliConfig &config)
                          config.replay_path.c_str());
             return 2;
         }
-        std::string line;
-        while (std::getline(in, line)) {
-            line = chomp(line);
-            if (line.empty() || line[0] == '#') continue;
-            daemon.enqueueLine(line, stdout_sink);
-        }
+        LineSplitter split([&](const std::string &line, bool too_long) {
+            if (too_long) {
+                refuseTooLong(daemon, stdout_sink);
+            } else if (line[0] != '#') {
+                daemon.enqueueLine(line, stdout_sink);
+            }
+            return true;
+        });
+        split.feedStream(in);
         daemon.closeIntake();
         report = daemon.run();
         break;
@@ -430,13 +498,16 @@ serveMain(const ServeCliConfig &config)
     }
     case ServeCliConfig::Mode::Stdin: {
         std::thread reader([&daemon, &stdout_sink] {
-            std::string line;
-            while (std::getline(std::cin, line)) {
-                line = chomp(line);
-                if (line.empty()) continue;
-                if (line == "shutdown") break;
+            LineSplitter split([&](const std::string &line, bool too_long) {
+                if (too_long) {
+                    refuseTooLong(daemon, stdout_sink);
+                    return true;
+                }
+                if (line == "shutdown") return false;
                 daemon.enqueueLine(line, stdout_sink);
-            }
+                return true;
+            });
+            split.feedStream(std::cin);
             daemon.closeIntake();
         });
         report = daemon.run();

@@ -30,7 +30,11 @@
  * 2 = usage error.
  */
 
+#include <cstddef>
+#include <functional>
+#include <istream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "daemon/daemon.hpp"
@@ -38,6 +42,46 @@
 
 namespace feather {
 namespace daemon {
+
+/** Longest request line a frontend reads, in bytes (newline and one
+ *  trailing '\r' not counted). */
+constexpr size_t kMaxRequestLineBytes = 64 * 1024;
+
+/**
+ * The one line reader of every frontend (--stdin, --replay, each TCP
+ * connection): splits a byte stream into request lines without their
+ * newline and one trailing '\r', skipping empty lines. A line longer than
+ * kMaxRequestLineBytes is reported once, as too long, and its bytes up to
+ * the next newline are dropped unread, so a client cannot grow the
+ * buffer past the cap. The callback returns false to stop reading.
+ */
+class LineSplitter
+{
+  public:
+    /** @p too_long: the line exceeded the cap (@p line is then empty). */
+    using LineFn = std::function<bool(const std::string &line, bool too_long)>;
+
+    explicit LineSplitter(LineFn fn) : fn_(std::move(fn)) {}
+
+    /** Split @p n more bytes; false once the callback has stopped it. */
+    bool feed(const char *data, size_t n);
+
+    /** End of stream: hand over a last line that had no newline. */
+    bool finish();
+
+    /** Feed all of @p in, then finish(). Takes only the bytes the stream
+     *  has ready, so an interactive stdin is answered line by line. */
+    bool feedStream(std::istream &in);
+
+  private:
+    /** Hand the buffered line to the callback and clear it. */
+    bool emit();
+
+    LineFn fn_;
+    std::string buf_; ///< the current line, at most cap + 1 bytes
+    bool dropping_ = false;
+    bool stopped_ = false;
+};
 
 /** Parsed feather_serve command line. */
 struct ServeCliConfig

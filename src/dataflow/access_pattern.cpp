@@ -127,46 +127,6 @@ concurrentIactCoords(const LayerSpec &layer,
     return dedupe(std::move(coords), {Dim::N, Dim::C, Dim::H, Dim::W});
 }
 
-std::vector<Coord>
-concurrentOactCoords(const LayerSpec &layer,
-                     const std::vector<ParallelDim> &spatial,
-                     const Coord &base)
-{
-    std::vector<Coord> coords;
-    if (layer.type == OpType::Gemm) {
-        const GemmShape &g = layer.gemm;
-        forEachSpatialIndex(spatial, [&](const DimMap &idx) {
-            const int64_t m = base[Dim::M] + idx[Dim::M];
-            const int64_t n = base[Dim::N] + idx[Dim::N];
-            if (m >= g.m || n >= g.n) return;
-            Coord c;
-            c[Dim::M] = m;
-            c[Dim::N] = n;
-            coords.push_back(c);
-        });
-        return dedupe(std::move(coords), {Dim::M, Dim::N});
-    }
-
-    const ConvShape &cs = layer.conv;
-    const int64_t m_extent = cs.depthwise ? cs.c : cs.m;
-    forEachSpatialIndex(spatial, [&](const DimMap &idx) {
-        // For depthwise convs, the C dim doubles as the output channel.
-        const int64_t m =
-            cs.depthwise ? base[Dim::C] + idx[Dim::C]
-                         : base[Dim::M] + idx[Dim::M];
-        const int64_t p = base[Dim::P] + idx[Dim::P];
-        const int64_t q = base[Dim::Q] + idx[Dim::Q];
-        if (m >= m_extent || p >= cs.outH() || q >= cs.outW()) return;
-        Coord c;
-        c[Dim::N] = base[Dim::N] + idx[Dim::N];
-        c[Dim::M] = m;
-        c[Dim::P] = p;
-        c[Dim::Q] = q;
-        coords.push_back(c);
-    });
-    return dedupe(std::move(coords), {Dim::N, Dim::M, Dim::P, Dim::Q});
-}
-
 std::vector<int64_t>
 linesTouched(const BoundLayout &bl, const std::vector<Coord> &coords)
 {
@@ -228,27 +188,6 @@ sampleTemporalBases(const LayerSpec &layer, const Mapping &mapping,
         bases.push_back(base);
     }
     return bases;
-}
-
-double
-averageReadSlowdown(const LayerSpec &layer, const Mapping &mapping,
-                    const BoundLayout &iact_layout, const BufferSpec &buf,
-                    int max_samples)
-{
-    const auto bases = sampleTemporalBases(layer, mapping, max_samples);
-    if (bases.empty()) return 1.0;
-
-    double total = 0.0;
-    int counted = 0;
-    for (const Coord &base : bases) {
-        const auto coords =
-            concurrentIactCoords(layer, mapping.spatial(), base);
-        if (coords.empty()) continue;
-        const auto lines = linesTouched(iact_layout, coords);
-        total += double(conflictCycles(buf, lines, buf.read_ports));
-        ++counted;
-    }
-    return counted ? total / double(counted) : 1.0;
 }
 
 } // namespace feather

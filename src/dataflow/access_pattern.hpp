@@ -2,15 +2,14 @@
 
 /**
  * @file
- * Per-cycle access-set generation: which iAct / oAct elements a mapping
- * touches concurrently, and which buffer lines those land on under a given
+ * Per-cycle access-set generation: which iAct elements a mapping reads
+ * concurrently, and which buffer lines those land on under a given
  * layout. This is the machinery behind the paper's bank-conflict assessment
  * (§V-B) and the M1–M8 walkthrough tables of Fig. 4.
  */
 
 #include <vector>
 
-#include "buffer/spec.hpp"
 #include "dataflow/mapping.hpp"
 #include "layout/layout.hpp"
 #include "workload/shapes.hpp"
@@ -60,11 +59,6 @@ std::vector<Coord> concurrentIactCoords(const LayerSpec &layer,
                                         const std::vector<ParallelDim> &spatial,
                                         const Coord &base);
 
-/** oAct coordinates produced concurrently in one spatial step. */
-std::vector<Coord> concurrentOactCoords(const LayerSpec &layer,
-                                        const std::vector<ParallelDim> &spatial,
-                                        const Coord &base);
-
 /** Distinct buffer lines touched by @p coords under layout @p bl. */
 std::vector<int64_t> linesTouched(const BoundLayout &bl,
                                   const std::vector<Coord> &coords);
@@ -78,14 +72,5 @@ std::vector<int64_t> linesTouched(const BoundLayout &bl,
 std::vector<Coord> sampleTemporalBases(const LayerSpec &layer,
                                        const Mapping &mapping,
                                        int max_samples);
-
-/**
- * Average read slowdown of (mapping, layout) on @p layer over sampled
- * cycles: mean over cycles of conflictCycles(...) — 1.0 means concordant
- * (§II-C), larger means bank conflicts (discordant).
- */
-double averageReadSlowdown(const LayerSpec &layer, const Mapping &mapping,
-                           const BoundLayout &iact_layout,
-                           const BufferSpec &buf, int max_samples = 16);
 
 } // namespace feather

@@ -35,14 +35,6 @@ Mapping::spatial() const
     return all;
 }
 
-int64_t
-Mapping::tileExtent(Dim d, const Extents &ext) const
-{
-    const int64_t full = std::max<int64_t>(ext[d], 1);
-    const int64_t t = tile[d];
-    return t > 0 ? std::min(t, full) : full;
-}
-
 std::string
 Mapping::toString() const
 {

@@ -61,9 +61,6 @@ struct Mapping
     /** All spatial dims (cols then rows). */
     std::vector<ParallelDim> spatial() const;
 
-    /** Effective tile extent of @p d for a workload of extents @p ext. */
-    int64_t tileExtent(Dim d, const Extents &ext) const;
-
     std::string toString() const;
 };
 

@@ -214,12 +214,11 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         }
 
         // A row that shares row 0's stream finds row 0's iActs still in
-        // iact_vals, so only the accounting of its reads remains: the
-        // StaB read count and, when tracing, one event per word.
+        // iact_vals (NestGeometry::step counts its reads), so only the
+        // trace remains: one event per word when tracing.
         void
         reuse(const NestGeometry::StepScratch::GatherRead *first, int64_t n)
         {
-            acc.stab_.ping().stats().word_reads += n;
             if (acc.trace_.size() >= acc.trace_cap_) return;
             for (int64_t i = 0; i < n; ++i) {
                 acc.recordTrace(TraceEvent::Kind::StabRead, step_index,
@@ -334,7 +333,7 @@ FeatherAccelerator::readActivations() const
         for (int64_t bank = 0; bank < std::min<int64_t>(cfg_.aw, line_size);
              ++bank) {
             const int64_t n = ceilDiv(line_size - bank, int64_t(cfg_.aw));
-            stab_.ping().peekRange(bank, line * wpl, burst.data(), n);
+            stab_.ping().readRange(bank, line * wpl, burst.data(), n);
             for (int64_t j = 0; j < n; ++j) {
                 const Coord &off = bl.slotOffset(bank + j * cfg_.aw);
                 if (is_gemm) {

@@ -21,12 +21,12 @@
  * from the compiled-wave table (noc/router.hpp), the Instruction Buffer
  * analogue. What run() adds is the data: one StaB read per distinct word
  * per cycle (and its trace event; a row sharing row 0's iAct stream keeps
- * row 0's iActs and only counts and traces its reads), the NEST weight
- * loads and emissions,
- * each group's sum accumulated into the OB, and the requantized oAct
- * written to StaB pong when its last partial sum lands. The OB is a flat
- * table over the layer's output region, one 32-bit accumulator and
- * countdown per (bank, address), with a count of its live entries.
+ * row 0's iActs and only traces its reads), the NEST weight loads and
+ * emissions, each group's sum accumulated into the OB, and the
+ * requantized oAct written to StaB pong when its last partial sum lands.
+ * The OB is a flat table over the layer's output region, one 32-bit
+ * accumulator and countdown per (bank, address), with a count of its live
+ * entries.
  */
 
 #include <cstdint>

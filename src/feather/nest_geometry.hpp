@@ -21,8 +21,7 @@
  * sink, so a sink of no-op hooks costs nothing. The cycle simulator
  * (FeatherAccelerator::run) runs every temporal step with a sink that
  * reads StaB, drives NEST and accumulates and requantizes in the OB; its
- * reuse moves no data and only counts (and traces) the reads. The
- * analytic model
+ * reuse moves no data and only traces the reads. The analytic model
  * (analyticLayerStats) runs only the middle step, with a sink that
  * collects OB destinations, and scales it by the step count.
  *

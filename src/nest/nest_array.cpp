@@ -29,37 +29,6 @@ NestArray::swapWeightBanks()
     active_bank_ = 1 - active_bank_;
 }
 
-int16_t
-NestArray::weight(int row, int col, int local_step) const
-{
-    return regs_[regIndex(active_bank_, row, col, local_step)];
-}
-
-std::vector<PortValue>
-NestArray::computeRowEmission(int row,
-                              const std::vector<std::vector<int16_t>> &iacts,
-                              const std::vector<bool> &active)
-{
-    FEATHER_CHECK(int(iacts.size()) == aw_, "iact column arity mismatch");
-    FEATHER_CHECK(int(active.size()) == aw_, "active column arity mismatch");
-
-    std::vector<PortValue> emission(static_cast<size_t>(aw_));
-    for (int col = 0; col < aw_; ++col) {
-        if (!active[size_t(col)]) continue;
-        const auto &stream = iacts[size_t(col)];
-        FEATHER_CHECK(int(stream.size()) <= max_local_,
-                      "local stream exceeds register file");
-        int64_t acc = 0;
-        for (size_t l = 0; l < stream.size(); ++l) {
-            acc += int64_t(stream[l]) *
-                   int64_t(regs_[regIndex(active_bank_, row, col, int(l))]);
-            ++macs_;
-        }
-        emission[size_t(col)] = acc;
-    }
-    return emission;
-}
-
 void
 NestArray::computeRowEmission(int row, const int16_t *iacts, int64_t t1,
                               const uint8_t *active, PortValue *emission)
@@ -76,7 +45,6 @@ NestArray::computeRowEmission(int row, const int16_t *iacts, int64_t t1,
         for (int64_t l = 0; l < t1; ++l) {
             acc += int64_t(stream[l]) * int64_t(w[l]);
         }
-        macs_ += t1;
         emission[col] = acc;
     }
 }

@@ -7,10 +7,11 @@
  *
  * The array is AW columns x AH rows of PEs. Each PE holds a slice of
  * weights in a ping-pong local register file (so the next tile's weights
- * load while the current tile computes, hiding the AH^2-cycle preload) and
- * accumulates Phase-1 local temporal reductions. In Phase 2, one row per
- * cycle drives the column-wise output buses, sending AW locally-reduced
- * partial sums into BIRRD while the other rows keep computing.
+ * load while the current tile computes; NestGeometry::exposedLoad charges
+ * the part of the preload the compute does not hide) and accumulates
+ * Phase-1 local temporal reductions. In Phase 2, one row per cycle drives
+ * the column-wise output buses, sending AW locally-reduced partial sums
+ * into BIRRD while the other rows keep computing.
  *
  * This class models the *functional* datapath (exact int arithmetic per
  * emission). Cycle accounting lives in the FEATHER controller, which knows
@@ -18,7 +19,6 @@
  */
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "noc/birrd.hpp" // PortValue
@@ -49,37 +49,15 @@ class NestArray
     /** Swap ping/pong register banks (new tile becomes active). */
     void swapWeightBanks();
 
-    /** Active-bank weight of PE (row, col) at @p local_step. */
-    int16_t weight(int row, int col, int local_step) const;
-
     /**
-     * Phase 1 + one Phase-2 emission for @p row.
-     *
-     * @param row    the emitting row
-     * @param iacts  iacts[col][local_step], zero-point-subtracted; inactive
-     *               (padded / out-of-range) taps must be 0
-     * @param active active[col] = false leaves the column bus silent
-     * @return AW partial sums (std::nullopt on silent columns)
-     */
-    std::vector<PortValue>
-    computeRowEmission(int row, const std::vector<std::vector<int16_t>> &iacts,
-                       const std::vector<bool> &active);
-
-    /**
-     * Flat-buffer emission for the controller's hot loop: @p iacts is an
-     * AW x @p t1 row-major block (column c's stream at iacts[c * t1]),
-     * @p active is AW bytes, and the AW partial sums are written into
-     * @p emission (inactive columns get std::nullopt). Identical
-     * arithmetic and MAC accounting to the vector overload.
+     * Phase 1 + one Phase-2 emission for @p row: @p iacts is an AW x @p t1
+     * row-major block (column c's stream at iacts[c * t1], zero-point
+     * -subtracted, inactive taps 0), @p active is AW bytes, and the AW
+     * partial sums are written into @p emission (inactive columns get
+     * std::nullopt, leaving the column bus silent).
      */
     void computeRowEmission(int row, const int16_t *iacts, int64_t t1,
                             const uint8_t *active, PortValue *emission);
-
-    /** Cycles to preload a full array of weights (paper: AH^2). */
-    int64_t weightLoadCycles() const { return int64_t(ah_) * ah_; }
-
-    /** Total multiply-accumulates executed so far. */
-    int64_t macsExecuted() const { return macs_; }
 
   private:
     size_t
@@ -94,7 +72,6 @@ class NestArray
     int max_local_;
     int active_bank_ = 0;
     std::vector<int16_t> regs_; ///< [2][ah][aw][max_local]
-    int64_t macs_ = 0;
 };
 
 } // namespace feather

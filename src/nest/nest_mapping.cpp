@@ -15,22 +15,6 @@ NestMapping::spatial() const
     return all;
 }
 
-int64_t
-NestMapping::degreeOf(Dim d) const
-{
-    int64_t degree = 1;
-    for (const auto &pd : cols) {
-        if (pd.dim == d) degree *= pd.degree;
-    }
-    for (const auto &pd : rows) {
-        if (pd.dim == d) degree *= pd.degree;
-    }
-    for (const auto &pd : local) {
-        if (pd.dim == d) degree *= pd.degree;
-    }
-    return degree;
-}
-
 std::string
 NestMapping::toString() const
 {

@@ -46,9 +46,6 @@ struct NestMapping
     /** All spatial dims (cols then rows), for utilization math. */
     std::vector<ParallelDim> spatial() const;
 
-    /** Degree of @p d across cols/rows/local combined (1 if absent). */
-    int64_t degreeOf(Dim d) const;
-
     std::string toString() const;
 
     /**

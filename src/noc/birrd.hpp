@@ -82,14 +82,14 @@ class BirrdNetwork
     int64_t activeSwitches(const BirrdConfigWord &config,
                            const std::vector<PortValue> &inputs) const;
 
+  private:
     /**
-     * Fused evaluate + activeSwitches in one propagation pass, writing the
-     * output ports into @p outputs (resized to numInputs()) and reusing
-     * @p scratch as the inter-stage buffer. It is the reference the
-     * simulator's compiled waves (noc/router.hpp) are tested against.
+     * The one propagation pass behind evaluate and activeSwitches: writes
+     * the output ports into @p outputs (resized to numInputs()), reusing
+     * @p scratch as the inter-stage buffer.
      *
      * @param active_switches if non-null, incremented by the number of
-     *        switches that saw live data (same count as activeSwitches()).
+     *        switches that saw live data.
      */
     void evaluateInto(const BirrdConfigWord &config,
                       const std::vector<PortValue> &inputs,
@@ -97,7 +97,6 @@ class BirrdNetwork
                       std::vector<PortValue> &scratch,
                       int64_t *active_switches) const;
 
-  private:
     BirrdTopology topo_;
 };
 

@@ -48,8 +48,6 @@ class PlanCache
          *  thread count, and those feed the byte-stable reports. */
         uint64_t memo_hits = 0;
 
-        uint64_t lookups() const { return hits + misses; }
-
         /** The `plan_cache` block every report's JSON summary carries. */
         std::string toJson() const;
 

@@ -40,8 +40,6 @@ class ThreadPool
     /** Block until every task submitted so far has completed. */
     void wait();
 
-    int numThreads() const { return int(workers_.size()); }
-
   private:
     void workerLoop();
 

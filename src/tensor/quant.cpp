@@ -13,21 +13,6 @@ clampToInt8(int32_t v)
 }
 
 int8_t
-quantize(float real, const QuantParams &qp)
-{
-    const float scaled = real / qp.scale;
-    const int32_t rounded =
-        static_cast<int32_t>(std::lround(scaled)) + qp.zero_point;
-    return clampToInt8(rounded);
-}
-
-float
-dequantize(int8_t q, const QuantParams &qp)
-{
-    return qp.scale * float(int32_t(q) - int32_t(qp.zero_point));
-}
-
-int8_t
 requantize(int32_t acc, float multiplier, int8_t out_zp)
 {
     const double scaled = double(acc) * double(multiplier);

@@ -17,21 +17,8 @@
 
 namespace feather {
 
-/** Affine quantization parameters for one tensor. */
-struct QuantParams
-{
-    float scale = 1.0f;
-    int8_t zero_point = 0;
-};
-
 /** Clamp an int32 into int8 range. */
 int8_t clampToInt8(int32_t v);
-
-/** Quantize one real value under @p qp. */
-int8_t quantize(float real, const QuantParams &qp);
-
-/** Dequantize one int8 value under @p qp. */
-float dequantize(int8_t q, const QuantParams &qp);
 
 /**
  * Requantize a 32-bit accumulator value into int8.

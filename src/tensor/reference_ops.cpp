@@ -151,80 +151,4 @@ requantizeTensor(const Int32Tensor &acc, float multiplier, int8_t out_zp)
     return out;
 }
 
-Int8Tensor
-reluQuantized(const Int8Tensor &x, int8_t zp)
-{
-    Int8Tensor out(x.shape());
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        out[size_t(i)] = std::max(x[size_t(i)], zp);
-    }
-    return out;
-}
-
-Int8Tensor
-maxPool2d(const Int8Tensor &x, int64_t kernel, int64_t stride, int64_t pad,
-          int8_t pad_value)
-{
-    FEATHER_CHECK(x.rank() == 4, "rank");
-    const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    const int64_t p = convOutDim(h, kernel, stride, pad);
-    const int64_t q = convOutDim(w, kernel, stride, pad);
-
-    Int8Tensor out({n, c, p, q});
-    for (int64_t in_ = 0; in_ < n; ++in_) {
-        for (int64_t ic = 0; ic < c; ++ic) {
-            for (int64_t ip = 0; ip < p; ++ip) {
-                for (int64_t iq = 0; iq < q; ++iq) {
-                    int8_t best = pad_value;
-                    for (int64_t kr = 0; kr < kernel; ++kr) {
-                        const int64_t ih = ip * stride + kr - pad;
-                        if (ih < 0 || ih >= h) continue;
-                        for (int64_t ks = 0; ks < kernel; ++ks) {
-                            const int64_t iw = iq * stride + ks - pad;
-                            if (iw < 0 || iw >= w) continue;
-                            best = std::max(best, x.at4(in_, ic, ih, iw));
-                        }
-                    }
-                    out.at4(in_, ic, ip, iq) = best;
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Int8Tensor
-avgPool2d(const Int8Tensor &x, int64_t kernel, int64_t stride, int8_t zp)
-{
-    FEATHER_CHECK(x.rank() == 4, "rank");
-    const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    const int64_t p = convOutDim(h, kernel, stride, 0);
-    const int64_t q = convOutDim(w, kernel, stride, 0);
-    const int32_t window = int32_t(kernel * kernel);
-
-    Int8Tensor out({n, c, p, q});
-    for (int64_t in_ = 0; in_ < n; ++in_) {
-        for (int64_t ic = 0; ic < c; ++ic) {
-            for (int64_t ip = 0; ip < p; ++ip) {
-                for (int64_t iq = 0; iq < q; ++iq) {
-                    int32_t acc = 0;
-                    for (int64_t kr = 0; kr < kernel; ++kr) {
-                        for (int64_t ks = 0; ks < kernel; ++ks) {
-                            acc += int32_t(x.at4(in_, ic, ip * stride + kr,
-                                                 iq * stride + ks)) -
-                                   zp;
-                        }
-                    }
-                    // Round-half-away-from-zero division, then re-add zp.
-                    const int32_t rounded =
-                        acc >= 0 ? (acc + window / 2) / window
-                                 : -((-acc + window / 2) / window);
-                    out.at4(in_, ic, ip, iq) = clampToInt8(rounded + zp);
-                }
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace feather

@@ -55,19 +55,4 @@ Int32Tensor gemm(const Int8Tensor &a, const Int8Tensor &b, int8_t a_zp,
 Int8Tensor requantizeTensor(const Int32Tensor &acc, float multiplier,
                             int8_t out_zp);
 
-/** ReLU on a quantized tensor: max(q, zero_point). */
-Int8Tensor reluQuantized(const Int8Tensor &x, int8_t zp);
-
-/** 2-D max pooling over [N,C,H,W]. */
-Int8Tensor maxPool2d(const Int8Tensor &x, int64_t kernel, int64_t stride,
-                     int64_t pad, int8_t pad_value);
-
-/**
- * 2-D average pooling expressed as a convolution, the way FEATHER executes
- * it on NEST (paper §III-A: "AvgPooling layers are transformed into
- * convolution operations"). Accumulates int32 and divides with rounding.
- */
-Int8Tensor avgPool2d(const Int8Tensor &x, int64_t kernel, int64_t stride,
-                     int8_t zp);
-
 } // namespace feather

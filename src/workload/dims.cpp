@@ -40,12 +40,6 @@ parseDim(char c)
     }
 }
 
-bool
-isReductionDim(Dim d)
-{
-    return d == Dim::C || d == Dim::R || d == Dim::S || d == Dim::K;
-}
-
 std::string
 toString(Dim d)
 {

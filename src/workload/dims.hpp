@@ -28,9 +28,6 @@ char dimName(Dim d);
 /** Parse a one-letter dimension name; fatal() on unknown letters. */
 Dim parseDim(char c);
 
-/** @return true for the convolution reduction dims (C, R, S) and GEMM K. */
-bool isReductionDim(Dim d);
-
 std::string toString(Dim d);
 
 } // namespace feather

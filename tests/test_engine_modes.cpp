@@ -274,6 +274,11 @@ TEST(CycleEngine_, StabTraceBitIdenticalToGolden)
                     mix(ev.bank);
                     mix(ev.addr);
                 }
+                // The counters are the datapath's: one StaB read event per
+                // counted read, one write event per counted write.
+                EXPECT_EQ(reads, r.stats.stab_reads) << layer << " " << df;
+                EXPECT_EQ(events - reads, r.stats.stab_writes)
+                    << layer << " " << df;
                 std::ostringstream line;
                 line << model << "," << layer << "," << df << "," << a
                      << "x" << a << "," << geo.rows_used << ","

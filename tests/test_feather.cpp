@@ -484,8 +484,7 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                 Arena arena;
                 NestGeometry::StepScratch rows(geo, aw, arena);
                 RouteRequest req;
-                std::vector<PortValue> inputs(static_cast<size_t>(aw)), outputs,
-                    scratch;
+                std::vector<PortValue> inputs(static_cast<size_t>(aw));
                 std::vector<int64_t> want;
 
                 Coord step;
@@ -511,16 +510,16 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                                 inputs[size_t(c)] = v;
                                 want[size_t(g)] += v;
                             }
-                            int64_t hops = 0;
-                            net.evaluateInto(*config, inputs, outputs,
-                                             scratch, &hops);
+                            const std::vector<PortValue> outputs =
+                                net.evaluate(*config, inputs);
                             for (int g = 0; g < n; ++g) {
                                 const PortValue &got = outputs[size_t(
                                     req.dests_of_group[size_t(g)][0])];
                                 ASSERT_TRUE(got.has_value()) << where;
                                 ASSERT_EQ(*got, want[size_t(g)]) << where;
                             }
-                            ASSERT_EQ(hops, geo.waveHops(w, rows))
+                            ASSERT_EQ(net.activeSwitches(*config, inputs),
+                                      geo.waveHops(w, rows))
                                 << where;
                             ++waves;
                         }

@@ -474,7 +474,8 @@ TEST(Scheduler, EnumeratesAndEvaluatesCandidates)
             EXPECT_FALSE(c.kinds.empty());
         }
     }
-    EXPECT_GT(s.cache().stats().lookups(), 0u);
+    const serve::PlanCache::Stats cs = s.cache().stats();
+    EXPECT_GT(cs.hits + cs.misses, 0u);
 }
 
 TEST(Scheduler, GemmFamiliesCollapseToOneCandidate)

@@ -55,15 +55,6 @@ TEST(Quant, ClampToInt8)
     EXPECT_EQ(clampToInt8(0), 0);
 }
 
-TEST(Quant, QuantizeDequantizeRoundTrip)
-{
-    const QuantParams qp{0.5f, 3};
-    for (float v : {-10.0f, -0.25f, 0.0f, 0.25f, 7.5f}) {
-        const int8_t q = quantize(v, qp);
-        EXPECT_NEAR(dequantize(q, qp), v, qp.scale / 2 + 1e-6);
-    }
-}
-
 TEST(Quant, RequantizeRoundsHalfAwayFromZero)
 {
     EXPECT_EQ(requantize(5, 0.1f, 0), 1);   // 0.5 -> 1
@@ -323,43 +314,6 @@ TEST(ReferenceOps, MatchNaiveLoops)
     EXPECT_GT(wide_kernel, 0);
     EXPECT_GT(batched, 0);
     EXPECT_GT(extreme_zp, 0);
-}
-
-TEST(RefOps, ReluQuantized)
-{
-    Int8Tensor x({1, 4});
-    x.at2(0, 0) = -5; x.at2(0, 1) = 0; x.at2(0, 2) = 3; x.at2(0, 3) = 1;
-    const Int8Tensor y = reluQuantized(x, 1);
-    EXPECT_EQ(y.at2(0, 0), 1);
-    EXPECT_EQ(y.at2(0, 1), 1);
-    EXPECT_EQ(y.at2(0, 2), 3);
-    EXPECT_EQ(y.at2(0, 3), 1);
-}
-
-TEST(RefOps, MaxPool)
-{
-    Int8Tensor x({1, 1, 4, 4});
-    for (int64_t i = 0; i < 16; ++i) x[size_t(i)] = int8_t(i);
-    const Int8Tensor y = maxPool2d(x, 2, 2, 0, -128);
-    EXPECT_EQ(y.dim(2), 2);
-    EXPECT_EQ(y.at4(0, 0, 0, 0), 5);
-    EXPECT_EQ(y.at4(0, 0, 0, 1), 7);
-    EXPECT_EQ(y.at4(0, 0, 1, 0), 13);
-    EXPECT_EQ(y.at4(0, 0, 1, 1), 15);
-}
-
-TEST(RefOps, AvgPoolGlobal)
-{
-    Int8Tensor x({1, 2, 2, 2});
-    // Channel 0: 1,2,3,4 (avg 2.5 -> rounds away from zero to 3 with zp 0).
-    x.at4(0, 0, 0, 0) = 1; x.at4(0, 0, 0, 1) = 2;
-    x.at4(0, 0, 1, 0) = 3; x.at4(0, 0, 1, 1) = 4;
-    // Channel 1: all -4.
-    x.at4(0, 1, 0, 0) = -4; x.at4(0, 1, 0, 1) = -4;
-    x.at4(0, 1, 1, 0) = -4; x.at4(0, 1, 1, 1) = -4;
-    const Int8Tensor y = avgPool2d(x, 2, 2, 0);
-    EXPECT_EQ(y.at4(0, 0, 0, 0), 3);
-    EXPECT_EQ(y.at4(0, 1, 0, 0), -4);
 }
 
 TEST(RefOps, RequantizeTensorShape)

@@ -19,17 +19,6 @@ TEST(Dims, NamesRoundTrip)
     }
 }
 
-TEST(Dims, ReductionDims)
-{
-    EXPECT_TRUE(isReductionDim(Dim::C));
-    EXPECT_TRUE(isReductionDim(Dim::R));
-    EXPECT_TRUE(isReductionDim(Dim::S));
-    EXPECT_TRUE(isReductionDim(Dim::K));
-    EXPECT_FALSE(isReductionDim(Dim::M));
-    EXPECT_FALSE(isReductionDim(Dim::P));
-    EXPECT_FALSE(isReductionDim(Dim::N));
-}
-
 TEST(ConvShape, ResNetConv1)
 {
     const ConvShape c{1, 3, 224, 224, 64, 7, 7, 2, 3, false};
