@@ -143,7 +143,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     const size_t iact_slots = size_t(cfg_.aw) * size_t(geo.t1);
     int16_t *iact_vals = arena_.allocArray<int16_t>(iact_slots);
     std::fill_n(iact_vals, iact_slots, int16_t(0));
-    NestGeometry::StepScratch scratch(geo, cfg_.aw, arena_);
+    scratch_.reset(geo, cfg_.aw, arena_);
 
     // The data movement NestGeometry::step and weightTile leave to the
     // cycle tier: StaB reads, NEST loads and emission, and the Output
@@ -272,7 +272,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                   " partial sums");
     LayerStats stats;
     Datapath dp{*this, geo, weights, quant, stats, geo.t1, iact_vals,
-                scratch.read_val, 0,
+                scratch_.read_val, 0,
                 std::vector<Datapath::ObEntry>(size_t(cfg_.aw * out_words)),
                 out_words, 0, std::vector<PortValue>(size_t(cfg_.aw)),
                 std::vector<int64_t>(size_t(geo.num_groups))};
@@ -294,7 +294,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             compute_since_load = 0;
         }
         compute_since_load +=
-            geo.step(base, current_layout_, out_bound, cfg_, scratch, dp,
+            geo.step(base, current_layout_, out_bound, cfg_, scratch_, dp,
                      stats);
         ++dp.step_index;
     } while (geo.loops.advance(step));

@@ -17,13 +17,15 @@
  * run() walks every temporal step through NestGeometry::step, the one
  * per-step body the analytic tier (feather/analytic.hpp) probes: it
  * prices feed (StaB bank conflicts), bus (BIRRD write-port waves) and
- * t1 into max(feed, bus, t1) cycles, and replays each wave's switch hops
- * from the compiled-wave table (noc/router.hpp), the Instruction Buffer
- * analogue. What run() adds is the data: one StaB read per distinct word
- * per cycle (and its trace event; a row sharing row 0's iAct stream keeps
- * row 0's iActs and only traces its reads), the NEST weight loads and
- * emissions, each group's sum accumulated into the OB, and the
- * requantized oAct written to StaB pong when its last partial sum lands.
+ * t1 into max(feed, bus, t1) cycles, and replays each row's output
+ * control (waves, switch hops, OB destinations) from an output plan
+ * compiled once per output-table shape, its hops from the compiled-wave
+ * table (noc/router.hpp), the Instruction Buffer analogue. What run()
+ * adds is the data: one StaB read per distinct word per cycle (and its
+ * trace event; a row sharing row 0's iAct stream keeps row 0's iActs and
+ * only traces its reads), the NEST weight loads and emissions, each
+ * group's sum accumulated into the OB, and the requantized oAct written
+ * to StaB pong when its last partial sum lands.
  * The OB is a flat table over the layer's output region, one 32-bit
  * accumulator and countdown per (bank, address), with a count of its live
  * entries.
@@ -111,6 +113,9 @@ class FeatherAccelerator
     PingPong<BankedScratchpad<int8_t>> stab_;
     BoundLayout current_layout_;
     Arena arena_; ///< per-run scratch; reset (blocks reused) each run()
+    /** Per-run step scratch (output plans included); its heap capacity
+     *  is reused from run to run. */
+    NestGeometry::StepScratch scratch_{};
     bool iacts_loaded_ = false;
 
     std::vector<TraceEvent> trace_;

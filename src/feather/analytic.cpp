@@ -32,7 +32,7 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
     struct ObDestinations
     {
         int64_t depth;
-        std::vector<int64_t> keys;
+        std::vector<int64_t> &keys;
 
         void weight(int64_t, int64_t, int64_t, const Coord *) {}
         void read(int64_t, int64_t, int64_t) {}
@@ -44,10 +44,15 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
         {
             keys.push_back(bank * depth + line);
         }
-    } dests{cfg.stab_depth, {}};
-    thread_local Arena arena; // blocks reused across calls
+    };
+    // Blocks and heap capacity reused across calls.
+    thread_local Arena arena;
+    thread_local NestGeometry::StepScratch scratch;
+    thread_local std::vector<int64_t> keys;
+    keys.clear();
+    ObDestinations dests{cfg.stab_depth, keys};
     arena.reset();
-    NestGeometry::StepScratch scratch(geo, cfg.aw, arena);
+    scratch.reset(geo, cfg.aw, arena);
     LayerStats stats;
     const int64_t step_cycles =
         geo.step(base, in_bound, out_bound, cfg, scratch, dests, stats,

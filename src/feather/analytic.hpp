@@ -10,7 +10,9 @@
  * (feather/nest_geometry.hpp), once: on the middle step of the nest,
  * which is representative of the steady state (step 0 is not: padded
  * convolutions clip many taps there). Its sink moves no data; it only
- * collects the step's OB destinations (peak_ob_entries). What the model
+ * collects the step's OB destinations (peak_ob_entries). The step's
+ * scratch, its one output plan included, is kept per thread, so a warm
+ * call allocates no heap memory for it and interns nothing. What the model
  * adds is the scaling: step counters times the temporal step count, one
  * weight-tile walk times the reload count, with later reloads hidden
  * behind the evenly spaced compute between them (weight dims are a prefix

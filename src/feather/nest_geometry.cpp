@@ -108,6 +108,36 @@ axisKeys(const NestGeometry::Axes &axes, const Coord &off)
     return keys;
 }
 
+/**
+ * The id of @p entries' (valid, slot) content among the contents interned
+ * on oAct axis @p axis of @p plans, interning it when new.
+ */
+int32_t
+internShape(const std::vector<NestGeometry::StepScratch::AxisEntry> &entries,
+            NestGeometry::StepScratch::OutputPlans &plans, size_t axis)
+{
+    const auto code = [](const NestGeometry::StepScratch::AxisEntry &e) {
+        return e.valid ? 2 * e.slot + 1 : int64_t(0);
+    };
+    uint64_t hash = 1469598103934665603ull;
+    for (const auto &e : entries) {
+        hash = (hash ^ uint64_t(code(e))) * 1099511628211ull;
+    }
+    std::vector<int64_t> &shapes = plans.shapes[axis];
+    std::vector<uint64_t> &hashes = plans.shape_hash[axis];
+    const size_t n = entries.size();
+    for (size_t id = 0; id < hashes.size(); ++id) {
+        if (hashes[id] != hash) continue;
+        const int64_t *shape = shapes.data() + id * n;
+        size_t i = 0;
+        while (i < n && shape[i] == code(entries[i])) ++i;
+        if (i == n) return int32_t(id);
+    }
+    for (const auto &e : entries) shapes.push_back(code(e));
+    hashes.push_back(hash);
+    return int32_t(hashes.size() - 1);
+}
+
 } // namespace
 
 void
@@ -241,12 +271,13 @@ NestGeometry::NestGeometry(const LayerSpec &layer, const NestMapping &mapping)
     }
 }
 
-void
+bool
 NestGeometry::refreshAxes(const Axes &axes, const Coord &b,
                           const BoundLayout &layout,
                           std::array<StepScratch::AxisTable, kAxes> &tables)
     const
 {
+    bool rebuilt = false;
     for (int i = 0; i < kAxes; ++i) {
         const Axis &ax = axes[size_t(i)];
         StepScratch::AxisTable &t = tables[size_t(i)];
@@ -258,6 +289,8 @@ NestGeometry::refreshAxes(const Axes &axes, const Coord &b,
         t.layout = &layout;
         t.base_a = base_a;
         t.base_k = base_k;
+        t.shape = -1;
+        rebuilt = true;
         StepScratch::AxisEntry *e = t.entries.data();
         if (!ax.live) {
             *e = {0, 0, true};
@@ -280,6 +313,7 @@ NestGeometry::refreshAxes(const Axes &axes, const Coord &b,
             }
         }
     }
+    return rebuilt;
 }
 
 void
@@ -308,6 +342,9 @@ NestGeometry::rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
         s.group_bank[g] = word % s.aw;
         s.group_line[g] =
             (e0.line + e1.line + e2.line) * out_wpl + word / s.aw;
+        StepScratch::OutputDest &dest = s.group_dest[size_t(g)];
+        dest.entry = {ck[0] + rk[0], ck[1] + rk[1], ck[2] + rk[2]};
+        dest.word_hi = int32_t(word / s.aw);
     }
 }
 
@@ -373,31 +410,88 @@ NestGeometry::waveHops(int w, StepScratch &s) const
     return waves.compile(s.wave_key, req);
 }
 
-NestGeometry::StepScratch::StepScratch(const NestGeometry &geo, int aw,
-                                       Arena &arena)
-    : aw(aw), col_active(arena.allocArray<uint8_t>(size_t(aw))),
-      group_line(arena.allocArray<int64_t>(size_t(geo.num_groups))),
-      group_bank(arena.allocArray<int64_t>(size_t(geo.num_groups))),
-      group_live(arena.allocArray<uint8_t>(size_t(geo.num_groups))),
-      bank_reads(arena.allocArray<int64_t>(size_t(aw))),
-      class_slot(arena.allocArray<int64_t>(size_t(geo.cols_used))),
-      read_val(arena.allocArray<int16_t>(size_t(geo.cols_used))),
-      wave_of_group(arena.allocArray<int>(size_t(geo.num_groups))),
-      wave_bank_used(arena.allocArray<uint8_t>(size_t(geo.num_groups) *
-                                               size_t(aw))),
-      dense_id(arena.allocArray<int>(size_t(geo.num_groups))),
-      dense_dest(arena.allocArray<int>(size_t(geo.num_groups)))
+void
+NestGeometry::planOutputs(const Coord &b, const BoundLayout &out,
+                          StepScratch &s) const
 {
-    if (geo.row_variants == 1 && geo.rows_used > 1) {
-        const size_t cells = size_t(geo.t1) * size_t(geo.cols_used);
-        gather_active.resize(size_t(geo.cols_used));
-        gather_read.resize(cells);
+    StepScratch::OutputPlans &p = s.plans;
+    if (!refreshAxes(oact_axes, b, out, s.oact_tables) && p.current >= 0) {
+        return;
     }
+    std::array<int32_t, kAxes> key{-1, -1, -1};
+    if (p.current >= 0) {
+        for (size_t i = 0; i < kAxes; ++i) {
+            StepScratch::AxisTable &t = s.oact_tables[i];
+            if (t.shape < 0) t.shape = internShape(t.entries, p, i);
+            key[i] = t.shape;
+        }
+        const auto it = std::find(p.keys.begin(), p.keys.end(), key);
+        if (it != p.keys.end()) {
+            p.current = int32_t(it - p.keys.begin());
+            return;
+        }
+    }
+    p.current = int32_t(p.keys.size());
+    p.keys.push_back(key);
+    const size_t row0 = p.active.size();
+    const uint8_t *active = s.col_active;
+    for (int64_t r = 0; r < rows_used; ++r) {
+        rowOutputs(b, r, out, s);
+        p.active.insert(p.active.end(), active, active + s.aw);
+        const uint8_t *first = p.active.data() + row0;
+        StepScratch::RowPlan row{};
+        row.active = int32_t(std::count(active, active + cols_used, 1));
+        row.reuse = r > 0 && std::equal(active, active + cols_used, first);
+        const int num_waves = splitWaves(s);
+        row.bus = std::max(num_waves, 1);
+        row.acc_begin = uint32_t(p.accs.size());
+        for (int w = 0; w < num_waves; ++w) {
+            row.hops += waveHops(w, s);
+            for (int64_t g = 0; g < num_groups; ++g) {
+                if (!s.group_live[g] || s.wave_of_group[g] != w) continue;
+                const int32_t bank = int32_t(s.group_bank[g]);
+                p.accs.push_back({int32_t(g), bank, s.group_dest[size_t(g)]});
+            }
+        }
+        row.acc_end = uint32_t(p.accs.size());
+        p.rows.push_back(row);
+    }
+}
+
+void
+NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw,
+                                 Arena &arena)
+{
+    const size_t groups = size_t(geo.num_groups);
+    this->aw = aw;
+    col_active = arena.allocArray<uint8_t>(size_t(aw));
+    group_line = arena.allocArray<int64_t>(groups);
+    group_bank = arena.allocArray<int64_t>(groups);
+    group_live = arena.allocArray<uint8_t>(groups);
+    bank_reads = arena.allocArray<int64_t>(size_t(aw));
+    class_slot = arena.allocArray<int64_t>(size_t(geo.cols_used));
+    read_val = arena.allocArray<int16_t>(size_t(geo.cols_used));
+    wave_of_group = arena.allocArray<int>(groups);
+    wave_bank_used = arena.allocArray<uint8_t>(groups * size_t(aw));
+    dense_id = arena.allocArray<int>(groups);
+    dense_dest = arena.allocArray<int>(groups);
+
+    const bool shared = geo.row_variants == 1 && geo.rows_used > 1;
+    gather_read.resize(shared ? size_t(geo.t1) * size_t(geo.cols_used) : 0);
     for (size_t i = 0; i < kAxes; ++i) {
         const Axis &in = geo.iact_axes[i], &out = geo.oact_axes[i];
         iact_tables[i].entries.resize(size_t(in.ua * in.uk));
         oact_tables[i].entries.resize(size_t(out.ua * out.uk));
+        iact_tables[i].layout = oact_tables[i].layout = nullptr;
+        plans.shapes[i].clear();
+        plans.shape_hash[i].clear();
     }
+    group_dest.resize(groups);
+    plans.rows.clear();
+    plans.active.clear();
+    plans.accs.clear();
+    plans.keys.clear();
+    plans.current = -1;
 }
 
 void

@@ -8,14 +8,19 @@
  * BIRRD, and which StaB bank each reduction group's sum lands in.
  *
  * Everything here is data-independent, and so is the one body of a
- * temporal step (NestGeometry::step): per row the output pass, the iAct
- * gather with its per-cycle StaB dedup and dual-port feed, the MACs, the
- * BIRRD wave split, switch hops and OB destinations, then the step's
- * cycles and stalls. When one top-to-bottom iAct stream serves every row
- * (row_variants == 1), row 0 records its gather and each later row with
- * the same active columns reuses it: one sink.reuse call stands for the
- * row's read and iact calls, which would repeat row 0's, and the row is
- * charged row 0's reads. Beside the step sit the weight-tile walk
+ * temporal step (NestGeometry::step): per row the iAct gather with its
+ * per-cycle StaB dedup and dual-port feed, the MACs, and the row's output
+ * control (active columns, BIRRD wave split, switch hops and OB
+ * destinations), then the step's cycles and stalls. The output control
+ * is compiled, not recomputed: it depends only on the row and on the
+ * step's output-table shape (the (valid, slot) content of its oAct axis
+ * tables, below), so planOutputs compiles one output plan per shape and
+ * every step of that shape replays it, adding only the tables' line
+ * parts to find each OB line. When one top-to-bottom iAct stream serves
+ * every row (row_variants == 1), row 0 records its gather and each later
+ * row with the same active columns reuses it: one sink.reuse call stands
+ * for the row's read and iact calls, which would repeat row 0's, and the
+ * row is charged row 0's reads. Beside the step sit the weight-tile walk
  * (weightTile) and the layer's pipeline-fill term (finish). Both engine
  * tiers run these bodies; data movement plugs in through a template
  * sink, so a sink of no-op hooks costs nothing. The cycle simulator
@@ -255,11 +260,21 @@ struct NestGeometry
                i[Dim::W] >= 0 && i[Dim::W] < ext[Dim::W];
     }
 
-    /** Per-row scratch of step() and its pieces below, carved from an
-     *  arena in one fixed order. */
+    /** Per-run scratch of step() and its pieces below: flat blocks carved
+     *  from an arena in one fixed order, and heap parts whose capacity a
+     *  caller that keeps the scratch reuses from run to run. */
     struct StepScratch
     {
-        StepScratch(const NestGeometry &geo, int aw, Arena &arena);
+        StepScratch() = default;
+        StepScratch(const NestGeometry &geo, int aw, Arena &arena)
+        {
+            reset(geo, aw, arena);
+        }
+
+        /** Start a run of @p geo on an @p aw-column array: carve the
+         *  blocks from @p arena and size the heap parts, forgetting every
+         *  axis table and output plan of the last run. */
+        void reset(const NestGeometry &geo, int aw, Arena &arena);
 
         int aw;
         uint8_t *col_active;     ///< [aw]
@@ -285,12 +300,10 @@ struct NestGeometry
             int64_t bank;
             int64_t addr;
         };
-        /** Row 0's gather, kept for reuse when row_variants == 1 and
-         *  rows_used > 1 (else empty): its active columns [cols_used] and
-         *  the words of its first reads in call order [t1 * cols_used],
-         *  of which the step's first shared_reads are live. On the heap,
+        /** Row 0's first reads in call order [t1 * cols_used], of which
+         *  the step's first shared_reads are live; kept for reuse when
+         *  row_variants == 1 and rows_used > 1, else empty. On the heap,
          *  not the arena, whose peak is a reported counter. */
-        std::vector<uint8_t> gather_active;
         std::vector<GatherRead> gather_read;
 
         /** One key of an axis table: whether its coordinate is in bounds
@@ -310,17 +323,74 @@ struct NestGeometry
             const BoundLayout *layout = nullptr;
             int64_t base_a = 0;
             int64_t base_k = 0;
+            /** oAct tables: the interned id of the entries' (valid, slot)
+             *  content (OutputPlans::shapes), -1 until interned. */
+            int32_t shape = -1;
         };
         /** Heap, not arena: the arena blocks keep their order and size. */
         std::array<AxisTable, kAxes> iact_tables, oact_tables;
+
+        /** A live group's OB word as rowOutputs finds it at the group's
+         *  first live column: that column's oAct table entries (its row
+         *  key included) and its word / aw. The group's OB line is the
+         *  three entries' line parts, summed, times out_wpl plus word_hi. */
+        struct OutputDest
+        {
+            std::array<int32_t, kAxes> entry;
+            int32_t word_hi;
+        };
+        std::vector<OutputDest> group_dest; ///< [num_groups]
+
+        /** One sum a compiled row accumulates into the OB. */
+        struct Accumulate
+        {
+            int32_t group;
+            int32_t bank;
+            OutputDest dest;
+        };
+        /** One row of an output plan: what step() does after the row's
+         *  gather. */
+        struct RowPlan
+        {
+            int64_t hops;       ///< BIRRD switch hops over its waves
+            int32_t active;     ///< active columns
+            int32_t bus;        ///< bus slots: max(waves, 1)
+            uint32_t acc_begin; ///< its accumulates, accs[acc_begin,
+            uint32_t acc_end;   ///< acc_end), in wave-then-group order
+            bool reuse;         ///< r > 0 with row 0's col_active
+        };
+        /**
+         * The run's output plans (see step()), one per distinct output-
+         * table shape: the (valid, slot) content of the three oAct axis
+         * tables, which decides every row's col_active, group banks,
+         * waves and hops. Only the tables' line parts move between steps
+         * of one shape. Plan p is rows[p * rows_used, ...) and, aw bytes
+         * per row, active[p * rows_used * aw, ...), keyed by keys[p], its
+         * tables' interned ids. The run's first plan is keyed by -1s and
+         * never found again, so a one-step run interns nothing.
+         */
+        struct OutputPlans
+        {
+            std::vector<RowPlan> rows;
+            std::vector<uint8_t> active;
+            std::vector<Accumulate> accs;
+            std::vector<std::array<int32_t, kAxes>> keys; ///< [plans]
+            /** Per axis, the interned contents: id i is [i * size, (i +
+             *  1) * size) of the axis's table entries, encoded as 2 *
+             *  slot + valid, beside its hash. */
+            std::array<std::vector<int64_t>, kAxes> shapes;
+            std::array<std::vector<uint64_t>, kAxes> shape_hash;
+            int32_t current = -1; ///< the plan of the current step
+        } plans;
     };
 
     /**
      * Bring @p tables up to the step at base @p b under @p layout: each
      * axis of @p axes whose base coordinates or layout changed since its
      * last build is rebuilt, the others are kept.
+     * @return whether any table was rebuilt.
      */
-    void refreshAxes(const Axes &axes, const Coord &b,
+    bool refreshAxes(const Axes &axes, const Coord &b,
                      const BoundLayout &layout,
                      std::array<StepScratch::AxisTable, kAxes> &tables) const;
 
@@ -328,7 +398,8 @@ struct NestGeometry
      * Column liveness and group destinations of row @p r at step base
      * @p b: col_active[c] for c < aw, and for each live group (the first
      * live column of the group decides) the StaB bank and line its sum is
-     * written to under @p out (bound in next-layer iAct space).
+     * written to under @p out (bound in next-layer iAct space), as
+     * group_line and again as its parts, group_dest.
      */
     void rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
                     StepScratch &s) const;
@@ -359,25 +430,36 @@ struct NestGeometry
     int64_t waveHops(int w, StepScratch &s) const;
 
     /**
+     * Bring the oAct tables up to the step at base @p b under @p out and
+     * make plans.current the output plan of their shape: unchanged
+     * tables keep the plan, a known shape finds its plan, and a new one
+     * is compiled, row by row, from rowOutputs, splitWaves and waveHops.
+     */
+    void planOutputs(const Coord &b, const BoundLayout &out,
+                     StepScratch &s) const;
+
+    /**
      * The body of the temporal step at base @p b, with iActs read from
      * StaB under @p in and oActs written under @p out (next-layer iAct
-     * space). Per row: the output pass (rowOutputs); the iAct gather,
+     * space). The step's output control is its output plan (planOutputs):
+     * compiled once per output-table shape, replayed on every step of
+     * that shape. Per row: the iAct gather of the plan's active columns,
      * where columns requesting the same word in the same cycle share one
      * bank access (the point-to-point distribution broadcasts it), priced
      * by dualPortFeed for the first row_variants rows; the emission; the
-     * wave split, one bus slot per wave (at least one), and each wave's
-     * switch hops and OB destinations. In hardware order, @p sink gets
-     * read(s, bank, addr) for the cycle's first request of each StaB word
-     * (its value belongs in StepScratch::read_val[s]), iact(c, l, s) for
-     * each active column c at local slot l (s < 0: padding, a zero),
-     * emit(r, col_active) once row r is gathered, and accumulate(g, bank,
-     * line) for each live group's sum into its OB entry.
+     * plan's bus slots (one per wave, at least one), switch hops and OB
+     * destinations. In hardware order, @p sink gets read(s, bank, addr)
+     * for the cycle's first request of each StaB word (its value belongs
+     * in StepScratch::read_val[s]), iact(c, l, s) for each active column
+     * c at local slot l (s < 0: padding, a zero), emit(r, col_active)
+     * once row r is gathered, and accumulate(g, bank, line) for each live
+     * group's sum into its OB entry, wave by wave.
      *
      * When row_variants == 1 the iActs do not depend on the row, so row 0
-     * records its gather (StepScratch::gather_*) and each later row whose
-     * col_active equals row 0's reuses it: instead of the read and iact
-     * calls, which would repeat row 0's call for call, the sink gets one
-     * reuse(first_reads, n) with the n words of row 0's read calls in
+     * records its gather (StepScratch::gather_read) and each later row
+     * whose col_active equals row 0's reuses it: instead of the read and
+     * iact calls, which would repeat row 0's call for call, the sink gets
+     * one reuse(first_reads, n) with the n words of row 0's read calls in
      * order, and the row is charged those n reads. A data sink keeps
      * row 0's iActs for the row: they do not depend on the row, and an M
      * tail row gathered in between rewrites only equal values. Rows with
@@ -400,10 +482,10 @@ struct NestGeometry
         const int aw = cfg.aw;
         const int64_t cols = cols_used, slots = t1;
         const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
+        const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(aw));
         const size_t classes = size_t(num_classes);
-        const uint8_t *col_active = s.col_active;
         int64_t *bank_reads = s.bank_reads, *class_slot = s.class_slot;
-        const bool shared = !s.gather_active.empty();
+        const bool shared = !s.gather_read.empty();
         int64_t shared_reads = 0; // row 0's distinct reads
         StepScratch::GatherRead *const rec_read = s.gather_read.data();
         const AxisKeys *col_keys = iact_col_keys.data();
@@ -412,12 +494,17 @@ struct NestGeometry
         const StepScratch::AxisEntry *tab0 = s.iact_tables[0].entries.data(),
                                      *tab1 = s.iact_tables[1].entries.data(),
                                      *tab2 = s.iact_tables[2].entries.data();
-        for (int64_t r = 0; r < rows_used; ++r) {
-            rowOutputs(b, r, out, s);
-
-            if (shared && r > 0 &&
-                std::equal(col_active, col_active + cols,
-                           s.gather_active.begin())) {
+        planOutputs(b, out, s);
+        const StepScratch::AxisEntry *out0 = s.oact_tables[0].entries.data(),
+                                     *out1 = s.oact_tables[1].entries.data(),
+                                     *out2 = s.oact_tables[2].entries.data();
+        const size_t plan = size_t(s.plans.current) * size_t(rows_used);
+        const StepScratch::RowPlan *row_plans = s.plans.rows.data() + plan;
+        const uint8_t *col_active = s.plans.active.data() + plan * size_t(aw);
+        const StepScratch::Accumulate *accs = s.plans.accs.data();
+        for (int64_t r = 0; r < rows_used; ++r, col_active += aw) {
+            const StepScratch::RowPlan &row = row_plans[r];
+            if (shared && row.reuse) {
                 sink.reuse(rec_read, shared_reads);
                 reads += shared_reads;
             } else {
@@ -465,25 +552,21 @@ struct NestGeometry
                     if (record) shared_reads += num_read;
                     row_feed += dualPortFeed(bank_reads, aw);
                 }
-                if (record) {
-                    std::copy_n(col_active, cols, s.gather_active.begin());
-                }
                 if (r < row_variants) feed += row_feed;
             }
 
-            sink.emit(r, s.col_active);
-            macs += t1 * std::count(s.col_active, s.col_active + cols_used,
-                                    uint8_t(1));
-
-            const int num_waves = splitWaves(s);
-            bus += std::max(num_waves, 1);
-            for (int w = 0; w < num_waves; ++w) {
-                hops += waveHops(w, s);
-                for (int64_t g = 0; g < num_groups; ++g) {
-                    if (!s.group_live[g] || s.wave_of_group[g] != w) continue;
-                    ++accumulates;
-                    sink.accumulate(g, s.group_bank[g], s.group_line[g]);
-                }
+            sink.emit(r, col_active);
+            macs += t1 * row.active;
+            bus += row.bus;
+            hops += row.hops;
+            accumulates += row.acc_end - row.acc_begin;
+            for (uint32_t i = row.acc_begin; i < row.acc_end; ++i) {
+                const StepScratch::Accumulate &a = accs[i];
+                const int64_t line = out0[a.dest.entry[0]].line +
+                                     out1[a.dest.entry[1]].line +
+                                     out2[a.dest.entry[2]].line;
+                sink.accumulate(a.group, a.bank,
+                                line * out_wpl + a.dest.word_hi);
             }
         }
         const int64_t cycles = std::max({feed, bus, t1});

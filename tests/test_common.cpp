@@ -148,31 +148,11 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(acc / 10000.0, 0.5, 0.02);
 }
 
-TEST(Stats, MeanGeomean)
+TEST(Stats, Geomean)
 {
-    EXPECT_DOUBLE_EQ(mean({2.0, 4.0}), 3.0);
     EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
     EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-}
-
-TEST(Stats, SumMinMax)
-{
-    EXPECT_DOUBLE_EQ(sum({1.0, 2.0, 3.0}), 6.0);
-}
-
-TEST(Stats, RunningStat)
-{
-    RunningStat s;
-    s.add(2.0);
-    s.add(6.0);
-    s.add(4.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_DOUBLE_EQ(s.total(), 12.0);
 }
 
 TEST(Table, RendersAlignedAndCsv)

@@ -859,6 +859,199 @@ TEST(NestGeometry_, WindowAndTailColumnsGatherPerRow)
     EXPECT_GT(mixed_validity, 0);
 }
 
+/** NestGeometry::step sink that keeps each emit's col_active (aw bytes)
+ *  and each accumulate's (group, bank, line). */
+struct OutputLog
+{
+    int aw;
+    std::vector<std::vector<uint8_t>> emits;
+    std::vector<std::array<int64_t, 3>> accumulates;
+
+    void weight(int64_t, int64_t, int64_t, const Coord *) {}
+    void read(int64_t, int64_t, int64_t) {}
+    void iact(int64_t, int64_t, int64_t) {}
+    void reuse(const NestGeometry::StepScratch::GatherRead *, int64_t) {}
+    void
+    emit(int64_t, const uint8_t *col_active)
+    {
+        emits.emplace_back(col_active, col_active + aw);
+    }
+    void
+    accumulate(int64_t g, int64_t bank, int64_t line)
+    {
+        accumulates.push_back({g, bank, line});
+    }
+};
+
+/** Feed cycles of row @p r at step base @p b, from oactAt, iactAt and
+ *  addrOf: per local slot, the distinct StaB words the active columns
+ *  read, priced by dualPortFeed. */
+int64_t
+rowFeed(const NestGeometry &geo, const Coord &b, int64_t r,
+        const BoundLayout &in, int aw)
+{
+    const int64_t wpl = ceilDiv(in.lineSize(), int64_t(aw));
+    int64_t feed = 0;
+    for (int64_t l = 0; l < geo.t1; ++l) {
+        std::vector<std::pair<int64_t, int64_t>> words;
+        std::vector<int64_t> bank_reads(static_cast<size_t>(aw));
+        for (int64_t c = 0; c < geo.cols_used; ++c) {
+            Coord o, i;
+            if (!geo.oactAt(b, r, c, o) || !geo.iactAt(b, r, c, l, i)) {
+                continue;
+            }
+            const LineAddr a = in.addrOf(i);
+            const int64_t addr = a.line * wpl + a.slot / aw;
+            const auto word = std::make_pair(a.slot % aw, addr);
+            if (std::find(words.begin(), words.end(), word) != words.end()) {
+                continue;
+            }
+            words.push_back(word);
+            ++bank_reads[size_t(word.first)];
+        }
+        feed += dualPortFeed(bank_reads.data(), aw);
+    }
+    return feed;
+}
+
+/** The output control of the step at base @p b written out row by row,
+ *  as the step ran it before output plans: rowOutputs, splitWaves and
+ *  waveHops per row, emits and accumulates logged to @p log in step()'s
+ *  order. Adds the step's output-side counters to @p stats. */
+void
+referenceOutputs(const NestGeometry &geo, const Coord &b,
+                 const BoundLayout &in, const BoundLayout &out,
+                 NestGeometry::StepScratch &s, OutputLog &log,
+                 LayerStats &stats)
+{
+    int64_t feed = 0, bus = 0;
+    const uint8_t *active = s.col_active;
+    for (int64_t r = 0; r < geo.rows_used; ++r) {
+        geo.rowOutputs(b, r, out, s);
+        log.emit(r, active);
+        const int64_t live = std::count(active, active + geo.cols_used, 1);
+        stats.macs += geo.t1 * live;
+        const int num_waves = geo.splitWaves(s);
+        bus += std::max(num_waves, 1);
+        for (int w = 0; w < num_waves; ++w) {
+            stats.birrd_switch_hops += geo.waveHops(w, s);
+            for (int64_t g = 0; g < geo.num_groups; ++g) {
+                if (!s.group_live[g] || s.wave_of_group[g] != w) continue;
+                ++stats.ob_accumulates;
+                log.accumulate(g, s.group_bank[g], s.group_line[g]);
+            }
+        }
+        if (r < geo.row_variants) feed += rowFeed(geo, b, r, in, s.aw);
+    }
+    stats.compute_cycles += std::max({feed, bus, geo.t1});
+    stats.write_stall_cycles += std::max<int64_t>(0, bus - geo.rows_used);
+}
+
+/** The counters referenceOutputs adds: compute and write-stall cycles,
+ *  MACs, OB accumulates and BIRRD switch hops. */
+std::array<int64_t, 5>
+counters(const LayerStats &s)
+{
+    return {s.compute_cycles, s.write_stall_cycles, s.macs, s.ob_accumulates,
+            s.birrd_switch_hops};
+}
+
+/** A random layout of the oAct space @p dims that stores each element
+ *  once: every dim inter, in random order, and one intra factor of size
+ *  1..6 on a random subset of the dims. */
+Layout
+randomOutLayout(Rng &rng, std::vector<Dim> dims)
+{
+    std::shuffle(dims.begin(), dims.end(), rng);
+    std::vector<IntraFactor> intra;
+    for (Dim d : dims) {
+        if (rng.chance(0.6)) intra.push_back({d, rng.range(1, 6)});
+    }
+    std::shuffle(dims.begin(), dims.end(), rng);
+    return Layout(dims, std::move(intra));
+}
+
+// step() replays each row's output control from an output plan compiled
+// once per output-table shape. On every step of every scenario layer x
+// family at the scenario's default shape, and of extra convs with P, Q
+// and M tails, padding and stride 2 at 4x4 and 8x4, each under its
+// planned out layout and two seeded random ones, the emitted col_active
+// bytes, the accumulate sequence and the output-side counters must equal
+// the per-row walk (referenceOutputs). Some layer must compile fewer
+// plans than it runs steps: a memo that never hits fails.
+TEST(NestGeometry_, OutputPlanReplaysRowOutputs)
+{
+    struct Case
+    {
+        std::string name;
+        LayerSpec layer;
+        int aw, ah;
+    };
+    std::vector<Case> cases;
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
+            const std::string name = s.name + "/" + sl.spec.name;
+            cases.push_back({name, sl.spec, s.default_aw, s.default_ah});
+        }
+    }
+    for (const auto &[aw, ah] : {std::pair{4, 4}, std::pair{8, 4}}) {
+        cases.push_back({"m_tail", convLayer(2, 6, 5, 3, 1, 1), aw, ah});
+        cases.push_back({"stride2", convLayer(3, 7, 5, 3, 2, 1), aw, ah});
+        cases.push_back({"stride2_pad0", convLayer(3, 9, 6, 3, 2, 0), aw, ah});
+    }
+
+    Rng rng(29);
+    int runs = 0, memo_hits = 0;
+    int64_t steps_total = 0;
+    for (const Case &cs : cases) {
+        const FeatherConfig cfg = smallConfig(cs.aw, cs.ah);
+        std::vector<Dim> dims = {Dim::C, Dim::H, Dim::W};
+        if (cs.layer.type == OpType::Gemm) dims = {Dim::M, Dim::K};
+        for (const sim::DataflowKind kind : model::kFamilies) {
+            const auto plan = sim::planLayer(kind, cs.layer, cs.aw, cs.ah);
+            if (!plan) continue;
+            const NestGeometry geo(cs.layer, plan->mapping);
+            const BoundLayout in(plan->in_layout, iactExtents(cs.layer));
+            std::vector<Layout> outs = {plan->out_layout};
+            outs.push_back(randomOutLayout(rng, dims));
+            outs.push_back(randomOutLayout(rng, dims));
+            for (const Layout &out_layout : outs) {
+                const std::string where =
+                    cs.name + "/" + sim::toString(kind) + "/" +
+                    std::to_string(cs.aw) + "x" + std::to_string(cs.ah) +
+                    " out " + out_layout.toString();
+                const BoundLayout out(out_layout, oactIactExtents(cs.layer));
+                Arena arena;
+                NestGeometry::StepScratch scratch(geo, cs.aw, arena);
+                NestGeometry::StepScratch ref(geo, cs.aw, arena);
+                int64_t steps = 0;
+                Coord step;
+                do {
+                    const Coord b = geo.base(step);
+                    OutputLog got{cs.aw, {}, {}}, want{cs.aw, {}, {}};
+                    LayerStats got_stats, want_stats;
+                    geo.step(b, in, out, cfg, scratch, got, got_stats);
+                    referenceOutputs(geo, b, in, out, ref, want, want_stats);
+                    ASSERT_EQ(got.emits, want.emits) << where;
+                    ASSERT_EQ(got.accumulates, want.accumulates) << where;
+                    ASSERT_EQ(counters(got_stats), counters(want_stats))
+                        << where;
+                    ++steps;
+                } while (geo.loops.advance(step));
+                const int64_t plans = int64_t(scratch.plans.keys.size());
+                EXPECT_GE(plans, 1) << where;
+                EXPECT_LE(plans, steps) << where;
+                memo_hits += plans < steps;
+                steps_total += steps;
+                ++runs;
+            }
+        }
+    }
+    EXPECT_GT(runs, 0);
+    EXPECT_GT(steps_total, runs);
+    EXPECT_GT(memo_hits, 0);
+}
+
 // StaB storage is demand-sized, but its depth still bounds a layer: iActs
 // or oActs that do not fit are rejected, not silently grown into.
 TEST(Feather, LayerBeyondStabDepthFails)
