@@ -44,8 +44,8 @@ struct ZooEntry
 
 /**
  * String-keyed registry over the arch zoo, so design points are
- * addressable by name from CLI surfaces (`--fleet tpu-like,...`). The
- * classic factory functions below remain as thin wrappers over lookup().
+ * addressable by name from CLI surfaces (`--fleet tpu-like,...`). Each
+ * entry builds its point with the named factory function below.
  */
 class ArchZoo
 {

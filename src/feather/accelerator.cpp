@@ -137,13 +137,10 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     FEATHER_CHECK(out_words <= cfg_.stab_depth, "oacts exceed StaB capacity");
     stab_.pong().growBanks(out_words);
 
-    // Per-run scratch carved out of the bump arena: one reset, flat POD
-    // blocks, no allocator traffic inside the step loop.
-    arena_.reset();
-    const size_t iact_slots = size_t(cfg_.aw) * size_t(geo.t1);
-    int16_t *iact_vals = arena_.allocArray<int16_t>(iact_slots);
-    std::fill_n(iact_vals, iact_slots, int16_t(0));
-    scratch_.reset(geo, cfg_.aw, arena_);
+    // Per-run scratch, sized once here: no allocator traffic inside the
+    // step loop.
+    iact_vals_.assign(size_t(cfg_.aw) * size_t(geo.t1), int16_t(0));
+    scratch_.reset(geo, cfg_.aw);
 
     // The data movement NestGeometry::step and weightTile leave to the
     // cycle tier: StaB reads, NEST loads and emission, and the Output
@@ -264,15 +261,13 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             }
         }
     };
-    // The OB spans the layer's output region, not the StaB depth, and
-    // lives on the heap, not in the arena, whose peak is a reported
-    // counter.
+    // The OB spans the layer's output region, not the StaB depth.
     FEATHER_CHECK(geo.expected_contribs <= INT32_MAX,
                   "an OB word cannot count ", geo.expected_contribs,
                   " partial sums");
     LayerStats stats;
-    Datapath dp{*this, geo, weights, quant, stats, geo.t1, iact_vals,
-                scratch_.read_val, 0,
+    Datapath dp{*this, geo, weights, quant, stats, geo.t1,
+                iact_vals_.data(), scratch_.read_val.data(), 0,
                 std::vector<Datapath::ObEntry>(size_t(cfg_.aw * out_words)),
                 out_words, 0, std::vector<PortValue>(size_t(cfg_.aw)),
                 std::vector<int64_t>(size_t(geo.num_groups))};
@@ -302,7 +297,8 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     FEATHER_CHECK(dp.ob_live == 0, "OB has ", dp.ob_live,
                   " incomplete accumulations at layer end");
 
-    stats.arena_peak_bytes = int64_t(arena_.peakBytes());
+    stats.arena_peak_bytes =
+        int64_t(iact_vals_.size() * sizeof(int16_t)) + scratch_.flatBytes();
     geo.finish(stats, cfg_);
 
     // The written pong becomes the next layer's ping (inter-layer

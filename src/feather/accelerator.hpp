@@ -28,14 +28,16 @@
  * to StaB pong when its last partial sum lands.
  * The OB is a flat table over the layer's output region, one 32-bit
  * accumulator and countdown per (bank, address), with a count of its live
- * entries.
+ * entries. The NEST iAct staging and the step scratch persist across
+ * runs, so a warm run allocates the same whatever its step count; each
+ * run reports their bytes (the staging plus StepScratch::flatBytes) as
+ * LayerStats::arena_peak_bytes.
  */
 
 #include <cstdint>
 #include <vector>
 
 #include "buffer/scratchpad.hpp"
-#include "common/arena.hpp"
 #include "feather/config.hpp"
 #include "feather/nest_geometry.hpp"
 #include "layout/layout.hpp"
@@ -112,9 +114,10 @@ class FeatherAccelerator
     NestArray nest_;
     PingPong<BankedScratchpad<int8_t>> stab_;
     BoundLayout current_layout_;
-    Arena arena_; ///< per-run scratch; reset (blocks reused) each run()
-    /** Per-run step scratch (output plans included); its heap capacity
-     *  is reused from run to run. */
+    /** Per-run scratch, kept so its capacity is reused from run to run:
+     *  the NEST iAct staging [aw x t1] and the step scratch (output plans
+     *  included). */
+    std::vector<int16_t> iact_vals_;
     NestGeometry::StepScratch scratch_{};
     bool iacts_loaded_ = false;
 

@@ -45,14 +45,12 @@ analyticLayerStats(const LayerSpec &layer, const NestMapping &mapping,
             keys.push_back(bank * depth + line);
         }
     };
-    // Blocks and heap capacity reused across calls.
-    thread_local Arena arena;
+    // Capacity reused across calls.
     thread_local NestGeometry::StepScratch scratch;
     thread_local std::vector<int64_t> keys;
     keys.clear();
     ObDestinations dests{cfg.stab_depth, keys};
-    arena.reset();
-    scratch.reset(geo, cfg.aw, arena);
+    scratch.reset(geo, cfg.aw);
     LayerStats stats;
     const int64_t step_cycles =
         geo.step(base, in_bound, out_bound, cfg, scratch, dests, stats,

@@ -12,7 +12,8 @@
  * convolutions clip many taps there). Its sink moves no data; it only
  * collects the step's OB destinations (peak_ob_entries). The step's
  * scratch, its one output plan included, is kept per thread, so a warm
- * call allocates no heap memory for it and interns nothing. What the model
+ * call allocates no heap memory for it and interns nothing; it reports
+ * arena_peak_bytes as 0, since it stages no data. What the model
  * adds is the scaling: step counters times the temporal step count, one
  * weight-tile walk times the reload count, with later reloads hidden
  * behind the evenly spaced compute between them (weight dims are a prefix

@@ -56,8 +56,10 @@ struct LayerStats
     int64_t peak_ob_entries = 0;
     int64_t weight_reload_events = 0; ///< shadow-bank tile loads
     int64_t weight_load_cycles_each = 0; ///< AH * t1 per reload
-    /** High-water mark of the run's arena-allocated scratch (cycle engine;
-     *  0 in analytic mode — not part of the deterministic counter set). */
+    /** Bytes of the run's hot scratch: the NEST iAct staging [aw x t1]
+     *  plus the step scratch's flat buffers (StepScratch::flatBytes).
+     *  Deterministic; 0 in analytic mode. Reports take the max over a
+     *  job's layers. */
     int64_t arena_peak_bytes = 0;
 
     /** Average PE utilization = macs / (cycles * num_pes). */

@@ -326,8 +326,8 @@ NestGeometry::rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
                                  *tab1 = s.oact_tables[1].entries.data(),
                                  *tab2 = s.oact_tables[2].entries.data();
     const AxisKeys &rk = oact_row_keys[size_t(r)];
-    std::fill_n(s.col_active, size_t(s.aw), uint8_t(0));
-    std::fill_n(s.group_live, size_t(num_groups), uint8_t(0));
+    std::fill(s.col_active.begin(), s.col_active.end(), uint8_t(0));
+    std::fill(s.group_live.begin(), s.group_live.end(), uint8_t(0));
     for (int64_t c = 0; c < cols_used; ++c) {
         const AxisKeys &ck = oact_col_keys[size_t(c)];
         const StepScratch::AxisEntry &e0 = tab0[ck[0] + rk[0]],
@@ -352,7 +352,7 @@ int
 NestGeometry::splitWaves(StepScratch &s) const
 {
     const size_t aw = size_t(s.aw);
-    std::fill_n(s.wave_of_group, size_t(num_groups), -1);
+    std::fill(s.wave_of_group.begin(), s.wave_of_group.end(), -1);
     int num_waves = 0;
     for (int64_t g = 0; g < num_groups; ++g) {
         if (!s.group_live[g]) continue;
@@ -360,7 +360,8 @@ NestGeometry::splitWaves(StepScratch &s) const
         int w = 0;
         while (w < num_waves && s.wave_bank_used[size_t(w) * aw + bank]) ++w;
         if (w == num_waves) {
-            std::fill_n(s.wave_bank_used + size_t(w) * aw, aw, uint8_t(0));
+            std::fill_n(s.wave_bank_used.begin() + ptrdiff_t(size_t(w) * aw),
+                        aw, uint8_t(0));
             ++num_waves;
         }
         s.wave_bank_used[size_t(w) * aw + bank] = 1;
@@ -374,7 +375,7 @@ NestGeometry::waveRequest(int w, StepScratch &s, RouteRequest &req) const
 {
     req.group_of_input.assign(size_t(s.aw), -1);
     req.dests_of_group.clear();
-    std::fill_n(s.dense_id, size_t(num_groups), -1);
+    std::fill(s.dense_id.begin(), s.dense_id.end(), -1);
     int num_dense = 0;
     for (int64_t c = 0; c < cols_used; ++c) {
         if (!s.col_active[c]) continue;
@@ -434,7 +435,7 @@ NestGeometry::planOutputs(const Coord &b, const BoundLayout &out,
     p.current = int32_t(p.keys.size());
     p.keys.push_back(key);
     const size_t row0 = p.active.size();
-    const uint8_t *active = s.col_active;
+    const uint8_t *active = s.col_active.data();
     for (int64_t r = 0; r < rows_used; ++r) {
         rowOutputs(b, r, out, s);
         p.active.insert(p.active.end(), active, active + s.aw);
@@ -459,22 +460,21 @@ NestGeometry::planOutputs(const Coord &b, const BoundLayout &out,
 }
 
 void
-NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw,
-                                 Arena &arena)
+NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw)
 {
     const size_t groups = size_t(geo.num_groups);
     this->aw = aw;
-    col_active = arena.allocArray<uint8_t>(size_t(aw));
-    group_line = arena.allocArray<int64_t>(groups);
-    group_bank = arena.allocArray<int64_t>(groups);
-    group_live = arena.allocArray<uint8_t>(groups);
-    bank_reads = arena.allocArray<int64_t>(size_t(aw));
-    class_slot = arena.allocArray<int64_t>(size_t(geo.cols_used));
-    read_val = arena.allocArray<int16_t>(size_t(geo.cols_used));
-    wave_of_group = arena.allocArray<int>(groups);
-    wave_bank_used = arena.allocArray<uint8_t>(groups * size_t(aw));
-    dense_id = arena.allocArray<int>(groups);
-    dense_dest = arena.allocArray<int>(groups);
+    col_active.resize(size_t(aw));
+    group_line.resize(groups);
+    group_bank.resize(groups);
+    group_live.resize(groups);
+    bank_reads.resize(size_t(aw));
+    class_slot.resize(size_t(geo.cols_used));
+    read_val.resize(size_t(geo.cols_used));
+    wave_of_group.resize(groups);
+    wave_bank_used.resize(groups * size_t(aw));
+    dense_id.resize(groups);
+    dense_dest.resize(groups);
 
     const bool shared = geo.row_variants == 1 && geo.rows_used > 1;
     gather_read.resize(shared ? size_t(geo.t1) * size_t(geo.cols_used) : 0);
@@ -492,6 +492,18 @@ NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw,
     plans.accs.clear();
     plans.keys.clear();
     plans.current = -1;
+}
+
+int64_t
+NestGeometry::StepScratch::flatBytes() const
+{
+    const auto bytes = [](const auto &v) {
+        return int64_t(v.size() * sizeof(v[0]));
+    };
+    return bytes(col_active) + bytes(group_line) + bytes(group_bank) +
+           bytes(group_live) + bytes(bank_reads) + bytes(class_slot) +
+           bytes(read_val) + bytes(wave_of_group) + bytes(wave_bank_used) +
+           bytes(dense_id) + bytes(dense_dest);
 }
 
 void

@@ -29,6 +29,10 @@
  * reuse moves no data and only traces the reads. The analytic model
  * (analyticLayerStats) runs only the middle step, with a sink that
  * collects OB destinations, and scales it by the step count.
+ * Everything a step writes lives in a StepScratch of vectors the caller
+ * owns: reset() sizes them once per run, and a caller that keeps the
+ * scratch (the accelerator keeps one, the analytic tier one per thread)
+ * reuses their capacity, so the step loop allocates nothing.
  *
  * Coordinates: for dim d, PE (row r, column c, local slot l) at temporal
  * step base b holds
@@ -58,7 +62,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/bits.hpp"
 #include "dataflow/access_pattern.hpp"
 #include "feather/config.hpp"
@@ -260,38 +263,40 @@ struct NestGeometry
                i[Dim::W] >= 0 && i[Dim::W] < ext[Dim::W];
     }
 
-    /** Per-run scratch of step() and its pieces below: flat blocks carved
-     *  from an arena in one fixed order, and heap parts whose capacity a
-     *  caller that keeps the scratch reuses from run to run. */
+    /** Per-run scratch of step() and its pieces below, sized by reset().
+     *  A caller that keeps the scratch reuses every buffer's capacity
+     *  from run to run. */
     struct StepScratch
     {
         StepScratch() = default;
-        StepScratch(const NestGeometry &geo, int aw, Arena &arena)
-        {
-            reset(geo, aw, arena);
-        }
+        StepScratch(const NestGeometry &geo, int aw) { reset(geo, aw); }
 
-        /** Start a run of @p geo on an @p aw-column array: carve the
-         *  blocks from @p arena and size the heap parts, forgetting every
-         *  axis table and output plan of the last run. */
-        void reset(const NestGeometry &geo, int aw, Arena &arena);
+        /** Start a run of @p geo on an @p aw-column array: size every
+         *  buffer, forgetting every axis table and output plan of the last
+         *  run. */
+        void reset(const NestGeometry &geo, int aw);
+
+        /** Bytes of the flat per-row buffers, col_active ... dense_dest,
+         *  at the run's sizes (part of LayerStats::arena_peak_bytes). */
+        int64_t flatBytes() const;
 
         int aw;
-        uint8_t *col_active;     ///< [aw]
-        int64_t *group_line;     ///< [num_groups]
-        int64_t *group_bank;     ///< [num_groups]
-        uint8_t *group_live;     ///< [num_groups]
-        int64_t *bank_reads;     ///< [aw] distinct reads per bank, per cycle
+        std::vector<uint8_t> col_active;  ///< [aw]
+        std::vector<int64_t> group_line;  ///< [num_groups]
+        std::vector<int64_t> group_bank;  ///< [num_groups]
+        std::vector<uint8_t> group_live;  ///< [num_groups]
+        /** [aw] distinct reads per bank, per cycle. */
+        std::vector<int64_t> bank_reads;
         /** [cols_used] per cycle: the read slot of each column class, -1
          *  before its first read (entries [0, num_classes) are used). */
-        int64_t *class_slot;
-        int16_t *read_val;       ///< [cols_used] a data sink's read values
-        int *wave_of_group;      ///< [num_groups], -1 for dead groups
+        std::vector<int64_t> class_slot;
+        std::vector<int16_t> read_val; ///< [cols_used] a data sink's reads
+        std::vector<int> wave_of_group; ///< [num_groups], -1: dead group
         /** [num_groups x aw]: the greedy split never opens more waves
          *  than live groups. */
-        uint8_t *wave_bank_used;
-        int *dense_id;           ///< [num_groups]
-        int *dense_dest;         ///< [num_groups]
+        std::vector<uint8_t> wave_bank_used;
+        std::vector<int> dense_id;   ///< [num_groups]
+        std::vector<int> dense_dest; ///< [num_groups]
         std::string wave_key;
 
         /** One first read of row 0's gather: the StaB word it fetches. */
@@ -302,8 +307,7 @@ struct NestGeometry
         };
         /** Row 0's first reads in call order [t1 * cols_used], of which
          *  the step's first shared_reads are live; kept for reuse when
-         *  row_variants == 1 and rows_used > 1, else empty. On the heap,
-         *  not the arena, whose peak is a reported counter. */
+         *  row_variants == 1 and rows_used > 1, else empty. */
         std::vector<GatherRead> gather_read;
 
         /** One key of an axis table: whether its coordinate is in bounds
@@ -327,7 +331,6 @@ struct NestGeometry
              *  content (OutputPlans::shapes), -1 until interned. */
             int32_t shape = -1;
         };
-        /** Heap, not arena: the arena blocks keep their order and size. */
         std::array<AxisTable, kAxes> iact_tables, oact_tables;
 
         /** A live group's OB word as rowOutputs finds it at the group's
@@ -484,7 +487,8 @@ struct NestGeometry
         const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
         const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(aw));
         const size_t classes = size_t(num_classes);
-        int64_t *bank_reads = s.bank_reads, *class_slot = s.class_slot;
+        int64_t *bank_reads = s.bank_reads.data(),
+                *class_slot = s.class_slot.data();
         const bool shared = !s.gather_read.empty();
         int64_t shared_reads = 0; // row 0's distinct reads
         StepScratch::GatherRead *const rec_read = s.gather_read.data();

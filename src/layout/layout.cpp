@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
@@ -16,33 +17,68 @@ Layout::Layout(std::vector<Dim> inter_order, std::vector<IntraFactor> intra)
     }
 }
 
+std::optional<Layout>
+Layout::tryParse(const std::string &text, std::string *error)
+{
+    const auto fail = [&](const std::string &why) -> std::optional<Layout> {
+        if (error) *error = strCat("layout '", text, "': ", why);
+        return std::nullopt;
+    };
+    const size_t underscore = text.find('_');
+    if (underscore == std::string::npos) {
+        return fail("missing '_' separator");
+    }
+    // Each dim at most once in the inter order and once among the intra
+    // factors: a repeat would alias lines or slots.
+    bool in_inter[kNumDims] = {}, in_intra[kNumDims] = {};
+    std::vector<Dim> inter;
+    for (size_t i = 0; i < underscore; ++i) {
+        const std::optional<Dim> d = parseDim(text[i]);
+        if (!d) return fail(strCat("unknown dimension '", text[i], "'"));
+        if (std::exchange(in_inter[size_t(*d)], true)) {
+            return fail(strCat("dim ", feather::toString(*d),
+                               " repeats in the inter order"));
+        }
+        inter.push_back(*d);
+    }
+    std::vector<IntraFactor> intra;
+    int64_t line_size = 1;
+    size_t i = underscore + 1;
+    if (i >= text.size()) return fail("no intra factors");
+    while (i < text.size()) {
+        const std::optional<Dim> d = parseDim(text[i]);
+        if (!d) return fail(strCat("unknown dimension '", text[i], "'"));
+        if (std::exchange(in_intra[size_t(*d)], true)) {
+            return fail(strCat("dim ", feather::toString(*d),
+                               " repeats among the intra factors"));
+        }
+        ++i;
+        if (i >= text.size() || !std::isdigit(uint8_t(text[i]))) {
+            return fail("intra dim needs a size");
+        }
+        // Bounded digit by digit, so reading it cannot overflow.
+        int64_t size = 0;
+        for (; i < text.size() && std::isdigit(uint8_t(text[i])); ++i) {
+            size = size * 10 + (text[i] - '0');
+            if (size > kMaxLineSize / line_size) {
+                return fail(strCat("line size exceeds ", kMaxLineSize,
+                                   " words"));
+            }
+        }
+        if (size < 1) return fail("intra size must be >= 1");
+        line_size *= size;
+        intra.push_back({*d, size});
+    }
+    return Layout(std::move(inter), std::move(intra));
+}
+
 Layout
 Layout::parse(const std::string &text)
 {
-    const size_t underscore = text.find('_');
-    if (underscore == std::string::npos) {
-        fatal(strCat("layout '", text, "' missing '_' separator"));
-    }
-    std::vector<Dim> inter;
-    for (size_t i = 0; i < underscore; ++i) {
-        inter.push_back(parseDim(text[i]));
-    }
-    std::vector<IntraFactor> intra;
-    size_t i = underscore + 1;
-    while (i < text.size()) {
-        const Dim d = parseDim(text[i]);
-        ++i;
-        FEATHER_CHECK(i < text.size() && std::isdigit(text[i]),
-                      "layout '", text, "': intra dim needs a size");
-        int64_t size = 0;
-        while (i < text.size() && std::isdigit(text[i])) {
-            size = size * 10 + (text[i] - '0');
-            ++i;
-        }
-        intra.push_back({d, size});
-    }
-    FEATHER_CHECK(!intra.empty(), "layout '", text, "' has no intra factors");
-    return Layout(std::move(inter), std::move(intra));
+    std::string error;
+    std::optional<Layout> layout = tryParse(text, &error);
+    if (!layout) panic(error);
+    return std::move(*layout);
 }
 
 int64_t
@@ -155,6 +191,19 @@ BoundLayout::toString() const
 {
     return strCat(layout_.toString(), " [", numLines(), " lines x ",
                   lineSize(), " words]");
+}
+
+int64_t
+bankWords(const Layout &layout, const Extents &extents, int64_t banks)
+{
+    int64_t words = ceilDiv(layout.lineSize(), banks);
+    for (Dim d : layout.interOrder()) {
+        const int64_t tiles =
+            ceilDiv(std::max<int64_t>(extents[d], 1), layout.intraSize(d));
+        if (words > INT64_MAX / tiles) return INT64_MAX;
+        words *= tiles;
+    }
+    return words;
 }
 
 std::vector<Layout>

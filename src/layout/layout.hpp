@@ -16,6 +16,7 @@
  * logical 2D buffer.
  */
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,20 @@ class Layout
      */
     Layout(std::vector<Dim> inter_order, std::vector<IntraFactor> intra);
 
-    /** Parse a layout string like "HWC_C4W8" or "HCW_W8". */
+    /** Longest line a layout may name, in words: a bound that keeps the
+     *  line size, and each intra size as its digits are read, in int64. */
+    static constexpr int64_t kMaxLineSize = int64_t(1) << 59;
+
+    /**
+     * Parse a layout string like "HWC_C4W8" or "HCW_W8": nullopt, with
+     * @p error set, for bad grammar, an unknown dim, a dim repeated in
+     * the inter order or among the intra factors, an intra size below 1,
+     * or a line longer than kMaxLineSize.
+     */
+    static std::optional<Layout> tryParse(const std::string &text,
+                                          std::string *error = nullptr);
+
+    /** tryParse for literals: panics on a malformed layout. */
     static Layout parse(const std::string &text);
 
     const std::vector<Dim> &interOrder() const { return inter_order_; }
@@ -203,6 +217,15 @@ class BoundLayout
     std::vector<Term> line_terms_; ///< one per inter dim
     std::vector<Term> slot_terms_; ///< one per intra factor
 };
+
+/**
+ * Words per bank that @p layout bound to @p extents takes in a buffer of
+ * @p banks banks: its lines times ceil(line size / banks), as
+ * BoundLayout would count them, computed from the descriptor alone
+ * (no tables). Saturates at INT64_MAX.
+ */
+int64_t bankWords(const Layout &layout, const Extents &extents,
+                  int64_t banks);
 
 /**
  * The convolution iAct layout space the paper searches (§VI-A2 footnote 4).

@@ -215,7 +215,7 @@ struct ScheduleResult
     /** Wall time of the measured chain run in microseconds. The one
      *  non-deterministic report field; determinism checks zero it. */
     int64_t sim_wall_us = 0;
-    /** Peak per-layer arena scratch over the measured chain. */
+    /** Largest per-layer scratch bytes over the measured chain. */
     int64_t arena_peak_bytes = 0;
     std::string fleet;          ///< normalized fleet spec, "" when none
     int64_t search_nodes = 0;   ///< (layer, device, candidate) states

@@ -49,7 +49,8 @@ struct JobResult
     /** Wall time of the scenario run in microseconds. The one
      *  non-deterministic report field; determinism checks zero it. */
     int64_t sim_wall_us = 0;
-    /** Peak arena scratch over the job's layers (0 in analytic mode). */
+    /** Largest per-layer scratch bytes over the job's layers (0 in
+     *  analytic mode). */
     int64_t arena_peak_bytes = 0;
 
     bool bitExact() const { return ok && checked > 0 && mismatches == 0; }

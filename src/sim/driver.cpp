@@ -212,44 +212,15 @@ buildMapping(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
     return m;
 }
 
-std::optional<Layout>
-tryParseLayout(const std::string &text, std::string *error)
+std::string
+stabFitError(const Layout &layout, const Extents &extents, int aw,
+             const std::string &what)
 {
-    const auto fail = [&](const std::string &why) -> std::optional<Layout> {
-        if (error) *error = "layout '" + text + "': " + why;
-        return std::nullopt;
-    };
-    // Valid dim letters come from the Dim enum itself so this pre-pass
-    // cannot drift from what parseDim() accepts.
-    std::string dims;
-    for (int d = 0; d < kNumDims; ++d) dims += dimName(Dim(d));
-    const size_t underscore = text.find('_');
-    if (underscore == std::string::npos) {
-        return fail("missing '_' separator");
-    }
-    for (size_t i = 0; i < underscore; ++i) {
-        if (dims.find(text[i]) == std::string::npos) {
-            return fail(std::string("unknown dimension '") + text[i] + "'");
-        }
-    }
-    size_t i = underscore + 1;
-    if (i >= text.size()) return fail("no intra factors");
-    while (i < text.size()) {
-        if (dims.find(text[i]) == std::string::npos) {
-            return fail(std::string("unknown dimension '") + text[i] + "'");
-        }
-        ++i;
-        if (i >= text.size() || !std::isdigit(uint8_t(text[i]))) {
-            return fail("intra dim needs a size");
-        }
-        int64_t size = 0;
-        while (i < text.size() && std::isdigit(uint8_t(text[i]))) {
-            size = size * 10 + (text[i] - '0');
-            ++i;
-        }
-        if (size < 1) return fail("intra size must be >= 1");
-    }
-    return Layout::parse(text);
+    const int64_t depth = FeatherConfig().stab_depth;
+    const int64_t words = bankWords(layout, extents, aw);
+    if (words <= depth) return "";
+    return strCat(what, " under layout '", layout.toString(), "' need ",
+                  words, " words per StaB bank; the StaB holds ", depth);
 }
 
 Layout
@@ -303,6 +274,20 @@ planLayer(DataflowKind kind, const LayerSpec &layer, int aw, int ah,
     plan.mapping = *mapping;
     plan.in_layout = concordantInputLayout(layer, *mapping, aw);
     plan.out_layout = concordantOutputLayout(layer, *mapping, aw);
+    // A family fits only if StaB holds the tensors its layouts lay out.
+    std::string why =
+        stabFitError(plan.in_layout, iactExtents(layer), aw, "iActs");
+    if (why.empty()) {
+        why = stabFitError(plan.out_layout, oactIactExtents(layer), aw,
+                           "oActs");
+    }
+    if (!why.empty()) {
+        if (error) {
+            *error = toString(kind) + " does not fit " + layer.name + ": " +
+                     why;
+        }
+        return std::nullopt;
+    }
     return plan;
 }
 

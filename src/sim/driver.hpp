@@ -106,12 +106,13 @@ std::optional<NestMapping> buildMapping(DataflowKind kind,
                                         std::string *error = nullptr);
 
 /**
- * Non-fatal Layout::parse: validates the "INTER_IntraN..." grammar first
- * and returns nullopt (with @p error set) instead of aborting on bad input,
- * so CLI-supplied layout strings can be rejected gracefully.
+ * Empty when @p layout bound to @p extents fits one StaB half of an
+ * @p aw-bank array (FeatherConfig::stab_depth words per bank, counted by
+ * bankWords), else a one-line error naming @p what, the words needed and
+ * the depth.
  */
-std::optional<Layout> tryParseLayout(const std::string &text,
-                                     std::string *error = nullptr);
+std::string stabFitError(const Layout &layout, const Extents &extents,
+                         int aw, const std::string &what);
 
 /**
  * The concordant *input* layout of @p mapping on an AW-bank StaB: one line
@@ -141,8 +142,9 @@ struct LayerPlan
 
 /**
  * buildMapping + both concordant layouts in one call; nullopt (with
- * @p error set) when the mapping does not fit or fails validation. The
- * plan is the same for both engine tiers.
+ * @p error set) when the mapping does not fit or fails validation, or
+ * StaB cannot hold a tensor under its layout (stabFitError). The plan is
+ * the same for both engine tiers.
  */
 std::optional<LayerPlan> planLayer(DataflowKind kind, const LayerSpec &layer,
                                    int aw, int ah,

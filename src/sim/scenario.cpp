@@ -1,5 +1,6 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bits.hpp"
@@ -53,27 +54,42 @@ bindingError(const LayerSpec &prev, const LayerSpec &cur)
     return "";
 }
 
-/** Every dim a layout names must exist in the target tensor, else binding
- *  it downstream dies on an internal CHECK instead of a clean CLI error. */
+/** Why @p layout cannot hold @p layer's @p what (bound to @p extents) on
+ *  an @p aw-bank StaB, or "" when it can: every dim it names must exist
+ *  in the tensor, every tensor dim it leaves out of its inter order must
+ *  fit in one intra tile (else elements alias), and StaB must hold it. */
 std::string
-layoutDimError(const Layout &layout, const LayerSpec &layer,
-               const Extents &extents, const char *what)
+layoutError(const Layout &layout, const LayerSpec &layer,
+            const Extents &extents, const char *what, int aw)
 {
-    const auto check = [&](Dim d) -> std::string {
+    const auto missing = [&](Dim d) -> std::string {
         if (extents[d] > 0) return "";
         return strCat("layout '", layout.toString(), "' uses dim ",
                       toString(d), " which ", layer.name, "'s ", what,
                       " do not have");
     };
     for (Dim d : layout.interOrder()) {
-        const std::string why = check(d);
+        const std::string why = missing(d);
         if (!why.empty()) return why;
     }
     for (const IntraFactor &f : layout.intraFactors()) {
-        const std::string why = check(f.dim);
+        const std::string why = missing(f.dim);
         if (!why.empty()) return why;
     }
-    return "";
+    const std::vector<Dim> &inter = layout.interOrder();
+    for (int i = 0; i < kNumDims; ++i) {
+        const Dim d = Dim(i);
+        if (extents[d] > layout.intraSize(d) &&
+            std::find(inter.begin(), inter.end(), d) == inter.end()) {
+            return strCat("layout '", layout.toString(), "' leaves dim ",
+                          toString(d), " (", extents[d], " in ", layer.name,
+                          "'s ", what, ") out of its inter order, and its "
+                          "intra size ", layout.intraSize(d),
+                          " does not cover it");
+        }
+    }
+    return stabFitError(layout, extents, aw,
+                        strCat(layer.name, "'s ", what));
 }
 
 std::vector<ModelGraph>
@@ -329,13 +345,14 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
     ropts.in_layout = plans.front().in_layout;
 
     if (!opts.layout.empty() && opts.layout != "concordant") {
-        const std::optional<Layout> in = tryParseLayout(opts.layout, error);
+        const std::optional<Layout> in = Layout::tryParse(opts.layout, error);
         if (!in) return std::nullopt;
         const LayerSpec &first = scenario.layers.front().spec;
         const std::string why =
-            layoutDimError(*in, first, iactExtents(first),
-                           first.type == OpType::Gemm ? "[M,K] iActs"
-                                                      : "[N,C,H,W] iActs");
+            layoutError(*in, first, iactExtents(first),
+                        first.type == OpType::Gemm ? "[M,K] iActs"
+                                                   : "[N,C,H,W] iActs",
+                        run.aw);
         if (!why.empty()) {
             if (error) *error = why;
             return std::nullopt;
@@ -345,16 +362,17 @@ runScenario(const ModelGraph &scenario, const ScenarioOptions &opts,
 
     if (!opts.out_layout.empty() && opts.out_layout != "concordant") {
         const std::optional<Layout> out =
-            tryParseLayout(opts.out_layout, error);
+            Layout::tryParse(opts.out_layout, error);
         if (!out) return std::nullopt;
         const LayerSpec &last = scenario.layers.back().spec;
         // oAct layouts are written in next-layer iAct space (RIR: the pong
         // buffer holds the next layer's inputs); validate against the same
         // binding FeatherAccelerator::run applies.
-        const std::string why = layoutDimError(
+        const std::string why = layoutError(
             *out, last, oactIactExtents(last),
             last.type == OpType::Gemm ? "oActs (next layer's [M,K] iActs)"
-                                      : "oActs (next layer's [C,H,W] iActs)");
+                                      : "oActs (next layer's [C,H,W] iActs)",
+            run.aw);
         if (!why.empty()) {
             if (error) *error = why;
             return std::nullopt;

@@ -22,7 +22,7 @@ dimName(Dim d)
     panic("unreachable dim");
 }
 
-Dim
+std::optional<Dim>
 parseDim(char c)
 {
     switch (c) {
@@ -36,7 +36,7 @@ parseDim(char c)
       case 'R': return Dim::R;
       case 'S': return Dim::S;
       case 'K': return Dim::K;
-      default: fatal(strCat("unknown dimension letter '", c, "'"));
+      default: return std::nullopt;
     }
 }
 

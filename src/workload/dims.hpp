@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace feather {
@@ -25,8 +26,8 @@ constexpr int kNumDims = 10;
 /** One-letter name used in layout strings ("HWC_C4W8") and traces. */
 char dimName(Dim d);
 
-/** Parse a one-letter dimension name; fatal() on unknown letters. */
-Dim parseDim(char c);
+/** Parse a one-letter dimension name; nullopt on unknown letters. */
+std::optional<Dim> parseDim(char c);
 
 std::string toString(Dim d);
 

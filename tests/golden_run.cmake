@@ -4,6 +4,7 @@
 #         -DOUT=<output prefix>
 #         [-DCSV_GOLDEN=<file> -DJSON_GOLDEN=<file>]
 #         [-DSTDOUT_GOLDEN=<file>] [-DTEXT_GOLDEN=<file>]
+#         [-DEXIT_CODE=<n>]
 #         -P golden_run.cmake
 #
 # ARGS separates the program's arguments with '|'. With CSV_GOLDEN and
@@ -12,13 +13,17 @@
 # fields. With STDOUT_GOLDEN the program's stdout (JSON lines) is
 # normalized and compared the same way. With TEXT_GOLDEN the raw stdout
 # (listings, usage text) is compared byte for byte, unnormalized. The
-# program must exit 0.
+# program must exit with EXIT_CODE (default 0).
 
 foreach(var PROGRAM NORM OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_run.cmake: ${var} is required")
   endif()
 endforeach()
+
+if(NOT DEFINED EXIT_CODE)
+  set(EXIT_CODE 0)
+endif()
 
 string(REPLACE "|" ";" args "${ARGS}")
 if(DEFINED CSV_GOLDEN)
@@ -30,8 +35,9 @@ execute_process(
   OUTPUT_FILE "${OUT}.stdout"
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${PROGRAM} exited with ${rc}:\n${err}")
+if(NOT rc EQUAL EXIT_CODE)
+  message(FATAL_ERROR
+          "${PROGRAM} exited with ${rc}, not ${EXIT_CODE}:\n${err}")
 endif()
 
 # compare(<format> <raw file> <golden>): normalize, then byte-compare.

@@ -683,6 +683,40 @@ TEST(ServeCli, StdinRefusesWiderThanBirrdAndServesTheNext)
         << lines[1];
 }
 
+TEST(ServeCli, StdinRefusesLayoutsTheArrayCannotHoldAndServesTheNext)
+{
+    std::istringstream in(
+        "{\"id\":\"deep\",\"scenario\":\"conv3x3\","
+        "\"layout\":\"CHW_W1000000\"}\n"
+        "{\"id\":\"next\",\"scenario\":\"conv3x3\"}\n");
+    std::streambuf *const cin_buf = std::cin.rdbuf(in.rdbuf());
+    const char *argv[] = {"feather_serve", "--stdin", "--jobs", "1"};
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int rc = serveCliMain(4, const_cast<char **>(argv));
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ::testing::internal::GetCapturedStderr();
+    std::cin.rdbuf(cin_buf);
+
+    EXPECT_EQ(rc, 1) << "one request failed";
+    std::vector<std::string> lines;
+    std::istringstream stream(out);
+    for (std::string line; std::getline(stream, line);) {
+        lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 2u) << out;
+    EXPECT_EQ(lines[0], "{\"id\":\"deep\",\"client\":\"anon\","
+                        "\"status\":\"ERROR\",\"reason\":\"conv3x3's "
+                        "[N,C,H,W] iActs under layout 'CHW_W1000000' need "
+                        "28000000 words per StaB bank; the StaB holds "
+                        "262144\"}");
+    EXPECT_EQ(lines[1].rfind("{\"id\":\"next\",\"client\":\"anon\","
+                             "\"status\":\"ok\",",
+                             0),
+              0u)
+        << lines[1];
+}
+
 // A request line over the 64 KiB cap on the --stdin frontend gets one
 // ERROR line without being buffered whole, and the daemon goes on to
 // serve the next request.

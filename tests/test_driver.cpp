@@ -277,6 +277,33 @@ TEST(Cli, MainRejectsArrayWiderThanBirrd)
     EXPECT_EQ(rc, 2);
 }
 
+// A layout StaB cannot hold, one whose intra size overflows int64, one
+// that leaves a dim out of its inter order and one that repeats a dim are
+// one-line usage errors, not an abort or a MISMATCH run.
+TEST(Cli, MainRejectsLayoutsTheArrayCannotHold)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"CHW_W1000000",
+         "error: conv3x3's [N,C,H,W] iActs under layout 'CHW_W1000000' "
+         "need 28000000 words per StaB bank; the StaB holds 262144\n"},
+        {"HWC_C99999999999999999999",
+         "error: layout 'HWC_C99999999999999999999': line size exceeds "
+         "576460752303423488 words\n"},
+        {"HW_C4",
+         "error: layout 'HW_C4' leaves dim C (16 in conv3x3's [N,C,H,W] "
+         "iActs) out of its inter order, and its intra size 4 does not "
+         "cover it\n"},
+        {"CCC_C2", "error: layout 'CCC_C2': dim C repeats in the inter "
+                   "order\n"},
+    };
+    for (const auto &[layout, want] : cases) {
+        ::testing::internal::CaptureStderr();
+        const int rc = runCliMain({"--workload", "conv3x3", "--layout", layout});
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), want) << layout;
+        EXPECT_EQ(rc, 2) << layout;
+    }
+}
+
 TEST(Cli, MainListAndHelpSucceed)
 {
     EXPECT_EQ(runCliMain({"--list"}), 0);
@@ -403,14 +430,14 @@ TEST(ScenarioRegistry, EmptyScenarioIsRejectedCleanly)
 TEST(Driver, TryParseLayoutRejectsMalformedStrings)
 {
     std::string error;
-    EXPECT_FALSE(tryParseLayout("garbage", &error).has_value());
-    EXPECT_FALSE(tryParseLayout("HWC_C", &error).has_value());
-    EXPECT_FALSE(tryParseLayout("HWC_Cx", &error).has_value());
-    EXPECT_FALSE(tryParseLayout("ZZ_A4", &error).has_value());
-    EXPECT_FALSE(tryParseLayout("HWC_", &error).has_value());
-    EXPECT_FALSE(tryParseLayout("HWC_C0", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("garbage", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("HWC_C", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("HWC_Cx", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("ZZ_A4", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("HWC_", &error).has_value());
+    EXPECT_FALSE(Layout::tryParse("HWC_C0", &error).has_value());
 
-    const std::optional<Layout> ok = tryParseLayout("HWC_C8W2", &error);
+    const std::optional<Layout> ok = Layout::tryParse("HWC_C8W2", &error);
     ASSERT_TRUE(ok.has_value()) << error;
     EXPECT_EQ(ok->toString(), "HWC_C8W2");
 }

@@ -27,11 +27,14 @@
 #include <cstdlib>
 #include <iterator>
 #include <map>
+#include <new>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "feather/accelerator.hpp"
 #include "feather/nest_geometry.hpp"
 #include "golden_util.hpp"
 #include "model/graph.hpp"
@@ -40,6 +43,44 @@
 #include "serve/plan_cache.hpp"
 #include "sim/engine_mode.hpp"
 #include "sim/scenario.hpp"
+
+// A counting replacement of the global allocation functions, for
+// CycleEngine_.WarmRunsAllocateIndependentlyOfTheirSteps: operator new
+// counts the calls made on a thread while that thread counts. Every
+// scalar new and delete is replaced, so all of them pair malloc with
+// free (sanitizers check the pairing).
+namespace {
+thread_local bool t_count_news = false;
+thread_local int64_t t_news = 0;
+} // namespace
+
+void *
+operator new(std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    if (t_count_news) ++t_news;
+    return std::malloc(bytes ? bytes : 1);
+}
+
+void *
+operator new(std::size_t bytes)
+{
+    if (void *p = operator new(bytes, std::nothrow)) return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair a free() it inlines with
+// the operator new of the caller.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace feather {
 namespace sim {
@@ -360,7 +401,7 @@ TEST(AnalyticEngine_, SingleStepLayersMatchTheCycleTier)
     // middle step is the only step, so both tiers run the same step body
     // once and must agree on every counter. The OB high-water mark (the
     // probe counts distinct destinations, the cycle tier live entries)
-    // and the arena use (cycle tier only) are the two tier-specific
+    // and the scratch bytes (cycle tier only) are the two tier-specific
     // fields.
     int cases = 0;
     for (const ModelGraph &s : scenarios()) {
@@ -419,7 +460,7 @@ TEST(AnalyticEngine_, DeterministicAndReplayFree)
         EXPECT_EQ(x.macs, y.macs);
         EXPECT_EQ(x.stab_reads, y.stab_reads);
         EXPECT_EQ(x.birrd_switch_hops, y.birrd_switch_hops);
-        // No replay happened: nothing was verified, no arena was used.
+        // No replay happened: nothing was verified, no scratch was used.
         EXPECT_EQ(x.arena_peak_bytes, 0);
     }
     EXPECT_EQ(a->chain.checked, 0)
@@ -427,15 +468,80 @@ TEST(AnalyticEngine_, DeterministicAndReplayFree)
     EXPECT_EQ(a->chain.mismatches, 0);
 }
 
-TEST(CycleEngine_, ReportsArenaScratchUse)
+TEST(CycleEngine_, ReportsEachLayersScratchBytes)
 {
-    const ModelGraph *s = findScenario("quickstart_conv");
+    // arena_peak_bytes is the layer's own scratch: the NEST iAct staging
+    // (aw x t1 int16) plus the step scratch's flat buffers. Reports take
+    // the max over a job's layers.
+    const ModelGraph *s = findScenario("resnet_block");
     ASSERT_NE(s, nullptr);
     std::string error;
-    const auto run = runWith(*s, EngineMode::Cycle, &error);
+    const auto run = runWith(*s, EngineMode::Cycle, &error, "", 8, 8);
     ASSERT_TRUE(run.has_value()) << error;
-    EXPECT_GT(run->chain.layers[0].stats.arena_peak_bytes, 0)
-        << "the cycle engine's hot loop runs out of the per-job arena";
+    const std::vector<RunResult> &layers = run->chain.layers;
+    ASSERT_EQ(layers.size(), 3u);
+    int64_t most = 0;
+    for (size_t i = 0; i < layers.size(); ++i) {
+        const LayerStats &stats = layers[i].stats;
+        const NestGeometry geo(s->layers[i].spec, layers[i].mapping);
+        const NestGeometry::StepScratch scratch(geo, 8);
+        EXPECT_EQ(stats.arena_peak_bytes,
+                  8 * geo.t1 * int64_t(sizeof(int16_t)) +
+                      scratch.flatBytes());
+        most = std::max(most, stats.arena_peak_bytes);
+    }
+    EXPECT_EQ(layers[0].stats.arena_peak_bytes, 576); // 128 B + 448 B
+    EXPECT_EQ(most, 576) << "batch_resnet_block_cycle.csv.golden's value";
+}
+
+TEST(CycleEngine_, WarmRunsAllocateIndependentlyOfTheirSteps)
+{
+    // The step loop does no allocator work: a run sizes its scratch once,
+    // and the accelerator keeps it, so once warm, two layers of one
+    // mapping shape make equally many allocations however many temporal
+    // steps they walk.
+    const int aw = 4, ah = 4;
+    const LayerSpec few = convLayer("few", 8, 8, 8, 3, 1, 1);
+    const LayerSpec many = convLayer("many", 8, 16, 8, 3, 1, 1);
+    const std::optional<LayerPlan> plan =
+        planLayer(DataflowKind::Canonical, few, aw, ah);
+    ASSERT_TRUE(plan.has_value());
+    const std::optional<LayerPlan> plan_many =
+        planLayer(DataflowKind::Canonical, many, aw, ah);
+    ASSERT_TRUE(plan_many.has_value());
+    const NestGeometry geo_few(few, plan->mapping);
+    const NestGeometry geo_many(many, plan->mapping);
+    ASSERT_EQ(plan_many->mapping.toString(), plan->mapping.toString());
+    ASSERT_EQ(plan_many->in_layout, plan->in_layout);
+    ASSERT_EQ(plan_many->out_layout, plan->out_layout);
+    ASSERT_GE(geo_many.total_steps, 4 * geo_few.total_steps);
+
+    FeatherConfig cfg;
+    cfg.aw = aw;
+    cfg.ah = ah;
+    FeatherAccelerator acc(cfg);
+    Rng rng(7);
+    const Int8Tensor iacts_few = randomIacts(few, rng);
+    const Int8Tensor weights_few = randomWeights(few, rng);
+    const Int8Tensor iacts_many = randomIacts(many, rng);
+    const Int8Tensor weights_many = randomWeights(many, rng);
+    // One run of @p layer; @return the allocations run() made.
+    const auto news = [&](const LayerSpec &layer, const Int8Tensor &iacts,
+                          const Int8Tensor &weights) {
+        acc.loadIacts(iacts, plan->in_layout);
+        t_news = 0;
+        t_count_news = true;
+        acc.run(layer, weights, plan->mapping, plan->out_layout, {});
+        t_count_news = false;
+        return t_news;
+    };
+    news(few, iacts_few, weights_few);
+    news(many, iacts_many, weights_many);
+    const int64_t warm_few = news(few, iacts_few, weights_few);
+    const int64_t warm_many = news(many, iacts_many, weights_many);
+    EXPECT_GT(warm_few, 0) << "operator new is not being counted";
+    EXPECT_EQ(warm_many, warm_few)
+        << geo_many.total_steps << " steps against " << geo_few.total_steps;
 }
 
 // ---------------------------------------------------------------------------

@@ -481,8 +481,7 @@ TEST(NestGeometry_, CompiledWavesMatchTheNetwork)
                 const BirrdNetwork net(aw);
                 BirrdRouter router(net.topology());
 
-                Arena arena;
-                NestGeometry::StepScratch rows(geo, aw, arena);
+                NestGeometry::StepScratch rows(geo, aw);
                 RouteRequest req;
                 std::vector<PortValue> inputs(static_cast<size_t>(aw));
                 std::vector<int64_t> want;
@@ -705,8 +704,7 @@ TEST(NestGeometry_, RowInvariantGatherMatchesPerRowGather)
                     const BoundLayout in(plan->in_layout, iactExtents(layer));
                     const BoundLayout out(plan->out_layout,
                                           oactIactExtents(layer));
-                    Arena arena;
-                    NestGeometry::StepScratch scratch(geo, aw, arena);
+                    NestGeometry::StepScratch scratch(geo, aw);
                     Coord step;
                     do {
                         bool probed = true;
@@ -793,8 +791,7 @@ TEST(NestGeometry_, WindowAndTailColumnsGatherPerRow)
                 const BoundLayout out(Layout::parse("CHW_W4"),
                                       oactIactExtents(layer));
                 const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(4));
-                Arena arena;
-                NestGeometry::StepScratch scratch(geo, cfg.aw, arena);
+                NestGeometry::StepScratch scratch(geo, cfg.aw);
                 Coord step;
                 do {
                     const Coord b = geo.base(step);
@@ -925,7 +922,7 @@ referenceOutputs(const NestGeometry &geo, const Coord &b,
                  LayerStats &stats)
 {
     int64_t feed = 0, bus = 0;
-    const uint8_t *active = s.col_active;
+    const uint8_t *active = s.col_active.data();
     for (int64_t r = 0; r < geo.rows_used; ++r) {
         geo.rowOutputs(b, r, out, s);
         log.emit(r, active);
@@ -1021,9 +1018,8 @@ TEST(NestGeometry_, OutputPlanReplaysRowOutputs)
                     std::to_string(cs.aw) + "x" + std::to_string(cs.ah) +
                     " out " + out_layout.toString();
                 const BoundLayout out(out_layout, oactIactExtents(cs.layer));
-                Arena arena;
-                NestGeometry::StepScratch scratch(geo, cs.aw, arena);
-                NestGeometry::StepScratch ref(geo, cs.aw, arena);
+                NestGeometry::StepScratch scratch(geo, cs.aw);
+                NestGeometry::StepScratch ref(geo, cs.aw);
                 int64_t steps = 0;
                 Coord step;
                 do {

@@ -156,7 +156,7 @@ TEST(ArchZoo, LookupFindsEveryRegisteredName)
     EXPECT_EQ(zoo.lookup(""), nullptr);
 }
 
-TEST(ArchZoo, LegacyFactoriesAreThinWrappersOverTheRegistry)
+TEST(ArchZoo, NamedFactoriesBuildTheRegistryEntries)
 {
     // The named free functions must produce exactly what the registry
     // produces — they are the same builders.

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -231,6 +234,56 @@ randomLayout(Rng &rng, const std::vector<Dim> &pool)
         intra.push_back({pool[rng.below(pool.size())], rng.range(1, 9)});
     }
     return Layout(std::move(inter), std::move(intra));
+}
+
+TEST(Layout, TryParseRefusesRepeatsAndBoundsTheLineSize)
+{
+    std::string error;
+    const auto refuses = [&](const char *text, const char *why) {
+        error.clear();
+        EXPECT_FALSE(Layout::tryParse(text, &error).has_value()) << text;
+        EXPECT_NE(error.find(why), std::string::npos) << text << ": " << error;
+    };
+    // An intra size past int64 is refused while its digits are read, and
+    // so is a line size past kMaxLineSize.
+    refuses("HWC_C99999999999999999999", "line size exceeds");
+    refuses("HWC_C9999999999W9999999999", "line size exceeds");
+    refuses("MK_M576460752303423489", "line size exceeds");
+    refuses("CCC_C2", "dim C repeats in the inter order");
+    refuses("HWC_C2W4C2", "dim C repeats among the intra factors");
+    refuses("HWX_C2", "unknown dimension 'X'");
+    EXPECT_DEATH(Layout::parse("CCC_C2"), "repeats in the inter order");
+
+    const std::optional<Layout> widest =
+        Layout::tryParse("MK_M576460752303423488", &error);
+    ASSERT_TRUE(widest.has_value()) << error;
+    EXPECT_EQ(widest->lineSize(), Layout::kMaxLineSize);
+    for (const Layout &l : convLayoutSpace()) {
+        EXPECT_EQ(Layout::tryParse(l.toString()), l);
+    }
+}
+
+TEST(Layout, BankWordsCountsTheBoundLines)
+{
+    Rng rng(30);
+    for (const std::vector<Dim> &pool :
+         {std::vector<Dim>{Dim::N, Dim::C, Dim::H, Dim::W},
+          std::vector<Dim>{Dim::M, Dim::K}}) {
+        for (int i = 0; i < 300; ++i) {
+            Extents e;
+            for (Dim d : pool) e[d] = rng.range(0, 40);
+            const Layout layout = randomLayout(rng, pool);
+            const BoundLayout bl(layout, e);
+            for (const int64_t banks : {1, 3, 4, 16}) {
+                EXPECT_EQ(bankWords(layout, e, banks),
+                          bl.numLines() * ceilDiv(bl.lineSize(), banks))
+                    << bl.toString() << " on " << banks << " banks";
+            }
+        }
+    }
+    Extents huge;
+    huge[Dim::M] = huge[Dim::K] = int64_t(1) << 40;
+    EXPECT_EQ(bankWords(Layout::parse("MK_K2"), huge, 4), INT64_MAX);
 }
 
 TEST(BoundLayout, AddrOfMatchesHornerForm)

@@ -1023,6 +1023,28 @@ TEST(ModelCli, LocalTileOverPeRegisterFileIsAPlanningError)
         << err;
 }
 
+TEST(ModelCli, LayerStabCannotHoldIsAPlanningError)
+{
+    // 256 x 256 x 256 iActs need 2^21 words in each of 8 banks: no family
+    // fits, in either tier, so it is a usage error, not an abort in the
+    // accelerator's capacity check or an analytic estimate.
+    const std::string path = ::testing::TempDir() + "stab_big.model";
+    std::ofstream(path) << "conv name=big c=256 hw=256 m=8 rs=1\n";
+    for (const char *engine : {"cycle", "analytic"}) {
+        const char *argv[] = {"feather_cli", "--model", path.c_str(),
+                              "--engine", engine};
+        ::testing::internal::CaptureStderr();
+        const int rc = cliMain(5, argv);
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+                  "error: no dataflow family fits big on a 8x8 array: "
+                  "window-parallel does not fit big: iActs under layout "
+                  "'CHW_W8' need 2097152 words per StaB bank; the StaB "
+                  "holds 262144\n")
+            << engine;
+        EXPECT_EQ(rc, 2) << engine;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Schedule report schema (golden lock)
 // ---------------------------------------------------------------------------

@@ -441,6 +441,24 @@ TEST(Engine, BadOverrideIsIsolatedToo)
     EXPECT_TRUE(report.jobs[1].bitExact());
 }
 
+TEST(Engine, OutLayoutStabCannotHoldIsAnErrorRow)
+{
+    std::vector<JobSpec> jobs;
+    std::string error;
+    ASSERT_TRUE(parseBatchFile("conv3x3 out_layout=CHW_W1000000\nconv3x3\n",
+                               &jobs, &error))
+        << error;
+    BatchEngine engine;
+    const BatchReport report = engine.run(jobs);
+    ASSERT_EQ(report.jobs.size(), 2u);
+    EXPECT_EQ(report.jobs[0].status(), "ERROR");
+    EXPECT_EQ(report.jobs[0].error,
+              "conv3x3's oActs (next layer's [C,H,W] iActs) under layout "
+              "'CHW_W1000000' need 28000000 words per StaB bank; the StaB "
+              "holds 262144");
+    EXPECT_TRUE(report.jobs[1].bitExact());
+}
+
 TEST(Engine, ExplicitSeedIsHonoured)
 {
     JobSpec job;
