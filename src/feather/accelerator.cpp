@@ -44,9 +44,10 @@ FeatherAccelerator::FeatherAccelerator(FeatherConfig cfg)
 void
 FeatherAccelerator::enableTrace(size_t max_events)
 {
+    // The trace grows as events arrive: the cap may be far beyond what
+    // the run produces (or than memory holds), so nothing is reserved.
     trace_cap_ = max_events;
     trace_.clear();
-    trace_.reserve(max_events);
 }
 
 void
@@ -141,6 +142,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     // step loop.
     iact_vals_.assign(size_t(cfg_.aw) * size_t(geo.t1), int16_t(0));
     scratch_.reset(geo, cfg_.aw);
+    nest_.setLocal(geo.t1);
 
     // The data movement NestGeometry::step and weightTile leave to the
     // cycle tier: StaB reads, NEST loads and emission, and the Output
@@ -172,10 +174,8 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         std::vector<ObEntry> ob;
         int64_t out_words;
         int64_t ob_live = 0;
-        // Hoisted heap buffers, reused across rows and steps: the NEST
-        // emission (std::optional is not trivial) and the per-group sums.
-        std::vector<PortValue> emission;
-        std::vector<int64_t> group_sum;
+        /** Each group's sum of the current row, reused across rows. */
+        std::vector<uint32_t> group_sum;
 
         void
         weight(int64_t r, int64_t c, int64_t l, const Coord *wc)
@@ -223,19 +223,21 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             }
         }
 
+        // Phase 1 and the BIRRD reduction in one pass: each active
+        // column's int32 dot product is added into its group's sum.
         // BIRRD delivers each group's sum to the group's bank (route()
         // verified that when the wave was compiled), so the sum is taken
-        // once here and the waves only count switch hops.
+        // once here and the waves only count switch hops. The sums are
+        // uint32, the OB's modular width.
         void
         emit(int64_t r, const uint8_t *col_active)
         {
-            acc.nest_.computeRowEmission(int(r), iact_vals, t1,
-                                         col_active, emission.data());
-            std::fill(group_sum.begin(), group_sum.end(), int64_t(0));
+            std::fill(group_sum.begin(), group_sum.end(), uint32_t(0));
             for (int64_t c = 0; c < geo.cols_used; ++c) {
                 if (!col_active[c]) continue;
+                const int16_t *stream = iact_vals + size_t(c) * size_t(t1);
                 group_sum[size_t(geo.cols[size_t(c)].group)] +=
-                    *emission[size_t(c)];
+                    uint32_t(acc.nest_.dot(int(r), int(c), stream));
             }
         }
 
@@ -248,7 +250,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                 stats.peak_ob_entries =
                     std::max(stats.peak_ob_entries, ++ob_live);
             }
-            e.acc += uint32_t(group_sum[size_t(g)]);
+            e.acc += group_sum[size_t(g)];
             if (--e.remaining == 0) {
                 const int8_t q = requantize(int32_t(e.acc), quant.multiplier,
                                             quant.oact_zp);
@@ -269,8 +271,7 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     Datapath dp{*this, geo, weights, quant, stats, geo.t1,
                 iact_vals_.data(), scratch_.read_val.data(), 0,
                 std::vector<Datapath::ObEntry>(size_t(cfg_.aw * out_words)),
-                out_words, 0, std::vector<PortValue>(size_t(cfg_.aw)),
-                std::vector<int64_t>(size_t(geo.num_groups))};
+                out_words, 0, std::vector<uint32_t>(size_t(geo.num_groups))};
 
     // Weight dims are a prefix of the temporal order, so the weight tile
     // changes exactly every inner_steps steps; each load goes into the

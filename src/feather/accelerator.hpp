@@ -20,12 +20,15 @@
  * t1 into max(feed, bus, t1) cycles, and replays each row's output
  * control (waves, switch hops, OB destinations) from an output plan
  * compiled once per output-table shape, its hops from the compiled-wave
- * table (noc/router.hpp), the Instruction Buffer analogue. What run()
- * adds is the data: one StaB read per distinct word per cycle (and its
- * trace event; a row sharing row 0's iAct stream keeps row 0's iActs and
- * only traces its reads), the NEST weight loads and emissions, each
- * group's sum accumulated into the OB, and the requantized oAct written
- * to StaB pong when its last partial sum lands.
+ * table (noc/router.hpp), the Instruction Buffer analogue, and each row's
+ * iAct gather from an input plan compiled once per (iAct-table shape,
+ * output plan). What run() adds is the data: one StaB read per distinct
+ * word per cycle (and its trace event; a row sharing row 0's iAct stream
+ * keeps row 0's iActs and only traces its reads), the NEST weight loads,
+ * each active column's int32 dot product (NestArray::dot, on a weight
+ * tile sized by the run's t1) summed into its group's uint32 BIRRD sum,
+ * each group's sum accumulated into the OB, and the requantized oAct
+ * written to StaB pong when its last partial sum lands.
  * The OB is a flat table over the layer's output region, one 32-bit
  * accumulator and countdown per (bank, address), with a count of its live
  * entries. The NEST iAct staging and the step scratch persist across
@@ -102,7 +105,8 @@ class FeatherAccelerator
      */
     Int8Tensor readActivations() const;
 
-    /** Enable capture of the first @p max_events StaB reads/writes. */
+    /** Enable capture of the first @p max_events StaB reads/writes; any
+     *  cap is valid, as the trace holds only the events the runs make. */
     void enableTrace(size_t max_events);
     const std::vector<TraceEvent> &trace() const { return trace_; }
 

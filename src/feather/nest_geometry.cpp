@@ -108,36 +108,6 @@ axisKeys(const NestGeometry::Axes &axes, const Coord &off)
     return keys;
 }
 
-/**
- * The id of @p entries' (valid, slot) content among the contents interned
- * on oAct axis @p axis of @p plans, interning it when new.
- */
-int32_t
-internShape(const std::vector<NestGeometry::StepScratch::AxisEntry> &entries,
-            NestGeometry::StepScratch::OutputPlans &plans, size_t axis)
-{
-    const auto code = [](const NestGeometry::StepScratch::AxisEntry &e) {
-        return e.valid ? 2 * e.slot + 1 : int64_t(0);
-    };
-    uint64_t hash = 1469598103934665603ull;
-    for (const auto &e : entries) {
-        hash = (hash ^ uint64_t(code(e))) * 1099511628211ull;
-    }
-    std::vector<int64_t> &shapes = plans.shapes[axis];
-    std::vector<uint64_t> &hashes = plans.shape_hash[axis];
-    const size_t n = entries.size();
-    for (size_t id = 0; id < hashes.size(); ++id) {
-        if (hashes[id] != hash) continue;
-        const int64_t *shape = shapes.data() + id * n;
-        size_t i = 0;
-        while (i < n && shape[i] == code(entries[i])) ++i;
-        if (i == n) return int32_t(id);
-    }
-    for (const auto &e : entries) shapes.push_back(code(e));
-    hashes.push_back(hash);
-    return int32_t(hashes.size() - 1);
-}
-
 } // namespace
 
 void
@@ -338,13 +308,13 @@ NestGeometry::rowOutputs(const Coord &b, int64_t r, const BoundLayout &out,
         const int g = cols[size_t(c)].group;
         if (s.group_live[g]) continue;
         const int64_t word = e0.slot + e1.slot + e2.slot;
+        const int64_t word_hi = word >> s.aw_shift;
         s.group_live[g] = 1;
-        s.group_bank[g] = word % s.aw;
-        s.group_line[g] =
-            (e0.line + e1.line + e2.line) * out_wpl + word / s.aw;
+        s.group_bank[g] = word & (s.aw - 1);
+        s.group_line[g] = (e0.line + e1.line + e2.line) * out_wpl + word_hi;
         StepScratch::OutputDest &dest = s.group_dest[size_t(g)];
         dest.entry = {ck[0] + rk[0], ck[1] + rk[1], ck[2] + rk[2]};
-        dest.word_hi = int32_t(word / s.aw);
+        dest.word_hi = int32_t(word_hi);
     }
 }
 
@@ -423,7 +393,7 @@ NestGeometry::planOutputs(const Coord &b, const BoundLayout &out,
     if (p.current >= 0) {
         for (size_t i = 0; i < kAxes; ++i) {
             StepScratch::AxisTable &t = s.oact_tables[i];
-            if (t.shape < 0) t.shape = internShape(t.entries, p, i);
+            if (t.shape < 0) t.shape = p.shapes[i].intern(t.entries, true);
             key[i] = t.shape;
         }
         const auto it = std::find(p.keys.begin(), p.keys.end(), key);
@@ -460,10 +430,115 @@ NestGeometry::planOutputs(const Coord &b, const BoundLayout &out,
 }
 
 void
+NestGeometry::planInputs(bool moved, StepScratch &s) const
+{
+    StepScratch::InputPlans &p = s.inputs;
+    p.compile = false;
+    moved |= s.plans.current != p.out_plan;
+    p.out_plan = s.plans.current;
+    if (!p.started) {
+        p.started = true;
+        p.current = -1;
+        return;
+    }
+    if (p.keyed && !moved) return;
+    p.keyed = true;
+    p.current = -1;
+    std::array<int32_t, kAxes + 1> key;
+    for (size_t i = 0; i < kAxes; ++i) {
+        StepScratch::AxisTable &t = s.iact_tables[i];
+        if (t.shape < 0) {
+            const int64_t grow = int64_t(t.entries.size() * sizeof(int64_t) +
+                                         sizeof(uint64_t));
+            t.shape = p.shapes[i].intern(
+                t.entries, p.bytes() + grow <= kInputPlanBytes);
+            if (t.shape < 0) return;
+        }
+        key[i] = t.shape;
+    }
+    key[kAxes] = s.plans.current;
+    const auto it = std::find(p.keys.begin(), p.keys.end(), key);
+    if (it != p.keys.end()) {
+        p.current = int32_t(it - p.keys.begin());
+        return;
+    }
+    // The most the plan can take: every gathering row reads a word and
+    // takes a slot at each (local slot, active column).
+    const bool shared = !s.gather_read.empty();
+    const StepScratch::RowPlan *rows =
+        s.plans.rows.data() + size_t(s.plans.current) * size_t(rows_used);
+    int64_t grow = int64_t(sizeof(key)) +
+                   rows_used * int64_t(sizeof(StepScratch::GatherRow));
+    for (int64_t r = 0; r < rows_used; ++r) {
+        if (shared && rows[r].reuse) continue;
+        grow += t1 * rows[r].active *
+                int64_t(sizeof(int16_t) + sizeof(StepScratch::PlannedRead));
+    }
+    if (p.bytes() + grow > kInputPlanBytes) return;
+    p.current = int32_t(p.keys.size());
+    p.keys.push_back(key);
+    p.rows.resize(p.rows.size() + size_t(rows_used));
+    p.compile = true;
+}
+
+int32_t
+NestGeometry::StepScratch::ShapeSet::intern(
+    const std::vector<AxisEntry> &entries, bool insert)
+{
+    const auto code = [](const AxisEntry &e) {
+        return e.valid ? 2 * e.slot + 1 : int64_t(0);
+    };
+    uint64_t hash = 1469598103934665603ull;
+    for (const auto &e : entries) {
+        hash = (hash ^ uint64_t(code(e))) * 1099511628211ull;
+    }
+    const size_t n = entries.size();
+    for (size_t id = 0; id < hashes.size(); ++id) {
+        if (hashes[id] != hash) continue;
+        const int64_t *shape = codes.data() + id * n;
+        size_t i = 0;
+        while (i < n && shape[i] == code(entries[i])) ++i;
+        if (i == n) return int32_t(id);
+    }
+    if (!insert) return -1;
+    for (const auto &e : entries) codes.push_back(code(e));
+    hashes.push_back(hash);
+    return int32_t(hashes.size() - 1);
+}
+
+int64_t
+NestGeometry::StepScratch::ShapeSet::bytes() const
+{
+    return int64_t(codes.size() * sizeof(int64_t) +
+                   hashes.size() * sizeof(uint64_t));
+}
+
+void
+NestGeometry::StepScratch::ShapeSet::clear()
+{
+    codes.clear();
+    hashes.clear();
+}
+
+int64_t
+NestGeometry::StepScratch::InputPlans::bytes() const
+{
+    int64_t n = int64_t(rows.size() * sizeof(GatherRow) +
+                        reads.size() * sizeof(PlannedRead) +
+                        slots.size() * sizeof(int16_t) +
+                        keys.size() * sizeof(keys[0]));
+    for (const ShapeSet &set : shapes) n += set.bytes();
+    return n;
+}
+
+void
 NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw)
 {
     const size_t groups = size_t(geo.num_groups);
+    FEATHER_CHECK(isPow2(uint64_t(aw)), "AW must be a power of two, got ", aw);
+    FEATHER_CHECK(geo.cols_used <= INT16_MAX, "a read slot must fit int16");
     this->aw = aw;
+    aw_shift = int(log2Exact(uint64_t(aw)));
     col_active.resize(size_t(aw));
     group_line.resize(groups);
     group_bank.resize(groups);
@@ -484,7 +559,7 @@ NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw)
         oact_tables[i].entries.resize(size_t(out.ua * out.uk));
         iact_tables[i].layout = oact_tables[i].layout = nullptr;
         plans.shapes[i].clear();
-        plans.shape_hash[i].clear();
+        inputs.shapes[i].clear();
     }
     group_dest.resize(groups);
     plans.rows.clear();
@@ -492,6 +567,13 @@ NestGeometry::StepScratch::reset(const NestGeometry &geo, int aw)
     plans.accs.clear();
     plans.keys.clear();
     plans.current = -1;
+    inputs.rows.clear();
+    inputs.reads.clear();
+    inputs.slots.clear();
+    inputs.keys.clear();
+    inputs.current = -1;
+    inputs.compile = inputs.started = inputs.keyed = false;
+    inputs.out_plan = -1;
 }
 
 int64_t

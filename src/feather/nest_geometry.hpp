@@ -11,12 +11,24 @@
  * temporal step (NestGeometry::step): per row the iAct gather with its
  * per-cycle StaB dedup and dual-port feed, the MACs, and the row's output
  * control (active columns, BIRRD wave split, switch hops and OB
- * destinations), then the step's cycles and stalls. The output control
- * is compiled, not recomputed: it depends only on the row and on the
- * step's output-table shape (the (valid, slot) content of its oAct axis
- * tables, below), so planOutputs compiles one output plan per shape and
- * every step of that shape replays it, adding only the tables' line
- * parts to find each OB line. When one top-to-bottom iAct stream serves
+ * destinations), then the step's cycles and stalls. The control is
+ * compiled, not recomputed, so a step does only data work: reading StaB
+ * at tabled lines, the MACs and the OB accumulation. The output control
+ * depends only on the row and on the step's output-table shape (the
+ * (valid, slot) content of its oAct axis tables, below), so planOutputs
+ * compiles one output plan per shape and every step of that shape
+ * replays it, adding only the tables' line parts to find each OB line.
+ * The gather likewise depends only on the row, the output plan's active
+ * columns and the (valid, slot) content of the iAct axis tables, so
+ * planInputs keys an input plan by (iAct shape ids, output plan id): each
+ * gathering row's per-cycle reads (table entries, bank, word / aw), each
+ * active column's read slot and the row's summed dualPortFeed. A step of
+ * a known key replays it and computes only each read's line. Two kinds of
+ * step walk the gather from the tables instead, with the code that
+ * compiles plans but recording nothing: a run's first step (the analytic
+ * probe's only one, which would never replay a plan) and a step whose key
+ * finds no room left in the run's input-plan budget (kInputPlanBytes, a
+ * constant). When one top-to-bottom iAct stream serves
  * every row (row_variants == 1), row 0 records its gather and each later
  * row with the same active columns reuses it: one sink.reuse call stands
  * for the row's read and iact calls, which would repeat row 0's, and the
@@ -32,7 +44,7 @@
  * Everything a step writes lives in a StepScratch of vectors the caller
  * owns: reset() sizes them once per run, and a caller that keeps the
  * scratch (the accelerator keeps one, the analytic tier one per thread)
- * reuses their capacity, so the step loop allocates nothing.
+ * reuses their capacity, so the step loop allocates nothing once warm.
  *
  * Coordinates: for dim d, PE (row r, column c, local slot l) at temporal
  * step base b holds
@@ -54,6 +66,8 @@
  * when their column offsets agree on every iAct axis: col_class numbers
  * those offset triples, and the gather's per-cycle dedup is a class ->
  * read-slot lookup. The output pass computes one address per group.
+ * A word's bank and its word within the line are its low and high bits
+ * (StepScratch::aw_shift), as AW is a power of two.
  */
 
 #include <algorithm>
@@ -263,17 +277,18 @@ struct NestGeometry
                i[Dim::W] >= 0 && i[Dim::W] < ext[Dim::W];
     }
 
-    /** Per-run scratch of step() and its pieces below, sized by reset().
-     *  A caller that keeps the scratch reuses every buffer's capacity
-     *  from run to run. */
+    /** Per-run scratch of step() and its pieces below, sized by reset():
+     *  the axis tables, the output and input plans compiled so far, and
+     *  the buffers the walks and plan compiles fill. A caller that keeps
+     *  the scratch reuses every buffer's capacity from run to run. */
     struct StepScratch
     {
         StepScratch() = default;
         StepScratch(const NestGeometry &geo, int aw) { reset(geo, aw); }
 
-        /** Start a run of @p geo on an @p aw-column array: size every
-         *  buffer, forgetting every axis table and output plan of the last
-         *  run. */
+        /** Start a run of @p geo on an @p aw-column array (aw a power of
+         *  two): size every buffer, forgetting every axis table and every
+         *  output and input plan of the last run. */
         void reset(const NestGeometry &geo, int aw);
 
         /** Bytes of the flat per-row buffers, col_active ... dense_dest,
@@ -281,6 +296,9 @@ struct NestGeometry
         int64_t flatBytes() const;
 
         int aw;
+        /** log2(aw): a StaB word w lives in bank w & (aw - 1) at word
+         *  w >> aw_shift of its line (reset checks aw is a power of 2). */
+        int aw_shift;
         std::vector<uint8_t> col_active;  ///< [aw]
         std::vector<int64_t> group_line;  ///< [num_groups]
         std::vector<int64_t> group_bank;  ///< [num_groups]
@@ -327,9 +345,26 @@ struct NestGeometry
             const BoundLayout *layout = nullptr;
             int64_t base_a = 0;
             int64_t base_k = 0;
-            /** oAct tables: the interned id of the entries' (valid, slot)
-             *  content (OutputPlans::shapes), -1 until interned. */
+            /** The interned id of the entries' (valid, slot) content
+             *  (OutputPlans::shapes for oAct tables, InputPlans::shapes
+             *  for iAct ones), -1 until interned. */
             int32_t shape = -1;
+        };
+        /** The interned (valid, slot) contents of one axis's tables: id
+         *  i is codes[i * n, (i + 1) * n) for tables of n entries, each
+         *  encoded as 2 * slot + 1 when valid, else 0, beside its FNV
+         *  hash. */
+        struct ShapeSet
+        {
+            std::vector<int64_t> codes;
+            std::vector<uint64_t> hashes;
+
+            /** The id of @p entries' content; new content is interned
+             *  when @p insert, else its id is -1. */
+            int32_t intern(const std::vector<AxisEntry> &entries,
+                           bool insert);
+            int64_t bytes() const;
+            void clear();
         };
         std::array<AxisTable, kAxes> iact_tables, oact_tables;
 
@@ -378,13 +413,71 @@ struct NestGeometry
             std::vector<uint8_t> active;
             std::vector<Accumulate> accs;
             std::vector<std::array<int32_t, kAxes>> keys; ///< [plans]
-            /** Per axis, the interned contents: id i is [i * size, (i +
-             *  1) * size) of the axis's table entries, encoded as 2 *
-             *  slot + valid, beside its hash. */
-            std::array<std::vector<int64_t>, kAxes> shapes;
-            std::array<std::vector<uint64_t>, kAxes> shape_hash;
+            std::array<ShapeSet, kAxes> shapes; ///< per oAct axis
             int32_t current = -1; ///< the plan of the current step
         } plans;
+
+        /** One StaB word a compiled gathering row reads: the iAct table
+         *  entries whose line parts its line sums, its bank, and its
+         *  word / aw, so its address is line * in_wpl + word_hi. */
+        struct PlannedRead
+        {
+            std::array<int32_t, kAxes> entry;
+            int32_t bank;
+            int32_t word_hi;
+        };
+        /** One gathering row of an input plan: its reads, reads[
+         *  read_begin, read_end) in call order; its read slots, one per
+         *  (local slot, active column) in call order from slots[
+         *  slot_begin] (-1: padding); and its dualPortFeed summed over
+         *  its t1 cycles. A row that reuses row 0's gather is empty. */
+        struct GatherRow
+        {
+            uint32_t read_begin;
+            uint32_t read_end;
+            uint32_t slot_begin;
+            int32_t feed;
+        };
+        /**
+         * The run's input plans (see step()), one per (iAct-table shape,
+         * output plan): the (valid, slot) content of the three iAct axis
+         * tables and the output plan's active columns decide every
+         * gathering row's reads, banks, dedup slots and feed. Only the
+         * tables' line parts move between steps of one key. Plan p is
+         * rows[p * rows_used, ...), keyed by keys[p]: its tables'
+         * interned ids, then its output plan. Storage (bytes()) stays
+         * within kInputPlanBytes: a plan or table content that would not
+         * fit is not kept, and steps needing it walk the gather.
+         */
+        struct InputPlans
+        {
+            std::vector<GatherRow> rows;
+            std::vector<PlannedRead> reads;
+            std::vector<int16_t> slots;
+            std::vector<std::array<int32_t, kAxes + 1>> keys; ///< [plans]
+            std::array<ShapeSet, kAxes> shapes; ///< per iAct axis
+            /** The plan the current step replays or, when compile, is
+             *  recording; -1: the step walks without recording. */
+            int32_t current = -1;
+            bool compile = false;
+            bool started = false; ///< the run's first step has walked
+            /** current (or -1) answers the key of the tables and of
+             *  out_plan, the output plan it was looked up under. */
+            bool keyed = false;
+            int32_t out_plan = -1;
+
+            int64_t bytes() const;
+        } inputs;
+    };
+
+    /** Bytes a run's input plans may hold (InputPlans::bytes). */
+    static constexpr int64_t kInputPlanBytes = int64_t(256) << 10;
+
+    /** Distinct reads and summed feed of one gathered row. */
+    struct RowGather
+    {
+        int64_t reads;
+        int64_t feed;
     };
 
     /**
@@ -442,21 +535,163 @@ struct NestGeometry
                      StepScratch &s) const;
 
     /**
+     * Decide how the step whose iAct tables are current and whose output
+     * plan is plans.current gathers (inputs.current, inputs.compile): the
+     * run's first step walks without recording; a step with the last
+     * step's key (@p moved false: no iAct table rebuilt, same output
+     * plan) keeps its decision; a known key replays its input plan; a new
+     * one is compiled while the step walks, unless its plan or its
+     * tables' content would take the input plans past kInputPlanBytes,
+     * in which case the step walks without recording.
+     */
+    void planInputs(bool moved, StepScratch &s) const;
+
+    /**
+     * Row @p r's iAct gather walked column by column from the iAct tables
+     * (the uncompiled form): per local slot, each active column's three
+     * entries give its validity, and a valid column's class finds its
+     * read slot, or makes the cycle's next read of the word the entries'
+     * line and slot parts address. Makes the sink's read and iact calls
+     * (see step()), copies the reads to @p first when non-null, and, when
+     * inputs.compile, records the row into input plan inputs.current.
+     */
+    template <class Sink>
+    RowGather
+    walkRow(int64_t r, const uint8_t *col_active, int64_t in_wpl,
+            StepScratch &s, Sink &sink,
+            StepScratch::GatherRead *first) const
+    {
+        using Entry = StepScratch::AxisEntry;
+        // Locals, not members: the scratch stores below may alias members.
+        const int aw = s.aw, shift = s.aw_shift;
+        const int64_t cols = cols_used, slots = t1, mask = aw - 1;
+        int64_t *bank_reads = s.bank_reads.data(),
+                *class_slot = s.class_slot.data();
+        const size_t classes = size_t(num_classes);
+        const AxisKeys *col_keys = iact_col_keys.data();
+        const int32_t *col_cls = col_class.data();
+        const Entry *tab0 = s.iact_tables[0].entries.data(),
+                    *tab1 = s.iact_tables[1].entries.data(),
+                    *tab2 = s.iact_tables[2].entries.data();
+        StepScratch::InputPlans &p = s.inputs;
+        const bool compile = p.compile;
+        StepScratch::GatherRow plan_row{uint32_t(p.reads.size()), 0,
+                                        uint32_t(p.slots.size()), 0};
+        const AxisKeys row_key = iact_row_keys[size_t(r)];
+        RowGather g{0, 0};
+        for (int64_t l = 0; l < slots; ++l) {
+            std::fill_n(bank_reads, size_t(aw), int64_t(0));
+            std::fill_n(class_slot, classes, int64_t(-1));
+            const AxisKeys &lk = iact_local_keys[size_t(l)];
+            const int32_t k0 = lk[0] + row_key[0], k1 = lk[1] + row_key[1],
+                          k2 = lk[2] + row_key[2];
+            int64_t num_read = 0;
+            for (int64_t c = 0; c < cols; ++c) {
+                if (!col_active[c]) continue;
+                const AxisKeys &ck = col_keys[c];
+                const int32_t i0 = ck[0] + k0, i1 = ck[1] + k1,
+                              i2 = ck[2] + k2;
+                const Entry &e0 = tab0[i0], &e1 = tab1[i1], &e2 = tab2[i2];
+                int64_t slot = -1;
+                if (e0.valid & e1.valid & e2.valid) {
+                    int64_t &cs = class_slot[col_cls[c]];
+                    if (cs < 0) {
+                        const int64_t word = e0.slot + e1.slot + e2.slot;
+                        const int64_t bank = word & mask;
+                        const int64_t addr =
+                            (e0.line + e1.line + e2.line) * in_wpl +
+                            (word >> shift);
+                        cs = num_read++;
+                        ++bank_reads[bank];
+                        if (first) *first++ = {bank, addr};
+                        if (compile) {
+                            p.reads.push_back({{i0, i1, i2},
+                                               int32_t(bank),
+                                               int32_t(word >> shift)});
+                        }
+                        sink.read(cs, bank, addr);
+                    }
+                    slot = cs;
+                }
+                if (compile) p.slots.push_back(int16_t(slot));
+                sink.iact(c, l, slot);
+            }
+            g.reads += num_read;
+            g.feed += dualPortFeed(bank_reads, aw);
+        }
+        if (compile) {
+            plan_row.read_end = uint32_t(p.reads.size());
+            plan_row.feed = int32_t(g.feed);
+            p.rows[size_t(p.current) * size_t(rows_used) + size_t(r)] =
+                plan_row;
+        }
+        return g;
+    }
+
+    /**
+     * Row @p r's iAct gather replayed from input plan inputs.current:
+     * the same sink calls as walkRow, in the same order, with each read's
+     * address the only thing computed (its entries' line parts, summed,
+     * times @p in_wpl plus its word_hi).
+     */
+    template <class Sink>
+    RowGather
+    replayRow(int64_t r, const uint8_t *col_active, int64_t in_wpl,
+              const StepScratch &s, Sink &sink,
+              StepScratch::GatherRead *first) const
+    {
+        const StepScratch::InputPlans &p = s.inputs;
+        const StepScratch::GatherRow &row =
+            p.rows[size_t(p.current) * size_t(rows_used) + size_t(r)];
+        const StepScratch::AxisEntry *tab0 = s.iact_tables[0].entries.data(),
+                                     *tab1 = s.iact_tables[1].entries.data(),
+                                     *tab2 = s.iact_tables[2].entries.data();
+        const StepScratch::PlannedRead *read = p.reads.data() + row.read_begin;
+        const int16_t *slot = p.slots.data() + row.slot_begin;
+        const int64_t cols = cols_used, slots = t1;
+        for (int64_t l = 0; l < slots; ++l) {
+            int64_t num_read = 0;
+            for (int64_t c = 0; c < cols; ++c) {
+                if (!col_active[c]) continue;
+                const int64_t cs = *slot++;
+                if (cs == num_read) {
+                    const StepScratch::PlannedRead &x = *read++;
+                    const int64_t addr = (tab0[x.entry[0]].line +
+                                          tab1[x.entry[1]].line +
+                                          tab2[x.entry[2]].line) *
+                                             in_wpl +
+                                         x.word_hi;
+                    if (first) *first++ = {x.bank, addr};
+                    sink.read(num_read++, x.bank, addr);
+                }
+                sink.iact(c, l, cs);
+            }
+        }
+        return {int64_t(row.read_end - row.read_begin), int64_t(row.feed)};
+    }
+
+    /**
      * The body of the temporal step at base @p b, with iActs read from
      * StaB under @p in and oActs written under @p out (next-layer iAct
-     * space). The step's output control is its output plan (planOutputs):
-     * compiled once per output-table shape, replayed on every step of
-     * that shape. Per row: the iAct gather of the plan's active columns,
-     * where columns requesting the same word in the same cycle share one
-     * bank access (the point-to-point distribution broadcasts it), priced
-     * by dualPortFeed for the first row_variants rows; the emission; the
-     * plan's bus slots (one per wave, at least one), switch hops and OB
-     * destinations. In hardware order, @p sink gets read(s, bank, addr)
-     * for the cycle's first request of each StaB word (its value belongs
-     * in StepScratch::read_val[s]), iact(c, l, s) for each active column
-     * c at local slot l (s < 0: padding, a zero), emit(r, col_active)
-     * once row r is gathered, and accumulate(g, bank, line) for each live
-     * group's sum into its OB entry, wave by wave.
+     * space). The step's control is compiled: its output plan
+     * (planOutputs), once per output-table shape, and its input plan
+     * (planInputs), once per (iAct-table shape, output plan); every step
+     * of a known key replays them and computes only StaB line addresses.
+     * The run's first step (the analytic probe's only one) and steps
+     * whose key found no room in kInputPlanBytes walk the gather instead
+     * (walkRow), without recording. Per row: the iAct gather of the
+     * plan's active columns, where columns requesting the same word in
+     * the same cycle share one bank access (the point-to-point
+     * distribution broadcasts it), priced by dualPortFeed for the first
+     * row_variants rows; the emission; the plan's bus slots (one per
+     * wave, at least one), switch hops and OB destinations. In hardware
+     * order, @p sink gets read(s, bank, addr) for the cycle's first
+     * request of each StaB word (its value belongs in
+     * StepScratch::read_val[s]), iact(c, l, s) for each active column c
+     * at local slot l (s < 0: padding, a zero), emit(r, col_active) once
+     * row r is gathered, and accumulate(g, bank, line) for each live
+     * group's sum into its OB entry, wave by wave. Replayed, walked and
+     * compiled steps make the same calls.
      *
      * When row_variants == 1 the iActs do not depend on the row, so row 0
      * records its gather (StepScratch::gather_read) and each later row
@@ -481,24 +716,16 @@ struct NestGeometry
     {
         int64_t feed = 0, bus = 0, macs = 0, reads = 0, accumulates = 0;
         int64_t hops = 0;
-        // Locals, not members: the scratch stores below may alias members.
         const int aw = cfg.aw;
-        const int64_t cols = cols_used, slots = t1;
         const int64_t in_wpl = ceilDiv(in.lineSize(), int64_t(aw));
         const int64_t out_wpl = ceilDiv(out.lineSize(), int64_t(aw));
-        const size_t classes = size_t(num_classes);
-        int64_t *bank_reads = s.bank_reads.data(),
-                *class_slot = s.class_slot.data();
         const bool shared = !s.gather_read.empty();
         int64_t shared_reads = 0; // row 0's distinct reads
         StepScratch::GatherRead *const rec_read = s.gather_read.data();
-        const AxisKeys *col_keys = iact_col_keys.data();
-        const int32_t *col_cls = col_class.data();
-        refreshAxes(iact_axes, b, in, s.iact_tables);
-        const StepScratch::AxisEntry *tab0 = s.iact_tables[0].entries.data(),
-                                     *tab1 = s.iact_tables[1].entries.data(),
-                                     *tab2 = s.iact_tables[2].entries.data();
+        const bool moved = refreshAxes(iact_axes, b, in, s.iact_tables);
         planOutputs(b, out, s);
+        planInputs(moved, s);
+        const bool replay = s.inputs.current >= 0 && !s.inputs.compile;
         const StepScratch::AxisEntry *out0 = s.oact_tables[0].entries.data(),
                                      *out1 = s.oact_tables[1].entries.data(),
                                      *out2 = s.oact_tables[2].entries.data();
@@ -512,51 +739,14 @@ struct NestGeometry
                 sink.reuse(rec_read, shared_reads);
                 reads += shared_reads;
             } else {
-                const bool record = shared && r == 0;
-                const AxisKeys row_key = iact_row_keys[size_t(r)];
-                int64_t row_feed = 0;
-                for (int64_t l = 0; l < slots; ++l) {
-                    std::fill_n(bank_reads, size_t(aw), int64_t(0));
-                    std::fill_n(class_slot, classes, int64_t(-1));
-                    const AxisKeys &lk = iact_local_keys[size_t(l)];
-                    const int64_t k0 = lk[0] + row_key[0],
-                                  k1 = lk[1] + row_key[1],
-                                  k2 = lk[2] + row_key[2];
-                    int64_t num_read = 0;
-                    for (int64_t c = 0; c < cols; ++c) {
-                        if (!col_active[c]) continue;
-                        const AxisKeys &ck = col_keys[c];
-                        const StepScratch::AxisEntry &e0 = tab0[ck[0] + k0],
-                                                     &e1 = tab1[ck[1] + k1],
-                                                     &e2 = tab2[ck[2] + k2];
-                        int64_t slot = -1;
-                        if (e0.valid & e1.valid & e2.valid) {
-                            int64_t &cs = class_slot[col_cls[c]];
-                            if (cs < 0) {
-                                const int64_t line =
-                                    e0.line + e1.line + e2.line;
-                                const int64_t word =
-                                    e0.slot + e1.slot + e2.slot;
-                                const int64_t bank = word % aw;
-                                const int64_t addr =
-                                    line * in_wpl + word / aw;
-                                cs = num_read++;
-                                ++bank_reads[bank];
-                                if (record) {
-                                    rec_read[shared_reads + cs] = {bank,
-                                                                   addr};
-                                }
-                                sink.read(cs, bank, addr);
-                            }
-                            slot = cs;
-                        }
-                        sink.iact(c, l, slot);
-                    }
-                    reads += num_read;
-                    if (record) shared_reads += num_read;
-                    row_feed += dualPortFeed(bank_reads, aw);
-                }
-                if (r < row_variants) feed += row_feed;
+                StepScratch::GatherRead *first =
+                    shared && r == 0 ? rec_read : nullptr;
+                const RowGather g =
+                    replay ? replayRow(r, col_active, in_wpl, s, sink, first)
+                           : walkRow(r, col_active, in_wpl, s, sink, first);
+                reads += g.reads;
+                if (first) shared_reads = g.reads;
+                if (r < row_variants) feed += g.feed;
             }
 
             sink.emit(r, col_active);

@@ -16,12 +16,19 @@
  * This class models the *functional* datapath (exact int arithmetic per
  * emission). Cycle accounting lives in the FEATHER controller, which knows
  * the mapping, the buffers, and the stall sources.
+ *
+ * Storage is one dense [bank][row][col][t1] tile of int16 weights, sized
+ * by each run's local depth t1 (setLocal), not by the register file's
+ * capacity: a PE's t1 weights are contiguous, so its Phase-1 reduction is
+ * one dot product over two unit-stride streams (dot). The dot accumulates
+ * in int32 and is exact: weights and iActs are int8 values minus an int8
+ * zero point, so each operand lies in [-255, 255] and |sum| <= t1 * 255^2,
+ * which setLocal checks is below 2^31 once per run.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "noc/birrd.hpp" // PortValue
 
 namespace feather {
 
@@ -29,6 +36,9 @@ namespace feather {
 class NestArray
 {
   public:
+    /** Largest operand magnitude: an int8 value minus an int8 zero point. */
+    static constexpr int64_t kMaxOperand = 255;
+
     /**
      * @param aw  columns (must match the BIRRD input count)
      * @param ah  rows
@@ -36,8 +46,12 @@ class NestArray
      */
     NestArray(int aw, int ah, int max_local = 512);
 
-    int aw() const { return aw_; }
-    int ah() const { return ah_; }
+    /**
+     * Start a run whose PEs each hold @p t1 weights: size both banks of
+     * the tile to [ah][aw][t1], zeroed. Panics when t1 exceeds the
+     * register file or t1 * kMaxOperand^2 does not fit an int32.
+     */
+    void setLocal(int64_t t1);
 
     /**
      * Write one weight into the *shadow* register bank of PE (row, col).
@@ -50,28 +64,35 @@ class NestArray
     void swapWeightBanks();
 
     /**
-     * Phase 1 + one Phase-2 emission for @p row: @p iacts is an AW x @p t1
-     * row-major block (column c's stream at iacts[c * t1], zero-point
-     * -subtracted, inactive taps 0), @p active is AW bytes, and the AW
-     * partial sums are written into @p emission (inactive columns get
-     * std::nullopt, leaving the column bus silent).
+     * Phase 1 of PE (row, col): its active weights dotted with @p iacts,
+     * the column's t1-long stream (zero-point-subtracted, inactive taps
+     * 0). Exact in int32 (see the file comment).
      */
-    void computeRowEmission(int row, const int16_t *iacts, int64_t t1,
-                            const uint8_t *active, PortValue *emission);
+    int32_t
+    dot(int row, int col, const int16_t *iacts) const
+    {
+        const int16_t *w = regs_.data() + tileIndex(active_bank_, row, col);
+        int32_t acc = 0;
+        for (int64_t l = 0; l < t1_; ++l) {
+            acc += int32_t(iacts[l]) * int32_t(w[l]);
+        }
+        return acc;
+    }
 
   private:
     size_t
-    regIndex(int bank, int row, int col, int local_step) const
+    tileIndex(int bank, int row, int col) const
     {
         return ((size_t(bank) * size_t(ah_) + size_t(row)) * size_t(aw_) +
-                size_t(col)) * size_t(max_local_) + size_t(local_step);
+                size_t(col)) * size_t(t1_);
     }
 
     int aw_;
     int ah_;
     int max_local_;
+    int64_t t1_ = 0;
     int active_bank_ = 0;
-    std::vector<int16_t> regs_; ///< [2][ah][aw][max_local]
+    std::vector<int16_t> regs_; ///< [2][ah][aw][t1]
 };
 
 } // namespace feather

@@ -1048,6 +1048,162 @@ TEST(NestGeometry_, OutputPlanReplaysRowOutputs)
     EXPECT_GT(memo_hits, 0);
 }
 
+/** NestGeometry::step sink that keeps every read, iact and reuse call in
+ *  order: {0, slot, bank, addr} per read, {1, c, l, slot} per iact, and a
+ *  reuse as {2, n, 0, 0} followed by {3, i, bank, addr} per word. */
+struct CallLog
+{
+    std::vector<std::array<int64_t, 4>> calls;
+
+    void weight(int64_t, int64_t, int64_t, const Coord *) {}
+    void
+    read(int64_t s, int64_t bank, int64_t addr)
+    {
+        calls.push_back({0, s, bank, addr});
+    }
+    void
+    iact(int64_t c, int64_t l, int64_t s)
+    {
+        calls.push_back({1, c, l, s});
+    }
+    void
+    reuse(const NestGeometry::StepScratch::GatherRead *first, int64_t n)
+    {
+        calls.push_back({2, n, 0, 0});
+        for (int64_t i = 0; i < n; ++i) {
+            calls.push_back({3, i, first[i].bank, first[i].addr});
+        }
+    }
+    void emit(int64_t, const uint8_t *) {}
+    void accumulate(int64_t, int64_t, int64_t) {}
+};
+
+/** The counters the gather decides: StaB reads, read-stall and compute
+ *  cycles. */
+std::array<int64_t, 3>
+gatherCounters(const LayerStats &s)
+{
+    return {s.stab_reads, s.read_stall_cycles, s.compute_cycles};
+}
+
+// step() replays each gathering row from an input plan compiled once per
+// (iAct-table shape, output plan). On every step of every scenario layer
+// x family at the scenario's default shape, and of extra convs with M
+// tails, padding and stride 2 at 4x4 and 8x4, each under its planned in
+// layout and two seeded random ones, the read/iact/reuse call sequence
+// and the gather's counters must equal an uncompiled walk (a scratch
+// reset before each step, so every step is its run's first and walks),
+// and every planned row's feed must equal rowFeed. Some run must compile
+// fewer plans than it runs steps, some steps must replay, and some must
+// walk because the run's plans filled kInputPlanBytes.
+TEST(NestGeometry_, GatherPlanReplaysTheWalk)
+{
+    struct Case
+    {
+        std::string name;
+        LayerSpec layer;
+        int aw, ah;
+    };
+    std::vector<Case> cases;
+    for (const sim::ModelGraph &s : sim::scenarios()) {
+        for (const sim::ModelLayer &sl : s.layers) {
+            const std::string name = s.name + "/" + sl.spec.name;
+            cases.push_back({name, sl.spec, s.default_aw, s.default_ah});
+        }
+    }
+    for (const auto &[aw, ah] : {std::pair{4, 4}, std::pair{8, 4}}) {
+        cases.push_back({"m_tail", convLayer(2, 6, 5, 3, 1, 1), aw, ah});
+        cases.push_back({"stride2", convLayer(3, 7, 5, 3, 2, 1), aw, ah});
+        cases.push_back({"stride2_pad0", convLayer(3, 9, 6, 3, 2, 0), aw, ah});
+    }
+
+    Rng rng(31);
+    int runs = 0, memo_hits = 0;
+    int64_t replayed = 0, planned_rows = 0, budget_walks = 0;
+    for (const Case &cs : cases) {
+        const FeatherConfig cfg = smallConfig(cs.aw, cs.ah);
+        std::vector<Dim> dims = {Dim::C, Dim::H, Dim::W};
+        if (cs.layer.type == OpType::Gemm) dims = {Dim::M, Dim::K};
+        for (const sim::DataflowKind kind : model::kFamilies) {
+            const auto plan = sim::planLayer(kind, cs.layer, cs.aw, cs.ah);
+            if (!plan) continue;
+            const NestGeometry geo(cs.layer, plan->mapping);
+            const BoundLayout out(plan->out_layout, oactIactExtents(cs.layer));
+            std::vector<Layout> ins = {plan->in_layout};
+            ins.push_back(randomOutLayout(rng, dims));
+            ins.push_back(randomOutLayout(rng, dims));
+            for (const Layout &in_layout : ins) {
+                const std::string where =
+                    cs.name + "/" + sim::toString(kind) + "/" +
+                    std::to_string(cs.aw) + "x" + std::to_string(cs.ah) +
+                    " in " + in_layout.toString();
+                const BoundLayout in(in_layout, iactExtents(cs.layer));
+                NestGeometry::StepScratch scratch(geo, cs.aw);
+                NestGeometry::StepScratch ref(geo, cs.aw);
+                int64_t steps = 0;
+                Coord step;
+                do {
+                    const Coord b = geo.base(step);
+                    CallLog got, want;
+                    LayerStats got_stats, want_stats;
+                    geo.step(b, in, out, cfg, scratch, got, got_stats);
+                    ref.reset(geo, cs.aw);
+                    geo.step(b, in, out, cfg, ref, want, want_stats);
+                    ASSERT_EQ(got.calls, want.calls) << where;
+                    ASSERT_EQ(gatherCounters(got_stats),
+                              gatherCounters(want_stats))
+                        << where;
+                    ++steps;
+
+                    const NestGeometry::StepScratch::InputPlans &ip =
+                        scratch.inputs;
+                    ASSERT_LE(ip.bytes(), NestGeometry::kInputPlanBytes);
+                    budget_walks += steps > 1 && ip.current < 0;
+                    if (ip.current < 0) continue;
+                    replayed += !ip.compile;
+                    const uint8_t *active =
+                        scratch.plans.active.data() +
+                        size_t(scratch.plans.current) *
+                            size_t(geo.rows_used) * size_t(cs.aw);
+                    for (int64_t r = 0; r < geo.rows_used; ++r) {
+                        const auto &row = scratch.plans.rows
+                            [size_t(scratch.plans.current) *
+                                 size_t(geo.rows_used) +
+                             size_t(r)];
+                        if (!scratch.gather_read.empty() && row.reuse) {
+                            continue;
+                        }
+                        ASSERT_EQ(std::count(active + r * cs.aw,
+                                             active + r * cs.aw +
+                                                 geo.cols_used,
+                                             1),
+                                  row.active);
+                        const auto &gather =
+                            ip.rows[size_t(ip.current) *
+                                        size_t(geo.rows_used) +
+                                    size_t(r)];
+                        ASSERT_EQ(gather.feed,
+                                  rowFeed(geo, b, r, in, cs.aw))
+                            << where << " row " << r;
+                        ++planned_rows;
+                    }
+                } while (geo.loops.advance(step));
+                const int64_t plans = int64_t(scratch.inputs.keys.size());
+                EXPECT_LE(plans, steps) << where;
+                memo_hits += plans < steps;
+                ++runs;
+            }
+        }
+    }
+    EXPECT_GT(runs, 0);
+    EXPECT_GT(memo_hits, 0);
+    EXPECT_GT(replayed, 0);
+    EXPECT_GT(planned_rows, 0);
+    // mobilenet_bneck's depthwise 3x3 under random in layouts fills the
+    // budget, so steps past it walk and are checked too.
+    EXPECT_GT(budget_walks, 0);
+}
+
 // StaB storage is demand-sized, but its depth still bounds a layer: iActs
 // or oActs that do not fit are rejected, not silently grown into.
 TEST(Feather, LayerBeyondStabDepthFails)
