@@ -38,6 +38,12 @@
  * reference ops (tensor/reference_ops.hpp) that every measured cycle-tier
  * run is checked against, on the same seeded tensors. Its counter is the
  * layer's macs; its time is tracked in the CI artifacts but not gated.
+ *
+ * BM_CycleCountsLayer prices the same layer the way the model scheduler
+ * prices a cycle-tier candidate: cycleLayerStats walks every step with a
+ * sink that moves no data. Its counters are BM_CycleConvLayer's (the walk
+ * is the data run's step loop); its time, tracked but not gated, is the
+ * control's share of that layer.
  */
 
 #include <benchmark/benchmark.h>
@@ -45,6 +51,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "feather/accelerator.hpp"
 #include "feather/nest_geometry.hpp"
 #include "serve/engine.hpp"
 #include "sim/scenario.hpp"
@@ -121,6 +128,15 @@ conv3x3()
     return scenarioLayer("resnet_block", "conv_3x3");
 }
 
+/** The deterministic counters of a layer benchmark. */
+void
+reportLayerCounters(benchmark::State &state, const LayerStats &stats)
+{
+    state.counters["cycles"] = double(stats.cycles);
+    state.counters["stab_reads"] = double(stats.stab_reads);
+    state.counters["birrd_switch_hops"] = double(stats.birrd_switch_hops);
+}
+
 /** @p layer at its pin on a state.range(0) square array, on the cycle
  *  tier. @p shared_stream: whether the pinned mapping's rows share one
  *  iAct stream (row_variants == 1) or each gather their own. */
@@ -159,9 +175,7 @@ runCycleLayer(benchmark::State &state, const sim::ModelLayer &layer,
         stats = run.stats;
         benchmark::DoNotOptimize(stats);
     }
-    state.counters["cycles"] = double(stats.cycles);
-    state.counters["stab_reads"] = double(stats.stab_reads);
-    state.counters["birrd_switch_hops"] = double(stats.birrd_switch_hops);
+    reportLayerCounters(state, stats);
 }
 
 /** resnet_block's conv_3x3 at its pin on a state.range(0) square array. */
@@ -204,6 +218,30 @@ BM_ReferenceConv(benchmark::State &state)
     state.counters["macs"] = double(layer.spec.macs());
 }
 
+/** resnet_block's conv_3x3 at its pin on a state.range(0) square array,
+ *  priced by the count walk. */
+void
+BM_CycleCountsLayer(benchmark::State &state)
+{
+    const sim::ModelLayer &layer = conv3x3();
+    FeatherConfig cfg;
+    cfg.aw = cfg.ah = int(state.range(0));
+    std::string error;
+    const auto plan =
+        sim::planLayer(*layer.dataflow, layer.spec, cfg.aw, cfg.ah, &error);
+    if (!plan) {
+        state.SkipWithError(("plan failed: " + error).c_str());
+        return;
+    }
+    LayerStats stats;
+    for (auto _ : state) {
+        stats = cycleLayerStats(layer.spec, plan->mapping, plan->in_layout,
+                                plan->out_layout, cfg);
+        benchmark::DoNotOptimize(stats);
+    }
+    reportLayerCounters(state, stats);
+}
+
 // The engine's pool thread runs the sweep, so CPU time is the process's,
 // not the calling thread's (which only sets up the pool and waits).
 BENCHMARK(BM_SweepCycle)->MeasureProcessCPUTime()->Unit(
@@ -217,6 +255,7 @@ BENCHMARK(BM_CycleDepthwiseLayer)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReferenceConv)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CycleCountsLayer)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
+#include "dataflow/mapping.hpp"
 
 namespace feather {
 
@@ -32,6 +33,149 @@ oactIactExtents(const LayerSpec &layer)
     }
     return e;
 }
+
+namespace {
+
+/** StaB words per bank a tensor bound as @p bl takes: its lines, each
+ *  spread over the AW banks. */
+int64_t
+stabWords(const BoundLayout &bl, int aw)
+{
+    return bl.numLines() * ceilDiv(bl.lineSize(), int64_t(aw));
+}
+
+/** @p out_layout bound in next-layer iAct space (oactIactExtents); panics
+ *  unless it fits StaB pong. */
+BoundLayout
+boundOacts(const LayerSpec &layer, const Layout &out_layout,
+           const FeatherConfig &cfg)
+{
+    BoundLayout out(out_layout, oactIactExtents(layer));
+    FEATHER_CHECK(stabWords(out, cfg.aw) <= cfg.stab_depth,
+                  "oacts exceed StaB capacity");
+    return out;
+}
+
+/** The geometry of @p layer under @p mapping, once the mapping passes
+ *  checkNestMapping and the layer is batch-1. */
+NestGeometry
+checkedGeometry(const LayerSpec &layer, const NestMapping &mapping,
+                const FeatherConfig &cfg)
+{
+    checkNestMapping(layer, mapping, cfg);
+    if (layer.type != OpType::Gemm) {
+        FEATHER_CHECK(layer.conv.n == 1,
+                      "the cycle simulator executes batch-1 conv layers");
+    }
+    return NestGeometry(layer, mapping);
+}
+
+/**
+ * The Output Buffer, flat over the layer's output region: per word
+ * (bank, addr) its partial sum and the partial sums it still awaits (0:
+ * free), with the live (busy) words, their peak, and the words
+ * completed, each one StaB pong write. A word opens on its first partial
+ * sum. The countdown is the OB's control, which both whole-layer walks
+ * keep; only the data path adds into the sums.
+ */
+struct ObCountdown
+{
+    /** The QM reads a sum as int32, so a 32-bit modular accumulator keeps
+     *  every bit it reads. */
+    struct Word
+    {
+        uint32_t sum = 0;
+        int32_t remaining = 0;
+    };
+    std::vector<Word> words;
+    int64_t depth = 0; ///< words per bank
+    int32_t expected = 0;
+    int64_t live = 0;
+    int64_t peak = 0;
+    int64_t completed = 0;
+
+    void
+    reset(int aw, int64_t out_words, int64_t expected_contribs)
+    {
+        FEATHER_CHECK(expected_contribs <= INT32_MAX,
+                      "an OB word cannot count ", expected_contribs,
+                      " partial sums");
+        words.assign(size_t(aw) * size_t(out_words), Word{});
+        depth = out_words;
+        expected = int32_t(expected_contribs);
+        live = peak = completed = 0;
+    }
+
+    Word &at(int64_t bank, int64_t addr)
+    {
+        return words[size_t(bank * depth + addr)];
+    }
+
+    /** Count one partial sum into word @p w; @return true when it was
+     *  the word's last. */
+    bool
+    arrive(Word &w)
+    {
+        if (w.remaining == 0) {
+            w.remaining = expected;
+            peak = std::max(peak, ++live);
+        }
+        if (--w.remaining != 0) return false;
+        --live;
+        ++completed;
+        return true;
+    }
+};
+
+/**
+ * The one step loop of a whole layer, for FeatherAccelerator::run (its
+ * sink moves the data) and cycleLayerStats (its sink moves none): every
+ * temporal step of @p geo through NestGeometry::step, with iActs under
+ * @p in and oActs under @p out, on @p scratch (reset for @p geo). Weight
+ * dims are a prefix of the temporal order, so the weight tile changes
+ * exactly every inner_steps steps; each load goes into the shadow
+ * ping-pong registers behind the compute since the last one, and
+ * sink.tileLoaded() swaps them in. Besides NestGeometry::step's hooks,
+ * @p sink has the OB countdown its accumulate drives (sink.ob, reset
+ * here) and the index of the current step (sink.step_index).
+ */
+template <class Sink>
+LayerStats
+walkLayer(const NestGeometry &geo, const BoundLayout &in,
+          const BoundLayout &out, const FeatherConfig &cfg,
+          NestGeometry::StepScratch &scratch, Sink &sink)
+{
+    sink.ob.reset(cfg.aw, stabWords(out, cfg.aw), geo.expected_contribs);
+    LayerStats stats;
+    const int64_t inner_steps = geo.total_steps / geo.weight_steps;
+    int64_t compute_since_load = 0;
+    Coord step;
+    do {
+        const Coord base = geo.base(step);
+        if (sink.step_index % inner_steps == 0) {
+            geo.weightTile(base, sink, stats);
+            stats.weight_load_cycles +=
+                geo.exposedLoad(cfg, compute_since_load);
+            sink.tileLoaded();
+            compute_since_load = 0;
+        }
+        compute_since_load +=
+            geo.step(base, in, out, cfg, scratch, sink, stats);
+        ++sink.step_index;
+    } while (geo.loops.advance(step));
+
+    FEATHER_CHECK(sink.ob.live == 0, "OB has ", sink.ob.live,
+                  " incomplete accumulations at layer end");
+    stats.peak_ob_entries = sink.ob.peak;
+    stats.stab_writes = sink.ob.completed;
+    // The NEST iAct staging [aw x t1] and the step scratch.
+    stats.arena_peak_bytes =
+        int64_t(sizeof(int16_t)) * cfg.aw * geo.t1 + scratch.flatBytes();
+    geo.finish(stats, cfg);
+    return stats;
+}
+
+} // namespace
 
 FeatherAccelerator::FeatherAccelerator(FeatherConfig cfg)
     : cfg_(cfg), nest_(cfg.aw, cfg.ah, cfg.max_local),
@@ -79,9 +223,9 @@ FeatherAccelerator::loadIacts(const Int8Tensor &iacts, const Layout &layout)
     const BoundLayout &bl = current_layout_;
     const int64_t line_size = bl.lineSize();
     const int64_t wpl = ceilDiv(line_size, int64_t(cfg_.aw));
-    FEATHER_CHECK(bl.numLines() * wpl <= cfg_.stab_depth,
-                  "iacts exceed StaB capacity");
-    stab_.ping().growBanks(bl.numLines() * wpl);
+    const int64_t words = stabWords(bl, cfg_.aw);
+    FEATHER_CHECK(words <= cfg_.stab_depth, "iacts exceed StaB capacity");
+    stab_.ping().growBanks(words);
     // A bank's slots within one line (slot = bank + j*AW) land at contiguous
     // addresses line*wpl + j, so each (line, bank) run becomes one bulk
     // write — the DMA burst the host interface would issue. Each line is
@@ -124,19 +268,9 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
                         const LayerQuant &quant)
 {
     FEATHER_CHECK(iacts_loaded_, "loadIacts() must precede run()");
-    checkNestMapping(layer, mapping, cfg_);
-    if (layer.type != OpType::Gemm) {
-        FEATHER_CHECK(layer.conv.n == 1,
-                      "the cycle simulator executes batch-1 conv layers");
-    }
-    const NestGeometry geo(layer, mapping);
-
-    // Output layout bound in next-layer iAct space.
-    const BoundLayout out_bound(out_layout, oactIactExtents(layer));
-    const int64_t out_wpl = ceilDiv(out_bound.lineSize(), int64_t(cfg_.aw));
-    const int64_t out_words = out_bound.numLines() * out_wpl;
-    FEATHER_CHECK(out_words <= cfg_.stab_depth, "oacts exceed StaB capacity");
-    stab_.pong().growBanks(out_words);
+    const NestGeometry geo = checkedGeometry(layer, mapping, cfg_);
+    const BoundLayout out_bound = boundOacts(layer, out_layout, cfg_);
+    stab_.pong().growBanks(stabWords(out_bound, cfg_.aw));
 
     // Per-run scratch, sized once here: no allocator traffic inside the
     // step loop.
@@ -146,36 +280,22 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
 
     // The data movement NestGeometry::step and weightTile leave to the
     // cycle tier: StaB reads, NEST loads and emission, and the Output
-    // Buffer's per-(bank,addr) accumulation with completion countdown. A
-    // row that reuses row 0's gather moves no data: its iActs are row
-    // 0's, already in iact_vals.
+    // Buffer's per-(bank,addr) accumulation, requantized and written to
+    // StaB pong when its countdown completes. A row that reuses row 0's
+    // gather moves no data: its iActs are row 0's, already in iact_vals.
     struct Datapath
     {
-        /** One OB word: its partial sum and the contributions it still
-         *  awaits (0: free). The QM reads the sum as int32, so a 32-bit
-         *  modular accumulator keeps every bit it reads. */
-        struct ObEntry
-        {
-            uint32_t acc = 0;
-            int32_t remaining = 0;
-        };
-
         FeatherAccelerator &acc;
         const NestGeometry &geo;
         const Int8Tensor &weights;
         const LayerQuant &quant;
-        LayerStats &stats;
         const int64_t t1;
         int16_t *iact_vals;
         int16_t *read_val;
-        int64_t step_index = 0;
-        /** The OB, flat over the output region: entry bank * out_words +
-         *  addr, zeroed, with a count of the live (busy) entries. */
-        std::vector<ObEntry> ob;
-        int64_t out_words;
-        int64_t ob_live = 0;
         /** Each group's sum of the current row, reused across rows. */
         std::vector<uint32_t> group_sum;
+        ObCountdown ob{};
+        int64_t step_index = 0;
 
         void
         weight(int64_t r, int64_t c, int64_t l, const Coord *wc)
@@ -193,6 +313,8 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
             }
             acc.nest_.loadWeight(int(r), int(c), int(l), w);
         }
+
+        void tileLoaded() { acc.nest_.swapWeightBanks(); }
 
         void
         read(int64_t s, int64_t bank, int64_t addr)
@@ -244,63 +366,27 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
         void
         accumulate(int64_t g, int64_t bank, int64_t addr)
         {
-            ObEntry &e = ob[size_t(bank * out_words + addr)];
-            if (e.remaining == 0) {
-                e.remaining = int32_t(geo.expected_contribs);
-                stats.peak_ob_entries =
-                    std::max(stats.peak_ob_entries, ++ob_live);
-            }
-            e.acc += group_sum[size_t(g)];
-            if (--e.remaining == 0) {
-                const int8_t q = requantize(int32_t(e.acc), quant.multiplier,
-                                            quant.oact_zp);
-                acc.stab_.pong().write(bank, addr, q);
-                ++stats.stab_writes;
-                acc.recordTrace(TraceEvent::Kind::StabWrite, step_index,
-                                bank, addr);
-                e.acc = 0;
-                --ob_live;
-            }
+            ObCountdown::Word &w = ob.at(bank, addr);
+            w.sum += group_sum[size_t(g)];
+            if (!ob.arrive(w)) return;
+            acc.stab_.pong().write(
+                bank, addr,
+                requantize(int32_t(w.sum), quant.multiplier, quant.oact_zp));
+            acc.recordTrace(TraceEvent::Kind::StabWrite, step_index, bank,
+                            addr);
+            w.sum = 0;
         }
     };
-    // The OB spans the layer's output region, not the StaB depth.
-    FEATHER_CHECK(geo.expected_contribs <= INT32_MAX,
-                  "an OB word cannot count ", geo.expected_contribs,
-                  " partial sums");
-    LayerStats stats;
-    Datapath dp{*this, geo, weights, quant, stats, geo.t1,
-                iact_vals_.data(), scratch_.read_val.data(), 0,
-                std::vector<Datapath::ObEntry>(size_t(cfg_.aw * out_words)),
-                out_words, 0, std::vector<uint32_t>(size_t(geo.num_groups))};
-
-    // Weight dims are a prefix of the temporal order, so the weight tile
-    // changes exactly every inner_steps steps; each load goes into the
-    // shadow ping-pong registers behind the compute since the last one.
-    const int64_t inner_steps = geo.total_steps / geo.weight_steps;
-    int64_t compute_since_load = 0;
-
-    Coord step;
-    do {
-        const Coord base = geo.base(step);
-        if (dp.step_index % inner_steps == 0) {
-            geo.weightTile(base, dp, stats);
-            stats.weight_load_cycles +=
-                geo.exposedLoad(cfg_, compute_since_load);
-            nest_.swapWeightBanks();
-            compute_since_load = 0;
-        }
-        compute_since_load +=
-            geo.step(base, current_layout_, out_bound, cfg_, scratch_, dp,
-                     stats);
-        ++dp.step_index;
-    } while (geo.loops.advance(step));
-
-    FEATHER_CHECK(dp.ob_live == 0, "OB has ", dp.ob_live,
-                  " incomplete accumulations at layer end");
-
-    stats.arena_peak_bytes =
-        int64_t(iact_vals_.size() * sizeof(int16_t)) + scratch_.flatBytes();
-    geo.finish(stats, cfg_);
+    Datapath dp{*this,
+                geo,
+                weights,
+                quant,
+                geo.t1,
+                iact_vals_.data(),
+                scratch_.read_val.data(),
+                std::vector<uint32_t>(size_t(geo.num_groups))};
+    const LayerStats stats =
+        walkLayer(geo, current_layout_, out_bound, cfg_, scratch_, dp);
 
     // The written pong becomes the next layer's ping (inter-layer
     // pipelining via the ping-pong StaB).
@@ -308,6 +394,44 @@ FeatherAccelerator::run(const LayerSpec &layer, const Int8Tensor &weights,
     current_layout_ = out_bound;
 
     return stats;
+}
+
+LayerStats
+cycleLayerStats(const LayerSpec &layer, const NestMapping &mapping,
+                const Layout &in_layout, const Layout &out_layout,
+                const FeatherConfig &cfg)
+{
+    const BoundLayout in_bound(in_layout, iactExtents(layer));
+    FEATHER_CHECK(stabWords(in_bound, cfg.aw) <= cfg.stab_depth,
+                  "iacts exceed StaB capacity");
+    const NestGeometry geo = checkedGeometry(layer, mapping, cfg);
+    const BoundLayout out_bound = boundOacts(layer, out_layout, cfg);
+
+    // Nothing moves: the only state is the OB countdown (its sums stay
+    // 0), which peak_ob_entries and stab_writes come from. Capacity
+    // reused across calls.
+    struct CountSink
+    {
+        ObCountdown &ob;
+        int64_t step_index = 0;
+
+        void weight(int64_t, int64_t, int64_t, const Coord *) {}
+        void tileLoaded() {}
+        void read(int64_t, int64_t, int64_t) {}
+        void iact(int64_t, int64_t, int64_t) {}
+        void reuse(const NestGeometry::StepScratch::GatherRead *, int64_t) {}
+        void emit(int64_t, const uint8_t *) {}
+        void
+        accumulate(int64_t, int64_t bank, int64_t addr)
+        {
+            ob.arrive(ob.at(bank, addr));
+        }
+    };
+    thread_local NestGeometry::StepScratch scratch;
+    thread_local ObCountdown ob;
+    scratch.reset(geo, cfg.aw);
+    CountSink sink{ob};
+    return walkLayer(geo, in_bound, out_bound, cfg, scratch, sink);
 }
 
 Int8Tensor

@@ -35,6 +35,10 @@
  * runs, so a warm run allocates the same whatever its step count; each
  * run reports their bytes (the staging plus StepScratch::flatBytes) as
  * LayerStats::arena_peak_bytes.
+ *
+ * cycleLayerStats is the same walk with a sink that moves no data: one
+ * step loop serves both, so its counters are run()'s, at the cost of the
+ * control alone.
  */
 
 #include <cstdint>
@@ -68,6 +72,20 @@ struct TraceEvent
     int64_t bank;
     int64_t addr;  ///< line within the bank
 };
+
+/**
+ * The cycle tier's LayerStats for running @p layer under @p mapping with
+ * iActs stored as @p in_layout and oActs written as @p out_layout (bound
+ * in next-layer iAct space, oactIactExtents), without moving data: every
+ * temporal step of FeatherAccelerator::run's walk, with its weight-tile
+ * cadence and OB countdown, so every counter equals run()'s. Makes the
+ * checks loadIacts and run make (mapping, batch-1, StaB capacity of iActs
+ * and oActs, OB countdown width, no incomplete accumulation at layer end)
+ * and panics with their messages.
+ */
+LayerStats cycleLayerStats(const LayerSpec &layer, const NestMapping &mapping,
+                           const Layout &in_layout, const Layout &out_layout,
+                           const FeatherConfig &cfg);
 
 /** The FEATHER accelerator instance. */
 class FeatherAccelerator

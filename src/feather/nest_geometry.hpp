@@ -38,7 +38,9 @@
  * sink, so a sink of no-op hooks costs nothing. The cycle simulator
  * (FeatherAccelerator::run) runs every temporal step with a sink that
  * reads StaB, drives NEST and accumulates and requantizes in the OB; its
- * reuse moves no data and only traces the reads. The analytic model
+ * reuse moves no data and only traces the reads. cycleLayerStats runs
+ * the same loop with a sink that keeps only the OB countdown, so it
+ * reproduces the cycle tier's counters without data. The analytic model
  * (analyticLayerStats) runs only the middle step, with a sink that
  * collects OB destinations, and scales it by the step count.
  * Everything a step writes lives in a StepScratch of vectors the caller

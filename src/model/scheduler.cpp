@@ -7,8 +7,9 @@
 #include <numeric>
 
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "dataflow/mapping.hpp"
+#include "feather/accelerator.hpp"
+#include "feather/analytic.hpp"
 #include "serve/thread_pool.hpp"
 
 namespace feather {
@@ -275,25 +276,23 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
         eval.layers.push_back(std::move(candidates));
     }
 
-    // Step 2: simulate every unique candidate standalone, in parallel,
-    // once per cache. Slots are pre-sized and seeds derived per flat
-    // index, so the result is bit-identical at any num_threads. The run
-    // is fixed by the candidate's planning key (its counters depend on
-    // neither the seed nor the multiplier), so its stats are memoized
-    // beside the plan; unverified — the measured chain is the check.
+    // Step 2: price every unique candidate standalone, in parallel, once
+    // per cache. Slots are pre-sized, so the result is bit-identical at
+    // any num_threads. Prices come from the control alone, no data
+    // moving: a cycle-tier candidate walks every step (cycleLayerStats),
+    // an analytic one probes one (analyticLayerStats). Neither depends on
+    // the seed or the multiplier, so the stats are memoized beside the
+    // plan; the measured chain is the verified run.
     struct EvalSlot
     {
         size_t layer;
         size_t cand;
-        uint64_t seed;
         std::string error;
     };
     std::vector<EvalSlot> slots;
     for (size_t li = 0; li < eval.layers.size(); ++li) {
         for (size_t ci = 0; ci < eval.layers[li].size(); ++ci) {
-            slots.push_back({li, ci,
-                             Rng::deriveStream(opts_.seed, slots.size()),
-                             ""});
+            slots.push_back({li, ci, ""});
         }
     }
     {
@@ -309,17 +308,17 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                 try {
                     std::optional<LayerStats> stats = cache().findStats(key);
                     if (!stats) {
-                        sim::RunOptions ropts;
-                        ropts.aw = dev.aw;
-                        ropts.ah = dev.ah;
-                        ropts.engine = opts_.engine;
-                        ropts.seed = slot.seed;
-                        ropts.mapping = cand.plan.mapping;
-                        ropts.in_layout = cand.plan.in_layout;
-                        ropts.out_layout = cand.plan.out_layout;
-                        ropts.quant.multiplier = ml.multiplier;
-                        ropts.verify = false;
-                        stats = sim::runLayer(ml.spec, ropts).stats;
+                        FeatherConfig cfg;
+                        cfg.aw = dev.aw;
+                        cfg.ah = dev.ah;
+                        const sim::LayerPlan &p = cand.plan;
+                        stats = opts_.engine == sim::EngineMode::Cycle
+                                    ? cycleLayerStats(ml.spec, p.mapping,
+                                                      p.in_layout,
+                                                      p.out_layout, cfg)
+                                    : analyticLayerStats(ml.spec, p.mapping,
+                                                         p.in_layout,
+                                                         p.out_layout, cfg);
                         cache().storeStats(key, *stats);
                     }
                     cand.est_cycles = stats->cycles;

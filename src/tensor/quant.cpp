@@ -1,6 +1,6 @@
 #include "tensor/quant.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace feather {
 
@@ -15,10 +15,17 @@ clampToInt8(int32_t v)
 int8_t
 requantize(int32_t acc, float multiplier, int8_t out_zp)
 {
-    const double scaled = double(acc) * double(multiplier);
-    // Round half away from zero, matching FBGEMM's default host rounding.
-    const int64_t rounded = int64_t(std::llround(scaled));
-    return clampToInt8(int32_t(rounded + out_zp));
+    // Past +-256 every output zero point saturates, so clamping there
+    // changes no result and keeps the rounding below in range (a huge
+    // multiplier must saturate, not wrap).
+    const double scaled =
+        std::clamp(double(acc) * double(multiplier), -256.0, 256.0);
+    // Round half away from zero, matching FBGEMM's default host rounding:
+    // truncate, then compare the exact remaining fraction with one half.
+    int32_t rounded = int32_t(scaled);
+    const double frac = scaled - double(rounded);
+    rounded += (frac >= 0.5) - (frac <= -0.5);
+    return clampToInt8(rounded + out_zp);
 }
 
 } // namespace feather

@@ -545,6 +545,177 @@ TEST(CycleEngine_, WarmRunsAllocateIndependentlyOfTheirSteps)
 }
 
 // ---------------------------------------------------------------------------
+// The count walk (cycleLayerStats): the data run's step loop, moving no data
+// ---------------------------------------------------------------------------
+
+/** A random oAct layout of @p layer that StaB holds on an @p aw-wide
+ *  array: every dim inter, in random order, and intra factors of one or
+ *  more distinct dims, sized 1 to 8. */
+Layout
+randomOutLayout(Rng &rng, const LayerSpec &layer, int aw)
+{
+    const std::vector<Dim> pool = layer.type == OpType::Gemm
+                                      ? std::vector<Dim>{Dim::M, Dim::K}
+                                      : std::vector<Dim>{Dim::C, Dim::H,
+                                                         Dim::W};
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+        std::vector<Dim> inter = pool;
+        std::shuffle(inter.begin(), inter.end(), rng);
+        std::vector<Dim> dims = pool;
+        std::shuffle(dims.begin(), dims.end(), rng);
+        std::vector<IntraFactor> intra;
+        const int64_t factors = rng.range(1, int64_t(pool.size()));
+        for (int64_t i = 0; i < factors; ++i) {
+            intra.push_back({dims[size_t(i)], rng.range(1, 8)});
+        }
+        Layout layout(std::move(inter), std::move(intra));
+        if (stabFitError(layout, oactIactExtents(layer), aw, "oActs")
+                .empty()) {
+            return layout;
+        }
+    }
+    ADD_FAILURE() << "no random oAct layout of " << layer.name << " fits";
+    return Layout();
+}
+
+TEST(CountWalk_, EqualsTheDataRunsCountersEverywhere)
+{
+    // Every scenario layer, plus an M tail, stride 2 with and without
+    // padding, a GEMM and a depthwise conv, under every family at its
+    // default shape and four more, with the planned oAct layout and two
+    // random ones: the walk's LayerStats are the data run's, field for
+    // field (the OB high-water mark, StaB writes and scratch bytes too).
+    std::vector<std::pair<LayerSpec, std::pair<int, int>>> layers;
+    for (const ModelGraph &s : scenarios()) {
+        for (const ModelLayer &sl : s.layers) {
+            layers.push_back({sl.spec, {s.default_aw, s.default_ah}});
+        }
+    }
+    for (const LayerSpec &extra :
+         {convLayer("m_tail", 6, 7, 10, 3, 1, 1),
+          convLayer("stride2", 8, 9, 8, 3, 2, 1),
+          convLayer("stride2_unpadded", 4, 9, 12, 3, 2, 0),
+          gemmLayer("gemm", 12, 20, 24),
+          depthwiseLayer("dw", 12, 10, 3, 1, 1)}) {
+        layers.push_back({extra, {4, 4}});
+    }
+    Rng rng(33);
+    int cases = 0;
+    for (const auto &[layer, shape] : layers) {
+        for (const auto &[aw, ah] : {shape, std::make_pair(4, 4),
+                                     std::make_pair(8, 4),
+                                     std::make_pair(16, 16),
+                                     std::make_pair(32, 32)}) {
+            for (const DataflowKind kind : model::kFamilies) {
+                const std::optional<LayerPlan> plan =
+                    planLayer(kind, layer, aw, ah);
+                if (!plan) continue;
+                FeatherConfig cfg;
+                cfg.aw = aw;
+                cfg.ah = ah;
+                for (const Layout &out :
+                     {plan->out_layout, randomOutLayout(rng, layer, aw),
+                      randomOutLayout(rng, layer, aw)}) {
+                    ++cases;
+                    RunOptions opts;
+                    opts.aw = aw;
+                    opts.ah = ah;
+                    opts.mapping = plan->mapping;
+                    opts.in_layout = plan->in_layout;
+                    opts.out_layout = out;
+                    opts.verify = false;
+                    const LayerStats data = runLayer(layer, opts).stats;
+                    const LayerStats walk = cycleLayerStats(
+                        layer, plan->mapping, plan->in_layout, out, cfg);
+                    EXPECT_EQ(walk, data)
+                        << layer.name << " " << toString(kind) << " " << aw
+                        << "x" << ah << " -> " << out.toString()
+                        << ": walk " << walk.toString() << " vs data run "
+                        << data.toString();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 1080) << "the grid points moved";
+}
+
+TEST(CountWalk_, ReproducesTheCycleCounterGolden)
+{
+    // Each scenario layer under the chain's plan (resolved by an analytic
+    // run, which moves no data) walked on its own reproduces
+    // engine_cycle_counters.golden; checked and mismatches are the data
+    // run's verification, which the walk does not make.
+    const auto golden_rows =
+        readCounterGolden("engine_cycle_counters.golden");
+    ASSERT_FALSE(golden_rows.empty());
+    for (const ModelGraph &s : scenarios()) {
+        const auto it = golden_rows.find(s.name);
+        ASSERT_NE(it, golden_rows.end()) << s.name;
+        std::string error;
+        const auto run = runWith(s, EngineMode::Analytic, &error);
+        ASSERT_TRUE(run.has_value()) << s.name << ": " << error;
+        ASSERT_EQ(run->chain.layers.size(), it->second.size()) << s.name;
+        FeatherConfig cfg;
+        cfg.aw = run->aw;
+        cfg.ah = run->ah;
+        for (size_t i = 0; i < run->chain.layers.size(); ++i) {
+            const RunResult &r = run->chain.layers[i];
+            GoldenRow row = it->second[i];
+            row.erase(std::remove_if(row.begin(), row.end(),
+                                     [](const auto &cell) {
+                                         return cell.first == "checked" ||
+                                                cell.first == "mismatches";
+                                     }),
+                      row.end());
+            expectCounters(s.name + " layer " + std::to_string(i),
+                           cycleLayerStats(s.layers[i].spec, r.mapping,
+                                           r.in_layout, r.out_layout, cfg),
+                           0, 0, row);
+        }
+    }
+}
+
+TEST(CountWalkDeathTest, StabOverflowKeepsTheDataRunsMessage)
+{
+    // A candidate that overflows StaB fails in the walk with the message
+    // the data run fails with: iActs in loadIacts, oActs in run.
+    FeatherConfig cfg;
+    cfg.aw = 4;
+    cfg.ah = 4;
+    cfg.stab_depth = 128;
+    Rng rng(5);
+    const LayerSpec tall = convLayer("tall", 8, 12, 4, 1);
+    const std::optional<LayerPlan> tall_plan =
+        planLayer(DataflowKind::Canonical, tall, cfg.aw, cfg.ah);
+    ASSERT_TRUE(tall_plan.has_value());
+    const Int8Tensor tall_iacts = randomIacts(tall, rng);
+    EXPECT_DEATH(FeatherAccelerator(cfg).loadIacts(tall_iacts,
+                                                   tall_plan->in_layout),
+                 "iacts exceed StaB capacity");
+    EXPECT_DEATH(cycleLayerStats(tall, tall_plan->mapping,
+                                 tall_plan->in_layout, tall_plan->out_layout,
+                                 cfg),
+                 "iacts exceed StaB capacity");
+
+    const LayerSpec wide = convLayer("wide", 4, 8, 32, 1);
+    const std::optional<LayerPlan> plan =
+        planLayer(DataflowKind::Canonical, wide, cfg.aw, cfg.ah);
+    ASSERT_TRUE(plan.has_value());
+    const Int8Tensor iacts = randomIacts(wide, rng);
+    const Int8Tensor weights = randomWeights(wide, rng);
+    EXPECT_DEATH(
+        {
+            FeatherAccelerator acc(cfg);
+            acc.loadIacts(iacts, plan->in_layout);
+            acc.run(wide, weights, plan->mapping, plan->out_layout, {});
+        },
+        "oacts exceed StaB capacity");
+    EXPECT_DEATH(cycleLayerStats(wide, plan->mapping, plan->in_layout,
+                                 plan->out_layout, cfg),
+                 "oacts exceed StaB capacity");
+}
+
+// ---------------------------------------------------------------------------
 // PlanCache: the engine mode is part of the key (regression)
 // ---------------------------------------------------------------------------
 

@@ -791,8 +791,9 @@ TEST(SeedIndependence, ScenarioLayerStatsIgnoreSeedAndMultiplier)
 
 TEST(SeedIndependence, EveryBuiltinCandidateReplaysBitExactAtItsEstimate)
 {
-    // Evaluation runs its candidates unverified and memoizes their stats.
-    // Replay every candidate of every built-in graph with verification on,
+    // Evaluation prices its candidates with the count walk, which moves
+    // no data, and memoizes their stats. Replay every candidate of every
+    // built-in graph with data and verification on,
     // at other seeds and multipliers: each is bit-exact, and its stats
     // equal the memo field for field.
     for (const ModelGraph &g : builtinModels()) {

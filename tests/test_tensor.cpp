@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <string>
 
 #include "common/rng.hpp"
@@ -62,6 +65,49 @@ TEST(Quant, RequantizeRoundsHalfAwayFromZero)
     EXPECT_EQ(requantize(4, 0.1f, 0), 0);   // 0.4 -> 0
     EXPECT_EQ(requantize(1000, 1.0f, 0), 127); // saturates
     EXPECT_EQ(requantize(0, 1.0f, 5), 5);
+    // Exact ties, both signs.
+    EXPECT_EQ(requantize(1, 0.5f, 0), 1);   // 0.5
+    EXPECT_EQ(requantize(-1, 0.5f, 0), -1); // -0.5
+    EXPECT_EQ(requantize(3, 0.5f, 0), 2);   // 1.5
+    EXPECT_EQ(requantize(-3, 0.5f, 0), -2); // -1.5
+    EXPECT_EQ(requantize(5, 0.5f, 0), 3);   // 2.5
+    EXPECT_EQ(requantize(-5, 0.5f, 0), -3); // -2.5
+}
+
+TEST(Quant, RequantizeSaturatesHugeProducts)
+{
+    // |acc * multiplier| past 2^63 saturates instead of wrapping to the
+    // zero point.
+    EXPECT_EQ(requantize(1000, 1e30f, 3), 127);
+    EXPECT_EQ(requantize(-1000, 1e30f, 3), -128);
+    EXPECT_EQ(requantize(1, 3e38f, 0), 127);
+    EXPECT_EQ(requantize(INT32_MIN, 3e38f, 127), -128);
+    EXPECT_EQ(requantize(256, 1.0f, -128), 127);
+    EXPECT_EQ(requantize(-256, 1.0f, 127), -128);
+}
+
+TEST(Quant, RequantizeMatchesLlroundInRange)
+{
+    // Where llround is defined, requantize is its round-half-away-from-
+    // zero result plus the zero point, clamped.
+    const auto llroundForm = [](int32_t acc, float m, int8_t zp) {
+        const int64_t r = int64_t(std::llround(double(acc) * double(m)));
+        return clampToInt8(int32_t(std::clamp<int64_t>(r + zp, -1000, 1000)));
+    };
+    Rng rng(2024);
+    for (int i = 0; i < 200000; ++i) {
+        // Half the accumulators small, where rounding decides; multipliers
+        // from 2^-40 to 2^8, half of them 1/k (ties at multiples of k).
+        const int32_t acc =
+            i % 2 ? int32_t(rng.range(-4096, 4096))
+                  : int32_t(rng.range(INT32_MIN, INT32_MAX));
+        const float m = i % 4 < 2
+                            ? float(std::exp2(-40.0 + 48.0 * rng.uniform()))
+                            : 1.0f / float(rng.range(1, 64));
+        const int8_t zp = int8_t(rng.range(-128, 127));
+        ASSERT_EQ(requantize(acc, m, zp), llroundForm(acc, m, zp))
+            << "acc=" << acc << " m=" << m << " zp=" << int(zp);
+    }
 }
 
 TEST(RefOps, ConvOutDim)
